@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InfeasibleDistortion, InvalidChannel, OutOfRegime
-from .model import FEASIBILITY_RTOL, GaussianSource, RateTuple, Regime
+from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
+                     OutOfRegime)
+from .model import (UNCONSTRAINED, GaussianSource, RateTuple, Regime,
+                    _checked_d1_star)
 from .regions import dr_bound
 
-#: Tolerance for the internal consistency assertions between specialized
+#: Tolerance for the internal consistency checks between specialized
 #: closed forms and the general region evaluation.
 SPECIALIZATION_RTOL = 1e-12
 
@@ -83,10 +85,8 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
     """
     sx2 = source.variance
     ch = wz_channel_from_rates(source, rates.r1, rates.r2)
-    d1s = sx2 * math.exp(-2.0 * rates.r1)
-    floor3 = sx2 * math.exp(-2.0 * (rates.r1 + rates.r3))
-    if d3_prime < floor3 * (1.0 - FEASIBILITY_RTOL):
-        raise InfeasibleDistortion(f"d3'={d3_prime} below its floor {floor3}")
+    # The channel pins d1 and d2 at their floors; only d3' is free.
+    d1s = _checked_d1_star(source, rates, UNCONSTRAINED, UNCONSTRAINED, d3_prime)
     s1, s2, g = ch.sigma1_sq, ch.sigma2_sq, ch.gamma
     numerator = math.exp(-2.0 * (rates.r3 + rates.r4)) * sx2 * s1 * s2
     denominator = (sx2 + s1 + s2) * ((1.0 - g) ** 2 * min(d3_prime, d1s) + g * s1)
@@ -97,23 +97,24 @@ def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> floa
     """Two-description slice with the first two stages pinned at their floors.
 
     Evaluates the general bound at ``d2 = var exp(-2 (r1+r2))`` and the given
-    ``d3``, and asserts the specialized closed forms
+    ``d3``, and checks the specialized closed forms
     ``pi = (1 - exp(-2 r2))(1 - d3_hat/d1*)`` and
-    ``delta = exp(-2 r2)(d3_hat/d1* - exp(-2 r3))`` against the general ones.
+    ``delta = exp(-2 r2)(d3_hat/d1* - exp(-2 r3))`` against the general ones,
+    raising :class:`InvalidRegimeInput` on a mismatch.
     """
-    sx2 = source.variance
-    d1s = sx2 * math.exp(-2.0 * rates.r1)
-    d2s = sx2 * math.exp(-2.0 * (rates.r1 + rates.r2))
-    result = dr_bound(source, rates, d1s, d2s, d3)
-    d3h = min(d3, d1s)
+    d2s = source.variance * math.exp(-2.0 * (rates.r1 + rates.r2))
+    result = dr_bound(source, rates, UNCONSTRAINED, d2s, d3)
+    d1s, d3h = result.d1_star, result.d3_hat
     e2 = math.exp(-2.0 * rates.r2)
     pi_special = (1.0 - e2) * (1.0 - d3h / d1s)
     delta_special = e2 * (d3h / d1s - math.exp(-2.0 * rates.r3))
     scale = max(1.0, result.pi, result.delta)
-    assert abs(pi_special - result.pi) <= SPECIALIZATION_RTOL * scale, \
-        f"pi specialization mismatch: {pi_special} vs {result.pi}"
-    assert abs(max(delta_special, 0.0) - result.delta) <= SPECIALIZATION_RTOL * scale, \
-        f"delta specialization mismatch: {delta_special} vs {result.delta}"
+    if abs(pi_special - result.pi) > SPECIALIZATION_RTOL * scale:
+        raise InvalidRegimeInput(
+            f"pi specialization mismatch: {pi_special} vs {result.pi}")
+    if abs(max(delta_special, 0.0) - result.delta) > SPECIALIZATION_RTOL * scale:
+        raise InvalidRegimeInput(
+            f"delta specialization mismatch: {delta_special} vs {result.delta}")
     return result.d4_bound
 
 

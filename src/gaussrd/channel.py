@@ -22,9 +22,9 @@ from .errors import (InfeasibleDistortion, InvalidChannel, OutOfRegime)
 from .mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_X, IDX_XPRIME,
                    assemble_msr_covariance, central_distortion_extended,
                    conditional_mmse)
-from .model import (FEASIBILITY_RTOL, DistortionTuple, GaussianSource,
-                    RateTuple, Regime)
-from .regions import DrBoundResult, dr_bound
+from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
+                    GaussianSource, RateTuple, Regime, _checked_d1_star)
+from .regions import DrBoundResult, _pi_delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
 CROSSCHECK_RTOL = 1e-10
@@ -77,48 +77,37 @@ class CertificationRecord:
     adjustment: DegenerateAdjustment | None
 
 
-def _checked_inputs(source: GaussianSource, rates: RateTuple,
-                    d2: float, d3: float) -> tuple[float, float]:
-    sx2 = source.variance
-    d1s = sx2 * math.exp(-2.0 * rates.r1)
-    tol = FEASIBILITY_RTOL
-    for name, d, floor in (("d2", d2, d1s * math.exp(-2.0 * rates.r2)),
-                           ("d3", d3, d1s * math.exp(-2.0 * rates.r3))):
-        if not d > 0:
-            raise InfeasibleDistortion(f"{name} must be positive, got {d}")
-        if d < floor * (1.0 - tol):
-            raise InfeasibleDistortion(f"{name}={d} below its floor {floor}")
-        if d > d1s * (1.0 + tol):
+def _checked_inputs(source: GaussianSource, rates: RateTuple, d2: float,
+                    d3: float) -> tuple[float, float, float, float, bool]:
+    """``(d1_star, s, pi, delta, degenerate)`` of clamped, individually
+    feasible side targets, with ``s = exp(-2 (r2+r3))``."""
+    d1s = _checked_d1_star(source, rates, UNCONSTRAINED, d2, d3)
+    for name, d in (("d2", d2), ("d3", d3)):
+        if d > d1s * (1.0 + FEASIBILITY_RTOL):
             raise InfeasibleDistortion(
                 f"{name}={d} exceeds the first-layer floor {d1s}; clamp it first"
             )
-    return sx2, d1s
-
-
-def _pi_delta_raw(d1s: float, d2: float, d3: float, s: float) -> tuple[float, float]:
-    pi = (1.0 - min(d2, d1s) / d1s) * (1.0 - min(d3, d1s) / d1s)
-    delta = d2 * d3 / (d1s * d1s) - s
-    return max(pi, 0.0), delta
+    s = math.exp(-2.0 * (rates.r2 + rates.r3))
+    return d1s, s, *_pi_delta(*_side_ratios(d1s, d2, d3), s)
 
 
 def construct_channel(source: GaussianSource, rates: RateTuple,
                       d2: float, d3: float) -> TestChannel:
     """Noise variances and correlation that meet ``(d1_star, d2, d3)`` exactly.
 
-    Requires the non-degenerate regime (``pi >= delta``); in the degenerate
-    one call :func:`degenerate_adjust` first.  The refinement correlation is
-    ``rho = -sqrt(1 - d1_star^2 exp(-2 (r2+r3)) / (d2 d3))``, which is zero
-    exactly when ``delta = 0`` (both targets at their floors).
+    Requires the non-degenerate regime (``pi >= delta`` up to rounding); in
+    the degenerate one call :func:`degenerate_adjust` first.  The refinement
+    correlation is ``rho = -sqrt(1 - d1_star^2 exp(-2 (r2+r3)) / (d2 d3))``,
+    which is zero exactly when ``delta = 0`` (both targets at their floors).
     """
-    sx2, d1s = _checked_inputs(source, rates, d2, d3)
-    s = math.exp(-2.0 * (rates.r2 + rates.r3))
-    pi, delta = _pi_delta_raw(d1s, d2, d3, s)
+    d1s, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
     # The adjusted boundary case lands at pi == delta up to rounding.
-    if delta - pi > FEASIBILITY_RTOL * max(pi, delta):
+    if degenerate:
         raise OutOfRegime(
             f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
         )
 
+    sx2 = source.variance
     sigma1_sq = math.inf if rates.r1 == 0.0 else d1s * sx2 / (sx2 - d1s)
     sigma2_sq = math.inf if d2 >= d1s else d1s * d2 / (d1s - d2)
     sigma3_sq = math.inf if d3 >= d1s else d1s * d3 / (d1s - d3)
@@ -152,20 +141,19 @@ def degenerate_adjust(source: GaussianSource, rates: RateTuple,
                       d2: float, d3: float) -> DegenerateAdjustment:
     """Shrink over-generous side targets onto the degeneracy boundary.
 
-    In the degenerate regime (``pi < delta`` strictly) the construction can
-    afford to beat the requested side targets; both are reduced
-    proportionally (relative to their floors) until
+    In the degenerate regime (``pi < delta`` beyond rounding) the
+    construction can afford to beat the requested side targets; both are
+    reduced proportionally (relative to their floors) until
     ``d2' + d3' = d1_star (1 + exp(-2 (r2+r3)))``, which restores
     ``pi = delta`` exactly and leaves each target between its floor and its
-    requested value.  The boundary case ``pi == delta`` raises, since there
-    is nothing to adjust.
+    requested value.  The boundary case, ``pi == delta`` up to rounding,
+    raises, since there is nothing to adjust.
     """
-    _, d1s = _checked_inputs(source, rates, d2, d3)
-    s = math.exp(-2.0 * (rates.r2 + rates.r3))
-    pi, delta = _pi_delta_raw(d1s, d2, d3, s)
-    if not delta > pi:
+    d1s, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
+    if not degenerate:
         raise OutOfRegime(
-            f"adjustment needs strict pi < delta, got pi={pi}, delta={delta}"
+            f"adjustment needs pi < delta beyond rounding, got pi={pi}, "
+            f"delta={delta}"
         )
     floor2 = d1s * math.exp(-2.0 * rates.r2)
     floor3 = d1s * math.exp(-2.0 * rates.r3)
@@ -192,11 +180,8 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     magnitude below ``d1_star``), and ``matches_bound`` records whether it
     meets the distortion-rate bound within 1e-9 relative.
     """
-    sx2 = source.variance
-    d1s = sx2 * math.exp(-2.0 * rates.r1)
-    bound = dr_bound(source, rates, d1s, d2, d3)
-    d2c = min(d2, d1s)
-    d3c = min(d3, d1s)
+    bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
+    d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
     adjustment = None
     if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
         adjustment = degenerate_adjust(source, rates, d2c, d3c)

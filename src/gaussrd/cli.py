@@ -3,7 +3,8 @@
 Every subcommand prints JSON (single results) or CSV (sweeps) to stdout and
 nothing else, so output can be piped straight into other tools.  Exit codes:
 0 success, 1 usage or parse error, 2 infeasible or out-of-regime input,
-3 self-verification failure.  Error details go to stderr as JSON.
+3 self-verification failure, 4 internal error.  Error details go to stderr
+as JSON.
 
 Each subcommand accepts ``--scenario FILE`` pointing at a JSON object whose
 keys mirror the long option names; explicit flags win over scenario values.
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_INTERNAL = 4
 
 _UNCONSTRAINED_TOKENS = {"inf", "unconstrained", "unc", "none"}
 
@@ -490,12 +492,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error(exc)
         return EXIT_USAGE
-    except GaussRdError as exc:
+    except (GaussRdError, ValueError) as exc:
         _emit_error(exc)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except Exception as exc:
+        # Anything else is a defect in this package, not in the input; it
+        # still leaves as a JSON error rather than a traceback.
         _emit_error(exc)
-        return EXIT_INFEASIBLE
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidChannel, SingularObservation
+from .errors import DimensionMismatch, SingularObservation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import TestChannel
@@ -255,19 +255,13 @@ def assemble_msr_covariance(source: "GaussianSource",
     all other noise pairs independent.  An infinite noise variance encodes a
     zero-rate description; its row is replaced by an independent unit-variance
     pure-noise variable so the matrix stays 6x6 and every conditional MMSE is
-    unaffected.
+    unaffected.  The noise parameters are not re-checked here:
+    :class:`TestChannel` validates them on construction.
     """
     sx2 = source.variance
     s1, s2, s3, s4 = (channel.sigma1_sq, channel.sigma2_sq,
                       channel.sigma3_sq, channel.sigma4_sq)
     rho = channel.rho
-    for name, s in (("sigma1_sq", s1), ("sigma2_sq", s2),
-                    ("sigma3_sq", s3), ("sigma4_sq", s4)):
-        if not (s > 0.0):  # admits math.inf
-            raise InvalidChannel(f"{name} must be positive, got {s}")
-    if not -1.0 <= rho <= 1.0:
-        raise InvalidChannel(f"rho must lie in [-1, 1], got {rho}")
-
     d1 = sx2 if math.isinf(s1) else sx2 * s1 / (sx2 + s1)
     c23 = 0.0 if (math.isinf(s2) or math.isinf(s3)) else rho * math.sqrt(s2 * s3)
 

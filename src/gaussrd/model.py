@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import InfeasibleDistortion
+
 LN2 = math.log(2.0)
 
 #: Relative tolerance used for feasibility comparisons against exponential
@@ -125,8 +127,41 @@ def convert_rate(value: float, from_unit: RateUnit, to_unit: RateUnit) -> float:
     raise ValueError(f"unsupported unit pair {from_unit!r} -> {to_unit!r}")
 
 
-def _clears_floor(d: float, floor: float, rtol: float) -> bool:
-    return d >= floor * (1.0 - rtol)
+def _margin(d: float | Unconstrained, floor: float) -> float:
+    if d is UNCONSTRAINED:
+        return math.inf
+    if not d > 0.0:  # zero, negative or NaN: unreachable at any finite rate
+        return -math.inf
+    # An underflowed floor is cleared by every positive target.
+    return (d - floor) / floor if floor > 0.0 else math.inf
+
+
+def _floor_margins(d1_star: float, rates: RateTuple, d1: float | Unconstrained,
+                   d2: float | Unconstrained, d3: float | Unconstrained
+                   ) -> tuple[float, float, float]:
+    """The individual-feasibility test: relative margins ``(d - f) / f`` of
+    the targets over their floors ``f1 = d1_star``, ``f_i = d1_star
+    exp(-2 r_i)``.  A point is feasible at tolerance ``rtol`` when no margin
+    is below ``-rtol``; unconstrained targets have margin ``inf``."""
+    return (_margin(d1, d1_star),
+            _margin(d2, d1_star * math.exp(-2.0 * rates.r2)),
+            _margin(d3, d1_star * math.exp(-2.0 * rates.r3)))
+
+
+def _checked_d1_star(source: GaussianSource, rates: RateTuple,
+                     d1: float | Unconstrained, d2: float | Unconstrained,
+                     d3: float | Unconstrained) -> float:
+    """``d1_star = var exp(-2 r1)``, after raising
+    :class:`InfeasibleDistortion` for a target below its floor beyond
+    :data:`FEASIBILITY_RTOL`."""
+    d1s = source.variance * math.exp(-2.0 * rates.r1)
+    m1, m2, m3 = _floor_margins(d1s, rates, d1, d2, d3)
+    if min(m1, m2, m3) < -FEASIBILITY_RTOL:
+        raise InfeasibleDistortion(
+            f"a target lies below its floor: (d1, d2, d3) = ({d1!r}, {d2!r}, "
+            f"{d3!r}), relative margins ({m1:.3e}, {m2:.3e}, {m3:.3e})"
+        )
+    return d1s
 
 
 def feasible_individual(
@@ -142,12 +177,5 @@ def feasible_individual(
     and ``d3 >= var*exp(-2 (r1+r3))``; an unconstrained ``d1`` passes its test
     vacuously, and ``d4`` is not consulted here.
     """
-    sx2 = source.variance
-    if dist.d1 is not UNCONSTRAINED:
-        if not _clears_floor(dist.d1, sx2 * math.exp(-2.0 * rates.r1), rtol):
-            return False
-    if not _clears_floor(dist.d2, sx2 * math.exp(-2.0 * (rates.r1 + rates.r2)), rtol):
-        return False
-    if not _clears_floor(dist.d3, sx2 * math.exp(-2.0 * (rates.r1 + rates.r3)), rtol):
-        return False
-    return True
+    d1s = source.variance * math.exp(-2.0 * rates.r1)
+    return min(_floor_margins(d1s, rates, dist.d1, dist.d2, dist.d3)) >= -rtol

@@ -24,8 +24,9 @@ from typing import Iterable, Sequence
 
 from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
-from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, GaussianSource, RateTuple,
-                    Regime, Unconstrained)
+from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
+                    GaussianSource, RateTuple, Regime, Unconstrained,
+                    _checked_d1_star, _floor_margins)
 
 #: Relative half-width of the band around regime boundaries inside which the
 #: adjacent branches are reconciled instead of trusted blindly.
@@ -80,37 +81,24 @@ class ConverseWitness:
     t_bound: float
 
 
-def _floors(sx2: float, rates: RateTuple) -> tuple[float, float, float]:
-    return (sx2 * math.exp(-2.0 * rates.r1),
-            sx2 * math.exp(-2.0 * (rates.r1 + rates.r2)),
-            sx2 * math.exp(-2.0 * (rates.r1 + rates.r3)))
+def _side_ratios(d1_star: float, d2: float, d3: float) -> tuple[float, float]:
+    """The normalized side targets ``a = d2_hat/d1_star``, ``b = d3_hat/d1_star``."""
+    return min(d2, d1_star) / d1_star, min(d3, d1_star) / d1_star
 
 
-def _check_side_feasibility(sx2: float, rates: RateTuple,
-                            d1: float | Unconstrained, d2: float, d3: float) -> float:
-    """Validate the three individual floors; returns d1_star."""
-    f1, f2, f3 = _floors(sx2, rates)
-    if d1 is not UNCONSTRAINED:
-        if not d1 > 0:
-            raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
-        if d1 < f1 * (1.0 - FEASIBILITY_RTOL):
-            raise InfeasibleDistortion(f"d1={d1} below its floor {f1}")
-    for name, d, f in (("d2", d2, f2), ("d3", d3, f3)):
-        if not d > 0:
-            raise InfeasibleDistortion(f"{name} must be positive, got {d}")
-        if d < f * (1.0 - FEASIBILITY_RTOL):
-            raise InfeasibleDistortion(f"{name}={d} below its floor {f}")
-    return f1
+def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
+    """``pi``, ``delta`` and whether the point is degenerate, at the
+    normalized side targets ``a``, ``b`` and ``s = exp(-2 (r2+r3))``.
 
-
-def _pi_delta(d1_star: float, d2_hat: float, d3_hat: float,
-              rate_sum_23: float) -> tuple[float, float]:
-    a = d2_hat / d1_star
-    b = d3_hat / d1_star
+    Degenerate means ``pi < delta`` by more than the rounding tolerance
+    ``FEASIBILITY_RTOL * max(a b, s)`` of ``delta``, the scale on which the
+    subtraction ``a b - s`` loses its digits.
+    """
     pi = (1.0 - a) * (1.0 - b)
-    s = math.exp(-2.0 * rate_sum_23)
-    delta = a * b - s
-    if delta < -FEASIBILITY_RTOL * max(a * b, s):
+    ab = a * b
+    delta = ab - s
+    tol = FEASIBILITY_RTOL * max(ab, s)
+    if delta < -tol:
         raise NegativeDelta(
             f"delta={delta} is negative beyond rounding; inputs are inconsistent"
         )
@@ -118,9 +106,10 @@ def _pi_delta(d1_star: float, d2_hat: float, d3_hat: float,
     # has unbounded sensitivity at zero, so treating leftover input rounding
     # as a genuine excess would inject noise of order sqrt(eps) into the
     # bound for side targets sitting exactly on their rate floors.
-    if abs(delta) <= FEASIBILITY_RTOL * max(a * b, s):
+    if abs(delta) <= tol:
         delta = 0.0
-    return max(pi, 0.0), max(delta, 0.0)
+    pi, delta = max(pi, 0.0), max(delta, 0.0)
+    return pi, delta, delta - pi > tol
 
 
 def dr_bound(source: GaussianSource, rates: RateTuple,
@@ -129,27 +118,24 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
 
     Requires ``(d1, d2, d3)`` individually feasible at ``rates``.  The bound is
     ``var * exp(-2 (r1+r2+r3+r4)) / (1 - (max(sqrt(pi)-sqrt(delta), 0))^2)``;
-    when ``pi < delta`` the positive part vanishes, the penalty collapses to 1
-    and the regime is reported as degenerate.
+    when ``pi < delta`` the positive part vanishes and the penalty collapses
+    to 1, and the regime is reported as degenerate once ``pi < delta`` holds
+    beyond rounding.
     """
-    sx2 = source.variance
-    d1s = _check_side_feasibility(sx2, rates, d1, d2, d3)
-    d2h = min(d2, d1s)
-    d3h = min(d3, d1s)
-    pi, delta = _pi_delta(d1s, d2h, d3h, rates.r2 + rates.r3)
-    if pi < delta:
-        regime = Regime.DEGENERATE_PI_LESS_DELTA
-        denom = 1.0
-    else:
-        regime = Regime.NON_DEGENERATE
-        gap = math.sqrt(pi) - math.sqrt(delta)
-        denom = 1.0 - gap * gap
-        if denom <= 0.0:
-            raise InvalidRegimeInput(
-                f"penalty denominator {denom} not positive (pi={pi}, delta={delta})"
-            )
-    d4_bound = sx2 * math.exp(-2.0 * rates.total()) / denom
-    return DrBoundResult(d1s, d2h, d3h, pi, delta, d4_bound, regime)
+    d1s = _checked_d1_star(source, rates, d1, d2, d3)
+    pi, delta, degenerate = _pi_delta(*_side_ratios(d1s, d2, d3),
+                                      math.exp(-2.0 * (rates.r2 + rates.r3)))
+    gap = max(math.sqrt(pi) - math.sqrt(delta), 0.0)
+    denom = 1.0 - gap * gap
+    if denom <= 0.0:
+        raise InvalidRegimeInput(
+            f"penalty denominator {denom} not positive (pi={pi}, delta={delta})"
+        )
+    regime = (Regime.DEGENERATE_PI_LESS_DELTA if degenerate
+              else Regime.NON_DEGENERATE)
+    d4_bound = source.variance * math.exp(-2.0 * rates.total()) / denom
+    return DrBoundResult(d1s, min(d2, d1s), min(d3, d1s), pi, delta, d4_bound,
+                         regime)
 
 
 def t_of_epsilon(epsilon: float, d1_star: float, d2: float, d3: float,
@@ -178,15 +164,14 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
     ``t(eps*) = 1 / (1 - (sqrt(pi*) - sqrt(delta*))^2)``; otherwise the
     supremum ``t = 1`` is approached only as ``eps -> inf``.
     """
-    sx2 = source.variance
-    d1s = _check_side_feasibility(sx2, rates, d1, d2, d3)
+    d1s = _checked_d1_star(source, rates, d1, d2, d3)
     tol = FEASIBILITY_RTOL * d1s
     if d2 > d1s + tol or d3 > d1s + tol:
         raise OutOfRegime(
             f"witness needs d2, d3 <= d1_star={d1s}, got d2={d2}, d3={d3}"
         )
-    pi_star, delta_star = _pi_delta(d1s, min(d2, d1s), min(d3, d1s),
-                                    rates.r2 + rates.r3)
+    pi_star, delta_star, _ = _pi_delta(*_side_ratios(d1s, d2, d3),
+                                       math.exp(-2.0 * (rates.r2 + rates.r3)))
     gap = math.sqrt(pi_star) - math.sqrt(delta_star)
     if gap > 0.0:
         eps_star = d1s * math.sqrt(delta_star) / gap
@@ -209,8 +194,7 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
     Numeric counterpart of :func:`converse_witness`; the two are compared in
     the self-verification suite.  Returns ``(eps, t(eps))`` at the maximizer.
     """
-    sx2 = source.variance
-    d1s = _check_side_feasibility(sx2, rates, d1, d2, d3)
+    d1s = _checked_d1_star(source, rates, d1, d2, d3)
     rate_sum = rates.r2 + rates.r3
 
     def f(x: float) -> float:
@@ -289,8 +273,7 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
             f"r1={r1} below the first-layer requirement {r1_star}"
         )
     d1s = sx2 * math.exp(-2.0 * r1)
-    a = min(dist.d2, d1s) / d1s
-    b = min(dist.d3, d1s) / d1s
+    a, b = _side_ratios(d1s, dist.d2, dist.d3)
     r2_bound = rate_to_reach(a)
     r3_bound = rate_to_reach(b)
     d4_hat = dist.d4 * math.exp(2.0 * r4)
@@ -468,22 +451,16 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     within a relative band of ``1e-9`` around either boundary are recorded as
     boundary points rather than disagreements.
     """
-    from .model import DistortionTuple  # local import to avoid cycle at load
-
     report = EquivalenceReport()
     sx2 = source.variance
     tol = BOUNDARY_RTOL
     for r1, r4 in itertools.product(grid.r1_values, grid.r4_values):
         d1s = sx2 * math.exp(-2.0 * r1)
         for d1 in grid.d1_values:
-            # An unconstrained d1 imposes nothing, so its margin is vacuous.
-            m1 = math.inf if d1 is UNCONSTRAINED else (d1 - d1s) / d1s
             for r2, r3 in itertools.product(grid.r2_values, grid.r3_values):
-                f2 = d1s * math.exp(-2.0 * r2)
-                f3 = d1s * math.exp(-2.0 * r3)
                 rates = RateTuple(r1, r2, r3, r4)
                 for d2, d3 in itertools.product(grid.d2_values, grid.d3_values):
-                    base = min(m1, (d2 - f2) / f2, (d3 - f3) / f3)
+                    base = min(_floor_margins(d1s, rates, d1, d2, d3))
                     if base < -tol:
                         report.skipped_infeasible += len(grid.d4_values)
                         continue

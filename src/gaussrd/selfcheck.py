@@ -18,7 +18,7 @@ import numpy as np
 from .channel import certify_achievability, construct_channel
 from .mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_U4, IDX_X,
                    assemble_msr_covariance, conditional_mmse, mc_estimate_mse)
-from .model import GaussianSource, RateTuple, Regime
+from .model import UNCONSTRAINED, GaussianSource, RateTuple, Regime
 from .regions import (converse_witness, default_grid, dr_bound,
                       equivalence_scan, maximize_t_numeric)
 
@@ -57,8 +57,8 @@ def sample_witness_instance(rng: np.random.Generator, *,
     witness is finite and inside the numeric maximizer's bracket."""
     while True:
         rates, d2, d3 = sample_feasible_instance(rng, zero_rate_prob=0.0)
-        witness = converse_witness(GaussianSource(1.0), rates,
-                                   math.exp(-2.0 * rates.r1), d2, d3)
+        witness = converse_witness(GaussianSource(1.0), rates, UNCONSTRAINED,
+                                   d2, d3)
         if 0.0 < witness.epsilon_star < max_eps:
             return rates, d2, d3
 
@@ -118,9 +118,8 @@ def run_verification(variance: float = 1.0, seed: int = DEFAULT_SEED,
     for _ in range(n_eps):
         rates, d2, d3 = sample_witness_instance(rng)
         d2, d3 = d2 * variance, d3 * variance
-        d1 = variance * math.exp(-2.0 * rates.r1)
-        witness = converse_witness(source, rates, d1, d2, d3)
-        _, t_num = maximize_t_numeric(source, rates, d1, d2, d3)
+        witness = converse_witness(source, rates, UNCONSTRAINED, d2, d3)
+        _, t_num = maximize_t_numeric(source, rates, UNCONSTRAINED, d2, d3)
         worst = max(worst, abs(witness.t_bound - t_num) / witness.t_bound)
     checks.append(_check("witness-maximizer", 1e-6, worst, n_eps))
 
@@ -162,7 +161,6 @@ def _nondegenerate_instance(rng: np.random.Generator,
         rates, d2, d3 = sample_feasible_instance(rng, max_rate=2.0,
                                                  zero_rate_prob=0.0)
         d2, d3 = d2 * source.variance, d3 * source.variance
-        bound = dr_bound(source, rates, source.variance * math.exp(-2.0 * rates.r1),
-                         d2, d3)
+        bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
         if bound.regime is Regime.NON_DEGENERATE and bound.pi > bound.delta:
             return rates, d2, d3

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+import gaussrd.analysis as analysis
 from gaussrd import (
     AsymptoticConfig,
     FixedChannelConfig,
     GaussianSource,
+    GaussRdError,
     InfeasibleDistortion,
     InvalidChannel,
     MdcrSplit,
     OutOfRegime,
     RateTuple,
     asymptote_convergence,
+    dr_bound,
     fixed_channel_loss,
     high_rate_asymptote,
     md_region_slice,
@@ -115,6 +119,20 @@ def test_md_slice_specialization_holds_across_the_range():
     for d3 in values:
         bound = md_region_slice(source, SWEEP_RATES, float(d3))
         assert bound > 0.0
+
+
+def test_md_slice_specialization_mismatch_raises_a_domain_error(monkeypatch):
+    # The consistency check must be an explicit raise: an ``assert`` vanishes
+    # under ``python -O`` and would leave the CLI as a bare traceback.
+    def perturbed(*args):
+        result = dr_bound(*args)
+        return dataclasses.replace(result, pi=result.pi + 1e-6)
+
+    monkeypatch.setattr(analysis, "dr_bound", perturbed)
+    mid = 0.5 * (math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r3))
+                 + math.exp(-2.0 * SWEEP_RATES.r1))
+    with pytest.raises(GaussRdError):
+        md_region_slice(GaussianSource(variance=1.0), SWEEP_RATES, mid)
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,33 @@ def test_certified_distortion_agrees_with_dr_bound_closed_form():
     record = certify_achievability(source, rates, d2, d3)
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
     assert record.achieved.d4 == pytest.approx(bound.d4_bound, rel=1e-10)
+
+
+#: Sampled points (``sample_feasible_instance``, seeds 401, 405, 407 and 410)
+#: whose degenerate adjustment lands at ``pi < 1e-4``, where ``pi`` and
+#: ``delta`` agree only to about eps in absolute terms; a regime test scaled
+#: by ``max(pi, delta)`` refused them.
+SMALL_PI_ADJUSTED = [
+    ((0.7079778017269316, 0.00016187776284792843, 0.039138929245799314, 0.0),
+     0.242648433187508, 0.23452606875908227),
+    ((1.4560905936657587, 0.5366414549376258, 5.715830850194781e-05, 0.0),
+     0.03989109570263185, 0.054350836079708836),
+    ((0.0, 2.442370676986674, 1.8456483202755614e-05, 0.0),
+     0.02006398590957811, 0.9999948880168423),
+    ((1.8307516411314406, 0.5034693726633743, 9.15368218746826e-05,
+      2.506234808987247),
+     0.025004054835751393, 0.025692066827286225),
+    ((0.8066583962875536, 0.0003280412304119684, 0.1255361250720306,
+      2.993418063015623),
+     0.1991125791430401, 0.1733550472570175),
+    ((2.0521564995009, 0.38598855180854796, 0.00013405259899723632,
+      1.7779682520519182),
+     0.011125658296871864, 0.016498773459069322),
+]
+
+
+@pytest.mark.parametrize("r, d2, d3", SMALL_PI_ADJUSTED)
+def test_certification_accepts_small_pi_adjusted_points(r, d2, d3):
+    record = certify_achievability(GaussianSource(1.0), RateTuple(*r), d2, d3)
+    assert record.adjustment is not None
+    assert record.matches_bound

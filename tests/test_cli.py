@@ -349,6 +349,25 @@ def test_unknown_unit_in_scenario_is_a_usage_error(tmp_path):
     assert json.loads(proc.stderr)["error"]["type"] == "UsageError"
 
 
+def test_unexpected_exception_maps_to_exit_code_four(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(cli, "cmd_dr_bound", broken)
+    code = cli.main(["dr-bound", "--rates", "0,0.5,0.5,0", "--d", "inf,0.45,0.45"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 4
+    assert error == {"type": "RuntimeError", "message": "simulated defect"}
+
+
+def test_underflowing_channel_input_leaves_a_json_error_not_a_traceback():
+    # d1_star^2 underflows to zero at r1 = 200 nats.
+    proc = run_cli("channel", "--rates", "200,1,1,0", "--d", "7e-175,7e-175")
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stderr)
+
+
 def test_malformed_rate_list_is_a_usage_error():
     proc = run_cli("dr-bound", "--rates", "0,0.5,0.5", "--d", "inf,0.45,0.45")
     assert proc.returncode == 1
