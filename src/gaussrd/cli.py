@@ -19,6 +19,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
+from typing import NamedTuple
 
 from .analysis import (AsymptoticConfig, FixedChannelConfig, MdcrSplit,
                        asymptote_convergence, fixed_channel_loss,
@@ -101,17 +103,6 @@ def _load_scenario(path: str | None) -> dict:
     return payload
 
 
-def _pick(args: argparse.Namespace, scenario: dict, key: str, default=None):
-    value = getattr(args, key.replace("-", "_"))
-    if value is not None:
-        return value
-    if key in scenario:
-        return scenario[key]
-    if default is None:
-        raise UsageError(f"missing required option --{key}")
-    return default
-
-
 def _as_float(key: str, value) -> float:
     try:
         return float(value)
@@ -119,24 +110,33 @@ def _as_float(key: str, value) -> float:
         raise UsageError(f"option --{key} expects a number, got {value!r}") from exc
 
 
-def _as_float_list(key: str, value, count: int | None,
-                   allow_unconstrained_first: bool = False) -> list:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        raise UsageError(f"option --{key} expects a comma list, got {value!r}")
-    if count is not None and len(parts) != count:
-        raise UsageError(f"option --{key} expects {count} values, got {len(parts)}")
-    out = []
-    for i, part in enumerate(parts):
-        if (allow_unconstrained_first and i == 0 and isinstance(part, str)
-                and part.lower() in _UNCONSTRAINED_TOKENS):
-            out.append(UNCONSTRAINED)
-            continue
-        out.append(_as_float(key, part))
-    return out
+def _as_int(key: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"option --{key} expects an integer, got {value!r}") from exc
+
+
+def _as_floats(count: int | None = None, unconstrained_first: bool = False):
+    """Converter for a comma list (or JSON list) of ``count`` numbers."""
+    def convert(key: str, value) -> list:
+        if isinstance(value, str):
+            parts = [p.strip() for p in value.split(",")]
+        elif isinstance(value, (list, tuple)):
+            parts = list(value)
+        else:
+            raise UsageError(f"option --{key} expects a comma list, got {value!r}")
+        if count is not None and len(parts) != count:
+            raise UsageError(f"option --{key} expects {count} values, got {len(parts)}")
+        out = []
+        for i, part in enumerate(parts):
+            if (unconstrained_first and i == 0 and isinstance(part, str)
+                    and part.lower() in _UNCONSTRAINED_TOKENS):
+                out.append(UNCONSTRAINED)
+                continue
+            out.append(_as_float(key, part))
+        return out
+    return convert
 
 
 def _as_grid(key: str, value) -> list[float]:
@@ -153,11 +153,10 @@ def _as_grid(key: str, value) -> list[float]:
         if n < 2:
             raise UsageError(f"option --{key} count must be at least 2")
         return [start + (stop - start) * i / (n - 1) for i in range(n)]
-    return [float(v) for v in _as_float_list(key, value, None)]
+    return _as_floats()(key, value)
 
 
-def _unit(args: argparse.Namespace, scenario: dict) -> RateUnit:
-    token = _pick(args, scenario, "unit", "nats")
+def _as_unit(key: str, token) -> RateUnit:
     try:
         return RateUnit(str(token).lower())
     except ValueError as exc:
@@ -173,28 +172,138 @@ def _from_nats(value: float, unit: RateUnit) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Option table
 # ---------------------------------------------------------------------------
 
-def cmd_dr_bound(args) -> int:
+class _Opt(NamedTuple):
+    """One command-line option, which a scenario file may also set.
+
+    ``kind`` is the argparse type, or a list of the admitted choices.
+    ``convert(flag, value)`` checks and converts the value from any source
+    (``None`` keeps it as given).  A ``None`` default makes the option
+    required; a callable one is computed from the options resolved before
+    it.
+    """
+
+    flag: str
+    kind: object
+    convert: object
+    default: object
+    help: str | None = None
+
+
+_UNIT = _Opt("unit", ["nats", "bits"], _as_unit, "nats",
+             "unit for rate inputs and outputs (default nats)")
+_GRID_HELP = "start:stop:count or comma list"
+
+#: (name, help, aliases, echo the inputs in the JSON output, options).  The
+#: options are resolved in this order.  ``--scenario`` and ``--unit`` are
+#: accepted by every subcommand; only those listing ``_UNIT`` read the unit.
+_COMMANDS = (
+    ("dr-bound", "central-distortion bound at fixed rates", (), True, (
+        _UNIT,
+        _Opt("var", float, _as_float, 1.0, "source variance (default 1)"),
+        _Opt("rates", None, _as_floats(4), None, "r1,r2,r3,r4"),
+        _Opt("d", None, _as_floats(3, unconstrained_first=True), None,
+             "d1,d2,d3 (d1 may be 'inf' for unconstrained)"))),
+    ("rd-bound", "rate requirements at fixed distortions", (), True, (
+        _UNIT,
+        _Opt("var", float, _as_float, 1.0),
+        _Opt("r1", float, _as_float, None),
+        _Opt("r4", float, _as_float, None),
+        _Opt("d", None, _as_floats(4, unconstrained_first=True), None,
+             "d1,d2,d3,d4 (d1 may be 'inf')"))),
+    ("channel", "forward construction and certification", (), True, (
+        _UNIT,
+        _Opt("var", float, _as_float, 1.0),
+        _Opt("rates", None, _as_floats(4), None, "r1,r2,r3,r4"),
+        _Opt("d", None, _as_floats(2), None, "d2,d3"))),
+    ("discrete", "finite-alphabet bounds from a pmf file", (), True, (
+        _UNIT,
+        _Opt("pmf", None, None, None,
+             "path to the JSON configuration, or - for stdin"))),
+    ("loss", "fixed-channel distortion penalty sweep", (), False, (
+        _UNIT,
+        _Opt("var", float, _as_float, 1.0),
+        _Opt("alpha", float, _as_float, 1.0),
+        _Opt("r3", float, _as_float, None),
+        _Opt("r1-grid", None, _as_grid, None, _GRID_HELP))),
+    ("mdcr", "conditional-refinement vs re-budgeted comparison", (), False, (
+        _UNIT,
+        _Opt("var", float, _as_float, 1.0),
+        _Opt("r2", float, _as_float, None),
+        _Opt("r3", float, _as_float, None),
+        _Opt("beta", float, _as_float, 0.5),
+        _Opt("d2", float, _as_float, None),
+        _Opt("d3", float, _as_float, None),
+        _Opt("r4-grid", None, _as_grid, None, _GRID_HELP))),
+    ("asymptote", "high-rate asymptote convergence table", (), False, (
+        _UNIT,
+        _Opt("b", float, _as_float, 1.0),
+        _Opt("eta", float, _as_float, 0.0),
+        _Opt("eta1", float, _as_float,
+             lambda o: o["eta"] if o["eta"] > 0 else 0.0),
+        _Opt("r-grid", None, _as_grid, None, _GRID_HELP))),
+    ("sweep-wz-md",
+     "sweep the second user's target: binning vs plain two-description",
+     ("sweep-fig3",), False, (
+         _UNIT,
+         _Opt("var", float, _as_float, 1.0),
+         _Opt("r1", float, _as_float, 1.0),
+         _Opt("r2", float, _as_float, 0.5),
+         _Opt("r3", float, _as_float, 1.0),
+         _Opt("r4", float, _as_float, 0.5),
+         _Opt("points", int, _as_int, 200))),
+    ("verify", "seeded end-to-end self-verification", (), False, (
+        _Opt("var", float, _as_float, 1.0),
+        _Opt("seed", int, _as_int,
+             lambda o: os.environ.get("GAUSSRD_SEED", DEFAULT_SEED),
+             "defaults to $GAUSSRD_SEED, then 12345"),
+        _Opt("grid-density", int, _as_int, DEFAULT_GRID_DENSITY,
+             "points per swept grid axis (default 6)"))),
+)
+
+
+def _resolve(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
+    """Each option's value from its flag, else the scenario, else its
+    default, converted."""
     scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    rates_in = _as_float_list("rates", _pick(args, scenario, "rates"), 4)
-    d_in = _as_float_list("d", _pick(args, scenario, "d"), 3,
-                          allow_unconstrained_first=True)
-    rates = RateTuple(*(_to_nats(r, unit) for r in rates_in))
-    source = GaussianSource(var)
-    d1 = d_in[0]
-    result = dr_bound(source, rates, d1, d_in[1], d_in[2])
-    _emit_json({
-        "command": "dr-bound",
-        "inputs": {
-            "var": var,
-            "rates": rates_in,
-            "d": ["unconstrained" if d1 is UNCONSTRAINED else d1, d_in[1], d_in[2]],
-            "unit": unit.value,
-        },
+    values: dict = {}
+    for opt in opts:
+        value = getattr(args, opt.flag.replace("-", "_"))
+        if value is None:
+            if opt.flag in scenario:
+                value = scenario[opt.flag]
+            elif opt.default is None:
+                raise UsageError(f"missing required option --{opt.flag}")
+            else:
+                value = opt.default(values) if callable(opt.default) else opt.default
+        values[opt.flag] = value if opt.convert is None else opt.convert(opt.flag, value)
+    return values
+
+
+def _echo(value):
+    """An option value as a scenario file states it."""
+    if value is UNCONSTRAINED:
+        return "unconstrained"
+    if isinstance(value, RateUnit):
+        return value.value
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Subcommands: each takes the resolved options and returns a JSON payload
+# (a dict) or a CSV table (header, rows).
+# ---------------------------------------------------------------------------
+
+def cmd_dr_bound(o: dict) -> dict:
+    rates = RateTuple(*(_to_nats(r, o["unit"]) for r in o["rates"]))
+    source = GaussianSource(o["var"])
+    d1, d2, d3 = o["d"]
+    result = dr_bound(source, rates, d1, d2, d3)
+    return {
         "d1_star": result.d1_star,
         "d2_hat": result.d2_hat,
         "d3_hat": result.d3_hat,
@@ -202,31 +311,15 @@ def cmd_dr_bound(args) -> int:
         "delta": result.delta,
         "regime": result.regime.value,
         "d4_bound": result.d4_bound,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_rd_bound(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    r1_in = _as_float("r1", _pick(args, scenario, "r1"))
-    r4_in = _as_float("r4", _pick(args, scenario, "r4"))
-    d_in = _as_float_list("d", _pick(args, scenario, "d"), 4,
-                          allow_unconstrained_first=True)
-    source = GaussianSource(var)
-    dist = DistortionTuple(d_in[0], d_in[1], d_in[2], d_in[3])
-    result = rd_bound(source, _to_nats(r1_in, unit), _to_nats(r4_in, unit), dist)
-    _emit_json({
-        "command": "rd-bound",
-        "inputs": {
-            "var": var,
-            "r1": r1_in,
-            "r4": r4_in,
-            "d": ["unconstrained" if d_in[0] is UNCONSTRAINED else d_in[0],
-                  d_in[1], d_in[2], d_in[3]],
-            "unit": unit.value,
-        },
+def cmd_rd_bound(o: dict) -> dict:
+    unit = o["unit"]
+    source = GaussianSource(o["var"])
+    dist = DistortionTuple(*o["d"])
+    result = rd_bound(source, _to_nats(o["r1"], unit), _to_nats(o["r4"], unit), dist)
+    return {
         "r1_star": _from_nats(result.r1_star, unit),
         "r2_bound": _from_nats(result.r2_bound, unit),
         "r3_bound": _from_nats(result.r3_bound, unit),
@@ -234,58 +327,26 @@ def cmd_rd_bound(args) -> int:
         "sum_bound": _from_nats(result.sum_bound, unit),
         "excess": _from_nats(result.excess, unit),
         "regime": result.regime.value,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_channel(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    rates_in = _as_float_list("rates", _pick(args, scenario, "rates"), 4)
-    d_in = _as_float_list("d", _pick(args, scenario, "d"), 2)
-    rates = RateTuple(*(_to_nats(r, unit) for r in rates_in))
-    source = GaussianSource(var)
-    record = certify_achievability(source, rates, d_in[0], d_in[1])
-    ch = record.channel
-    adjustment = None
-    if record.adjustment is not None:
-        adjustment = {"d2_prime": record.adjustment.d2_prime,
-                      "d3_prime": record.adjustment.d3_prime}
-    _emit_json({
-        "command": "channel",
-        "inputs": {
-            "var": var,
-            "rates": rates_in,
-            "d": d_in,
-            "unit": unit.value,
-        },
-        "channel": {
-            "sigma1_sq": ch.sigma1_sq,
-            "sigma2_sq": ch.sigma2_sq,
-            "sigma3_sq": ch.sigma3_sq,
-            "sigma4_sq": ch.sigma4_sq,
-            "rho": ch.rho,
-            "d4_star": ch.d4_star,
-        },
-        "adjustment": adjustment,
-        "achieved": {
-            "d1": record.achieved.d1,
-            "d2": record.achieved.d2,
-            "d3": record.achieved.d3,
-            "d4": record.achieved.d4,
-        },
+def cmd_channel(o: dict) -> dict:
+    rates = RateTuple(*(_to_nats(r, o["unit"]) for r in o["rates"]))
+    source = GaussianSource(o["var"])
+    record = certify_achievability(source, rates, *o["d"])
+    adjustment = record.adjustment
+    return {
+        "channel": asdict(record.channel),
+        "adjustment": None if adjustment is None else asdict(adjustment),
+        "achieved": asdict(record.achieved),
         "regime": record.bound.regime.value,
         "d4_bound": record.bound.d4_bound,
         "matches_bound": record.matches_bound,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_discrete(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    path = _pick(args, scenario, "pmf")
+def cmd_discrete(o: dict) -> dict:
+    unit, path = o["unit"], o["pmf"]
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -299,110 +360,65 @@ def cmd_discrete(args) -> int:
     except json.JSONDecodeError as exc:
         raise UsageError(f"pmf file {path} is not valid JSON: {exc}") from exc
     bounds = eval_region_bounds(pmf)
-    payload = {
-        "command": "discrete",
-        "inputs": {"pmf": path, "unit": unit.value},
-        "alphabet_sizes": list(pmf.alphabet_sizes),
-        "bounds": {
-            "b1": _from_nats(bounds.b1, unit),
-            "b12": _from_nats(bounds.b12, unit),
-            "b13": _from_nats(bounds.b13, unit),
-            "b123": _from_nats(bounds.b123, unit),
-            "b1234": _from_nats(bounds.b1234, unit),
-        },
-        "distortions": None,
-    }
+    distortions = None
     if decoders is not None:
-        d1, d2, d3, d4 = eval_distortions(pmf, decoders)
-        payload["distortions"] = {"d1": d1, "d2": d2, "d3": d3, "d4": d4}
-    _emit_json(payload)
-    return EXIT_OK
+        distortions = dict(zip(("d1", "d2", "d3", "d4"),
+                               eval_distortions(pmf, decoders)))
+    return {
+        "alphabet_sizes": list(pmf.alphabet_sizes),
+        "bounds": {k: _from_nats(v, unit) for k, v in asdict(bounds).items()},
+        "distortions": distortions,
+    }
 
 
-def cmd_loss(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    alpha = _as_float("alpha", _pick(args, scenario, "alpha", 1.0))
-    r3_in = _as_float("r3", _pick(args, scenario, "r3"))
-    grid_in = _as_grid("r1-grid", _pick(args, scenario, "r1-grid"))
-    source = GaussianSource(var)
-    config = FixedChannelConfig(alpha)
+def cmd_loss(o: dict) -> tuple:
+    unit = o["unit"]
+    source = GaussianSource(o["var"])
+    config = FixedChannelConfig(o["alpha"])
     rows = []
-    for r1_in in grid_in:
+    for r1_in in o["r1-grid"]:
         loss = fixed_channel_loss(source, _to_nats(r1_in, unit),
-                                  _to_nats(r3_in, unit), config)
+                                  _to_nats(o["r3"], unit), config)
         rows.append([r1_in, loss.ratio, loss.d2_floor])
-    _emit_csv(["r1", "ratio", "d2_floor"], rows)
-    return EXIT_OK
+    return ["r1", "ratio", "d2_floor"], rows
 
 
-def cmd_mdcr(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    r2_in = _as_float("r2", _pick(args, scenario, "r2"))
-    r3_in = _as_float("r3", _pick(args, scenario, "r3"))
-    beta = _as_float("beta", _pick(args, scenario, "beta", 0.5))
-    d2 = _as_float("d2", _pick(args, scenario, "d2"))
-    d3 = _as_float("d3", _pick(args, scenario, "d3"))
-    grid_in = _as_grid("r4-grid", _pick(args, scenario, "r4-grid"))
-    source = GaussianSource(var)
-    split = MdcrSplit(beta)
+def cmd_mdcr(o: dict) -> tuple:
+    unit = o["unit"]
+    source = GaussianSource(o["var"])
+    split = MdcrSplit(o["beta"])
     rows = []
-    for r4_in in grid_in:
-        cmp_ = mdcr_compare(source, _to_nats(r2_in, unit), _to_nats(r3_in, unit),
-                            _to_nats(r4_in, unit), split, d2, d3)
+    for r4_in in o["r4-grid"]:
+        cmp_ = mdcr_compare(source, _to_nats(o["r2"], unit), _to_nats(o["r3"], unit),
+                            _to_nats(r4_in, unit), split, o["d2"], o["d3"])
         rows.append([r4_in, cmp_.d4_mdcr, cmp_.d4_md, cmp_.ratio])
-    _emit_csv(["r4", "d4_mdcr", "d4_md", "ratio"], rows)
-    return EXIT_OK
+    return ["r4", "d4_mdcr", "d4_md", "ratio"], rows
 
 
-def cmd_asymptote(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    b = _as_float("b", _pick(args, scenario, "b", 1.0))
-    eta = _as_float("eta", _pick(args, scenario, "eta", 0.0))
-    eta1 = _as_float("eta1", _pick(args, scenario, "eta1", eta if eta > 0 else 0.0))
-    grid_in = _as_grid("r-grid", _pick(args, scenario, "r-grid"))
-    grid = [_to_nats(r, unit) for r in grid_in]
-    config = AsymptoticConfig(max(grid[0], 1.0), b, eta, eta1)
+def cmd_asymptote(o: dict) -> tuple:
+    grid_in = o["r-grid"]
+    grid = [_to_nats(r, o["unit"]) for r in grid_in]
+    config = AsymptoticConfig(max(grid[0], 1.0), o["b"], o["eta"], o["eta1"])
     rows = []
     for r_in, row in zip(grid_in, asymptote_convergence(config, grid)):
         rows.append([r_in, row.exact, row.asymptote, row.ratio])
-    _emit_csv(["r_prime", "exact", "asymptote", "ratio"], rows)
-    return EXIT_OK
+    return ["r_prime", "exact", "asymptote", "ratio"], rows
 
 
-def cmd_sweep_wz_md(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    unit = _unit(args, scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    r1 = _as_float("r1", _pick(args, scenario, "r1", 1.0))
-    r2 = _as_float("r2", _pick(args, scenario, "r2", 0.5))
-    r3 = _as_float("r3", _pick(args, scenario, "r3", 1.0))
-    r4 = _as_float("r4", _pick(args, scenario, "r4", 0.5))
-    points = int(_pick(args, scenario, "points", 200))
-    source = GaussianSource(var)
-    rates = RateTuple(*( _to_nats(r, unit) for r in (r1, r2, r3, r4)))
+def cmd_sweep_wz_md(o: dict) -> tuple:
+    source = GaussianSource(o["var"])
+    rates = RateTuple(*(_to_nats(o[k], o["unit"]) for k in ("r1", "r2", "r3", "r4")))
     rows = [[row.d3, row.d4_wz, row.d4_md, row.gap]
-            for row in wz_md_sweep(source, rates, points)]
-    _emit_csv(["d3", "d4_wz", "d4_md", "gap"], rows)
-    return EXIT_OK
+            for row in wz_md_sweep(source, rates, o["points"])]
+    return ["d3", "d4_wz", "d4_md", "gap"], rows
 
 
-def cmd_verify(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    var = _as_float("var", _pick(args, scenario, "var", 1.0))
-    env_seed = os.environ.get("GAUSSRD_SEED")
-    default_seed = int(env_seed) if env_seed is not None else DEFAULT_SEED
-    seed = int(_pick(args, scenario, "seed", default_seed))
-    density = int(_pick(args, scenario, "grid-density", DEFAULT_GRID_DENSITY))
+def cmd_verify(o: dict) -> dict:
+    density = o["grid-density"]
     if density < 2:
         raise UsageError(f"grid density must be at least 2, got {density}")
-    report = run_verification(variance=var, seed=seed, grid_density=density)
-    _emit_json({"command": "verify", **report})
-    return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
+    return run_verification(variance=o["var"], seed=o["seed"],
+                            grid_density=density)
 
 
 # ---------------------------------------------------------------------------
@@ -412,72 +428,17 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
-
-    def add(name: str, func, help_: str, aliases=()):
+    for name, help_, aliases, echo, opts in _COMMANDS:
         p = sub.add_parser(name, help=help_, aliases=list(aliases))
         p.add_argument("--scenario", help="JSON file of option defaults")
-        p.add_argument("--unit", choices=["nats", "bits"],
-                       help="unit for rate inputs and outputs (default nats)")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("dr-bound", cmd_dr_bound, "central-distortion bound at fixed rates")
-    p.add_argument("--var", type=float, help="source variance (default 1)")
-    p.add_argument("--rates", help="r1,r2,r3,r4")
-    p.add_argument("--d", help="d1,d2,d3 (d1 may be 'inf' for unconstrained)")
-
-    p = add("rd-bound", cmd_rd_bound, "rate requirements at fixed distortions")
-    p.add_argument("--var", type=float)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r4", type=float)
-    p.add_argument("--d", help="d1,d2,d3,d4 (d1 may be 'inf')")
-
-    p = add("channel", cmd_channel, "forward construction and certification")
-    p.add_argument("--var", type=float)
-    p.add_argument("--rates", help="r1,r2,r3,r4")
-    p.add_argument("--d", help="d2,d3")
-
-    p = add("discrete", cmd_discrete, "finite-alphabet bounds from a pmf file")
-    p.add_argument("--pmf", help="path to the JSON configuration, or - for stdin")
-
-    p = add("loss", cmd_loss, "fixed-channel distortion penalty sweep")
-    p.add_argument("--var", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--r3", type=float)
-    p.add_argument("--r1-grid", help="start:stop:count or comma list")
-
-    p = add("mdcr", cmd_mdcr, "conditional-refinement vs re-budgeted comparison")
-    p.add_argument("--var", type=float)
-    p.add_argument("--r2", type=float)
-    p.add_argument("--r3", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--d2", type=float)
-    p.add_argument("--d3", type=float)
-    p.add_argument("--r4-grid", help="start:stop:count or comma list")
-
-    p = add("asymptote", cmd_asymptote, "high-rate asymptote convergence table")
-    p.add_argument("--b", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--r-grid", help="start:stop:count or comma list")
-
-    p = add("sweep-wz-md", cmd_sweep_wz_md,
-            "sweep the second user's target: binning vs plain two-description",
-            aliases=("sweep-fig3",))
-    p.add_argument("--var", type=float)
-    p.add_argument("--r1", type=float)
-    p.add_argument("--r2", type=float)
-    p.add_argument("--r3", type=float)
-    p.add_argument("--r4", type=float)
-    p.add_argument("--points", type=int)
-
-    p = add("verify", cmd_verify, "seeded end-to-end self-verification")
-    p.add_argument("--var", type=float)
-    p.add_argument("--seed", type=int,
-                   help="defaults to $GAUSSRD_SEED, then 12345")
-    p.add_argument("--grid-density", type=int,
-                   help="points per swept grid axis (default 6)")
-
+        for opt in (_UNIT,) + tuple(o for o in opts if o is not _UNIT):
+            choices = opt.kind if isinstance(opt.kind, list) else None
+            p.add_argument(f"--{opt.flag}", type=None if choices else opt.kind,
+                           choices=choices, help=opt.help)
+        # The command function is looked up here, not when the table is
+        # built, so a replaced module attribute takes effect.
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")],
+                       command=(name, echo, opts))
     return parser
 
 
@@ -487,8 +448,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    name, echo, opts = args.command
     try:
-        return args.func(args)
+        options = _resolve(args, opts)
+        out = args.func(options)
+        if isinstance(out, tuple):
+            _emit_csv(*out)
+            return EXIT_OK
+        payload = {"command": name}
+        if echo:
+            # The unit is resolved first but echoed last.
+            payload["inputs"] = {k: _echo(options[k])
+                                 for k in sorted(options, key="unit".__eq__)}
+        _emit_json({**payload, **out})
+        # Only the verify report carries ``all_passed``.
+        return EXIT_OK if out.get("all_passed", True) else EXIT_VERIFY_FAILED
     except UsageError as exc:
         _emit_error(exc)
         return EXIT_USAGE

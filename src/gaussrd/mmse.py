@@ -131,6 +131,28 @@ def conditional_mmse(joint: CovarianceMatrix, target_index: int,
     return MmseResult(coeffs, err, target_index, obs)
 
 
+def _eliminate(arr: np.ndarray, n_targets: int, floor) -> np.ndarray:
+    """Condition the leading ``n_targets`` coordinates of ``arr`` on the rest.
+
+    Eliminates the trailing coordinates one at a time, in place and in the
+    dtype of ``arr``, so each subtraction's rounding stays relative to the
+    already-conditioned scale; returns the conditioned leading block.  A pivot
+    at or below ``floor`` raises :class:`SingularObservation`.
+    """
+    for j in range(n_targets, arr.shape[0]):
+        pivot = arr[j, j]
+        if not pivot > floor:
+            raise SingularObservation(
+                f"observation {j - n_targets} (in elimination order) is "
+                f"determined by the earlier ones (pivot {float(pivot):.3e})"
+            )
+        col = arr[:, j].copy()
+        # Zeroes row and column j as a side effect, removing it from all
+        # later pivots.
+        arr -= np.outer(col, col) / pivot
+    return arr[:n_targets, :n_targets]
+
+
 def conditional_covariance(joint: CovarianceMatrix,
                            target_indices: Sequence[int],
                            observed_indices: Sequence[int]) -> np.ndarray:
@@ -149,72 +171,61 @@ def conditional_covariance(joint: CovarianceMatrix,
         raise DimensionMismatch("need at least one target index")
     for t in targets:
         obs = _check_indices(joint, t, observed_indices)
-    sigma = joint.entries
     idx = targets + obs
-    arr = sigma[np.ix_(idx, idx)].copy()
+    arr = joint.entries[np.ix_(idx, idx)].copy()
     nt = len(targets)
-    if obs:
-        ref = max(float(np.trace(arr[nt:, nt:])), 1e-300)
-        for j in range(nt, len(idx)):
-            pivot = arr[j, j]
-            if pivot <= OBSERVATION_RTOL * ref:
-                raise SingularObservation(
-                    f"observed block {obs} is singular "
-                    f"(pivot {pivot:.3e} at coordinate {idx[j]})"
-                )
-            col = arr[:, j].copy()
-            # Zeroes row and column j as a side effect, removing it from all
-            # later pivots.
-            arr -= np.outer(col, col) / pivot
-    cond = arr[:nt, :nt]
+    ref = max(float(np.trace(arr[nt:, nt:])), 1e-300)
+    cond = _eliminate(arr, nt, OBSERVATION_RTOL * ref)
     return 0.5 * (cond + cond.T)
+
+
+def _refinement_block(arr: np.ndarray, rows: tuple[int, int, int, int],
+                      d1: float, channel: "TestChannel") -> None:
+    """Write the covariance of (X', U2, U3, U4) into ``arr`` at ``rows``,
+    with ``d1 = var(X')`` and the arithmetic in the dtype of ``arr``.
+
+    An infinite noise variance encodes a zero-rate description; its
+    coordinate becomes an independent unit-variance pure-noise variable, so
+    every conditional variance is unaffected and eliminating it is exact.
+    """
+    def put(i: int, j: int, value) -> None:
+        arr[i, j] = arr[j, i] = value
+
+    dtype = arr.dtype.type
+    d1 = dtype(d1)
+    xp, u2, u3, u4 = rows
+    s2, s3, s4 = channel.sigma2_sq, channel.sigma3_sq, channel.sigma4_sq
+    arr[xp, xp] = d1
+    for row, s in ((u2, s2), (u3, s3), (u4, s4)):
+        if math.isinf(s):
+            arr[row, row] = 1.0
+        else:
+            put(xp, row, d1)
+            arr[row, row] = d1 + dtype(s)
+    if not (math.isinf(s2) or math.isinf(s3)):
+        put(u2, u3, d1 + dtype(channel.rho) * np.sqrt(dtype(s2) * dtype(s3)))
+    if not (math.isinf(s2) or math.isinf(s4)):
+        put(u2, u4, d1)
+    if not (math.isinf(s3) or math.isinf(s4)):
+        put(u3, u4, d1)
 
 
 def central_distortion_extended(residual_variance: float,
                                 channel: "TestChannel") -> float:
     """``var(X' | U2, U3, U4)`` by extended-precision elimination.
 
-    Mirrors the (X', U2, U3, U4) block of :func:`assemble_msr_covariance`
-    (an infinite noise variance is a zero-rate description and drops its
-    coordinate) but carries the arithmetic in ``numpy.longdouble``.
-    Conditioning down to a central distortion many orders of magnitude below
-    ``var(X')`` amplifies entry rounding by the ratio of the two scales, and
+    Eliminates the (X', U2, U3, U4) block of :func:`assemble_msr_covariance`
+    with the arithmetic carried in ``numpy.longdouble``.  Conditioning down
+    to a central distortion many orders of magnitude below ``var(X')``
+    amplifies entry rounding by the ratio of the two scales, and
     double-precision entries alone cap the achievable agreement with the
     closed form near ``eps * var(X') / d4``; the wider mantissa pushes that
     floor below 1e-11 across the supported rate range (on platforms where
     ``longdouble`` is plain double the floor simply stays at the double one).
     """
-    ld = np.longdouble
-    d1 = ld(residual_variance)
-    sigmas = (channel.sigma2_sq, channel.sigma3_sq, channel.sigma4_sq)
-    finite = [i for i, s in enumerate(sigmas) if not math.isinf(s)]
-    n = 1 + len(finite)
-    arr = np.zeros((n, n), dtype=ld)
-    arr[0, 0] = d1
-    pos = {}
-    for row, i in enumerate(finite, start=1):
-        pos[i] = row
-        arr[0, row] = arr[row, 0] = d1
-        arr[row, row] = d1 + ld(sigmas[i])
-    if 0 in pos and 1 in pos:
-        c23 = d1 + ld(channel.rho) * np.sqrt(ld(sigmas[0]) * ld(sigmas[1]))
-        arr[pos[0], pos[1]] = arr[pos[1], pos[0]] = c23
-    if 0 in pos and 2 in pos:
-        arr[pos[0], pos[2]] = arr[pos[2], pos[0]] = d1
-    if 1 in pos and 2 in pos:
-        arr[pos[1], pos[2]] = arr[pos[2], pos[1]] = d1
-    for j in range(1, n):
-        pivot = arr[j, j]
-        if not pivot > 0.0:
-            raise SingularObservation(
-                f"refinement description {j + 1} is fully determined by the "
-                f"earlier ones (pivot {float(pivot):.3e})"
-            )
-        col = arr[:, j].copy()
-        # Zeroes row and column j as a side effect, removing it from all
-        # later pivots.
-        arr -= np.outer(col, col) / pivot
-    return float(arr[0, 0])
+    arr = np.zeros((4, 4), dtype=np.longdouble)
+    _refinement_block(arr, (0, 1, 2, 3), residual_variance, channel)
+    return float(_eliminate(arr, 1, 0.0)[0, 0])
 
 
 def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
@@ -259,41 +270,18 @@ def assemble_msr_covariance(source: "GaussianSource",
     :class:`TestChannel` validates them on construction.
     """
     sx2 = source.variance
-    s1, s2, s3, s4 = (channel.sigma1_sq, channel.sigma2_sq,
-                      channel.sigma3_sq, channel.sigma4_sq)
-    rho = channel.rho
+    s1 = channel.sigma1_sq
     d1 = sx2 if math.isinf(s1) else sx2 * s1 / (sx2 + s1)
-    c23 = 0.0 if (math.isinf(s2) or math.isinf(s3)) else rho * math.sqrt(s2 * s3)
 
     m = np.zeros((6, 6))
+    _refinement_block(m, (IDX_XPRIME, IDX_U2, IDX_U3, IDX_U4), d1, channel)
+    # X = X' + E[X|U1] shares the residual's covariance with every refinement
+    # description; cov(X', U1) = 0 by orthogonality of the residual.
+    m[IDX_X, IDX_XPRIME:] = m[IDX_XPRIME:, IDX_X] = m[IDX_XPRIME, IDX_XPRIME:]
     m[IDX_X, IDX_X] = sx2
-    m[IDX_XPRIME, IDX_XPRIME] = d1
-    m[IDX_X, IDX_XPRIME] = d1
-
     if math.isinf(s1):
         m[IDX_U1, IDX_U1] = 1.0
     else:
         m[IDX_U1, IDX_U1] = sx2 + s1
-        m[IDX_X, IDX_U1] = sx2
-        # cov(X', U1) = 0 by orthogonality of the residual.
-
-    for idx, s in ((IDX_U2, s2), (IDX_U3, s3), (IDX_U4, s4)):
-        if math.isinf(s):
-            m[idx, idx] = 1.0
-        else:
-            m[idx, idx] = d1 + s
-            m[IDX_X, idx] = d1
-            m[IDX_XPRIME, idx] = d1
-
-    def _finite(*vals: float) -> bool:
-        return all(not math.isinf(v) for v in vals)
-
-    if _finite(s2, s3):
-        m[IDX_U2, IDX_U3] = d1 + c23
-    if _finite(s2, s4):
-        m[IDX_U2, IDX_U4] = d1
-    if _finite(s3, s4):
-        m[IDX_U3, IDX_U4] = d1
-
-    m = m + np.triu(m, 1).T
+        m[IDX_X, IDX_U1] = m[IDX_U1, IDX_X] = sx2
     return CovarianceMatrix(m)

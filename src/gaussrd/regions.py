@@ -82,7 +82,16 @@ class ConverseWitness:
 
 
 def _side_ratios(d1_star: float, d2: float, d3: float) -> tuple[float, float]:
-    """The normalized side targets ``a = d2_hat/d1_star``, ``b = d3_hat/d1_star``."""
+    """The normalized side targets ``a = d2_hat/d1_star``, ``b = d3_hat/d1_star``.
+
+    Raises :class:`InvalidRegimeInput` when ``d1_star`` has underflowed to 0
+    (``r1`` past ~372 nats at unit variance), where the ratios are undefined.
+    """
+    if not d1_star > 0.0:
+        raise InvalidRegimeInput(
+            f"first-layer floor d1_star={d1_star} underflows; the side-target "
+            f"ratios d2/d1_star and d3/d1_star are undefined"
+        )
     return min(d2, d1_star) / d1_star, min(d3, d1_star) / d1_star
 
 
@@ -98,7 +107,9 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
     ab = a * b
     delta = ab - s
     tol = FEASIBILITY_RTOL * max(ab, s)
-    if delta < -tol:
+    # Each side target may sit FEASIBILITY_RTOL below its floor, so a b may
+    # fall short of s by 2 tol plus rounding; such a delta clamps to 0 below.
+    if delta < -3.0 * tol:
         raise NegativeDelta(
             f"delta={delta} is negative beyond rounding; inputs are inconsistent"
         )

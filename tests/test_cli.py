@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,12 @@ CSV_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
 
 def run_cli(*argv: str, stdin: str | None = None, env: dict | None = None):
-    """Invoke the installed CLI in a fresh interpreter."""
-    import os
+    """Invoke the CLI in a fresh interpreter that imports this package."""
     full_env = dict(os.environ)
     full_env.pop("GAUSSRD_SEED", None)
+    paths = [str(Path(cli.__file__).resolve().parents[1]),
+             full_env.get("PYTHONPATH", "")]
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     if env:
         full_env.update(env)
     proc = subprocess.run(
@@ -83,13 +87,22 @@ def test_dr_bound_output_is_deterministic():
     assert first.stdout == second.stdout
 
 
-def test_dr_bound_inputs_block_reproduces_the_run(tmp_path):
-    first = run_cli("dr-bound", "--var", "2.0",
-                    "--rates", "0.2,0.6,0.5,0.1", "--d", "inf,0.6,0.7")
+@pytest.mark.parametrize("argv", [
+    ("dr-bound", "--var", "2.0", "--rates", "0.2,0.6,0.5,0.1", "--d", "inf,0.6,0.7"),
+    ("rd-bound", "--unit", "bits", "--var", "3.0", "--r1", "0.1", "--r4", "0.2",
+     "--d", "2.9,1.5,1.6,0.3"),
+    ("channel", "--var", "2.0", "--rates", "0.1,0.5,0.6,0.2", "--d", "0.9,0.8"),
+    ("discrete", "--unit", "bits", "--pmf", "{pmf}"),
+], ids=lambda argv: argv[0])
+def test_inputs_block_reproduces_the_run(tmp_path, argv):
+    pmf_file = tmp_path / "copy.json"
+    pmf_file.write_text(json.dumps(_copy_configuration()))
+    argv = [a.format(pmf=pmf_file) for a in argv]
+    first = run_cli(*argv)
     assert first.returncode == 0
     scenario_file = tmp_path / "scenario.json"
     scenario_file.write_text(json.dumps(json.loads(first.stdout)["inputs"]))
-    second = run_cli("dr-bound", "--scenario", str(scenario_file))
+    second = run_cli(argv[0], "--scenario", str(scenario_file))
     assert second.returncode == 0
     assert second.stdout == first.stdout
 
@@ -373,3 +386,36 @@ def test_malformed_rate_list_is_a_usage_error():
     assert proc.returncode == 1
     proc = run_cli("dr-bound", "--rates", "a,b,c,d", "--d", "inf,0.45,0.45")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv, scenario, env", [
+    (["sweep-wz-md"], {"points": "abc"}, {}),
+    (["verify"], {"seed": "abc"}, {}),
+    (["verify"], {"grid-density": "abc"}, {}),
+    (["verify"], None, {"GAUSSRD_SEED": "abc"}),
+], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed"])
+def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                   argv, scenario, env):
+    monkeypatch.delenv("GAUSSRD_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if scenario is not None:
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(scenario))
+        argv = argv + ["--scenario", str(scenario_file)]
+    code = cli.main(argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 1
+    assert error["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dr-bound", "--rates", "400,0,0,0", "--d", "inf,0.5,0.5"],
+    ["rd-bound", "--r1", "400", "--r4", "0", "--d", "inf,0.5,0.5,0.1"],
+], ids=["dr-bound", "rd-bound"])
+def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
+    # d1_star = exp(-800) underflows to zero at r1 = 400 nats.
+    code = cli.main(argv)
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["type"] == "InvalidRegimeInput"

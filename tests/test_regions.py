@@ -15,15 +15,18 @@ from gaussrd import (
     RateTuple,
     Regime,
     UNCONSTRAINED,
+    certify_achievability,
     converse_witness,
     default_grid,
     dr_bound,
     equivalence_scan,
+    feasible_individual,
     invert_dr_sum_rate,
     maximize_t_numeric,
     rd_bound,
     t_of_epsilon,
 )
+from gaussrd.model import FEASIBILITY_RTOL
 from gaussrd.regions import GridSpec, rate_to_reach
 
 from conftest import (
@@ -116,6 +119,33 @@ def test_dr_bound_snaps_delta_to_zero_at_the_rate_floors():
                        d1s * math.exp(-2.0 * r2), d1s * math.exp(-2.0 * r3))
         assert res.delta == 0.0
         assert res.regime is Regime.NON_DEGENERATE
+
+
+def test_dr_bound_and_certification_accept_targets_at_the_floor_band_edge():
+    # Both side targets FEASIBILITY_RTOL below their floors pass the floor
+    # test, and push delta about 2 FEASIBILITY_RTOL s below zero; the bound
+    # and the forward construction must treat that as delta = 0.
+    source = GaussianSource(variance=1.0)
+    rates = RateTuple(0.2, 0.5, 0.7, 0.1)
+    d1s = math.exp(-2.0 * rates.r1)
+    d2 = d1s * math.exp(-2.0 * rates.r2) * (1.0 - FEASIBILITY_RTOL)
+    d3 = d1s * math.exp(-2.0 * rates.r3) * (1.0 - FEASIBILITY_RTOL)
+    assert feasible_individual(source, rates,
+                               DistortionTuple(UNCONSTRAINED, d2, d3, 1.0))
+    res = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
+    assert res.delta == 0.0
+    assert res.regime is Regime.NON_DEGENERATE
+    assert certify_achievability(source, rates, d2, d3).matches_bound
+
+
+def test_side_ratios_reject_an_underflowed_first_layer_floor():
+    # d1_star = exp(-800) underflows to 0; the ratios d_i / d1_star are
+    # undefined and must raise a typed error, not ZeroDivisionError.
+    source = GaussianSource(variance=1.0)
+    with pytest.raises(InvalidRegimeInput):
+        dr_bound(source, RateTuple(400.0, 0.0, 0.0, 0.0), UNCONSTRAINED, 0.5, 0.5)
+    with pytest.raises(InvalidRegimeInput):
+        rd_bound(source, 400.0, 0.0, DistortionTuple(UNCONSTRAINED, 0.5, 0.5, 0.1))
 
 
 def test_dr_bound_within_exponential_floor_penalty():
