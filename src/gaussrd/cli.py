@@ -117,6 +117,23 @@ def _as_int(key: str, value) -> int:
         raise UsageError(f"option --{key} expects an integer, got {value!r}") from exc
 
 
+def _env_int(name: str, default: int) -> int:
+    """The integer in environment variable ``name``, else ``default``."""
+    value = os.environ.get(name, default)
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise UsageError(f"environment variable {name} expects an integer, "
+                         f"got {value!r}") from exc
+
+
+def _as_path(key: str, value) -> str:
+    # A JSON number or list from a scenario file must not reach open().
+    if not isinstance(value, str):
+        raise UsageError(f"option --{key} expects a path, got {value!r}")
+    return value
+
+
 def _as_floats(count: int | None = None, unconstrained_first: bool = False):
     """Converter for a comma list (or JSON list) of ``count`` numbers."""
     def convert(key: str, value) -> list:
@@ -179,10 +196,9 @@ class _Opt(NamedTuple):
     """One command-line option, which a scenario file may also set.
 
     ``kind`` is the argparse type, or a list of the admitted choices.
-    ``convert(flag, value)`` checks and converts the value from any source
-    (``None`` keeps it as given).  A ``None`` default makes the option
-    required; a callable one is computed from the options resolved before
-    it.
+    ``convert(flag, value)`` checks and converts the value from any
+    source.  A ``None`` default makes the option required; a callable one is
+    computed from the options resolved before it.
     """
 
     flag: str
@@ -220,7 +236,7 @@ _COMMANDS = (
         _Opt("d", None, _as_floats(2), None, "d2,d3"))),
     ("discrete", "finite-alphabet bounds from a pmf file", (), True, (
         _UNIT,
-        _Opt("pmf", None, None, None,
+        _Opt("pmf", None, _as_path, None,
              "path to the JSON configuration, or - for stdin"))),
     ("loss", "fixed-channel distortion penalty sweep", (), False, (
         _UNIT,
@@ -257,7 +273,7 @@ _COMMANDS = (
     ("verify", "seeded end-to-end self-verification", (), False, (
         _Opt("var", float, _as_float, 1.0),
         _Opt("seed", int, _as_int,
-             lambda o: os.environ.get("GAUSSRD_SEED", DEFAULT_SEED),
+             lambda o: _env_int("GAUSSRD_SEED", DEFAULT_SEED),
              "defaults to $GAUSSRD_SEED, then 12345"),
         _Opt("grid-density", int, _as_int, DEFAULT_GRID_DENSITY,
              "points per swept grid axis (default 6)"))),
@@ -278,7 +294,7 @@ def _resolve(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
                 raise UsageError(f"missing required option --{opt.flag}")
             else:
                 value = opt.default(values) if callable(opt.default) else opt.default
-        values[opt.flag] = value if opt.convert is None else opt.convert(opt.flag, value)
+        values[opt.flag] = opt.convert(opt.flag, value)
     return values
 
 

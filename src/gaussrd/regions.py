@@ -26,7 +26,7 @@ from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
 from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, Unconstrained,
-                    _checked_d1_star, _floor_margins)
+                    _checked_d1_star, _margin)
 
 #: Relative half-width of the band around regime boundaries inside which the
 #: adjacent branches are reconciled instead of trusted blindly.
@@ -461,44 +461,70 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     is compared with the rate-side verdict ``r2 + r3 >= sum_bound``; verdicts
     within a relative band of ``1e-9`` around either boundary are recorded as
     boundary points rather than disagreements.
+
+    The cost follows the grid's separable structure.  ``rd_bound`` does not
+    read ``(r2, r3)``, so inside each ``(r1, r4, d1)`` block its row of
+    ``(d4, sum_bound, regime)`` for a side-target pair ``(d2, d3)`` is built
+    at the pair's first feasible ``(r2, r3)`` and reused for the rest:
+    ``rd_bound`` runs once per ``(r1, r4, d1, d2, d3, d4)`` and ``dr_bound``
+    once per feasible ``(rates, d2, d3)``.  The floor test reads per-axis
+    tables of :func:`model._margin`, the arithmetic of ``_floor_margins``.
     """
     report = EquivalenceReport()
+    regime_counts = report.regime_counts
     sx2 = source.variance
     tol = BOUNDARY_RTOL
+    n4 = len(grid.d4_values)
+    sides = [(i, d2, j, d3) for i, d2 in enumerate(grid.d2_values)
+             for j, d3 in enumerate(grid.d3_values)]
+    evaluated = skipped = boundary = in_both = out_both = 0
     for r1, r4 in itertools.product(grid.r1_values, grid.r4_values):
         d1s = sx2 * math.exp(-2.0 * r1)
         for d1 in grid.d1_values:
+            m1 = _margin(d1, d1s)
+            # Margins of the d2 (d3) axis at each r2 (r3), built once the rate
+            # has passed RateTuple's validation.
+            m2_rows: dict[float, list[float]] = {}
+            m3_rows: dict[float, list[float]] = {}
+            rows: list[list | None] = [None] * len(sides)
+            uses = [0] * len(sides)
             for r2, r3 in itertools.product(grid.r2_values, grid.r3_values):
                 rates = RateTuple(r1, r2, r3, r4)
-                for d2, d3 in itertools.product(grid.d2_values, grid.d3_values):
-                    base = min(_floor_margins(d1s, rates, d1, d2, d3))
+                if r2 not in m2_rows:
+                    f2 = d1s * math.exp(-2.0 * r2)
+                    m2_rows[r2] = [_margin(d2, f2) for d2 in grid.d2_values]
+                if r3 not in m3_rows:
+                    f3 = d1s * math.exp(-2.0 * r3)
+                    m3_rows[r3] = [_margin(d3, f3) for d3 in grid.d3_values]
+                m2, m3 = m2_rows[r2], m3_rows[r3]
+                rate_sum = r2 + r3
+                for k, (i, d2, j, d3) in enumerate(sides):
+                    base = min(m1, m2[i], m3[j])
                     if base < -tol:
-                        report.skipped_infeasible += len(grid.d4_values)
+                        skipped += n4
                         continue
                     if base <= tol:
-                        report.boundary += len(grid.d4_values)
+                        boundary += n4
                         continue
-                    dr = dr_bound(source, rates, d1, d2, d3)
-                    for d4 in grid.d4_values:
-                        rd = rd_bound(source, r1, r4,
-                                      DistortionTuple(d1, d2, d3, d4))
-                        report.evaluated += 1
-                        key = rd.regime.value
-                        report.regime_counts[key] = report.regime_counts.get(key, 0) + 1
-                        m_dr = (d4 - dr.d4_bound) / dr.d4_bound
-                        m_rd = (r2 + r3) - rd.sum_bound
+                    d4_bound = dr_bound(source, rates, d1, d2, d3).d4_bound
+                    row = rows[k]
+                    if row is None:
+                        row = rows[k] = []
+                        for d4 in grid.d4_values:
+                            rd = rd_bound(source, r1, r4,
+                                          DistortionTuple(d1, d2, d3, d4))
+                            row.append((d4, rd.sum_bound, rd.regime.value))
+                            # Keys enter in the order a per-point loop meets them.
+                            regime_counts.setdefault(rd.regime.value, 0)
+                    uses[k] += 1
+                    for d4, sum_bound, key in row:
+                        m_dr = (d4 - d4_bound) / d4_bound
+                        m_rd = rate_sum - sum_bound
                         dr_in = m_dr > tol
-                        dr_out = m_dr < -tol
                         rd_in = m_rd > tol
-                        rd_out = m_rd < -tol
-                        if not (dr_in or dr_out) or not (rd_in or rd_out):
-                            report.boundary += 1
-                        elif dr_in == rd_in:
-                            if dr_in:
-                                report.in_both += 1
-                            else:
-                                report.out_both += 1
-                        else:
+                        if not (dr_in or m_dr < -tol) or not (rd_in or m_rd < -tol):
+                            boundary += 1
+                        elif dr_in != rd_in:
                             report.mismatches.append({
                                 "rates": rates.as_tuple(),
                                 "d": (None if d1 is UNCONSTRAINED else d1,
@@ -507,4 +533,15 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
                                 "rd_margin": m_rd,
                                 "regime": key,
                             })
+                        elif dr_in:
+                            in_both += 1
+                        else:
+                            out_both += 1
+            for row, n in zip(rows, uses):
+                if n:
+                    evaluated += n * n4
+                    for _, _, key in row:
+                        regime_counts[key] += n
+    report.evaluated, report.skipped_infeasible = evaluated, skipped
+    report.boundary, report.in_both, report.out_both = boundary, in_both, out_both
     return report

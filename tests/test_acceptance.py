@@ -91,7 +91,7 @@ def test_criterion_01_certified_distortion_meets_bound_on_random_instances():
 def test_criterion_02_region_characterizations_agree_on_a_dense_grid():
     """>= 10^4 grid points, all three sum-rate regimes, zero mismatches."""
     source = GaussianSource(variance=1.0)
-    grid = default_grid(source, 5)
+    grid = default_grid(source, 8)
     assert grid.total_points() >= 10_000
     start = time.perf_counter()
     report = equivalence_scan(source, grid)

@@ -388,14 +388,14 @@ def test_malformed_rate_list_is_a_usage_error():
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("argv, scenario, env", [
-    (["sweep-wz-md"], {"points": "abc"}, {}),
-    (["verify"], {"seed": "abc"}, {}),
-    (["verify"], {"grid-density": "abc"}, {}),
-    (["verify"], None, {"GAUSSRD_SEED": "abc"}),
+@pytest.mark.parametrize("argv, scenario, env, source", [
+    (["sweep-wz-md"], {"points": "abc"}, {}, "option --points"),
+    (["verify"], {"seed": "abc"}, {}, "option --seed"),
+    (["verify"], {"grid-density": "abc"}, {}, "option --grid-density"),
+    (["verify"], None, {"GAUSSRD_SEED": "abc"}, "environment variable GAUSSRD_SEED"),
 ], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed"])
 def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                                   argv, scenario, env):
+                                                   argv, scenario, env, source):
     monkeypatch.delenv("GAUSSRD_SEED", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -407,6 +407,20 @@ def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 1
     assert error["type"] == "UsageError"
+    # The message names where the bad value came from.
+    assert error["message"] == f"{source} expects an integer, got 'abc'"
+
+
+@pytest.mark.parametrize("pmf", [12, ["a"]], ids=["number", "list"])
+def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
+    # A number would otherwise open that file descriptor (0 is stdin).
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps({"pmf": pmf}))
+    code = cli.main(["discrete", "--scenario", str(scenario_file)])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 1
+    assert error["type"] == "UsageError"
+    assert "--pmf expects a path" in error["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -26,8 +29,9 @@ from gaussrd import (
     rd_bound,
     t_of_epsilon,
 )
-from gaussrd.model import FEASIBILITY_RTOL
-from gaussrd.regions import GridSpec, rate_to_reach
+from gaussrd import regions
+from gaussrd.model import FEASIBILITY_RTOL, _floor_margins
+from gaussrd.regions import EquivalenceReport, GridSpec, rate_to_reach
 
 from conftest import (
     GOLDEN_D2,
@@ -436,3 +440,167 @@ def test_equivalence_scan_counts_infeasible_points():
     report = equivalence_scan(source, grid)
     assert report.skipped_infeasible == grid.total_points()
     assert report.evaluated == 0
+
+
+def _reference_scan(source, grid) -> EquivalenceReport:
+    """The scan as a plain loop: ``dr_bound`` and ``rd_bound`` are called for
+    every grid point, through the module so that a patched bound reaches
+    both this loop and :func:`equivalence_scan`."""
+    report = EquivalenceReport()
+    tol = regions.BOUNDARY_RTOL
+    for r1, r4, d1, r2, r3, d2, d3, d4 in itertools.product(
+            grid.r1_values, grid.r4_values, grid.d1_values, grid.r2_values,
+            grid.r3_values, grid.d2_values, grid.d3_values, grid.d4_values):
+        rates = RateTuple(r1, r2, r3, r4)
+        d1s = source.variance * math.exp(-2.0 * r1)
+        base = min(_floor_margins(d1s, rates, d1, d2, d3))
+        if base < -tol:
+            report.skipped_infeasible += 1
+            continue
+        if base <= tol:
+            report.boundary += 1
+            continue
+        d4_bound = regions.dr_bound(source, rates, d1, d2, d3).d4_bound
+        rd = regions.rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))
+        key = rd.regime.value
+        report.evaluated += 1
+        report.regime_counts[key] = report.regime_counts.get(key, 0) + 1
+        m_dr = (d4 - d4_bound) / d4_bound
+        m_rd = (r2 + r3) - rd.sum_bound
+        if not abs(m_dr) > tol or not abs(m_rd) > tol:  # NaN is boundary
+            report.boundary += 1
+        elif (m_dr > 0.0) != (m_rd > 0.0):
+            report.mismatches.append({
+                "rates": (r1, r2, r3, r4),
+                "d": (None if d1 is UNCONSTRAINED else d1, d2, d3, d4),
+                "dr_margin": m_dr,
+                "rd_margin": m_rd,
+                "regime": key,
+            })
+        elif m_dr > 0.0:
+            report.in_both += 1
+        else:
+            report.out_both += 1
+    return report
+
+
+def _jittered_grid(seed: int):
+    """A k=4 ``default_grid`` at a random variance, each value moved by up
+    to 5%."""
+    rng = make_rng(seed)
+    source = GaussianSource(float(10.0 ** rng.uniform(-3.0, 3.0)))
+    grid = default_grid(source, 4)
+    return source, dataclasses.replace(grid, **{
+        f.name: tuple(float(v * (1.0 + rng.uniform(-0.05, 0.05)))
+                      for v in getattr(grid, f.name))
+        for f in dataclasses.fields(grid) if f.name != "d1_values"})
+
+
+def _float_d1_grid():
+    # d1* is 1 at r1 = 0, above every float d1 here, and exp(-0.7) ~ 0.497
+    # at r1 = 0.35, above 0.3 only.
+    source = GaussianSource(variance=1.0)
+    grid = dataclasses.replace(default_grid(source, 3),
+                               d1_values=(UNCONSTRAINED, 0.3, 0.6, 0.9))
+    return source, grid
+
+
+def _duplicated_axes_grid():
+    source = GaussianSource(variance=1.0)
+    grid = default_grid(source, 3)
+    return source, dataclasses.replace(grid, **{
+        f.name: getattr(grid, f.name) + getattr(grid, f.name)[:1]
+        for f in dataclasses.fields(grid)})
+
+
+def _floor_band_grid():
+    # Side targets on their floors at r2 = 0.3 and r3 = 0.4, and 5e-10
+    # relative above and below them: inside the 1e-9 floor band.
+    source = GaussianSource(variance=1.0)
+    f2 = math.exp(-2.0 * 0.35) * math.exp(-2.0 * 0.3)
+    f3 = math.exp(-2.0 * 0.35) * math.exp(-2.0 * 0.4)
+    band = (1.0 - 5e-10, 1.0, 1.0 + 5e-10)
+    grid = GridSpec(
+        r1_values=(0.35,), r4_values=(0.0, 0.25), d1_values=(UNCONSTRAINED,),
+        d2_values=tuple(f2 * c for c in band) + (0.3, 0.45),
+        d3_values=tuple(f3 * c for c in band) + (0.25, 0.4),
+        r2_values=(0.3, 0.7), r3_values=(0.4, 0.9),
+        d4_values=(0.02, 0.08, 0.2, 0.5),
+    )
+    return source, grid
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: _jittered_grid(11), lambda: _jittered_grid(12),
+    lambda: _jittered_grid(13), _float_d1_grid, _duplicated_axes_grid,
+    _floor_band_grid,
+], ids=["jittered-11", "jittered-12", "jittered-13", "float-d1",
+        "duplicated-axes", "floor-band"])
+def test_equivalence_scan_matches_a_per_point_reference(make_grid):
+    source, grid = make_grid()
+    report = equivalence_scan(source, grid)
+    expected = _reference_scan(source, grid)
+    assert report == expected
+    assert report.evaluated > 0
+    assert (report.evaluated + report.skipped_infeasible + report.boundary
+            == grid.total_points())
+
+
+def test_equivalence_scan_covers_the_floor_band_and_low_d1():
+    source, grid = _floor_band_grid()
+    # 2 r4 x 2 r3 x 5 d3 x 4 d4 points for each in-band d2 at r2 = 0.3.
+    assert equivalence_scan(source, grid).boundary >= 3 * 2 * 2 * 5 * 4
+    source, grid = _float_d1_grid()
+    report = equivalence_scan(source, grid)
+    low_d1 = dataclasses.replace(grid, d1_values=(0.3,))
+    assert equivalence_scan(source, low_d1).skipped_infeasible \
+        == low_d1.total_points()
+    assert report.evaluated > equivalence_scan(
+        source, dataclasses.replace(grid, d1_values=(UNCONSTRAINED,))).evaluated
+
+
+def test_equivalence_scan_reports_mismatches_in_reference_order(monkeypatch):
+    dr = regions.dr_bound
+
+    def inflated(*args):
+        res = dr(*args)
+        return dataclasses.replace(res, d4_bound=1.3 * res.d4_bound)
+
+    monkeypatch.setattr(regions, "dr_bound", inflated)
+    source = GaussianSource(variance=1.0)
+    grid = default_grid(source, 4)
+    report = equivalence_scan(source, grid)
+    expected = _reference_scan(source, grid)
+    assert report.mismatch_count > 0
+    assert report.mismatches == expected.mismatches
+    assert report == expected
+
+
+def test_equivalence_scan_bound_calls_follow_the_grid_structure(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(regions, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("dr_bound", "rd_bound"):
+        monkeypatch.setattr(regions, name, counted(name))
+    source = GaussianSource(variance=1.0)
+    g = default_grid(source, 4)
+    equivalence_scan(source, g)
+    # rd_bound does not read (r2, r3): at most one call per value it reads.
+    assert 0 < calls["rd_bound"] <= (
+        len(g.r1_values) * len(g.r4_values) * len(g.d1_values)
+        * len(g.d2_values) * len(g.d3_values) * len(g.d4_values))
+    # dr_bound does not read d4: at most one call per feasible point without it.
+    feasible = sum(
+        feasible_individual(source, RateTuple(r1, r2, r3, r4),
+                            DistortionTuple(d1, d2, d3, g.d4_values[0]))
+        for r1, r4, d1, r2, r3, d2, d3 in itertools.product(
+            g.r1_values, g.r4_values, g.d1_values, g.r2_values, g.r3_values,
+            g.d2_values, g.d3_values))
+    assert 0 < calls["dr_bound"] <= feasible
