@@ -29,7 +29,7 @@ from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
                     feasible_individual)
 from .regions import (ConverseWitness, DrBoundResult, EquivalenceReport,
                       GridSpec, RdBoundResult, converse_witness, default_grid,
-                      dr_bound, equivalence_scan, invert_dr_sum_rate,
-                      maximize_t_numeric, rd_bound, t_of_epsilon)
+                      dr_bound, equivalence_scan, maximize_t_numeric,
+                      rd_bound, t_of_epsilon)
 
 __version__ = "0.1.0"

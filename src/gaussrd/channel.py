@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InfeasibleDistortion, InvalidChannel, OutOfRegime)
-from .mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_X, IDX_XPRIME,
+from .mmse import (IDX_U2, IDX_U3, IDX_XPRIME, _residual_variance,
                    assemble_msr_covariance, central_distortion_extended,
                    conditional_mmse)
 from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
@@ -77,18 +77,20 @@ class CertificationRecord:
     adjustment: DegenerateAdjustment | None
 
 
-def _checked_inputs(source: GaussianSource, rates: RateTuple, d2: float,
-                    d3: float) -> tuple[float, float, float, float, bool]:
-    """``(d1_star, s, pi, delta, degenerate)`` of clamped, individually
-    feasible side targets, with ``s = exp(-2 (r2+r3))``."""
+def _checked_inputs(source: GaussianSource, rates: RateTuple, d2: float, d3: float
+                    ) -> tuple[float, float, float, float, float, float, bool]:
+    """``(d1_star, a, b, s, pi, delta, degenerate)`` of clamped, individually
+    feasible side targets, with ``a = d2/d1_star``, ``b = d3/d1_star`` and
+    ``s = exp(-2 (r2+r3))``."""
     d1s = _checked_d1_star(source, rates, UNCONSTRAINED, d2, d3)
     for name, d in (("d2", d2), ("d3", d3)):
         if d > d1s * (1.0 + FEASIBILITY_RTOL):
             raise InfeasibleDistortion(
                 f"{name}={d} exceeds the first-layer floor {d1s}; clamp it first"
             )
+    a, b = _side_ratios(d1s, d2, d3)
     s = math.exp(-2.0 * (rates.r2 + rates.r3))
-    return d1s, s, *_pi_delta(*_side_ratios(d1s, d2, d3), s)
+    return d1s, a, b, s, *_pi_delta(a, b, s)
 
 
 def construct_channel(source: GaussianSource, rates: RateTuple,
@@ -99,8 +101,10 @@ def construct_channel(source: GaussianSource, rates: RateTuple,
     the degenerate one call :func:`degenerate_adjust` first.  The refinement
     correlation is ``rho = -sqrt(1 - d1_star^2 exp(-2 (r2+r3)) / (d2 d3))``,
     which is zero exactly when ``delta = 0`` (both targets at their floors).
+    The noise variances and ``d4_star`` are computed relative to
+    ``d1_star``, so products like ``d2 d3`` never underflow at high ``r1``.
     """
-    d1s, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
+    d1s, a, b, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
     # The adjusted boundary case lands at pi == delta up to rounding.
     if degenerate:
         raise OutOfRegime(
@@ -109,32 +113,27 @@ def construct_channel(source: GaussianSource, rates: RateTuple,
 
     sx2 = source.variance
     sigma1_sq = math.inf if rates.r1 == 0.0 else d1s * sx2 / (sx2 - d1s)
-    sigma2_sq = math.inf if d2 >= d1s else d1s * d2 / (d1s - d2)
-    sigma3_sq = math.inf if d3 >= d1s else d1s * d3 / (d1s - d3)
+    # t2, t3: sigma2_sq, sigma3_sq relative to d1_star.
+    t2 = math.inf if a >= 1.0 else a / (1.0 - a)
+    t3 = math.inf if b >= 1.0 else b / (1.0 - b)
     # Snap within-rounding values of rho^2 to the exact floor corner: like
     # the delta term of the distortion bound, sqrt has unbounded sensitivity
     # at zero, and both targets sitting exactly on their rate floors must
     # yield rho = 0 rather than -sqrt(rounding noise).
-    q = d1s * d1s * s / (d2 * d3)
+    q = s / (a * b)
     rho_sq = 1.0 - q
     rho = -math.sqrt(rho_sq) if rho_sq > FEASIBILITY_RTOL * max(1.0, q) else 0.0
 
-    s2_inf = math.isinf(sigma2_sq)
-    s3_inf = math.isinf(sigma3_sq)
-    if s2_inf and s3_inf:
-        d4_star = d1s
-    elif s2_inf:
-        d4_star = d1s * sigma3_sq / (d1s + sigma3_sq)
-    elif s3_inf:
-        d4_star = d1s * sigma2_sq / (d1s + sigma2_sq)
+    if math.isinf(t2) or math.isinf(t3):
+        # A zero-rate side description leaves the other side's distortion.
+        rel_d4 = min(a, b)
     else:
-        omega = sigma2_sq * sigma3_sq * (1.0 - rho * rho)
-        d4_star = (d1s * omega
-                   / (omega + d1s * (sigma2_sq + sigma3_sq)
-                      - 2.0 * rho * d1s * math.sqrt(sigma2_sq * sigma3_sq)))
+        omega = t2 * t3 * (1.0 - rho * rho)
+        rel_d4 = omega / (omega + t2 + t3 - 2.0 * rho * math.sqrt(t2 * t3))
+    d4_star = d1s * rel_d4
     sigma4_sq = (math.inf if rates.r4 == 0.0
                  else d4_star / math.expm1(2.0 * rates.r4))
-    return TestChannel(sigma1_sq, sigma2_sq, sigma3_sq, sigma4_sq, rho, d4_star)
+    return TestChannel(sigma1_sq, d1s * t2, d1s * t3, sigma4_sq, rho, d4_star)
 
 
 def degenerate_adjust(source: GaussianSource, rates: RateTuple,
@@ -149,7 +148,7 @@ def degenerate_adjust(source: GaussianSource, rates: RateTuple,
     requested value.  The boundary case, ``pi == delta`` up to rounding,
     raises, since there is nothing to adjust.
     """
-    d1s, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
+    d1s, _, _, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
     if not degenerate:
         raise OutOfRegime(
             f"adjustment needs pi < delta beyond rounding, got pi={pi}, "
@@ -194,8 +193,9 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     # keeps each Schur subtraction at the scale of d1_star rather than the
     # source variance; the central distortion additionally runs in extended
     # precision because its value can sit many orders of magnitude below
-    # d1_star.
-    ach_d1 = conditional_mmse(cov, IDX_X, (IDX_U1,)).error_variance
+    # d1_star.  var(X | U1) itself takes the closed form, which does not
+    # subtract at the source scale.
+    ach_d1 = _residual_variance(source.variance, channel.sigma1_sq)
     ach_d2 = conditional_mmse(cov, IDX_XPRIME, (IDX_U2,)).error_variance
     ach_d3 = conditional_mmse(cov, IDX_XPRIME, (IDX_U3,)).error_variance
     ach_d4 = central_distortion_extended(d1s, channel)

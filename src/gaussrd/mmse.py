@@ -257,6 +257,12 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     return estimate, std_error
 
 
+def _residual_variance(sx2: float, s1: float) -> float:
+    """``var(X | U1) = sx2 s1 / (sx2 + s1)`` for ``var(N1) = s1``; unlike the
+    Schur complement it keeps its digits when ``var(X') << sx2``."""
+    return sx2 if math.isinf(s1) else sx2 * s1 / (sx2 + s1)
+
+
 def assemble_msr_covariance(source: "GaussianSource",
                             channel: "TestChannel") -> CovarianceMatrix:
     """Joint covariance of (X, X', U1, U2, U3, U4) under a forward channel.
@@ -271,7 +277,7 @@ def assemble_msr_covariance(source: "GaussianSource",
     """
     sx2 = source.variance
     s1 = channel.sigma1_sq
-    d1 = sx2 if math.isinf(s1) else sx2 * s1 / (sx2 + s1)
+    d1 = _residual_variance(sx2, s1)
 
     m = np.zeros((6, 6))
     _refinement_block(m, (IDX_XPRIME, IDX_U2, IDX_U3, IDX_U4), d1, channel)

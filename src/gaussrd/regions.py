@@ -8,7 +8,8 @@ Notation used throughout (all rates in nats):
   ``d_hat = min(d, d1_star)`` clamps a side target to it;
 * the normalized side targets are ``a = d2_hat/d1_star``, ``b = d3_hat/d1_star``;
 * ``pi = (1 - a)(1 - b)`` and ``delta = a b - exp(-2 (r2 + r3))`` drive the
-  central-distortion penalty ``1 / (1 - (max(sqrt(pi) - sqrt(delta), 0))^2)``;
+  central-distortion penalty ``1 / (1 - (max(sqrt(pi) - sqrt(delta), 0))^2)``,
+  whose denominator :func:`_penalty_den` evaluates in ratio form;
 * ``R(x) = -log(x)/2`` is the rate that moves a distortion ratio to ``x``.
 
 For individually feasible inputs ``delta >= 0`` always holds (``a >= exp(-2 r2)``
@@ -123,6 +124,28 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
     return pi, delta, delta - pi > tol
 
 
+def _penalty_den(a: float, b: float, delta: float) -> float:
+    """The penalty denominator ``1 - g^2``, ``g = sqrt(pi) - sqrt(delta)``,
+    at the normalized side targets ``a``, ``b`` (``pi = (1-a)(1-b)``).
+
+    Evaluated as ``(1 - g)(1 + g)`` with ``1 - sqrt(pi) =
+    (a + b - ab)/(1 + sqrt(pi))``: every term is nonnegative, so nothing
+    cancels when ``pi`` tends to 1 at high rate, where ``1 - g^2`` written
+    out loses all its digits.  Returns 1 when ``sqrt(delta) >= sqrt(pi)``
+    (the penalty vanishes).
+    """
+    sqrt_pi, sqrt_delta = math.sqrt((1.0 - a) * (1.0 - b)), math.sqrt(delta)
+    if sqrt_delta >= sqrt_pi:
+        return 1.0
+    den = (((a + b - a * b) / (1.0 + sqrt_pi) + sqrt_delta)
+           * (1.0 + sqrt_pi - sqrt_delta))
+    if den <= 0.0:
+        raise InvalidRegimeInput(
+            f"penalty denominator {den} not positive (a={a}, b={b}, delta={delta})"
+        )
+    return den
+
+
 def dr_bound(source: GaussianSource, rates: RateTuple,
              d1: float | Unconstrained, d2: float, d3: float) -> DrBoundResult:
     """Tight lower bound on the central distortion d4.
@@ -134,17 +157,12 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
     beyond rounding.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
-    pi, delta, degenerate = _pi_delta(*_side_ratios(d1s, d2, d3),
-                                      math.exp(-2.0 * (rates.r2 + rates.r3)))
-    gap = max(math.sqrt(pi) - math.sqrt(delta), 0.0)
-    denom = 1.0 - gap * gap
-    if denom <= 0.0:
-        raise InvalidRegimeInput(
-            f"penalty denominator {denom} not positive (pi={pi}, delta={delta})"
-        )
+    a, b = _side_ratios(d1s, d2, d3)
+    pi, delta, degenerate = _pi_delta(a, b, math.exp(-2.0 * (rates.r2 + rates.r3)))
     regime = (Regime.DEGENERATE_PI_LESS_DELTA if degenerate
               else Regime.NON_DEGENERATE)
-    d4_bound = source.variance * math.exp(-2.0 * rates.total()) / denom
+    d4_bound = (source.variance * math.exp(-2.0 * rates.total())
+                / _penalty_den(a, b, delta))
     return DrBoundResult(d1s, min(d2, d1s), min(d3, d1s), pi, delta, d4_bound,
                          regime)
 
@@ -172,8 +190,9 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
     ``delta_star = d2 d3 / d1*^2 - exp(-2 (r2+r3))``.  When
     ``pi_star >= delta_star`` the maximizer is
     ``eps* = d1* sqrt(delta*) / (sqrt(pi*) - sqrt(delta*))`` with
-    ``t(eps*) = 1 / (1 - (sqrt(pi*) - sqrt(delta*))^2)``; otherwise the
-    supremum ``t = 1`` is approached only as ``eps -> inf``.
+    ``t(eps*) = 1 / (1 - (sqrt(pi*) - sqrt(delta*))^2)``, the reciprocal of
+    :func:`_penalty_den`; otherwise the supremum ``t = 1`` is approached only
+    as ``eps -> inf``.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
     tol = FEASIBILITY_RTOL * d1s
@@ -181,12 +200,12 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
         raise OutOfRegime(
             f"witness needs d2, d3 <= d1_star={d1s}, got d2={d2}, d3={d3}"
         )
-    pi_star, delta_star, _ = _pi_delta(*_side_ratios(d1s, d2, d3),
-                                       math.exp(-2.0 * (rates.r2 + rates.r3)))
+    a, b = _side_ratios(d1s, d2, d3)
+    pi_star, delta_star, _ = _pi_delta(a, b, math.exp(-2.0 * (rates.r2 + rates.r3)))
     gap = math.sqrt(pi_star) - math.sqrt(delta_star)
     if gap > 0.0:
         eps_star = d1s * math.sqrt(delta_star) / gap
-        t_bound = 1.0 / (1.0 - gap * gap)
+        t_bound = 1.0 / _penalty_den(a, b, delta_star)
     else:
         eps_star = math.inf
         t_bound = 1.0
@@ -234,18 +253,16 @@ def _excess_term(a: float, b: float, z: float) -> float:
 
     ``0.5 log[(1-z)^2 / ((1-z)^2 - (sqrt(pi) - w)^2)]`` with
     ``w = sqrt((a-z)(b-z))``; algebraically this inverts the d4 bound for the
-    implied ``exp(-2 (r2+r3))``, so it is nonnegative wherever defined.
+    implied ``exp(-2 (r2+r3))``, so it is nonnegative wherever defined.  It
+    equals ``-0.5 log`` of :func:`_penalty_den` at ``a' = (a-z)/(1-z)``,
+    ``b' = (b-z)/(1-z)`` and ``delta' = a' b'``; at ``z >= 1`` (the
+    ``a = b = 1`` corner) it is 0.
     """
-    pi = (1.0 - a) * (1.0 - b)
-    w = math.sqrt(max(a - z, 0.0) * max(b - z, 0.0))
-    gap = math.sqrt(pi) - w
-    num = (1.0 - z) * (1.0 - z)
-    den = num - gap * gap
-    if den <= 0.0:
-        raise InvalidRegimeInput(
-            f"excess-term denominator {den} not positive (a={a}, b={b}, z={z})"
-        )
-    return max(0.5 * math.log(num / den), 0.0)
+    if z >= 1.0:
+        return 0.0
+    a_rel = max(a - z, 0.0) / (1.0 - z)
+    b_rel = max(b - z, 0.0) / (1.0 - z)
+    return max(-0.5 * math.log(_penalty_den(a_rel, b_rel, a_rel * b_rel)), 0.0)
 
 
 def rd_bound(source: GaussianSource, r1: float, r4: float,
@@ -257,8 +274,8 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     ``r2 >= R(d2_hat/d1_star)`` and ``r3 >= R(d3_hat/d1_star)``; the sum bound
     uses ``z = d4 exp(2 r4) / d1_star`` and splits into three regimes:
 
-    * low (``z < a + b - 1``): ``R(z)`` alone suffices;
-    * slack (``z`` above the harmonic threshold ``1/(1/a + 1/b - 1)``): the
+    * low (``z < a + b - 1 = ab - pi``): ``R(z)`` alone suffices;
+    * slack (``z`` above the harmonic threshold ``ab/(a + b - ab)``): the
       individual bounds already imply the sum, which is 0;
     * excess (between): ``R(z)`` plus the strictly positive term of
       :func:`_excess_term`.
@@ -290,18 +307,20 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     d4_hat = dist.d4 * math.exp(2.0 * r4)
     z = d4_hat / d1s
 
-    low_thr = a + b - 1.0
-    harmonic_thr = 1.0 / (1.0 / a + 1.0 / b - 1.0)
+    # Both thresholds from 1 - pi = a + b - ab, whose terms do not cancel.
+    ab = a * b
+    low_thr = ab - (1.0 - a) * (1.0 - b)
+    harmonic_thr = ab / (a + b - ab)
     if low_thr > harmonic_thr * (1.0 + FEASIBILITY_RTOL):
         raise InvalidRegimeInput(
-            f"threshold order violated: a+b-1={low_thr} > harmonic {harmonic_thr}"
+            f"threshold order violated: ab-pi={low_thr} > harmonic {harmonic_thr}"
         )
 
     def near(threshold: float) -> bool:
         return threshold > 0.0 and abs(z - threshold) <= BOUNDARY_RTOL * max(z, threshold)
 
     excess = 0.0
-    if near(harmonic_thr):
+    if near(harmonic_thr) or z > harmonic_thr:
         # At the harmonic corner the excess branch lands exactly on the sum of
         # the individual bounds, so the constraint it would add is redundant.
         if abs(z - harmonic_thr) <= 1e-12 * harmonic_thr and low_thr < z:
@@ -311,70 +330,17 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
                     f"branch disagreement at the harmonic corner: {corner} vs "
                     f"{r2_bound + r3_bound}"
                 )
-        regime = Regime.RD_SLACK
-        sum_bound = 0.0
-    elif z > harmonic_thr:
-        regime = Regime.RD_SLACK
-        sum_bound = 0.0
-    elif near(low_thr):
-        # Both branches are continuous here; take the weaker (smaller) one.
-        sum_low = rate_to_reach(z)
-        sum_excess = sum_low + _excess_term(a, b, z)
-        if sum_low <= sum_excess:
-            regime = Regime.RD_LOW
-            sum_bound = sum_low
-        else:  # pragma: no cover - excess term is nonnegative
-            regime = Regime.RD_EXCESS
-            sum_bound = sum_excess
-            excess = sum_excess - sum_low
-    elif low_thr > 0.0 and z < low_thr:
-        regime = Regime.RD_LOW
-        sum_bound = rate_to_reach(z)
+        regime, sum_bound = Regime.RD_SLACK, 0.0
+    elif near(low_thr) or 0.0 < low_thr and z < low_thr:
+        # Both branches are continuous across the low threshold and the
+        # excess term is nonnegative, so inside its band R(z) is the weaker.
+        regime, sum_bound = Regime.RD_LOW, rate_to_reach(z)
     else:
         regime = Regime.RD_EXCESS
         excess = _excess_term(a, b, z)
         sum_bound = rate_to_reach(z) + excess
     return RdBoundResult(r1_star, r2_bound, r3_bound, d4_hat, sum_bound,
                          excess, regime)
-
-
-def invert_dr_sum_rate(source: GaussianSource, r1: float, d2: float, d3: float,
-                       d4_hat: float, *, tol: float = 1e-12,
-                       max_iter: int = 200) -> float:
-    """Numeric inversion of the d4 bound for the required sum rate r2 + r3.
-
-    Bisects on ``s = exp(-2 (r2+r3))`` until the central-distortion bound at
-    ``(d2, d3, s)`` meets ``d4_hat``; the bound is strictly increasing in
-    ``s``, so the root is unique.  Serves as the independent oracle for the
-    closed-form sum bound of :func:`rd_bound`.
-    """
-    sx2 = source.variance
-    if not (d2 > 0 and d3 > 0 and d4_hat > 0):
-        raise InfeasibleDistortion("distortions must be positive")
-    d1s = sx2 * math.exp(-2.0 * r1)
-    a = min(d2, d1s) / d1s
-    b = min(d3, d1s) / d1s
-    z = d4_hat / d1s
-    pi = (1.0 - a) * (1.0 - b)
-    ab = a * b
-
-    def d4_norm(s: float) -> float:
-        delta = max(ab - s, 0.0)
-        gap = max(math.sqrt(pi) - math.sqrt(delta), 0.0)
-        return s / (1.0 - gap * gap)
-
-    if z >= d4_norm(ab):
-        return 0.0  # slack: the individual bounds alone are binding
-    lo, hi = 0.0, ab
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if d4_norm(mid) >= z:
-            hi = mid
-        else:
-            lo = mid
-    return -0.5 * math.log(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------

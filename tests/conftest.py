@@ -29,8 +29,8 @@ GOLDEN_D3 = 0.45
 
 GOLDEN_PI = 0.30250000000000005
 GOLDEN_DELTA = 0.06716471676338731
-GOLDEN_D4_BOUND = 0.1478406823362164
-GOLDEN_T_BOUND = 1.0924030954864885
+GOLDEN_D4_BOUND = 0.14784068233621636
+GOLDEN_T_BOUND = 1.0924030954864883
 GOLDEN_EPS_STAR = 0.8910843058415546
 GOLDEN_RHO = -0.5759145888466076
 GOLDEN_R2_BOUND = 0.3992538481088858

@@ -1,0 +1,145 @@
+"""Independent reference forms of the region boundaries.
+
+The ``mp_*`` functions evaluate the textbook closed forms in 50-digit
+``mpmath`` arithmetic at the exact values of their double inputs, so their
+results are correct far beyond double precision and serve as the oracle for
+the library's rearranged double-precision forms.  They apply the library's
+documented conventions: side targets are clamped to ``d1* = var e^{-2 r1}``
+and ``delta`` is snapped to 0 within ``FEASIBILITY_RTOL * max(ab, s)``.
+
+:func:`invert_dr_sum_rate` is a plain double-precision bisection that
+inverts the distortion-rate bound for the sum rate, independently of the
+closed-form sum bound of :func:`gaussrd.regions.rd_bound`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+
+from gaussrd.errors import InfeasibleDistortion
+from gaussrd.model import FEASIBILITY_RTOL
+
+DPS = 50
+
+
+def _ratios(var, r1, d2, d3):
+    """``(d1*, a, b)`` with the side targets clamped to ``d1*``."""
+    d1s = mpmath.mpf(var) * mpmath.exp(-2 * mpmath.mpf(r1))
+    return (d1s, min(mpmath.mpf(d2), d1s) / d1s,
+            min(mpmath.mpf(d3), d1s) / d1s)
+
+
+def _pi_delta(a, b, r2, r3):
+    """Textbook ``pi = (1-a)(1-b)`` and ``delta = ab - e^{-2(r2+r3)}``,
+    with the library's snap band on ``delta``."""
+    s = mpmath.exp(-2 * (mpmath.mpf(r2) + mpmath.mpf(r3)))
+    pi = (1 - a) * (1 - b)
+    delta = a * b - s
+    if abs(delta) <= mpmath.mpf(FEASIBILITY_RTOL) * max(a * b, s):
+        delta = mpmath.mpf(0)
+    return max(pi, 0), max(delta, 0)
+
+
+def _penalty(var, rates, d2, d3):
+    """``1 / (1 - max(sqrt(pi) - sqrt(delta), 0)^2)``."""
+    r1, r2, r3, _ = rates
+    _, a, b = _ratios(var, r1, d2, d3)
+    pi, delta = _pi_delta(a, b, r2, r3)
+    gap = max(mpmath.sqrt(pi) - mpmath.sqrt(delta), 0)
+    return 1 / (1 - gap * gap)
+
+
+def mp_dr_bound(var, rates, d2, d3):
+    """``var e^{-2 (r1+r2+r3+r4)} / (1 - max(sqrt(pi) - sqrt(delta), 0)^2)``."""
+    with mpmath.workdps(DPS):
+        total = sum(mpmath.mpf(r) for r in rates)
+        return +(mpmath.mpf(var) * mpmath.exp(-2 * total)
+                 * _penalty(var, rates, d2, d3))
+
+
+def mp_witness_t(var, rates, d2, d3):
+    """The witness bound ``t(eps*)``, the d4 penalty factor itself."""
+    with mpmath.workdps(DPS):
+        return +_penalty(var, rates, d2, d3)
+
+
+def _rate(x):
+    """``R(x) = max(-log(x)/2, 0)``."""
+    return max(-mpmath.log(x) / 2, 0)
+
+
+def mp_rd_bound(var, r1, r4, d2, d3, d4):
+    """``(r2_bound, r3_bound, sum_bound)`` by the textbook regime split.
+
+    ``z = d4 e^{2 r4} / d1*``; the sum bound is 0 at or above the harmonic
+    threshold ``1/(1/a + 1/b - 1)``, ``R(z)`` below ``a + b - 1``, and
+    ``R(z) + 0.5 log[(1-z)^2 / ((1-z)^2 - (sqrt(pi) - sqrt((a-z)(b-z)))^2)]``
+    in between, with ``R(x) = -log(x)/2``.
+    """
+    with mpmath.workdps(DPS):
+        d1s, a, b = _ratios(var, r1, d2, d3)
+        z = mpmath.mpf(d4) * mpmath.exp(2 * mpmath.mpf(r4)) / d1s
+        if z >= 1 / (1 / a + 1 / b - 1):
+            sum_bound = mpmath.mpf(0)
+        elif z < a + b - 1:
+            sum_bound = _rate(z)
+        else:
+            gap = mpmath.sqrt((1 - a) * (1 - b)) - mpmath.sqrt((a - z) * (b - z))
+            sum_bound = _rate(z) + mpmath.log((1 - z) ** 2
+                                             / ((1 - z) ** 2 - gap * gap)) / 2
+        return _rate(a), _rate(b), sum_bound
+
+
+def mp_floor_conditioning(var, rates, d2, d3) -> float:
+    """``max(1, sqrt(ab / delta))`` at the exact inputs.
+
+    The bound depends on ``sqrt(delta)``, ``delta = ab - s``; when the side
+    targets sit just above their floors ``delta`` is a small difference of
+    ``ab`` and ``s``, so a rounding of ``eps`` in either moves the bound by
+    about ``eps * sqrt(ab / delta)`` relative.
+    """
+    with mpmath.workdps(DPS):
+        r1, r2, r3, _ = rates
+        _, a, b = _ratios(var, r1, d2, d3)
+        delta = a * b - mpmath.exp(-2 * (mpmath.mpf(r2) + mpmath.mpf(r3)))
+        return float(max(mpmath.sqrt(a * b / delta), 1)) if delta > 0 else 1.0
+
+
+def invert_dr_sum_rate(source, r1: float, d2: float, d3: float,
+                       d4_hat: float, *, tol: float = 1e-12,
+                       max_iter: int = 200) -> float:
+    """Numeric inversion of the d4 bound for the required sum rate r2 + r3.
+
+    Bisects on ``s = exp(-2 (r2+r3))`` until the central-distortion bound at
+    ``(d2, d3, s)`` meets ``d4_hat``; the bound is strictly increasing in
+    ``s``, so the root is unique.
+    """
+    sx2 = source.variance
+    if not (d2 > 0 and d3 > 0 and d4_hat > 0):
+        raise InfeasibleDistortion("distortions must be positive")
+    d1s = sx2 * math.exp(-2.0 * r1)
+    a = min(d2, d1s) / d1s
+    b = min(d3, d1s) / d1s
+    z = d4_hat / d1s
+    pi = (1.0 - a) * (1.0 - b)
+    ab = a * b
+
+    def d4_norm(s: float) -> float:
+        delta = max(ab - s, 0.0)
+        gap = max(math.sqrt(pi) - math.sqrt(delta), 0.0)
+        return s / (1.0 - gap * gap)
+
+    if z >= d4_norm(ab):
+        return 0.0  # slack: the individual bounds alone are binding
+    lo, hi = 0.0, ab
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if d4_norm(mid) >= z:
+            hi = mid
+        else:
+            lo = mid
+    return -0.5 * math.log(0.5 * (lo + hi))

@@ -307,3 +307,18 @@ def test_certification_accepts_small_pi_adjusted_points(r, d2, d3):
     record = certify_achievability(GaussianSource(1.0), RateTuple(*r), d2, d3)
     assert record.adjustment is not None
     assert record.matches_bound
+
+
+@pytest.mark.parametrize("r1", [7.0, 10.0, 20.0, 50.0, 100.0])
+def test_certification_holds_at_high_first_layer_rate(r1):
+    # d1_star = exp(-2 r1) sits far below the unit source variance; the
+    # achieved d1 must come out at d1_star's own scale, not as the remainder
+    # of a subtraction at the source scale (0.0 at r1 = 20).
+    source = GaussianSource(variance=1.0)
+    rates = RateTuple(r1, 0.5, 0.7, 0.3)
+    d1s = math.exp(-2.0 * r1)
+    d2 = d1s * math.exp(-2.0 * rates.r2 * 0.6)
+    d3 = d1s * math.exp(-2.0 * rates.r3 * 0.4)
+    record = certify_achievability(source, rates, d2, d3)
+    assert record.achieved.d1 == pytest.approx(d1s, rel=1e-12)
+    assert record.matches_bound

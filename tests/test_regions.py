@@ -24,7 +24,6 @@ from gaussrd import (
     dr_bound,
     equivalence_scan,
     feasible_individual,
-    invert_dr_sum_rate,
     maximize_t_numeric,
     rd_bound,
     t_of_epsilon,
@@ -45,6 +44,7 @@ from conftest import (
     GOLDEN_T_BOUND,
     make_rng,
 )
+from oracle import invert_dr_sum_rate
 
 
 def _golden_point():
