@@ -131,7 +131,9 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
     """Sweep the second user's target across its feasible range.
 
     Rows run from the floor ``var exp(-2 (r1+r3))`` up to ``d1*`` inclusive;
-    ``gap = d4_wz - d4_md`` is zero at both ends and positive inside.
+    ``gap = d4_wz - d4_md`` is zero at both ends and positive inside.  A gap
+    within :data:`SPECIALIZATION_RTOL` of ``d4_md`` is rounding at an end
+    row and is returned as 0.0.
     """
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
@@ -143,7 +145,9 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
         d3 = lo + (hi - lo) * i / (points - 1)
         wz = wz_region(source, rates, d3)
         md = md_region_slice(source, rates, d3)
-        rows.append(SweepRow(d3, wz, md, wz - md))
+        gap = wz - md
+        rows.append(SweepRow(d3, wz, md,
+                             0.0 if abs(gap) <= SPECIALIZATION_RTOL * md else gap))
     return rows
 
 

@@ -14,14 +14,11 @@ An infinite noise variance encodes a zero-rate description (``sigma1_sq`` at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (InfeasibleDistortion, InvalidChannel, OutOfRegime)
-from .mmse import (IDX_U2, IDX_U3, IDX_XPRIME, _residual_variance,
-                   assemble_msr_covariance, central_distortion_extended,
-                   conditional_mmse)
+from .mmse import _msr_distortions
 from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, _checked_d1_star)
 from .regions import DrBoundResult, _pi_delta, _side_ratios, dr_bound
@@ -111,8 +108,9 @@ def construct_channel(source: GaussianSource, rates: RateTuple,
             f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
         )
 
-    sx2 = source.variance
-    sigma1_sq = math.inf if rates.r1 == 0.0 else d1s * sx2 / (sx2 - d1s)
+    # d1_star / (1 - exp(-2 r1)) = d1_star var / (var - d1_star), free of
+    # the product that over- or underflows at extreme variances.
+    sigma1_sq = math.inf if rates.r1 == 0.0 else d1s / -math.expm1(-2.0 * rates.r1)
     # t2, t3: sigma2_sq, sigma3_sq relative to d1_star.
     t2 = math.inf if a >= 1.0 else a / (1.0 - a)
     t3 = math.inf if b >= 1.0 else b / (1.0 - b)
@@ -171,13 +169,14 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
 
     Side targets above ``d1_star`` are clamped (a zero-rate description
     already achieves ``d1_star``); degenerate inputs are first tightened by
-    :func:`degenerate_adjust`.  All four achieved distortions are computed by
-    conditional MMSE on the assembled six-variable covariance, the central
+    :func:`degenerate_adjust`.  The four achieved distortions come from one
+    chain of scalar MMSE updates on the returned channel, carried in
+    ``numpy.longdouble`` (:func:`gaussrd.mmse._msr_distortions`).  The central
     one is cross-checked against the closed form ``exp(-2 r4) d4_star``
-    (within 1e-10 relative, widened by the entry-rounding floor
-    ``eps * d1_star / d4`` when the central distortion sits many orders of
-    magnitude below ``d1_star``), and ``matches_bound`` records whether it
-    meets the distortion-rate bound within 1e-9 relative.
+    within 1e-10 relative, widened to ``4 eps / (1 - rho^2)`` when larger:
+    the closed form's ``1 - rho*rho`` cancels as ``rho`` nears -1.
+    ``matches_bound`` records whether it meets the distortion-rate bound
+    within 1e-9 relative.
     """
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
     d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
@@ -186,35 +185,21 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
         adjustment = degenerate_adjust(source, rates, d2c, d3c)
         d2c, d3c = adjustment.d2_prime, adjustment.d3_prime
     channel = construct_channel(source, rates, d2c, d3c)
-    cov = assemble_msr_covariance(source, channel)
-
-    # U1 is independent of (X', U2, U3, U4), so var(X | U1, S) = var(X' | S)
-    # for any refinement subset S.  Conditioning the residual instead of X
-    # keeps each Schur subtraction at the scale of d1_star rather than the
-    # source variance; the central distortion additionally runs in extended
-    # precision because its value can sit many orders of magnitude below
-    # d1_star.  var(X | U1) itself takes the closed form, which does not
-    # subtract at the source scale.
-    ach_d1 = _residual_variance(source.variance, channel.sigma1_sq)
-    ach_d2 = conditional_mmse(cov, IDX_XPRIME, (IDX_U2,)).error_variance
-    ach_d3 = conditional_mmse(cov, IDX_XPRIME, (IDX_U3,)).error_variance
-    ach_d4 = central_distortion_extended(d1s, channel)
+    achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
+    ach_d1, ach_d4 = achieved.d1, achieved.d4
     closed_d4 = math.exp(-2.0 * rates.r4) * channel.d4_star
-    # Entry rounding at the working precision is amplified into the
-    # conditional variance by d1_star / d4, so the guard widens by that floor
-    # when it exceeds the base tolerance; genuine assembly or formula bugs
-    # overshoot either by orders of magnitude.
-    eps = float(np.finfo(np.longdouble).eps)
-    tol_rel = max(CROSSCHECK_RTOL, 64.0 * eps * d1s / closed_d4)
+    tol_rel = CROSSCHECK_RTOL
+    if not (math.isinf(channel.sigma2_sq) or math.isinf(channel.sigma3_sq)):
+        rho, eps = channel.rho, sys.float_info.epsilon
+        tol_rel = max(tol_rel, 4.0 * eps / ((1.0 - rho) * (1.0 + rho)))
     if abs(ach_d4 - closed_d4) > tol_rel * closed_d4:
         raise InvalidChannel(
             f"internal cross-check failed: MMSE d4={ach_d4} vs closed form {closed_d4}"
         )
-    achieved = DistortionTuple(ach_d1, ach_d2, ach_d3, ach_d4)
     matches = (
         abs(ach_d4 - bound.d4_bound) <= CERTIFY_RTOL * bound.d4_bound
         and abs(ach_d1 - d1s) <= 1e-12 * d1s
-        and ach_d2 <= d2 * (1.0 + CERTIFY_RTOL)
-        and ach_d3 <= d3 * (1.0 + CERTIFY_RTOL)
+        and achieved.d2 <= d2 * (1.0 + CERTIFY_RTOL)
+        and achieved.d3 <= d3 * (1.0 + CERTIFY_RTOL)
     )
     return CertificationRecord(achieved, bound, matches, channel, adjustment)

@@ -23,8 +23,8 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 from .analysis import (AsymptoticConfig, FixedChannelConfig, MdcrSplit,
-                       asymptote_convergence, fixed_channel_loss,
-                       high_rate_asymptote, mdcr_compare, wz_md_sweep)
+                       asymptote_convergence, fixed_channel_loss, mdcr_compare,
+                       wz_md_sweep)
 from .channel import certify_achievability
 from .discrete import eval_distortions, eval_region_bounds, load_configuration
 from .errors import GaussRdError

@@ -34,7 +34,6 @@ Decoder entries are indices into the columns of ``distortion_matrix``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -3,7 +3,8 @@
 Everything here operates on explicit covariance matrices of at most six
 jointly Gaussian variables: validation, conditional (MMSE) estimation via the
 Schur complement, seeded Monte Carlo cross-checks, and assembly of the joint
-covariance induced by a forward test channel.
+covariance induced by a forward test channel; certification instead reads a
+scalar chain (:func:`_msr_distortions`).
 
 The Monte Carlo path uses ``numpy.random.default_rng`` (the PCG64 generator),
 so a fixed seed yields reproducible streams across platforms.
@@ -12,7 +13,7 @@ so a fixed seed yields reproducible streams across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -179,53 +180,41 @@ def conditional_covariance(joint: CovarianceMatrix,
     return 0.5 * (cond + cond.T)
 
 
-def _refinement_block(arr: np.ndarray, rows: tuple[int, int, int, int],
-                      d1: float, channel: "TestChannel") -> None:
-    """Write the covariance of (X', U2, U3, U4) into ``arr`` at ``rows``,
-    with ``d1 = var(X')`` and the arithmetic in the dtype of ``arr``.
+def _msr_distortions(sx2: float, channel: "TestChannel"
+                     ) -> tuple[float, float, float, float]:
+    """``var(X|U1)``, ``var(X|U1, U2)``, ``var(X|U1, U3)`` and
+    ``var(X|U1, U2, U3, U4)`` under a forward channel for ``var(X) = sx2``.
 
-    An infinite noise variance encodes a zero-rate description; its
-    coordinate becomes an independent unit-variance pure-noise variable, so
-    every conditional variance is unaffected and eliminating it is exact.
+    One chain of :func:`_residual_variance` updates carried in
+    ``numpy.longdouble``, whose exponent range holds every product of two
+    doubles.  ``U1`` is independent of ``(X', U2, U3, U4)``, so the chain
+    conditions the residual ``X'``; ``U3`` enters through its innovation
+    ``U3 - c U2``, ``c = rho sqrt(s3/s2)``, which observes ``(1 - c) X'``
+    through noise of variance ``s3 (1 - rho^2)`` independent of ``U2``.  With
+    ``rho <= 0`` every step adds and multiplies positive terms, so nothing
+    cancels however far the central distortion sits below ``var(X')``.  An
+    infinite noise variance leaves its update out.  No matrix is built.
     """
-    def put(i: int, j: int, value) -> None:
-        arr[i, j] = arr[j, i] = value
-
-    dtype = arr.dtype.type
-    d1 = dtype(d1)
-    xp, u2, u3, u4 = rows
-    s2, s3, s4 = channel.sigma2_sq, channel.sigma3_sq, channel.sigma4_sq
-    arr[xp, xp] = d1
-    for row, s in ((u2, s2), (u3, s3), (u4, s4)):
-        if math.isinf(s):
-            arr[row, row] = 1.0
-        else:
-            put(xp, row, d1)
-            arr[row, row] = d1 + dtype(s)
-    if not (math.isinf(s2) or math.isinf(s3)):
-        put(u2, u3, d1 + dtype(channel.rho) * np.sqrt(dtype(s2) * dtype(s3)))
-    if not (math.isinf(s2) or math.isinf(s4)):
-        put(u2, u4, d1)
-    if not (math.isinf(s3) or math.isinf(s4)):
-        put(u3, u4, d1)
+    s1, s2, s3, s4 = (np.longdouble(s) for s in (
+        channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq, channel.sigma4_sq))
+    d1 = _residual_variance(np.longdouble(sx2), s1)
+    if math.isinf(s2) or math.isinf(s3):
+        innovation = s3
+    else:
+        rho = np.longdouble(channel.rho)
+        gain = 1 - rho * np.sqrt(s3 / s2)
+        innovation = s3 * (1 - rho) * (1 + rho) / (gain * gain)
+    v2 = _residual_variance(d1, s2)
+    d4 = _residual_variance(_residual_variance(v2, innovation), s4)
+    return float(d1), float(v2), float(_residual_variance(d1, s3)), float(d4)
 
 
 def central_distortion_extended(residual_variance: float,
                                 channel: "TestChannel") -> float:
-    """``var(X' | U2, U3, U4)`` by extended-precision elimination.
-
-    Eliminates the (X', U2, U3, U4) block of :func:`assemble_msr_covariance`
-    with the arithmetic carried in ``numpy.longdouble``.  Conditioning down
-    to a central distortion many orders of magnitude below ``var(X')``
-    amplifies entry rounding by the ratio of the two scales, and
-    double-precision entries alone cap the achievable agreement with the
-    closed form near ``eps * var(X') / d4``; the wider mantissa pushes that
-    floor below 1e-11 across the supported rate range (on platforms where
-    ``longdouble`` is plain double the floor simply stays at the double one).
-    """
-    arr = np.zeros((4, 4), dtype=np.longdouble)
-    _refinement_block(arr, (0, 1, 2, 3), residual_variance, channel)
-    return float(_eliminate(arr, 1, 0.0)[0, 0])
+    """``var(X' | U2, U3, U4)`` for ``var(X') = residual_variance``: the last
+    value of the ``numpy.longdouble`` chain of :func:`_msr_distortions`."""
+    return _msr_distortions(residual_variance,
+                            replace(channel, sigma1_sq=math.inf))[3]
 
 
 def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
@@ -279,8 +268,18 @@ def assemble_msr_covariance(source: "GaussianSource",
     s1 = channel.sigma1_sq
     d1 = _residual_variance(sx2, s1)
 
+    refinements = ((IDX_U2, channel.sigma2_sq), (IDX_U3, channel.sigma3_sq),
+                   (IDX_U4, channel.sigma4_sq))
+    # X' and every finite-noise description share var(X'), and only N2 and N3
+    # correlate; a zero-rate row is unit-variance pure noise.
+    shared = [IDX_XPRIME] + [row for row, s in refinements if not math.isinf(s)]
     m = np.zeros((6, 6))
-    _refinement_block(m, (IDX_XPRIME, IDX_U2, IDX_U3, IDX_U4), d1, channel)
+    m[np.ix_(shared, shared)] = d1
+    for row, s in refinements:
+        m[row, row] = 1.0 if math.isinf(s) else d1 + s
+    s2, s3 = channel.sigma2_sq, channel.sigma3_sq
+    if not (math.isinf(s2) or math.isinf(s3)):
+        m[IDX_U2, IDX_U3] = m[IDX_U3, IDX_U2] = d1 + channel.rho * math.sqrt(s2 * s3)
     # X = X' + E[X|U1] shares the residual's covariance with every refinement
     # description; cov(X', U1) = 0 by orthogonality of the residual.
     m[IDX_X, IDX_XPRIME:] = m[IDX_XPRIME:, IDX_X] = m[IDX_XPRIME, IDX_XPRIME:]

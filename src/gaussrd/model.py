@@ -95,9 +95,9 @@ class DistortionTuple:
     """Distortion targets for the four decoders.
 
     ``d1`` may be :data:`UNCONSTRAINED`; the remaining components are
-    nonnegative reals.  Zero is admitted because discrete expected
-    distortions can be exactly zero; the Gaussian operations reject
-    non-positive targets through their feasibility checks instead.
+    nonnegative reals.  Zero is admitted here, as a valid mean squared error;
+    the Gaussian operations reject non-positive targets through their
+    feasibility checks instead.
     """
 
     d1: float | Unconstrained
@@ -164,18 +164,14 @@ def _checked_d1_star(source: GaussianSource, rates: RateTuple,
     return d1s
 
 
-def feasible_individual(
-    source: GaussianSource,
-    rates: RateTuple,
-    dist: DistortionTuple,
-    *,
-    rtol: float = FEASIBILITY_RTOL,
-) -> bool:
-    """True when each first-round decoder target clears its exponential floor.
+def feasible_individual(source: GaussianSource, rates: RateTuple,
+                        dist: DistortionTuple) -> bool:
+    """True when each first-round decoder target clears its exponential floor,
+    up to :data:`FEASIBILITY_RTOL`.
 
     The three tests are ``d1 >= var*exp(-2 r1)``, ``d2 >= var*exp(-2 (r1+r2))``
     and ``d3 >= var*exp(-2 (r1+r3))``; an unconstrained ``d1`` passes its test
     vacuously, and ``d4`` is not consulted here.
     """
     d1s = source.variance * math.exp(-2.0 * rates.r1)
-    return min(_floor_margins(d1s, rates, dist.d1, dist.d2, dist.d3)) >= -rtol
+    return min(_floor_margins(d1s, rates, dist.d1, dist.d2, dist.d3)) >= -FEASIBILITY_RTOL

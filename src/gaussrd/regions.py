@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
@@ -213,16 +212,18 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: The numeric maximizer's bracket on ``eps`` and relative tolerance on ``log eps``.
+EPS_LO, EPS_HI, MAXIMIZER_RTOL = 1e-9, 1e9, 1e-10
 
 
 def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
-                       d1: float | Unconstrained, d2: float, d3: float,
-                       *, eps_lo: float = 1e-9, eps_hi: float = 1e9,
-                       rtol: float = 1e-10) -> tuple[float, float]:
+                       d1: float | Unconstrained, d2: float, d3: float
+                       ) -> tuple[float, float]:
     """Golden-section maximization of ``t(eps)`` over ``log eps``.
 
     Numeric counterpart of :func:`converse_witness`; the two are compared in
-    the self-verification suite.  Returns ``(eps, t(eps))`` at the maximizer.
+    the self-verification suite.  Returns ``(eps, t(eps))`` at the maximizer
+    inside ``[EPS_LO, EPS_HI]``.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
     rate_sum = rates.r2 + rates.r3
@@ -230,8 +231,8 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
     def f(x: float) -> float:
         return t_of_epsilon(math.exp(x), d1s, d2, d3, rate_sum)
 
-    lo, hi = math.log(eps_lo), math.log(eps_hi)
-    xtol = rtol * max(1.0, abs(lo), abs(hi))
+    lo, hi = math.log(EPS_LO), math.log(EPS_HI)
+    xtol = MAXIMIZER_RTOL * max(1.0, abs(lo), abs(hi))
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)

@@ -11,7 +11,6 @@ the full run.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -50,16 +49,19 @@ def sample_feasible_instance(rng: np.random.Generator, *,
     return rates, d2, d3
 
 
-def sample_witness_instance(rng: np.random.Generator, *,
-                            max_eps: float = 1e8
+#: Sampled witnesses lie below this ``eps``, inside the maximizer's bracket.
+MAX_WITNESS_EPS = 1e8
+
+
+def sample_witness_instance(rng: np.random.Generator
                             ) -> tuple[RateTuple, float, float]:
     """Like :func:`sample_feasible_instance`, restricted to instances whose
-    witness is finite and inside the numeric maximizer's bracket."""
+    witness is finite and below :data:`MAX_WITNESS_EPS`."""
     while True:
         rates, d2, d3 = sample_feasible_instance(rng, zero_rate_prob=0.0)
         witness = converse_witness(GaussianSource(1.0), rates, UNCONSTRAINED,
                                    d2, d3)
-        if 0.0 < witness.epsilon_star < max_eps:
+        if 0.0 < witness.epsilon_star < MAX_WITNESS_EPS:
             return rates, d2, d3
 
 

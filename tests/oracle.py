@@ -107,6 +107,25 @@ def mp_floor_conditioning(var, rates, d2, d3) -> float:
         return float(max(mpmath.sqrt(a * b / delta), 1)) if delta > 0 else 1.0
 
 
+def mp_channel_distortions(var, channel):
+    """``(var(X|U1), var(X|U1,U2), var(X|U1,U3), var(X|U1,U2,U3,U4))`` of a
+    forward channel, in the information form: conditional precisions add,
+    ``1/var(X'|U) = 1/d1 + 1' K^-1 1`` over the observed noise covariance
+    ``K``.  An infinite noise variance contributes no information."""
+    with mpmath.workdps(DPS):
+        s1, s2, s3, s4 = (mpmath.mpf(s) for s in (
+            channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq,
+            channel.sigma4_sq))
+        info1 = 1 / mpmath.mpf(var) + 1 / s1
+        if mpmath.isinf(s2) or mpmath.isinf(s3):
+            info23 = 1 / s2 + 1 / s3
+        else:
+            cov = mpmath.mpf(channel.rho) * mpmath.sqrt(s2 * s3)
+            info23 = (s2 + s3 - 2 * cov) / (s2 * s3 - cov * cov)
+        return (1 / info1, 1 / (info1 + 1 / s2), 1 / (info1 + 1 / s3),
+                1 / (info1 + info23 + 1 / s4))
+
+
 def invert_dr_sum_rate(source, r1: float, d2: float, d3: float,
                        d4_hat: float, *, tol: float = 1e-12,
                        max_iter: int = 200) -> float:

@@ -103,6 +103,18 @@ def test_wz_md_sweep_shape_and_signs():
     assert min(row.gap for row in rows) >= -1e-12
 
 
+def test_wz_md_sweep_gaps_are_nonnegative_and_exactly_zero_at_the_ends():
+    # Sweeps shaped like the CLI's: variance 10^U[-3, 3], rates U[0.2, 1.5].
+    # Unsnapped, rounding leaves end gaps of either sign near 1e-15 relative.
+    rng = make_rng(5)
+    for _ in range(50):
+        source = GaussianSource(10.0 ** rng.uniform(-3.0, 3.0))
+        rows = wz_md_sweep(source, RateTuple(*rng.uniform(0.2, 1.5, size=4)), 200)
+        assert rows[0].gap == 0.0 and rows[-1].gap == 0.0
+        assert min(row.gap for row in rows) >= 0.0
+        assert min(row.gap / row.d4_md for row in rows[1:-1]) > 1e-4
+
+
 def test_wz_md_sweep_validates_point_count():
     with pytest.raises(ValueError):
         wz_md_sweep(GaussianSource(variance=1.0), SWEEP_RATES, points=1)

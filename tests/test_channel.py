@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
+import gaussrd.cli as cli
 from gaussrd import (
     GaussianSource,
     InfeasibleDistortion,
@@ -322,3 +324,35 @@ def test_certification_holds_at_high_first_layer_rate(r1):
     record = certify_achievability(source, rates, d2, d3)
     assert record.achieved.d1 == pytest.approx(d1s, rel=1e-12)
     assert record.matches_bound
+
+
+@pytest.mark.parametrize("argv", [
+    # Central distortion 1e-10 of d1_star: the matrix route missed the bound.
+    ["--rates", "0.3,12,1,0.2", "--d", "3.107756648581332e-11,0.11141036732150081"],
+    # 1e-26 of d1_star: the matrix route's observed block went singular.
+    ["--rates", "0.3,30,1,0.2", "--d", "7.208512497225641e-27,0.11141036732150081"],
+    # d1_star near 2e-174: d2 sigma2^2 underflows a double, not the chain.
+    ["--rates", "200,1,1,0", "--d", "7e-175,7e-175"],
+], ids=["d4-1e-10", "d4-1e-26", "d1-2e-174"])
+def test_channel_cli_certifies_far_below_the_first_layer(capsys, argv):
+    code = cli.main(["channel", *argv])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["matches_bound"] is True
+    if argv[1] == "200,1,1,0":
+        assert out["achieved"]["d2"] == out["achieved"]["d3"] == 7.000000000000001e-175
+
+
+@pytest.mark.parametrize("variance", [1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100,
+                                      1e160, 1e200, 1e300])
+def test_certification_is_scale_free_over_the_double_range(variance):
+    # sigma1^2 = d1_star var / (var - d1_star) under- or overflowed beyond
+    # about 1e+-154; d1_star / (1 - exp(-2 r1)) does not.
+    source = GaussianSource(variance)
+    rates = RateTuple(1.0, 1.0, 1.0, 0.5)
+    d1s = variance * math.exp(-2.0)
+    record = certify_achievability(source, rates, d1s * 0.5, d1s * 0.4)
+    assert record.matches_bound
+    assert record.channel.sigma1_sq == pytest.approx(d1s / -math.expm1(-2.0),
+                                                     rel=1e-15)
+    assert record.achieved.d1 == pytest.approx(d1s, rel=1e-12)

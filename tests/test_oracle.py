@@ -13,14 +13,18 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import assert_close
 from gaussrd import (AsymptoticConfig, DistortionTuple, GaussianSource,
-                     RateTuple, UNCONSTRAINED, asymptote_convergence, cli,
-                     converse_witness, dr_bound, rd_bound)
+                     RateTuple, UNCONSTRAINED, asymptote_convergence,
+                     certify_achievability, cli, converse_witness, dr_bound,
+                     rd_bound)
+from gaussrd.selfcheck import sample_feasible_instance
 
 EPS = sys.float_info.epsilon
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -226,3 +230,38 @@ def test_rearrangements_equal_their_textbook_forms():
     # var(X | U1): closed form against the Schur complement.
     sx2, s1 = sympy.symbols("sx2 s1", positive=True)
     assert zero(sx2 * s1 / (sx2 + s1) - (sx2 - sx2 ** 2 / (sx2 + s1)))
+    # sigma1 = d1*/(1 - e^{-2 r1}) is d1* sx2/(sx2 - d1*), with E = e^{-2 r1}.
+    E = sympy.symbols("E", positive=True)
+    assert zero(sx2 * E / (1 - E) - sx2 * E * sx2 / (sx2 - sx2 * E))
+
+    # mmse._refinement_chain: U2, then the innovation U3 - c U2 with
+    # c = rho sqrt(s3/s2), then U4, against the information form of
+    # oracle.mp_channel_distortions.
+    D1, S4 = sympy.symbols("D1 S4", positive=True)
+
+    def update(v, noise):  # mmse._residual_variance
+        return v * noise / (v + noise)
+
+    c = rho * S3 / S2
+    chain = update(update(update(D1, sig2), sig3 * (1 - rho ** 2) / (1 - c) ** 2), S4)
+    info = (1 / D1 + (sig2 + sig3 - 2 * rho * S2 * S3) / (sig2 * sig3 * (1 - rho ** 2))
+            + 1 / S4)
+    assert zero(1 / chain - info)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == EPS,
+                    reason="numpy.longdouble is plain double on this platform")
+def test_achieved_distortions_match_the_returned_channel():
+    # The certification chain against the 50-digit information form of the
+    # channel it returns, over seeded draws at unit-scale variances.
+    rng = np.random.default_rng(402)
+    worst = 0.0
+    for _ in range(10_000):
+        rates, d2, d3 = sample_feasible_instance(rng)
+        var = 10.0 ** rng.uniform(-3.0, 3.0)
+        record = certify_achievability(GaussianSource(var), rates, d2 * var, d3 * var)
+        exact = oracle.mp_channel_distortions(var, record.channel)
+        achieved = (record.achieved.d1, record.achieved.d2, record.achieved.d3,
+                    record.achieved.d4)
+        worst = max(worst, *(float(abs(x - y) / y) for x, y in zip(achieved, exact)))
+    assert worst <= 4.0 * EPS
