@@ -22,7 +22,6 @@ from .errors import (AlphabetMismatch, DimensionMismatch, GaussRdError,
                      InvalidRegimeInput, NegativeDelta, OutOfRegime,
                      SingularObservation)
 from .mmse import (CovarianceMatrix, MmseResult, assemble_msr_covariance,
-                   central_distortion_extended, conditional_covariance,
                    conditional_mmse, mc_estimate_mse)
 from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
                     RateUnit, Regime, Unconstrained, convert_rate,

@@ -16,13 +16,14 @@ Four studies live here, all on a unit-variance source unless stated:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
 from .model import (UNCONSTRAINED, GaussianSource, RateTuple, Regime,
                     _checked_d1_star)
-from .regions import dr_bound
+from .regions import _penalty_den, dr_bound
 
 #: Tolerance for the internal consistency checks between specialized
 #: closed forms and the general region evaluation.
@@ -62,6 +63,11 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     sx2 = source.variance
     d1s = sx2 * math.exp(-2.0 * r1)
     d2s = sx2 * math.exp(-2.0 * (r1 + r2))
+    if d2s < sys.float_info.min:
+        raise InvalidRegimeInput(
+            f"stage floor d2* = var exp(-2 (r1+r2)) = {d2s} is below the "
+            f"normal double range; the noise variances cannot be solved"
+        )
     sigma2_sq = sx2 * d2s / (sx2 - d2s)
     sigma1_sq = sx2 * d1s / (sx2 - d1s) - sigma2_sq
     gamma = sigma2_sq / (sigma1_sq + sigma2_sq)
@@ -88,9 +94,16 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
     # The channel pins d1 and d2 at their floors; only d3' is free.
     d1s = _checked_d1_star(source, rates, UNCONSTRAINED, UNCONSTRAINED, d3_prime)
     s1, s2, g = ch.sigma1_sq, ch.sigma2_sq, ch.gamma
-    numerator = math.exp(-2.0 * (rates.r3 + rates.r4)) * sx2 * s1 * s2
-    denominator = (sx2 + s1 + s2) * ((1.0 - g) ** 2 * min(d3_prime, d1s) + g * s1)
-    return numerator / denominator
+    scale = math.exp(-2.0 * (rates.r3 + rates.r4))
+    numerator = scale * sx2 * s1 * s2
+    if sys.float_info.min <= numerator < math.inf:
+        denominator = (sx2 + s1 + s2) * ((1.0 - g) ** 2 * min(d3_prime, d1s) + g * s1)
+        return numerator / denominator
+    # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
+    # beyond ~1e102); in units of d1* nothing does.
+    q1, q2 = s1 / d1s, s2 / d1s
+    return (scale * d1s * (sx2 / (sx2 + s1 + s2)) * q1 * q2
+            / ((1.0 - g) ** 2 * min(d3_prime / d1s, 1.0) + g * q1))
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:
@@ -190,8 +203,13 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
     a = config.alpha
     d1s = source.variance * math.exp(-2.0 * r1)
     d2_floor = d1s * (1.0 + math.exp(-2.0 * (a * r1 + r3)) - math.exp(-2.0 * r3))
-    ratio = (math.exp(2.0 * a * r1) + math.exp(-2.0 * r3)
-             - math.exp(2.0 * (a * r1 - r3)))
+    try:
+        ratio = (math.exp(2.0 * a * r1) + math.exp(-2.0 * r3)
+                 - math.exp(2.0 * (a * r1 - r3)))
+    except OverflowError:
+        raise InvalidRegimeInput(
+            f"the penalty ratio exp(2 alpha r1) overflows at alpha r1 = {a * r1}"
+        ) from None
     return FixedChannelLoss(ratio, d2_floor)
 
 
@@ -241,8 +259,14 @@ def mdcr_compare(source: GaussianSource, r2: float, r3: float, r4: float,
             "premise fails"
         )
     bound_mdcr = dr_bound(source, rates_mdcr, sx2, d2, d3)
-    return MdcrComparison(bound_mdcr.d4_bound, bound_md.d4_bound,
-                          bound_mdcr.d4_bound / bound_md.d4_bound)
+    if bound_md.d4_bound >= sys.float_info.min:
+        ratio = bound_mdcr.d4_bound / bound_md.d4_bound
+    else:
+        # The shared numerator var exp(-2 (r2+r3+r4)) has underflowed; the
+        # ratio is still that of the penalty denominators (d1* = var).
+        a, b = bound_md.d2_hat / sx2, bound_md.d3_hat / sx2
+        ratio = _penalty_den(a, b, bound_md.delta) / _penalty_den(a, b, bound_mdcr.delta)
+    return MdcrComparison(bound_mdcr.d4_bound, bound_md.d4_bound, ratio)
 
 
 @dataclass(frozen=True)
@@ -286,7 +310,12 @@ def high_rate_asymptote(config: AsymptoticConfig) -> HighRateAsymptotes:
     targets with the central one is bounded by ``exp(-4 r') / 4`` either way.
     """
     rp, b, eta, eta1 = config.r_prime, config.b, config.eta, config.eta1
-    sharp = 2.0 * (b + math.sqrt(b * b - 1.0))
+    # b * b overflows past ~1.3e154, where sqrt(b^2 - 1) rounds to b.
+    sharp = 2.0 * (b + (b if math.isinf(b * b) else math.sqrt(b * b - 1.0)))
+    if math.isinf(sharp):
+        raise InvalidRegimeInput(
+            f"b={b} is too large: the constant 2 (b + sqrt(b^2 - 1)) overflows"
+        )
     if eta == 0.0:
         md = math.exp(-2.0 * rp) / sharp
     else:

@@ -1,10 +1,13 @@
-"""Small dense linear-Gaussian engine.
+"""Small linear-Gaussian engine: two conditioning routes, one per consumer.
 
-Everything here operates on explicit covariance matrices of at most six
-jointly Gaussian variables: validation, conditional (MMSE) estimation via the
-Schur complement, seeded Monte Carlo cross-checks, and assembly of the joint
-covariance induced by a forward test channel; certification instead reads a
-scalar chain (:func:`_msr_distortions`).
+* Certification reads the four achieved distortions of a forward test channel
+  from one chain of scalar MMSE updates (:func:`_msr_distortions`); no matrix
+  is built.
+* The Monte Carlo cross-check works on an explicit covariance of at most six
+  jointly Gaussian variables (:class:`CovarianceMatrix`, built for the
+  channel by :func:`assemble_msr_covariance`): :func:`conditional_mmse` gives
+  the analytic error variance through the Schur complement, and
+  :func:`mc_estimate_mse` samples it.
 
 The Monte Carlo path uses ``numpy.random.default_rng`` (the PCG64 generator),
 so a fixed seed yields reproducible streams across platforms.
@@ -13,7 +16,7 @@ so a fixed seed yields reproducible streams across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -132,54 +135,6 @@ def conditional_mmse(joint: CovarianceMatrix, target_index: int,
     return MmseResult(coeffs, err, target_index, obs)
 
 
-def _eliminate(arr: np.ndarray, n_targets: int, floor) -> np.ndarray:
-    """Condition the leading ``n_targets`` coordinates of ``arr`` on the rest.
-
-    Eliminates the trailing coordinates one at a time, in place and in the
-    dtype of ``arr``, so each subtraction's rounding stays relative to the
-    already-conditioned scale; returns the conditioned leading block.  A pivot
-    at or below ``floor`` raises :class:`SingularObservation`.
-    """
-    for j in range(n_targets, arr.shape[0]):
-        pivot = arr[j, j]
-        if not pivot > floor:
-            raise SingularObservation(
-                f"observation {j - n_targets} (in elimination order) is "
-                f"determined by the earlier ones (pivot {float(pivot):.3e})"
-            )
-        col = arr[:, j].copy()
-        # Zeroes row and column j as a side effect, removing it from all
-        # later pivots.
-        arr -= np.outer(col, col) / pivot
-    return arr[:n_targets, :n_targets]
-
-
-def conditional_covariance(joint: CovarianceMatrix,
-                           target_indices: Sequence[int],
-                           observed_indices: Sequence[int]) -> np.ndarray:
-    """Covariance of a block of coordinates given another block.
-
-    Mathematically the block Schur complement ``S_tt - S_to S_oo^{-1} S_ot``;
-    with a single target this reduces to the error variance of
-    :func:`conditional_mmse`.  Computed by eliminating one observed
-    coordinate at a time (in the order given), so each subtraction's rounding
-    stays relative to the already-conditioned scale -- the one-shot block
-    solve loses most of its digits when the conditional variances span many
-    decades.
-    """
-    targets = tuple(int(i) for i in target_indices)
-    if not targets:
-        raise DimensionMismatch("need at least one target index")
-    for t in targets:
-        obs = _check_indices(joint, t, observed_indices)
-    idx = targets + obs
-    arr = joint.entries[np.ix_(idx, idx)].copy()
-    nt = len(targets)
-    ref = max(float(np.trace(arr[nt:, nt:])), 1e-300)
-    cond = _eliminate(arr, nt, OBSERVATION_RTOL * ref)
-    return 0.5 * (cond + cond.T)
-
-
 def _msr_distortions(sx2: float, channel: "TestChannel"
                      ) -> tuple[float, float, float, float]:
     """``var(X|U1)``, ``var(X|U1, U2)``, ``var(X|U1, U3)`` and
@@ -207,14 +162,6 @@ def _msr_distortions(sx2: float, channel: "TestChannel"
     v2 = _residual_variance(d1, s2)
     d4 = _residual_variance(_residual_variance(v2, innovation), s4)
     return float(d1), float(v2), float(_residual_variance(d1, s3)), float(d4)
-
-
-def central_distortion_extended(residual_variance: float,
-                                channel: "TestChannel") -> float:
-    """``var(X' | U2, U3, U4)`` for ``var(X') = residual_variance``: the last
-    value of the ``numpy.longdouble`` chain of :func:`_msr_distortions`."""
-    return _msr_distortions(residual_variance,
-                            replace(channel, sigma1_sq=math.inf))[3]
 
 
 def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,

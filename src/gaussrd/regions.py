@@ -212,7 +212,8 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: The numeric maximizer's bracket on ``eps`` and relative tolerance on ``log eps``.
+#: The numeric maximizer's bracket on ``eps/var`` (``eps*`` scales with the
+#: source variance) and relative tolerance on ``log eps``.
 EPS_LO, EPS_HI, MAXIMIZER_RTOL = 1e-9, 1e9, 1e-10
 
 
@@ -223,13 +224,14 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
 
     Numeric counterpart of :func:`converse_witness`; the two are compared in
     the self-verification suite.  Returns ``(eps, t(eps))`` at the maximizer
-    inside ``[EPS_LO, EPS_HI]``.
+    inside ``var * [EPS_LO, EPS_HI]``.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
     rate_sum = rates.r2 + rates.r3
+    var = source.variance
 
     def f(x: float) -> float:
-        return t_of_epsilon(math.exp(x), d1s, d2, d3, rate_sum)
+        return t_of_epsilon(var * math.exp(x), d1s, d2, d3, rate_sum)
 
     lo, hi = math.log(EPS_LO), math.log(EPS_HI)
     xtol = MAXIMIZER_RTOL * max(1.0, abs(lo), abs(hi))
@@ -246,7 +248,7 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
             c = hi - _INVPHI * (hi - lo)
             fc = f(c)
     x = 0.5 * (lo + hi)
-    return math.exp(x), f(x)
+    return var * math.exp(x), f(x)
 
 
 def _excess_term(a: float, b: float, z: float) -> float:
@@ -305,7 +307,12 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     a, b = _side_ratios(d1s, dist.d2, dist.d3)
     r2_bound = rate_to_reach(a)
     r3_bound = rate_to_reach(b)
-    d4_hat = dist.d4 * math.exp(2.0 * r4)
+    try:
+        d4_hat = dist.d4 * math.exp(2.0 * r4)
+    except OverflowError:
+        raise InvalidRegimeInput(
+            f"exp(2 r4) overflows at r4={r4}; d4_hat = d4 exp(2 r4) is out of range"
+        ) from None
     z = d4_hat / d1s
 
     # Both thresholds from 1 - pi = a + b - ab, whose terms do not cancel.

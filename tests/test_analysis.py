@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 import gaussrd.analysis as analysis
+import oracle
 from gaussrd import (
     AsymptoticConfig,
     FixedChannelConfig,
@@ -15,6 +17,7 @@ from gaussrd import (
     GaussRdError,
     InfeasibleDistortion,
     InvalidChannel,
+    InvalidRegimeInput,
     MdcrSplit,
     OutOfRegime,
     RateTuple,
@@ -113,6 +116,34 @@ def test_wz_md_sweep_gaps_are_nonnegative_and_exactly_zero_at_the_ends():
         assert rows[0].gap == 0.0 and rows[-1].gap == 0.0
         assert min(row.gap for row in rows) >= 0.0
         assert min(row.gap / row.d4_md for row in rows[1:-1]) > 1e-4
+
+
+@pytest.mark.parametrize("variance, r1", [
+    (1.0, 1.0), (1.0, 200.0), (1.0, 300.0), (1e-120, 1.0), (1e120, 1.0)])
+def test_wz_region_matches_a_50_digit_evaluation(variance, r1):
+    # s1 s2 ~ d1*^2 underflows once d1* < ~1e-154 (r1 past ~177 nats at unit
+    # variance) and overflows at variances past ~1e102; d4_wz must not.
+    source = GaussianSource(variance)
+    rates = dataclasses.replace(SWEEP_RATES, r1=r1)
+    ch = wz_channel_from_rates(source, rates.r1, rates.r2)
+    rows = wz_md_sweep(source, rates, 5)
+    with mpmath.workdps(oracle.DPS):
+        var, s1, s2, g = map(mpmath.mpf, (variance, ch.sigma1_sq, ch.sigma2_sq,
+                                          ch.gamma))
+        d1s = var * mpmath.exp(-2 * mpmath.mpf(r1))
+        scale = mpmath.exp(-2 * (mpmath.mpf(rates.r3) + mpmath.mpf(rates.r4)))
+        for row in rows:
+            exact = (scale * var * s1 * s2 / ((var + s1 + s2)
+                     * ((1 - g) ** 2 * min(mpmath.mpf(row.d3), d1s) + g * s1)))
+            assert row.d4_wz == pytest.approx(float(exact), rel=1e-13)
+    assert rows[0].gap == rows[-1].gap == 0.0
+    assert min(row.gap for row in rows[1:-1]) > 0.0
+
+
+def test_wz_channel_rejects_stage_floors_below_the_normal_range():
+    # d2* = exp(-2 (r1 + r2)) is subnormal at r1 + r2 = 356 nats.
+    with pytest.raises(InvalidRegimeInput):
+        wz_channel_from_rates(GaussianSource(1.0), 355.5, 0.5)
 
 
 def test_wz_md_sweep_validates_point_count():
@@ -248,6 +279,20 @@ def test_mdcr_rejects_broken_premises():
         mdcr_compare(source, 1.0, 1.0, 1.0, MdcrSplit(beta=0.5), 0.98, 0.98)
 
 
+@pytest.mark.parametrize("r4", [200.0, 360.0, 400.0, 1000.0])
+def test_mdcr_ratio_survives_underflowed_bounds(r4):
+    # Past ~354 nats of total rate the shared numerator var exp(-2 r_total)
+    # leaves the normal range (0.0 past ~372); the ratio of the penalty
+    # denominators does not.
+    source = GaussianSource(variance=1.0)
+    cmp_ = mdcr_compare(source, 1.0, 1.0, r4, MdcrSplit(beta=0.5), 0.3, 0.3)
+    with mpmath.workdps(oracle.DPS):
+        exact = (oracle.mp_dr_bound(1.0, (0.0, 1.0, 1.0, r4), 0.3, 0.3)
+                 / oracle.mp_dr_bound(1.0, (0.0, 1.0 + 0.5 * r4, 1.0 + 0.5 * r4, 0.0),
+                                      0.3, 0.3))
+    assert cmp_.ratio == pytest.approx(float(exact), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # High-rate asymptotes
 # ---------------------------------------------------------------------------
@@ -281,6 +326,21 @@ def test_asymptote_conditional_refinement_keeps_sharper_constant():
     # The plain system loses exactly a factor of two at b = 1.
     assert res.d4_asymptote_md / res.d4_asymptote_mdcr == pytest.approx(
         0.5, rel=1e-14)
+
+
+def test_asymptote_constant_survives_an_overflowing_b_squared():
+    # b * b overflows past ~1.3e154; 2 (b + sqrt(b^2 - 1)) does not until
+    # b ~ 4.5e307, and beyond that the constant is out of range.
+    for b in (1e200, 4e307):
+        res = high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=b, eta=0.0, eta1=0.0))
+        with mpmath.workdps(oracle.DPS):
+            mb = mpmath.mpf(b)
+            exact = mpmath.exp(-2) / (2 * (mb + mpmath.sqrt(mb * mb - 1)))
+        assert res.d4_asymptote_md == pytest.approx(float(exact), rel=1e-15)
+        assert res.d4_asymptote_mdcr == res.d4_asymptote_md
+    for eta in (0.0, 0.5):
+        with pytest.raises(InvalidRegimeInput):
+            high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=1e308, eta=eta, eta1=eta))
 
 
 def test_asymptotic_config_validation():

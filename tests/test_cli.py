@@ -427,10 +427,30 @@ def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
 @pytest.mark.parametrize("argv", [
     ["dr-bound", "--rates", "400,0,0,0", "--d", "inf,0.5,0.5"],
     ["rd-bound", "--r1", "400", "--r4", "0", "--d", "inf,0.5,0.5,0.1"],
-], ids=["dr-bound", "rd-bound"])
+    ["rd-bound", "--r1", "0", "--r4", "400", "--d", "inf,0.5,0.5,0.1"],
+    ["loss", "--r3", "1", "--r1-grid", "0:400:3"],
+    ["asymptote", "--b", "1e308", "--r-grid", "1,2"],
+    ["sweep-wz-md", "--r1", "400", "--points", "3"],
+], ids=["dr-bound", "rd-bound", "rd-bound-r4", "loss", "asymptote", "sweep-wz-md"])
 def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
-    # d1_star = exp(-800) underflows to zero at r1 = 400 nats.
+    # d1_star = exp(-800) underflows to zero at r1 = 400 nats; exp(2 r4) at
+    # r4 = 400, exp(2 alpha r1) at alpha r1 = 400 and 4 b at b = 1e308
+    # overflow.  None of them leaves as an internal error (exit 4).
     code = cli.main(argv)
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 2
     assert error["type"] == "InvalidRegimeInput"
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["mdcr", "--r2", "1", "--r3", "1", "--d2", "0.3", "--d3", "0.3",
+      "--r4-grid", "0:400:3"], "ratio"),
+    (["sweep-wz-md", "--r1", "300", "--points", "3"], "d4_wz"),
+], ids=["mdcr", "sweep-wz-md"])
+def test_large_rate_sweeps_print_finite_values(capsys, argv, column):
+    # The last mdcr row's bounds underflow to 0.0, but their ratio does not;
+    # at r1 = 300 nats s1 s2 ~ d1*^2 underflows, but d4_wz does not.
+    assert cli.main(argv) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    values = [row[header.index(column)] for row in rows]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)

@@ -1,8 +1,10 @@
-"""Static hygiene of the package sources: no module imports a name it never uses."""
+"""Static hygiene of the package sources: no module imports a name it never
+uses, and no private helper outlives its last caller."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,31 @@ def test_module_has_no_unused_import(path):
     unused = sorted((line, name) for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def _references(node: ast.AST) -> Counter:
+    """Every name loaded, attribute read or name imported under ``node``."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def test_every_private_function_has_a_caller():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    package = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [
+        f"{name}:{fn.name}"
+        for name, tree in trees.items() for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+        and not fn.name.startswith("__")
+        # Calls from the function's own body (recursion) do not count.
+        and package[fn.name] == _references(fn)[fn.name]
+    ]
+    assert not orphans, f"private functions nothing in the package calls: {orphans}"

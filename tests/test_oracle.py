@@ -234,7 +234,7 @@ def test_rearrangements_equal_their_textbook_forms():
     E = sympy.symbols("E", positive=True)
     assert zero(sx2 * E / (1 - E) - sx2 * E * sx2 / (sx2 - sx2 * E))
 
-    # mmse._refinement_chain: U2, then the innovation U3 - c U2 with
+    # mmse._msr_distortions: U2, then the innovation U3 - c U2 with
     # c = rho sqrt(s3/s2), then U4, against the information form of
     # oracle.mp_channel_distortions.
     D1, S4 = sympy.symbols("D1 S4", positive=True)

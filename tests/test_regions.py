@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -355,6 +356,32 @@ def test_rd_bound_sum_rate_matches_bisection_oracle():
         assert abs(res.sum_bound - oracle) <= 1e-8 * max(1.0, res.sum_bound), (
             f"regime={res.regime}, closed={res.sum_bound}, oracle={oracle}"
         )
+
+
+@pytest.mark.parametrize("variance, k", [(1.0, 6), (3.7, 7)])
+def test_rd_bound_at_the_dr_bound_returns_the_sum_rate(variance, k):
+    # The two characterizations meet on the boundary itself: at the central
+    # target d4 = dr_bound(...).d4_bound the sum-rate bound is r2 + r3, and
+    # the regimes pair one to one (the slack regime cannot hold there).
+    source = GaussianSource(variance)
+    grid = default_grid(source, k)
+    pairs = Counter()
+    worst = 0.0
+    for r1, r2, r3, r4 in itertools.product(grid.r1_values, grid.r2_values,
+                                            grid.r3_values, grid.r4_values):
+        rates = RateTuple(r1, r2, r3, r4)
+        for d1, d2, d3 in itertools.product(grid.d1_values, grid.d2_values,
+                                            grid.d3_values):
+            try:
+                dr = dr_bound(source, rates, d1, d2, d3)
+            except InfeasibleDistortion:
+                continue
+            rd = rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, dr.d4_bound))
+            worst = max(worst, abs(rd.sum_bound - (r2 + r3)) / (r2 + r3))
+            pairs[dr.regime, rd.regime] += 1
+    assert worst <= 4.0 * sys.float_info.epsilon
+    assert set(pairs) == {(Regime.DEGENERATE_PI_LESS_DELTA, Regime.RD_LOW),
+                          (Regime.NON_DEGENERATE, Regime.RD_EXCESS)}
 
 
 def test_rd_bound_boundary_ties_are_stable():
