@@ -54,24 +54,36 @@ class WzChannel:
 
 def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzChannel:
     """Solve the two noise variances so the coarse and refined estimates hit
-    ``d1* = var exp(-2 r1)`` and ``d2* = var exp(-2 (r1+r2))`` exactly."""
+    ``d1* = var exp(-2 r1)`` and ``d2* = var exp(-2 (r1+r2))`` exactly.
+
+    They are solved in units of ``2^k``, the variance's binary order
+    (``var = m 2^k``, ``1/2 <= m < 1``): products such as ``var d2*`` then
+    neither over- nor underflow, and wherever they would not have anyway the
+    scaling is exact, so the result is that of the unscaled formulas.
+    """
     if not r1 > 0.0 or not r2 > 0.0:
         raise InvalidChannel(
             f"both stage rates must be positive to invert the channel, "
             f"got r1={r1}, r2={r2}"
         )
-    sx2 = source.variance
-    d1s = sx2 * math.exp(-2.0 * r1)
-    d2s = sx2 * math.exp(-2.0 * (r1 + r2))
-    if d2s < sys.float_info.min:
+    m, k = math.frexp(source.variance)
+    d1s = m * math.exp(-2.0 * r1)
+    d2s = m * math.exp(-2.0 * (r1 + r2))
+    if math.ldexp(d2s, k) < sys.float_info.min:
         raise InvalidRegimeInput(
-            f"stage floor d2* = var exp(-2 (r1+r2)) = {d2s} is below the "
-            f"normal double range; the noise variances cannot be solved"
+            f"stage floor d2* = var exp(-2 (r1+r2)) = {math.ldexp(d2s, k)} is "
+            f"below the normal double range; the noise variances cannot be solved"
         )
-    sigma2_sq = sx2 * d2s / (sx2 - d2s)
-    sigma1_sq = sx2 * d1s / (sx2 - d1s) - sigma2_sq
+    sigma2_sq = m * d2s / (m - d2s)
+    sigma1_sq = m * d1s / (m - d1s) - sigma2_sq
     gamma = sigma2_sq / (sigma1_sq + sigma2_sq)
-    return WzChannel(sigma1_sq, sigma2_sq, gamma)
+    try:
+        return WzChannel(math.ldexp(sigma1_sq, k), math.ldexp(sigma2_sq, k), gamma)
+    except OverflowError:
+        raise InvalidRegimeInput(
+            f"the noise variances {sigma1_sq} and {sigma2_sq} times 2^{k} "
+            f"overflow; the channel cannot be represented"
+        ) from None
 
 
 def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> float:
@@ -100,9 +112,9 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
         denominator = (sx2 + s1 + s2) * ((1.0 - g) ** 2 * min(d3_prime, d1s) + g * s1)
         return numerator / denominator
     # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
-    # beyond ~1e102); in units of d1* nothing does.
+    # beyond ~1e102); in units of d1* and of var nothing does.
     q1, q2 = s1 / d1s, s2 / d1s
-    return (scale * d1s * (sx2 / (sx2 + s1 + s2)) * q1 * q2
+    return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q1 * q2
             / ((1.0 - g) ** 2 * min(d3_prime / d1s, 1.0) + g * q1))
 
 
@@ -342,7 +354,10 @@ def asymptote_convergence(config: AsymptoticConfig,
 
     Unit source variance, balanced descriptions, side targets
     ``b exp(-2 (1-eta) r')``.  Grid rates must be at least 1 nat and
-    increasing; the ratio tends to 1 as ``r'`` grows.
+    increasing; the ratio tends to 1 as ``r'`` grows.  Raises
+    :class:`InvalidRegimeInput` once the bound or the asymptote falls below
+    the normal double range, or the side targets' product does (past about
+    177 nats at ``eta = 0``).
     """
     if not r_grid:
         raise ValueError("rate grid is empty")
@@ -360,5 +375,10 @@ def asymptote_convergence(config: AsymptoticConfig,
         rates = RateTuple(0.0, rp, rp, 0.0)
         exact = dr_bound(source, rates, 1.0, side, side).d4_bound
         asym = high_rate_asymptote(replace(config, r_prime=rp)).d4_asymptote_md
+        if min(exact, asym) < sys.float_info.min:
+            raise InvalidRegimeInput(
+                f"at r'={rp} the bound {exact} or its asymptote {asym} is below "
+                f"the normal double range; their ratio cannot be formed"
+            )
         rows.append(ConvergenceRow(rp, exact, asym, exact / asym))
     return rows

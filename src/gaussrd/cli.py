@@ -25,13 +25,14 @@ from typing import NamedTuple
 from .analysis import (AsymptoticConfig, FixedChannelConfig, MdcrSplit,
                        asymptote_convergence, fixed_channel_loss, mdcr_compare,
                        wz_md_sweep)
-from .channel import certify_achievability
-from .discrete import eval_distortions, eval_region_bounds, load_configuration
 from .errors import GaussRdError
-from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
-                    RateUnit, convert_rate)
+from .model import (DEFAULT_GRID_DENSITY, DEFAULT_SEED, UNCONSTRAINED,
+                    DistortionTuple, GaussianSource, RateTuple, RateUnit,
+                    convert_rate)
 from .regions import dr_bound, rd_bound
-from .selfcheck import DEFAULT_GRID_DENSITY, DEFAULT_SEED, run_verification
+
+# ``channel``, ``discrete`` and ``selfcheck`` load numpy; only the commands
+# that use them import them, so the scalar commands start without it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -347,6 +348,8 @@ def cmd_rd_bound(o: dict) -> dict:
 
 
 def cmd_channel(o: dict) -> dict:
+    from .channel import certify_achievability
+
     rates = RateTuple(*(_to_nats(r, o["unit"]) for r in o["rates"]))
     source = GaussianSource(o["var"])
     record = certify_achievability(source, rates, *o["d"])
@@ -362,6 +365,8 @@ def cmd_channel(o: dict) -> dict:
 
 
 def cmd_discrete(o: dict) -> dict:
+    from .discrete import eval_distortions, eval_region_bounds, load_configuration
+
     unit, path = o["unit"], o["pmf"]
     if path == "-":
         text = sys.stdin.read()
@@ -430,11 +435,13 @@ def cmd_sweep_wz_md(o: dict) -> tuple:
 
 
 def cmd_verify(o: dict) -> dict:
+    from . import selfcheck
+
     density = o["grid-density"]
     if density < 2:
         raise UsageError(f"grid density must be at least 2, got {density}")
-    return run_verification(variance=o["var"], seed=o["seed"],
-                            grid_density=density)
+    return selfcheck.run_verification(variance=o["var"], seed=o["seed"],
+                                      grid_density=density)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ LN2 = math.log(2.0)
 #: floors, absorbing rounding in exp/log round trips.
 FEASIBILITY_RTOL = 1e-12
 
+#: Defaults of the seeded self-verification (``gaussrd verify``), kept here
+#: so the command line reads them without importing numpy.
+DEFAULT_SEED = 12345
+DEFAULT_GRID_DENSITY = 6
+
 
 class Unconstrained(enum.Enum):
     """Singleton tag for a distortion component with no constraint."""

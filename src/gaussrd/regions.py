@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
-from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
+from .model import (FEASIBILITY_RTOL, LN2, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, Unconstrained,
                     _checked_d1_star, _margin)
 
@@ -105,6 +106,13 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
     """
     pi = (1.0 - a) * (1.0 - b)
     ab = a * b
+    if ab < sys.float_info.min:
+        # Then ab and s <= ab carry no relative precision, and sqrt(delta)
+        # is as large as the rest of the penalty's 1 - sqrt(pi).
+        raise InvalidRegimeInput(
+            f"a b = {ab} is below the normal double range (a={a}, b={b}); "
+            f"delta = a b - exp(-2 (r2+r3)) cannot be formed"
+        )
     delta = ab - s
     tol = FEASIBILITY_RTOL * max(ab, s)
     # Each side target may sit FEASIBILITY_RTOL below its floor, so a b may
@@ -145,6 +153,27 @@ def _penalty_den(a: float, b: float, delta: float) -> float:
     return den
 
 
+#: ln 2 split so that ``n * _LN2_HI`` is exact for ``|n| < 2**21``.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _exp_quotient(scale: float, exponent: float, den: float) -> float:
+    """``scale * exp(exponent) / den`` for positive ``scale`` and ``den``
+    and ``exponent <= 0``, formed as ``m 2^k`` so that no intermediate leaves
+    the double range.
+
+    ``exponent = n ln 2 + r`` with ``|r| <= ln 2 / 2``, so ``exp(r)`` and the
+    mantissa quotient stay near 1; only the final ``ldexp`` rounds into the
+    subnormal range, when the quotient itself lies there.  Below
+    ``-4000 ln 2`` the quotient is 0.0 for any double ``scale`` and ``den``,
+    and so is ``exp(r)``.
+    """
+    (ms, es), (md, ed) = math.frexp(scale), math.frexp(den)
+    n = round(max(exponent / LN2, -4000.0))
+    r = (exponent - n * _LN2_HI) - n * _LN2_LO
+    return math.ldexp(ms * math.exp(r) / md, es - ed + n)
+
+
 def dr_bound(source: GaussianSource, rates: RateTuple,
              d1: float | Unconstrained, d2: float, d3: float) -> DrBoundResult:
     """Tight lower bound on the central distortion d4.
@@ -160,8 +189,15 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
     pi, delta, degenerate = _pi_delta(a, b, math.exp(-2.0 * (rates.r2 + rates.r3)))
     regime = (Regime.DEGENERATE_PI_LESS_DELTA if degenerate
               else Regime.NON_DEGENERATE)
-    d4_bound = (source.variance * math.exp(-2.0 * rates.total())
-                / _penalty_den(a, b, delta))
+    exponent = -2.0 * rates.total()
+    numerator = source.variance * math.exp(exponent)
+    den = _penalty_den(a, b, delta)
+    if numerator >= sys.float_info.min:
+        d4_bound = numerator / den
+    else:
+        # The numerator has left the normal range, though the quotient (den
+        # ~ exp(-2 r') at high side rates r') need not have.
+        d4_bound = _exp_quotient(source.variance, exponent, den)
     return DrBoundResult(d1s, min(d2, d1s), min(d3, d1s), pi, delta, d4_bound,
                          regime)
 

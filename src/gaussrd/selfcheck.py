@@ -17,12 +17,10 @@ import numpy as np
 from .channel import certify_achievability, construct_channel
 from .mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_U4, IDX_X,
                    assemble_msr_covariance, conditional_mmse, mc_estimate_mse)
-from .model import UNCONSTRAINED, GaussianSource, RateTuple, Regime
+from .model import (DEFAULT_GRID_DENSITY, DEFAULT_SEED, UNCONSTRAINED,
+                    GaussianSource, RateTuple, Regime)
 from .regions import (converse_witness, default_grid, dr_bound,
                       equivalence_scan, maximize_t_numeric)
-
-DEFAULT_SEED = 12345
-DEFAULT_GRID_DENSITY = 6
 
 
 def sample_feasible_instance(rng: np.random.Generator, *,

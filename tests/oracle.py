@@ -51,9 +51,13 @@ def _penalty(var, rates, d2, d3):
     return 1 / (1 - gap * gap)
 
 
-def mp_dr_bound(var, rates, d2, d3):
-    """``var e^{-2 (r1+r2+r3+r4)} / (1 - max(sqrt(pi) - sqrt(delta), 0)^2)``."""
-    with mpmath.workdps(DPS):
+def mp_dr_bound(var, rates, d2, d3, dps=DPS):
+    """``var e^{-2 (r1+r2+r3+r4)} / (1 - max(sqrt(pi) - sqrt(delta), 0)^2)``.
+
+    ``1 - gap^2`` cancels about ``log10(1/(1 - pi))`` digits, so side ratios
+    below ``1e-30`` or so need more than the default ``dps``.
+    """
+    with mpmath.workdps(dps):
         total = sum(mpmath.mpf(r) for r in rates)
         return +(mpmath.mpf(var) * mpmath.exp(-2 * total)
                  * _penalty(var, rates, d2, d3))

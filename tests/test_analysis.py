@@ -119,10 +119,12 @@ def test_wz_md_sweep_gaps_are_nonnegative_and_exactly_zero_at_the_ends():
 
 
 @pytest.mark.parametrize("variance, r1", [
-    (1.0, 1.0), (1.0, 200.0), (1.0, 300.0), (1e-120, 1.0), (1e120, 1.0)])
+    (1.0, 1.0), (1.0, 200.0), (1.0, 300.0), (1e-120, 1.0), (1e120, 1.0),
+    (1e-200, 1.0), (1e200, 1.0), (1.7e308, 1.0)])
 def test_wz_region_matches_a_50_digit_evaluation(variance, r1):
     # s1 s2 ~ d1*^2 underflows once d1* < ~1e-154 (r1 past ~177 nats at unit
-    # variance) and overflows at variances past ~1e102; d4_wz must not.
+    # variance) and overflows at variances past ~1e102; d4_wz must not, nor
+    # var + s1 + s2 near the top of the double range.
     source = GaussianSource(variance)
     rates = dataclasses.replace(SWEEP_RATES, r1=r1)
     ch = wz_channel_from_rates(source, rates.r1, rates.r2)
@@ -138,6 +140,22 @@ def test_wz_region_matches_a_50_digit_evaluation(variance, r1):
             assert row.d4_wz == pytest.approx(float(exact), rel=1e-13)
     assert rows[0].gap == rows[-1].gap == 0.0
     assert min(row.gap for row in rows[1:-1]) > 0.0
+
+
+@pytest.mark.parametrize("variance", [1e-300, 1e-200, 1.0, 3.7, 1e200, 1e300])
+def test_wz_channel_meets_its_stage_floors_at_any_variance(variance):
+    # var d2* overflows past ~1e154 and underflows below ~1e-154; in units of
+    # the variance's binary order nothing does.
+    r1, r2 = 0.8, 0.6
+    ch = wz_channel_from_rates(GaussianSource(variance), r1, r2)
+    with mpmath.workdps(oracle.DPS):
+        var, s1, s2 = map(mpmath.mpf, (variance, ch.sigma1_sq, ch.sigma2_sq))
+        coarse = 1 / (1 / var + 1 / (s1 + s2))
+        refined = 1 / (1 / var + 1 / s2)
+        assert float(coarse / var) == pytest.approx(math.exp(-2.0 * r1), rel=1e-14)
+        assert float(refined / var) == pytest.approx(math.exp(-2.0 * (r1 + r2)),
+                                                     rel=1e-14)
+        assert ch.gamma == pytest.approx(float(s2 / (s1 + s2)), rel=1e-15)
 
 
 def test_wz_channel_rejects_stage_floors_below_the_normal_range():

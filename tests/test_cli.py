@@ -20,8 +20,8 @@ from conftest import GOLDEN_D4_BOUND, GOLDEN_RHO
 CSV_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
 
-def run_cli(*argv: str, stdin: str | None = None, env: dict | None = None):
-    """Invoke the CLI in a fresh interpreter that imports this package."""
+def run_python(*argv: str, stdin: str | None = None, env: dict | None = None):
+    """``python argv...`` in a fresh interpreter that imports this package."""
     full_env = dict(os.environ)
     full_env.pop("GAUSSRD_SEED", None)
     paths = [str(Path(cli.__file__).resolve().parents[1]),
@@ -30,10 +30,15 @@ def run_cli(*argv: str, stdin: str | None = None, env: dict | None = None):
     if env:
         full_env.update(env)
     proc = subprocess.run(
-        [sys.executable, "-m", "gaussrd", *argv],
+        [sys.executable, *argv],
         input=stdin, capture_output=True, text=True, env=full_env,
     )
     return proc
+
+
+def run_cli(*argv: str, stdin: str | None = None, env: dict | None = None):
+    """Invoke the CLI in a fresh interpreter that imports this package."""
+    return run_python("-m", "gaussrd", *argv, stdin=stdin, env=env)
 
 
 def parse_csv(stdout: str):
@@ -276,6 +281,44 @@ def test_sweep_endpoints_close_and_alias_identical():
 
 
 # ---------------------------------------------------------------------------
+# Imports: the scalar subcommands run without numpy
+# ---------------------------------------------------------------------------
+
+#: One argv per subcommand that evaluates only the closed forms.
+SCALAR_ARGVS = {
+    "dr-bound": ["--rates", "0,0.5,0.5,0", "--d", "inf,0.45,0.45"],
+    "rd-bound": ["--r1", "0", "--r4", "0",
+                 "--d", f"inf,0.45,0.45,{GOLDEN_D4_BOUND!r}"],
+    "loss": ["--r3", "1", "--r1-grid", "1:4:4"],
+    "mdcr": ["--r2", "0.5", "--r3", "0.5", "--d2", "0.45", "--d3", "0.45",
+             "--r4-grid", "0,0.1,0.2"],
+    "sweep-wz-md": ["--points", "5"],
+    "asymptote": ["--r-grid", "1,2,4"],
+}
+
+#: Runs its argv through ``gaussrd.cli.main``, then reports on its last line
+#: whether numpy was loaded.
+NUMPY_PROBE = ("import sys\nfrom gaussrd.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "print(code, 'numpy' in sys.modules)")
+
+
+@pytest.mark.parametrize("sub", sorted(SCALAR_ARGVS))
+def test_scalar_subcommand_loads_no_numpy(sub):
+    proc = run_python("-c", NUMPY_PROBE, sub, *SCALAR_ARGVS[sub])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_importing_the_package_loads_no_numpy():
+    proc = run_python("-c", "import sys, gaussrd\n"
+                            "print('numpy' in sys.modules, 'gaussrd.regions' "
+                            "in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n"
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -302,7 +345,8 @@ def test_verify_seed_env_variable_equals_flag():
 
 
 def test_verify_failure_maps_to_exit_code_three(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_verification",
+    # ``cmd_verify`` looks ``run_verification`` up on its module at call time.
+    monkeypatch.setattr("gaussrd.selfcheck.run_verification",
                         lambda **kwargs: {"all_passed": False, "checks": []})
     code = cli.main(["verify", "--grid-density", "2"])
     capsys.readouterr()

@@ -82,3 +82,37 @@ def test_every_private_function_has_a_caller():
         and package[fn.name] == _references(fn)[fn.name]
     ]
     assert not orphans, f"private functions nothing in the package calls: {orphans}"
+
+
+#: The modules on the scalar command-line path, which must load without numpy.
+NUMPY_FREE = ("__init__", "cli", "model", "regions", "analysis", "errors")
+
+
+def _module_level_imports(node: ast.AST):
+    """Import statements that run when the module loads: everything but
+    those inside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _module_level_imports(child)
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_scalar_path_modules_import_no_numpy_at_load(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    offending = []
+    for node in _module_level_imports(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif node.level == 0:
+            targets = [node.module]
+        else:
+            # A relative import loads its sibling module, which must itself
+            # stay on the numpy-free path.
+            targets = ["." + (node.module or alias.name) for alias in node.names]
+        offending += [
+            (node.lineno, target) for target in targets
+            if target.split(".")[0] == "numpy"
+            or (target.startswith(".") and target[1:].split(".")[0] not in NUMPY_FREE)]
+    assert not offending, f"{name}.py loads at import (line, module): {offending}"

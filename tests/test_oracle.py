@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from conftest import assert_close
 from gaussrd import (AsymptoticConfig, DistortionTuple, GaussianSource,
+                     InvalidRegimeInput,
                      RateTuple, UNCONSTRAINED, asymptote_convergence,
                      certify_achievability, cli, converse_witness, dr_bound,
                      rd_bound)
@@ -119,6 +120,63 @@ def test_asymptote_ratios_match_the_oracle_at_high_rate(capsys):
         assert_close(row.ratio, float(exact / row.asymptote), rtol=1e-12)
     assert cli.main(["asymptote", "--r-grid", "1,5,10,15,18,19,25"]) == 0
     assert capsys.readouterr().err == ""
+
+
+#: Enough digits for 1 - pi down to the smallest normal double.
+HIGH_RATE_DPS = 400
+
+
+@pytest.mark.parametrize("var, rates, d2, d3", [
+    (1.0, (0.0, 200.0, 200.0, 0.0), 1e-100, 1e-100),
+    (1e100, (0.0, 250.0, 250.0, 0.0), 1e-50, 1e-50),
+    (1.0, (1.0, 200.0, 150.0, 10.0), math.exp(-2.0) * 1e-100,
+     math.exp(-2.0) * 1e-80),
+])
+def test_dr_bound_survives_an_underflowing_numerator(var, rates, d2, d3):
+    # var exp(-2 (r1+r2+r3+r4)) falls below the normal range (to 0.0 in the
+    # first two), but the penalty denominator, about a + b, keeps the bound
+    # itself a normal double.
+    assert var * math.exp(-2.0 * sum(rates)) < sys.float_info.min
+    d4 = _dr(var, rates, d2, d3)
+    assert d4 >= sys.float_info.min
+    exact = oracle.mp_dr_bound(var, rates, d2, d3, dps=HIGH_RATE_DPS)
+    assert_close(d4, float(exact), rtol=_penalty_rtol(var, rates, d2, d3))
+
+
+@pytest.mark.parametrize("b, eta", [(1.0, 0.0), (3.0, 0.0), (1.0, 0.5),
+                                    (2.0, 0.3)])
+def test_high_rate_asymptote_rows_are_right_or_a_typed_error(b, eta):
+    # Past ~177 nats at eta = 0 the side targets' product a b leaves the
+    # normal range; at eta = 0.5 the bound and its asymptote do, past ~236
+    # nats.  Each row is either the oracle's value or InvalidRegimeInput.
+    returned = raised = 0
+    for rp in (100.0, 150.0, 176.0, 178.0, 200.0, 230.0, 240.0, 300.0, 360.0):
+        try:
+            (row,) = asymptote_convergence(AsymptoticConfig(1.0, b, eta, eta),
+                                           [rp])
+        except InvalidRegimeInput:
+            raised += 1
+            continue
+        returned += 1
+        rates = (0.0, rp, rp, 0.0)
+        side = b * math.exp(-2.0 * (1.0 - eta) * rp)
+        exact = oracle.mp_dr_bound(1.0, rates, side, side, dps=HIGH_RATE_DPS)
+        rtol = _penalty_rtol(1.0, rates, side, side)
+        assert_close(row.exact, float(exact), rtol=rtol)
+        assert_close(row.ratio, float(exact / row.asymptote), rtol=rtol)
+    assert returned >= 2 and raised >= 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptote", "--r-grid", "1,200"],
+    ["asymptote", "--eta", "0.5", "--r-grid", "1,300"],
+])
+def test_asymptote_past_the_double_range_is_a_typed_error(capsys, argv):
+    # These printed exact = ratio = 0.0 and raised ZeroDivisionError before.
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"InvalidRegimeInput"' in captured.err
 
 
 # ---------------------------------------------------------------------------
