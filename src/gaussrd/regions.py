@@ -472,86 +472,145 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     within a relative band of ``1e-9`` around either boundary are recorded as
     boundary points rather than disagreements.
 
-    The cost follows the grid's separable structure.  ``rd_bound`` does not
-    read ``(r2, r3)``, so inside each ``(r1, r4, d1)`` block its row of
-    ``(d4, sum_bound, regime)`` for a side-target pair ``(d2, d3)`` is built
-    at the pair's first feasible ``(r2, r3)`` and reused for the rest:
-    ``rd_bound`` runs once per ``(r1, r4, d1, d2, d3, d4)`` and ``dr_bound``
-    once per feasible ``(rates, d2, d3)``.  The floor test reads per-axis
-    tables of :func:`model._margin`, the arithmetic of ``_floor_margins``.
+    Each ``(r1, r4, d1)`` block is one array kernel over its (rate pair x
+    side-target pair) points.  Every ``exp`` comes from per-axis tables built
+    with :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and ``var
+    exp(-2 total)``); numpy applies only ``+ - * / sqrt min max`` to them, in
+    the operation order of :func:`_pi_delta` and :func:`_penalty_den`, so the
+    bound equals :func:`dr_bound`'s bit for bit.  Points the scalar forms
+    would refuse are re-run through them, which raise with their own
+    messages, and a numerator below the normal range goes through
+    :func:`_exp_quotient`; a bound that underflows to 0 raises
+    :class:`InvalidRegimeInput`, since its margin has no value.  ``rd_bound``
+    does not read ``(r2, r3)``: it runs once per ``(r1, r4, d1, d2, d3, d4)``,
+    at the pair's first feasible ``(r2, r3)``, so the regime keys and the
+    first raise come in the order of a per-point loop.  Verdicts are taken
+    one ``d4`` column at a time.  numpy is imported here, not when the
+    module loads.
     """
+    import numpy as np
+
     report = EquivalenceReport()
     regime_counts = report.regime_counts
     sx2 = source.variance
     tol = BOUNDARY_RTOL
-    n4 = len(grid.d4_values)
-    sides = [(i, d2, j, d3) for i, d2 in enumerate(grid.d2_values)
-             for j, d3 in enumerate(grid.d3_values)]
-    evaluated = skipped = boundary = in_both = out_both = 0
-    for r1, r4 in itertools.product(grid.r1_values, grid.r4_values):
-        d1s = sx2 * math.exp(-2.0 * r1)
-        for d1 in grid.d1_values:
+    r2_values, r3_values = grid.r2_values, grid.r3_values
+    d2_values, d3_values, d4_values = grid.d2_values, grid.d3_values, grid.d4_values
+    n4 = len(d4_values)
+    sides = list(itertools.product(d2_values, d3_values))
+    n_sides = len(sides)
+    rate_pairs = list(itertools.product(r2_values, r3_values))
+    rate_sums = [r2 + r3 for r2, r3 in rate_pairs]
+    rate_sum_col = np.array(rate_sums, dtype=float)[:, None]
+    skipped = boundary = in_both = out_both = evaluated = 0
+    blocks = itertools.product(grid.r1_values, grid.r4_values, grid.d1_values)
+    # Entries off the feasible mask may divide by 0 or overflow; none is read.
+    with np.errstate(all="ignore"):
+        for r1, r4, d1 in blocks:
+            d1s = sx2 * math.exp(-2.0 * r1)
             m1 = _margin(d1, d1s)
-            # Margins of the d2 (d3) axis at each r2 (r3), built once the rate
-            # has passed RateTuple's validation.
-            m2_rows: dict[float, list[float]] = {}
-            m3_rows: dict[float, list[float]] = {}
-            rows: list[list | None] = [None] * len(sides)
-            uses = [0] * len(sides)
-            for r2, r3 in itertools.product(grid.r2_values, grid.r3_values):
-                rates = RateTuple(r1, r2, r3, r4)
-                if r2 not in m2_rows:
-                    f2 = d1s * math.exp(-2.0 * r2)
-                    m2_rows[r2] = [_margin(d2, f2) for d2 in grid.d2_values]
-                if r3 not in m3_rows:
-                    f3 = d1s * math.exp(-2.0 * r3)
-                    m3_rows[r3] = [_margin(d3, f3) for d3 in grid.d3_values]
-                m2, m3 = m2_rows[r2], m3_rows[r3]
-                rate_sum = r2 + r3
-                for k, (i, d2, j, d3) in enumerate(sides):
-                    base = min(m1, m2[i], m3[j])
-                    if base < -tol:
-                        skipped += n4
-                        continue
-                    if base <= tol:
-                        boundary += n4
-                        continue
-                    d4_bound = dr_bound(source, rates, d1, d2, d3).d4_bound
-                    row = rows[k]
-                    if row is None:
-                        row = rows[k] = []
-                        for d4 in grid.d4_values:
-                            rd = rd_bound(source, r1, r4,
-                                          DistortionTuple(d1, d2, d3, d4))
-                            row.append((d4, rd.sum_bound, rd.regime.value))
-                            # Keys enter in the order a per-point loop meets them.
-                            regime_counts.setdefault(rd.regime.value, 0)
-                    uses[k] += 1
-                    for d4, sum_bound, key in row:
-                        m_dr = (d4 - d4_bound) / d4_bound
-                        m_rd = rate_sum - sum_bound
-                        dr_in = m_dr > tol
-                        rd_in = m_rd > tol
-                        if not (dr_in or m_dr < -tol) or not (rd_in or m_rd < -tol):
-                            boundary += 1
-                        elif dr_in != rd_in:
-                            report.mismatches.append({
-                                "rates": rates.as_tuple(),
-                                "d": (None if d1 is UNCONSTRAINED else d1,
-                                      d2, d3, d4),
-                                "dr_margin": m_dr,
-                                "rd_margin": m_rd,
-                                "regime": key,
-                            })
-                        elif dr_in:
-                            in_both += 1
-                        else:
-                            out_both += 1
-            for row, n in zip(rows, uses):
-                if n:
-                    evaluated += n * n4
-                    for _, _, key in row:
-                        regime_counts[key] += n
+            rates = [RateTuple(r1, r2, r3, r4) for r2, r3 in rate_pairs]
+            m2 = np.array([[_margin(d2, d1s * math.exp(-2.0 * r2)) for d2 in d2_values]
+                           for r2 in r2_values], dtype=float)
+            m3 = np.array([[_margin(d3, d1s * math.exp(-2.0 * r3)) for d3 in d3_values]
+                           for r3 in r3_values], dtype=float)
+            base = np.minimum(m2.reshape(len(r2_values), 1, len(d2_values), 1),
+                              m3.reshape(1, len(r3_values), 1, len(d3_values)))
+            base = np.minimum(base.reshape(len(rate_pairs), n_sides), m1)
+            n_skipped = int(np.count_nonzero(base < -tol))
+            feasible = base > tol
+            n_feasible = int(np.count_nonzero(feasible))
+            skipped += n_skipped * n4
+            boundary += (base.size - n_skipped - n_feasible) * n4
+            if not n_feasible:
+                continue
+            evaluated += n_feasible * n4
+
+            # The d4 bound of dr_bound over the block, rate pairs down and
+            # side-target pairs across.
+            a, b = np.array([_side_ratios(d1s, d2, d3) for d2, d3 in sides]).T
+            ab = a * b
+            sqrt_pi = np.sqrt((1.0 - a) * (1.0 - b))
+            one_plus = 1.0 + sqrt_pi
+            c = (a + b - ab) / one_plus
+            s = [math.exp(-2.0 * rs) for rs in rate_sums]
+            s_col = np.array(s, dtype=float)[:, None]
+            exponents = [-2.0 * rt.total() for rt in rates]
+            numerators = [sx2 * math.exp(e) for e in exponents]
+            delta = ab - s_col
+            dtol = FEASIBILITY_RTOL * np.maximum(ab, s_col)
+            refused = (ab < sys.float_info.min) | (delta < -3.0 * dtol)
+            delta = np.maximum(np.where(np.abs(delta) <= dtol, 0.0, delta), 0.0)
+            sqrt_delta = np.sqrt(delta)
+            den = np.where(sqrt_delta >= sqrt_pi, 1.0,
+                           (c + sqrt_delta) * (one_plus - sqrt_delta))
+            refused = feasible & (refused | (den <= 0.0))
+
+            # The raising calls of a per-point loop, in its order: the scalar
+            # bound at each refused point, and each side pair's rd_bound row
+            # just after the bound at the pair's first feasible point.
+            uses = feasible.sum(axis=0).tolist()
+            first = (feasible.argmax(axis=0) * n_sides + np.arange(n_sides)).tolist()
+            events = sorted([(first[k], 1, k) for k in range(n_sides) if uses[k]]
+                            + [(i, 0, i) for i in np.flatnonzero(refused).tolist()])
+            sum_bounds = np.full((n_sides, n4), np.nan)
+            keys: list[list[str]] = [[] for _ in sides]
+            for _, is_row, index in events:
+                if is_row:
+                    d2, d3 = sides[index]
+                    for j, d4 in enumerate(d4_values):
+                        rd = rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))
+                        sum_bounds[index, j] = rd.sum_bound
+                        keys[index].append(rd.regime.value)
+                        regime_counts.setdefault(rd.regime.value, 0)
+                else:
+                    p, k = divmod(index, n_sides)
+                    ak, bk = a[k].item(), b[k].item()
+                    den[p, k] = _penalty_den(ak, bk, _pi_delta(ak, bk, s[p])[1])
+            for k, n in enumerate(uses):
+                for key in keys[k]:
+                    regime_counts[key] += n
+
+            bound = np.array(numerators)[:, None] / den
+            for p, numerator in enumerate(numerators):
+                if numerator < sys.float_info.min:
+                    # The numerator has left the normal range, though the
+                    # quotient need not have.
+                    for k in np.flatnonzero(feasible[p]).tolist():
+                        d4_bound = _exp_quotient(sx2, exponents[p], den[p, k].item())
+                        if not d4_bound and n4:
+                            raise InvalidRegimeInput(
+                                f"d4 bound underflows to 0 at rates "
+                                f"{rates[p].as_tuple()}; the margin "
+                                f"(d4 - d4_bound)/d4_bound is undefined")
+                        bound[p, k] = d4_bound
+
+            # Verdicts one d4 column at a time, so memory stays that of a block.
+            found = []
+            for j, d4 in enumerate(d4_values):
+                m_dr = (d4 - bound) / bound
+                m_rd = rate_sum_col - sum_bounds[:, j]
+                dr_in = m_dr > tol
+                rd_in = m_rd > tol
+                decided = feasible & (dr_in | (m_dr < -tol)) & (rd_in | (m_rd < -tol))
+                split = decided & (dr_in != rd_in)
+                n_decided = int(np.count_nonzero(decided))
+                n_in = int(np.count_nonzero(decided & dr_in & rd_in))
+                boundary += n_feasible - n_decided
+                in_both += n_in
+                out_both += n_decided - n_in - int(np.count_nonzero(split))
+                found += [i * n4 + j for i in np.flatnonzero(split).tolist()]
+            for index in sorted(found):
+                point, j = divmod(index, n4)
+                p, k = divmod(point, n_sides)
+                d4, d4_bound = d4_values[j], bound[p, k].item()
+                report.mismatches.append({
+                    "rates": rates[p].as_tuple(),
+                    "d": (None if d1 is UNCONSTRAINED else d1, *sides[k], d4),
+                    "dr_margin": (d4 - d4_bound) / d4_bound,
+                    "rd_margin": rate_sums[p] - sum_bounds[k, j].item(),
+                    "regime": keys[k][j],
+                })
     report.evaluated, report.skipped_infeasible = evaluated, skipped
     report.boundary, report.in_both, report.out_both = boundary, in_both, out_both
     return report

@@ -116,3 +116,33 @@ def test_scalar_path_modules_import_no_numpy_at_load(name):
             if target.split(".")[0] == "numpy"
             or (target.startswith(".") and target[1:].split(".")[0] not in NUMPY_FREE)]
     assert not offending, f"{name}.py loads at import (line, module): {offending}"
+
+
+#: The one function on the scalar path that may load numpy, when it is called.
+NUMPY_IMPORTERS = {("regions", "equivalence_scan")}
+
+
+def _numpy_imports(node: ast.AST, function: str | None = None):
+    """(innermost enclosing function or ``None``, line) of each import of
+    numpy under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            targets = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            targets = [child.module]
+        else:
+            yield from _numpy_imports(child, function)
+            continue
+        if any(target.split(".")[0] == "numpy" for target in targets):
+            yield function, child.lineno
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_scalar_path_modules_import_numpy_only_in_the_scan(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    offending = [(line, function) for function, line in _numpy_imports(tree)
+                 if (name, function) not in NUMPY_IMPORTERS]
+    assert not offending, f"{name}.py imports numpy in (line, function): {offending}"

@@ -557,12 +557,53 @@ def _floor_band_grid():
     return source, grid
 
 
+def _high_rate_grid():
+    # var exp(-2 (r1+r2+r3+r4)) ~ exp(-722) lies below the normal range, so
+    # the d4 bound goes through _exp_quotient; the side targets sit near
+    # d1* / 2, where the penalty is of order 1.
+    source = GaussianSource(variance=1.0)
+    d1s = math.exp(-600.0)
+    bound = math.exp(-722.0)
+    grid = GridSpec(
+        r1_values=(300.0,), r4_values=(60.0,), d1_values=(UNCONSTRAINED,),
+        d2_values=tuple(d1s * c for c in (0.4, 0.5, 0.6)),
+        d3_values=tuple(d1s * c for c in (0.45, 0.55, 0.7)),
+        r2_values=(0.3, 0.6), r3_values=(0.4, 0.7),
+        d4_values=tuple(bound * c for c in (0.3, 0.7, 1.5, 3.0, 6.0)),
+    )
+    return source, grid
+
+
+def _extreme_variance_grid(variance: float):
+    source = GaussianSource(variance)
+    return source, default_grid(source, 3)
+
+
+def _degenerate_grid():
+    # Side targets near d1* at high side rates: delta = ab - exp(-2 (r2+r3))
+    # exceeds pi = (1-a)(1-b), so sqrt(delta) >= sqrt(pi) and the penalty is
+    # 1; the lowest targets keep some points non-degenerate.
+    source = GaussianSource(variance=2.0)
+    d1s = 2.0 * math.exp(-2.0 * 0.2)
+    grid = GridSpec(
+        r1_values=(0.2,), r4_values=(0.0, 0.1), d1_values=(UNCONSTRAINED,),
+        d2_values=tuple(d1s * c for c in (0.5, 0.85, 0.99, 1.2)),
+        d3_values=tuple(d1s * c for c in (0.45, 0.9, 0.98)),
+        r2_values=(0.5, 1.5, 3.0), r3_values=(0.4, 1.2, 2.5),
+        d4_values=tuple(d1s * c for c in (0.005, 0.02, 0.05, 0.1, 0.3)),
+    )
+    return source, grid
+
+
 @pytest.mark.parametrize("make_grid", [
     lambda: _jittered_grid(11), lambda: _jittered_grid(12),
     lambda: _jittered_grid(13), _float_d1_grid, _duplicated_axes_grid,
-    _floor_band_grid,
+    _floor_band_grid, _high_rate_grid,
+    lambda: _extreme_variance_grid(1e-300),
+    lambda: _extreme_variance_grid(1e300), _degenerate_grid,
 ], ids=["jittered-11", "jittered-12", "jittered-13", "float-d1",
-        "duplicated-axes", "floor-band"])
+        "duplicated-axes", "floor-band", "high-rate", "variance-1e-300",
+        "variance-1e300", "degenerate"])
 def test_equivalence_scan_matches_a_per_point_reference(make_grid):
     source, grid = make_grid()
     report = equivalence_scan(source, grid)
@@ -586,14 +627,38 @@ def test_equivalence_scan_covers_the_floor_band_and_low_d1():
         source, dataclasses.replace(grid, d1_values=(UNCONSTRAINED,))).evaluated
 
 
+def test_equivalence_scan_kernel_branches_are_reached(monkeypatch):
+    calls = Counter()
+    quotient = regions._exp_quotient
+
+    def counted(*args):
+        calls["_exp_quotient"] += 1
+        return quotient(*args)
+
+    monkeypatch.setattr(regions, "_exp_quotient", counted)
+    source, grid = _high_rate_grid()
+    assert equivalence_scan(source, grid).evaluated > 0
+    assert calls["_exp_quotient"] > 0
+    source, grid = _degenerate_grid()
+    regimes = Counter(
+        dr_bound(source, RateTuple(r1, r2, r3, r4), d1, d2, d3).regime
+        for r1, r4, d1, r2, r3, d2, d3 in itertools.product(
+            grid.r1_values, grid.r4_values, grid.d1_values, grid.r2_values,
+            grid.r3_values, grid.d2_values, grid.d3_values)
+        if feasible_individual(source, RateTuple(r1, r2, r3, r4),
+                               DistortionTuple(d1, d2, d3, grid.d4_values[0])))
+    assert regimes[Regime.DEGENERATE_PI_LESS_DELTA] > 0
+    assert regimes[Regime.NON_DEGENERATE] > 0
+
+
 def test_equivalence_scan_reports_mismatches_in_reference_order(monkeypatch):
-    dr = regions.dr_bound
+    rd = regions.rd_bound
 
-    def inflated(*args):
-        res = dr(*args)
-        return dataclasses.replace(res, d4_bound=1.3 * res.d4_bound)
+    def shifted(*args):
+        res = rd(*args)
+        return dataclasses.replace(res, sum_bound=0.9 * res.sum_bound + 0.01)
 
-    monkeypatch.setattr(regions, "dr_bound", inflated)
+    monkeypatch.setattr(regions, "rd_bound", shifted)
     source = GaussianSource(variance=1.0)
     grid = default_grid(source, 4)
     report = equivalence_scan(source, grid)
@@ -601,6 +666,12 @@ def test_equivalence_scan_reports_mismatches_in_reference_order(monkeypatch):
     assert report.mismatch_count > 0
     assert report.mismatches == expected.mismatches
     assert report == expected
+    # Python scalars, not numpy ones, so that reports serialize as JSON.
+    for mismatch in report.mismatches:
+        assert type(mismatch["dr_margin"]) is float
+        assert type(mismatch["rd_margin"]) is float
+        assert all(type(v) is float for v in mismatch["rates"])
+        assert all(v is None or type(v) is float for v in mismatch["d"])
 
 
 def test_equivalence_scan_bound_calls_follow_the_grid_structure(monkeypatch):
@@ -619,15 +690,84 @@ def test_equivalence_scan_bound_calls_follow_the_grid_structure(monkeypatch):
     source = GaussianSource(variance=1.0)
     g = default_grid(source, 4)
     equivalence_scan(source, g)
+    # The d4 bound comes from the array kernel, never from dr_bound.
+    assert calls["dr_bound"] == 0
     # rd_bound does not read (r2, r3): at most one call per value it reads.
     assert 0 < calls["rd_bound"] <= (
         len(g.r1_values) * len(g.r4_values) * len(g.d1_values)
         * len(g.d2_values) * len(g.d3_values) * len(g.d4_values))
-    # dr_bound does not read d4: at most one call per feasible point without it.
-    feasible = sum(
-        feasible_individual(source, RateTuple(r1, r2, r3, r4),
-                            DistortionTuple(d1, d2, d3, g.d4_values[0]))
-        for r1, r4, d1, r2, r3, d2, d3 in itertools.product(
-            g.r1_values, g.r4_values, g.d1_values, g.r2_values, g.r3_values,
-            g.d2_values, g.d3_values))
-    assert 0 < calls["dr_bound"] <= feasible
+
+
+def _malformed(**axes):
+    def make():
+        source = GaussianSource(variance=1.0)
+        return source, dataclasses.replace(default_grid(source, 3), **axes)
+    return make
+
+
+def _grid_values(field: str, *extra: float):
+    return getattr(default_grid(GaussianSource(variance=1.0), 3), field) + extra
+
+
+@pytest.mark.parametrize("make_grid, raises", [
+    (_malformed(r1_values=(-0.1, 0.35)), ValueError),
+    (_malformed(r3_values=(0.17, -0.3)), ValueError),
+    (_malformed(d4_values=_grid_values("d4_values", -0.1)), ValueError),
+    (_malformed(d4_values=_grid_values("d4_values", math.nan)), ValueError),
+    (_malformed(d4_values=_grid_values("d4_values", math.inf)), ValueError),
+    (_malformed(d2_values=(math.nan,) + _grid_values("d2_values")), None),
+    (_malformed(d3_values=_grid_values("d3_values", 0.0)), None),
+    (_malformed(d1_values=()), None),
+    (_malformed(r2_values=()), None),
+    (_malformed(d4_values=()), None),
+    # d1* = exp(-800) underflows to 0, so the side ratios are undefined.
+    (_malformed(r1_values=(400.0,)), InvalidRegimeInput),
+    # Subnormal side targets clear floors that have underflowed, but
+    # a b = d2 d3 / d1*^2 lies below the normal range.
+    (_malformed(d2_values=(1e-300,), d3_values=(1e-300,),
+                r2_values=(400.0,), r3_values=(400.0,)), InvalidRegimeInput),
+], ids=["negative-r1", "negative-r3", "negative-d4", "nan-d4", "inf-d4",
+        "nan-d2", "zero-d3", "empty-d1", "empty-r2", "empty-d4",
+        "underflowed-d1-floor", "underflowed-side-product"])
+def test_equivalence_scan_on_malformed_grids(make_grid, raises):
+    source, grid = make_grid()
+    if raises is not None:
+        with pytest.raises(raises):
+            _reference_scan(source, grid)
+        with pytest.raises(raises):
+            equivalence_scan(source, grid)
+        return
+    report = equivalence_scan(source, grid)
+    assert report == _reference_scan(source, grid)
+    assert (report.evaluated + report.skipped_infeasible + report.boundary
+            == grid.total_points())
+
+
+def test_equivalence_scan_refuses_an_underflowed_d4_bound():
+    # var exp(-2 (r1+r2+r3+r4)) = exp(-762) / den lies below the subnormal
+    # range, so d4_bound is 0 and the margin (d4 - d4_bound)/d4_bound has
+    # no value.
+    d1s = math.exp(-600.0)
+    grid = GridSpec(
+        r1_values=(300.0,), r4_values=(80.0,), d1_values=(UNCONSTRAINED,),
+        d2_values=(0.5 * d1s,), d3_values=(0.5 * d1s,), r2_values=(0.5,),
+        r3_values=(0.5,), d4_values=(1e-300,))
+    source = GaussianSource(variance=1.0)
+    with pytest.raises(InvalidRegimeInput, match="underflows"):
+        equivalence_scan(source, grid)
+    empty = equivalence_scan(source, dataclasses.replace(grid, d4_values=()))
+    assert empty == EquivalenceReport()
+
+
+def test_equivalence_scan_pins_the_k10_report_and_its_types():
+    source = GaussianSource(variance=1.0)
+    report = equivalence_scan(source, default_grid(source, 10))
+    assert (report.evaluated, report.skipped_infeasible, report.boundary,
+            report.in_both, report.out_both, report.mismatch_count) \
+        == (239_620, 160_380, 0, 198_919, 40_701, 0)
+    assert list(report.regime_counts.items()) == [
+        ("rd-low", 112_719), ("rd-excess", 33_364), ("rd-slack", 93_537)]
+    counts = [report.evaluated, report.skipped_infeasible, report.boundary,
+              report.in_both, report.out_both, *report.regime_counts.values()]
+    assert all(type(n) is int for n in counts)
+
