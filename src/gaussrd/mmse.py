@@ -10,7 +10,10 @@
   :func:`mc_estimate_mse` samples it.
 
 The Monte Carlo path uses ``numpy.random.default_rng`` (the PCG64 generator),
-so a fixed seed yields reproducible streams across platforms.
+so a fixed seed yields reproducible streams across platforms.  It streams the
+draws through one reused block of :data:`MC_CHUNK` rows and keeps only the
+squared residuals; its results are bit for bit those of drawing every sample
+in one array.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 #: Invertibility threshold for observed sub-blocks, relative to their trace.
 OBSERVATION_RTOL = 1e-12
+#: Rows of the block the Monte Carlo draws stream through (8192 x 6 doubles
+#: is 393 KB, inside a core's L2 cache).
+MC_CHUNK = 8192
 
 # Variable order used by :func:`assemble_msr_covariance`.
 IDX_X = 0        # the source
@@ -173,21 +179,35 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     factorization (eigenvalues clamped at zero), applies the analytic MMSE
     coefficients, and returns the empirical mean squared error together with
     the standard error of that mean.
+
+    The draws stream through one reused ``(MC_CHUNK, dim)`` block of the
+    ``default_rng(seed)`` stream; only the squared residuals outlive a block.
+    Peak memory is then two arrays of ``samples`` doubles (the residuals and
+    the standard deviation's temporary) plus about 1.2 MB of per-block
+    arrays, about 16 MB at 10^6 samples.  Each block goes through the same
+    operations, in the same order, as the whole array would, and the mean and
+    standard deviation run over all residuals at once, so the result is bit
+    for bit that of drawing every sample in one array.  ``samples`` must be an
+    int of at least 1000 (:class:`ValueError` otherwise).
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an int, got {samples!r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a stable error bar, got {samples}")
     est = conditional_mmse(joint, target_index, observed_indices)
     w, v = np.linalg.eigh(joint.entries)
     w = np.clip(w, 0.0, None)
     factor = v * np.sqrt(w)
+    observed = list(est.observed_indices)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((samples, joint.dim))
-    draws = z @ factor.T
-    if est.observed_indices:
-        predicted = draws[:, list(est.observed_indices)] @ est.coefficients
-    else:
-        predicted = 0.0
-    sq = (draws[:, target_index] - predicted) ** 2
+    block = np.empty((MC_CHUNK, joint.dim))
+    sq = np.empty(samples)
+    for start in range(0, samples, MC_CHUNK):
+        z = block[:samples - start]
+        rng.standard_normal(out=z)
+        draws = z @ factor.T
+        predicted = draws[:, observed] @ est.coefficients if observed else 0.0
+        sq[start:start + len(z)] = (draws[:, target_index] - predicted) ** 2
     estimate = float(sq.mean())
     std_error = float(sq.std(ddof=1) / math.sqrt(samples))
     return estimate, std_error

@@ -10,6 +10,10 @@ and ``delta`` is snapped to 0 within ``FEASIBILITY_RTOL * max(ab, s)``.
 :func:`invert_dr_sum_rate` is a plain double-precision bisection that
 inverts the distortion-rate bound for the sum rate, independently of the
 closed-form sum bound of :func:`gaussrd.regions.rd_bound`.
+
+:func:`mc_estimate_mse_unchunked` is the Monte Carlo estimator in its
+original whole-array form; the library streams the same draws through a
+fixed block and must return exactly its result.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 
 from gaussrd.errors import InfeasibleDistortion
+from gaussrd.mmse import conditional_mmse
 from gaussrd.model import FEASIBILITY_RTOL
 
 DPS = 50
@@ -166,3 +172,23 @@ def invert_dr_sum_rate(source, r1: float, d2: float, d3: float,
         else:
             lo = mid
     return -0.5 * math.log(0.5 * (lo + hi))
+
+
+def mc_estimate_mse_unchunked(joint, target_index, observed_indices,
+                              samples, seed):
+    """``gaussrd.mmse.mc_estimate_mse`` drawing every sample in one array."""
+    est = conditional_mmse(joint, target_index, observed_indices)
+    w, v = np.linalg.eigh(joint.entries)
+    w = np.clip(w, 0.0, None)
+    factor = v * np.sqrt(w)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((samples, joint.dim))
+    draws = z @ factor.T
+    if est.observed_indices:
+        predicted = draws[:, list(est.observed_indices)] @ est.coefficients
+    else:
+        predicted = 0.0
+    sq = (draws[:, target_index] - predicted) ** 2
+    estimate = float(sq.mean())
+    std_error = float(sq.std(ddof=1) / math.sqrt(samples))
+    return estimate, std_error

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussrd import (
     CovarianceMatrix,
@@ -20,8 +22,10 @@ from gaussrd import (
 )
 from gaussrd.channel import TestChannel as ForwardChannel
 from gaussrd.mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_U4, IDX_X, IDX_XPRIME,
-                          _msr_distortions)
+                          MC_CHUNK, _msr_distortions)
+from gaussrd.selfcheck import sample_feasible_instance
 
+import oracle
 from conftest import make_rng, random_psd_matrix
 
 
@@ -256,3 +260,75 @@ def test_mc_estimate_matches_layered_channel_distortion():
     estimate, stderr = mc_estimate_mse(
         cov, IDX_XPRIME, (IDX_U2, IDX_U3, IDX_U4), samples=300_000, seed=13)
     assert abs(estimate - analytic) <= 4.0 * stderr
+
+
+def test_mc_estimate_rejects_non_integer_sample_counts():
+    cov = CovarianceMatrix(np.eye(2))
+    for samples in (2e5, 180_000.0, True, "20000", None):
+        with pytest.raises(ValueError, match="samples"):
+            mc_estimate_mse(cov, 0, (1,), samples=samples, seed=1)
+    assert (mc_estimate_mse(cov, 0, (1,), samples=np.int64(20_000), seed=1)
+            == mc_estimate_mse(cov, 0, (1,), samples=20_000, seed=1))
+
+
+def _channel_covariance(variance: float, seed: int) -> CovarianceMatrix:
+    """Covariance of the first sampled instance whose channel exists; zero
+    rates (pure-noise rows) are drawn too."""
+    source = GaussianSource(variance)
+    rng = make_rng(seed)
+    while True:
+        rates, d2, d3 = sample_feasible_instance(rng, max_rate=2.0)
+        try:
+            channel = construct_channel(source, rates, d2 * variance,
+                                        d3 * variance)
+        except OutOfRegime:
+            continue
+        return assemble_msr_covariance(source, channel)
+
+
+@st.composite
+def mc_problems(draw):
+    """``(joint, target, observed)`` on a channel covariance at a variance
+    in [1e-3, 1e3], or on a 2x2 covariance."""
+    if draw(st.booleans()):
+        a = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+        c = draw(st.floats(-0.99, 0.99))
+        b = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+        joint = CovarianceMatrix(np.array([[a, c * math.sqrt(a * b)],
+                                           [c * math.sqrt(a * b), b]]))
+        target = draw(st.sampled_from((0, 1)))
+        return joint, target, draw(st.sampled_from(((), (1 - target,))))
+    variance = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    joint = _channel_covariance(variance, draw(st.integers(0, 2**32 - 1)))
+    target = draw(st.sampled_from((IDX_X, IDX_XPRIME)))
+    observed = draw(st.sampled_from((
+        (), (IDX_U1,), (IDX_U1, IDX_U2), (IDX_U1, IDX_U3),
+        (IDX_U1, IDX_U2, IDX_U3, IDX_U4), (IDX_U4, IDX_U2, IDX_U3))))
+    return joint, target, observed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(problem=mc_problems(),
+       samples=st.sampled_from((1000, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1,
+                                3 * MC_CHUNK + 17, 180_000)),
+       seed=st.integers(0, 2**63 - 1))
+def test_mc_estimate_streams_the_unchunked_draws_bit_for_bit(problem, samples,
+                                                             seed):
+    joint, target, observed = problem
+    assert (mc_estimate_mse(joint, target, observed, samples, seed)
+            == oracle.mc_estimate_mse_unchunked(joint, target, observed,
+                                                samples, seed))
+
+
+def test_mc_estimate_peak_memory_stays_near_the_residual_array():
+    # 10^6 squared residuals take 8 MB and the standard deviation one more
+    # array of that size; drawing all samples in one array takes ~130 MB.
+    cov = _channel_covariance(1.0, 11)
+    tracemalloc.start()
+    try:
+        mc_estimate_mse(cov, IDX_X, (IDX_U1, IDX_U2, IDX_U3, IDX_U4),
+                        samples=1_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -11,7 +12,9 @@ from gaussrd import (
     RateTuple,
     converse_witness,
     feasible_individual,
+    selfcheck,
 )
+from gaussrd.mmse import conditional_mmse
 from gaussrd.model import DistortionTuple, UNCONSTRAINED
 from gaussrd.selfcheck import (
     run_verification,
@@ -19,6 +22,7 @@ from gaussrd.selfcheck import (
     sample_witness_instance,
 )
 
+import oracle
 from conftest import make_rng
 
 
@@ -77,3 +81,29 @@ def test_run_verification_is_reproducible():
     assert first == second
     other_seed = run_verification(variance=1.0, seed=100, grid_density=2)
     assert other_seed["checks"] != first["checks"]
+
+
+def test_run_verification_report_equals_the_unchunked_estimator(monkeypatch):
+    streamed = run_verification(seed=12345, grid_density=6)
+    monkeypatch.setattr(selfcheck, "mc_estimate_mse",
+                        oracle.mc_estimate_mse_unchunked)
+    unchunked = run_verification(seed=12345, grid_density=6)
+    assert (json.dumps(streamed, sort_keys=True)
+            == json.dumps(unchunked, sort_keys=True))
+
+
+@pytest.mark.parametrize("offset, worst, passed",
+                         [(0.0, 0.0, True), (1e-3, math.inf, False)])
+def test_monte_carlo_zero_error_bar_passes_only_an_exact_estimate(
+        monkeypatch, offset, worst, passed):
+    def estimator(joint, target, observed, samples, seed):
+        analytic = conditional_mmse(joint, target, observed).error_variance
+        return analytic * (1.0 + offset), 0.0
+
+    monkeypatch.setattr(selfcheck, "mc_estimate_mse", estimator)
+    report = run_verification(seed=12345, grid_density=2)
+    check = report["checks"][-1]
+    assert check["name"] == "monte-carlo"
+    assert check["worst_residual"] == worst
+    assert check["passed"] is passed
+    assert report["all_passed"] is passed
