@@ -182,12 +182,12 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
 
     The draws stream through one reused ``(MC_CHUNK, dim)`` block of the
     ``default_rng(seed)`` stream; only the squared residuals outlive a block.
-    Peak memory is then two arrays of ``samples`` doubles (the residuals and
-    the standard deviation's temporary) plus about 1.2 MB of per-block
-    arrays, about 16 MB at 10^6 samples.  Each block goes through the same
-    operations, in the same order, as the whole array would, and the mean and
-    standard deviation run over all residuals at once, so the result is bit
-    for bit that of drawing every sample in one array.  ``samples`` must be an
+    Peak memory is then one array of ``samples`` doubles plus about 1.2 MB of
+    per-block arrays, about 9 MB at 10^6 samples.  Each block goes through
+    the same operations, in the same order, as the whole array would; the
+    mean and standard deviation run over all residuals at once, the latter in
+    place but with numpy's own operation sequence, so the result is bit for
+    bit that of drawing every sample in one array.  ``samples`` must be an
     int of at least 1000 (:class:`ValueError` otherwise).
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
@@ -208,9 +208,12 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
         draws = z @ factor.T
         predicted = draws[:, observed] @ est.coefficients if observed else 0.0
         sq[start:start + len(z)] = (draws[:, target_index] - predicted) ** 2
-    estimate = float(sq.mean())
-    std_error = float(sq.std(ddof=1) / math.sqrt(samples))
-    return estimate, std_error
+    mean = sq.mean()
+    # ``sq.std(ddof=1)``'s own steps, run in place of its full-size temporary.
+    sq -= mean
+    sq *= sq
+    std_error = math.sqrt(sq.sum() / (samples - 1)) / math.sqrt(samples)
+    return float(mean), std_error
 
 
 def _residual_variance(sx2: float, s1: float) -> float:

@@ -27,8 +27,12 @@ def run_python(*argv: str, stdin: str | None = None, env: dict | None = None):
     paths = [str(Path(cli.__file__).resolve().parents[1]),
              full_env.get("PYTHONPATH", "")]
     full_env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    if env:
-        full_env.update(env)
+    # A value of None removes the variable.
+    for key, value in (env or {}).items():
+        if value is None:
+            full_env.pop(key, None)
+        else:
+            full_env[key] = value
     proc = subprocess.run(
         [sys.executable, *argv],
         input=stdin, capture_output=True, text=True, env=full_env,
@@ -342,6 +346,23 @@ def test_verify_seed_env_variable_equals_flag():
     assert via_env.returncode == via_flag.returncode == 0
     assert via_env.stdout == via_flag.stdout
     assert json.loads(via_env.stdout)["seed"] == 777
+
+
+def test_verify_output_does_not_depend_on_blas_threads():
+    pinned = run_cli("verify", "--seed", "7",
+                     env={"OPENBLAS_NUM_THREADS": "1"})
+    unpinned = run_cli("verify", "--seed", "7",
+                       env={"OPENBLAS_NUM_THREADS": None})
+    assert pinned.returncode == unpinned.returncode == 0, unpinned.stderr
+    assert pinned.stdout == unpinned.stdout
+
+
+def test_importing_selfcheck_loads_no_executor():
+    # Only the Monte Carlo check of ``verify`` runs the thread pool.
+    proc = run_python("-c", "import sys, gaussrd.cli, gaussrd.selfcheck\n"
+                            "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_verify_failure_maps_to_exit_code_three(monkeypatch, capsys):

@@ -321,8 +321,8 @@ def test_mc_estimate_streams_the_unchunked_draws_bit_for_bit(problem, samples,
 
 
 def test_mc_estimate_peak_memory_stays_near_the_residual_array():
-    # 10^6 squared residuals take 8 MB and the standard deviation one more
-    # array of that size; drawing all samples in one array takes ~130 MB.
+    # 10^6 squared residuals take 8 MB and the standard error is formed in
+    # place; drawing all samples in one array takes ~130 MB.
     cov = _channel_covariance(1.0, 11)
     tracemalloc.start()
     try:
@@ -331,4 +331,4 @@ def test_mc_estimate_peak_memory_stays_near_the_residual_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert peak < 12e6

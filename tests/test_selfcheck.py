@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 
 import pytest
 
@@ -14,7 +16,9 @@ from gaussrd import (
     feasible_individual,
     selfcheck,
 )
-from gaussrd.mmse import conditional_mmse
+import gaussrd.cli as cli
+from gaussrd.errors import SingularObservation
+from gaussrd.mmse import IDX_U1, IDX_U3, conditional_mmse
 from gaussrd.model import DistortionTuple, UNCONSTRAINED
 from gaussrd.selfcheck import (
     run_verification,
@@ -107,3 +111,51 @@ def test_monte_carlo_zero_error_bar_passes_only_an_exact_estimate(
     assert check["worst_residual"] == worst
     assert check["passed"] is passed
     assert report["all_passed"] is passed
+
+
+@pytest.mark.parametrize("seed", [12345, 7])
+def test_monte_carlo_report_does_not_depend_on_the_worker_count(monkeypatch,
+                                                                seed):
+    texts = []
+    for workers in (1, 16):
+        monkeypatch.setattr(selfcheck, "_worker_count", lambda trials: workers)
+        threads = threading.active_count()
+        report = run_verification(seed=seed, grid_density=6)
+        # The pool's threads are joined before the call returns.
+        assert threading.active_count() == threads
+        texts.append(json.dumps(report, sort_keys=True))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("workers", [1, 16])
+def test_a_failing_monte_carlo_trial_raises_its_own_error(monkeypatch, capsys,
+                                                          workers):
+    # At grid density 2 the only (U1, U3) trial is the third one.
+    def estimator(joint, target, observed, samples, seed):
+        if tuple(observed) == (IDX_U1, IDX_U3):
+            raise SingularObservation("third trial")
+        return conditional_mmse(joint, target, observed).error_variance, 1.0
+
+    monkeypatch.setattr(selfcheck, "mc_estimate_mse", estimator)
+    monkeypatch.setattr(selfcheck, "_worker_count", lambda trials: workers)
+    threads = threading.active_count()
+    with pytest.raises(SingularObservation, match="third trial"):
+        run_verification(seed=12345, grid_density=2)
+    assert cli.main(["verify", "--grid-density", "2"]) == cli.EXIT_INFEASIBLE
+    assert "third trial" in capsys.readouterr().err
+    assert threading.active_count() == threads
+
+
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    expected = json.dumps(run_verification(seed=12345, grid_density=2),
+                          sort_keys=True)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert selfcheck._worker_count(8) == 3
+    assert selfcheck._worker_count(2) == 2
+    assert (json.dumps(run_verification(seed=12345, grid_density=2),
+                       sort_keys=True) == expected)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert selfcheck._worker_count(8) == 1
+    assert (json.dumps(run_verification(seed=12345, grid_density=2),
+                       sort_keys=True) == expected)
