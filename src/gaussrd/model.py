@@ -61,6 +61,12 @@ def _require_finite_number(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_rate(name: str, value: float) -> None:
+    _require_finite_number(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class GaussianSource:
     """Memoryless Gaussian source, characterized by its variance."""
@@ -84,9 +90,7 @@ class RateTuple:
 
     def __post_init__(self) -> None:
         for name, value in zip(("r1", "r2", "r3", "r4"), self.as_tuple()):
-            _require_finite_number(name, value)
-            if value < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            _require_rate(name, value)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.r1, self.r2, self.r3, self.r4)

@@ -27,17 +27,24 @@ from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
 from .model import (FEASIBILITY_RTOL, LN2, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, Unconstrained,
-                    _checked_d1_star, _margin)
+                    _checked_d1_star, _margin, _require_rate)
 
 #: Relative half-width of the band around regime boundaries inside which the
 #: adjacent branches are reconciled instead of trusted blindly.
 BOUNDARY_RTOL = 1e-9
 
 
-def rate_to_reach(ratio: float) -> float:
-    """Rate (nats) required to bring a distortion ratio down to ``ratio``."""
+def rate_to_reach(ratio: float, name: str = "ratio") -> float:
+    """Rate (nats) required to bring a distortion ratio down to ``ratio``.
+
+    A ratio of 0 is a quotient that underflowed, which no finite rate
+    reaches: it raises :class:`InvalidRegimeInput` naming the ratio.
+    """
     if ratio >= 1.0:
         return 0.0
+    if ratio == 0.0:
+        raise InvalidRegimeInput(
+            f"{name} underflows to 0; no finite rate brings a distortion there")
     return -0.5 * math.log(ratio)
 
 
@@ -304,6 +311,9 @@ def _excess_term(a: float, b: float, z: float) -> float:
     return max(-0.5 * math.log(_penalty_den(a_rel, b_rel, a_rel * b_rel)), 0.0)
 
 
+_Z_NAME = "z = d4 exp(2 r4)/d1_star"
+
+
 def rd_bound(source: GaussianSource, r1: float, r4: float,
              dist) -> RdBoundResult:
     """Rate requirements on (r2, r3) for the targets in ``dist``.
@@ -334,15 +344,15 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     for name, value in (("d2", dist.d2), ("d3", dist.d3), ("d4", dist.d4)):
         if not value > 0:
             raise InfeasibleDistortion(f"{name} must be positive, got {value}")
-    r1_star = rate_to_reach(d1_eff / sx2)
+    r1_star = rate_to_reach(d1_eff / sx2, "d1/var")
     if r1 < r1_star * (1.0 - FEASIBILITY_RTOL) - 1e-15:
         raise InfeasibleDistortion(
             f"r1={r1} below the first-layer requirement {r1_star}"
         )
     d1s = sx2 * math.exp(-2.0 * r1)
     a, b = _side_ratios(d1s, dist.d2, dist.d3)
-    r2_bound = rate_to_reach(a)
-    r3_bound = rate_to_reach(b)
+    r2_bound = rate_to_reach(a, "a = d2_hat/d1_star")
+    r3_bound = rate_to_reach(b, "b = d3_hat/d1_star")
     try:
         d4_hat = dist.d4 * math.exp(2.0 * r4)
     except OverflowError:
@@ -378,11 +388,11 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     elif near(low_thr) or 0.0 < low_thr and z < low_thr:
         # Both branches are continuous across the low threshold and the
         # excess term is nonnegative, so inside its band R(z) is the weaker.
-        regime, sum_bound = Regime.RD_LOW, rate_to_reach(z)
+        regime, sum_bound = Regime.RD_LOW, rate_to_reach(z, _Z_NAME)
     else:
         regime = Regime.RD_EXCESS
         excess = _excess_term(a, b, z)
-        sum_bound = rate_to_reach(z) + excess
+        sum_bound = rate_to_reach(z, _Z_NAME) + excess
     return RdBoundResult(r1_star, r2_bound, r3_bound, d4_hat, sum_bound,
                          excess, regime)
 
@@ -462,6 +472,84 @@ def default_grid(source: GaussianSource, points_per_axis: int) -> GridSpec:
     )
 
 
+#: ``rd_bound``'s sum-rate regimes, indexed by the codes of :func:`_rd_block`.
+_RD_REGIMES = (Regime.RD_LOW.value, Regime.RD_SLACK.value, Regime.RD_EXCESS.value)
+
+
+def _positive_float(value) -> bool:
+    return isinstance(value, float) and 0.0 < value < math.inf
+
+
+def _rd_block(np, sx2: float, r1: float, r4: float, d1: float | Unconstrained,
+              grid: GridSpec, a, b):
+    """``rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))`` over a
+    block of ``grid``, bit for bit: the ``sum_bound`` and the regime code (an
+    index into :data:`_RD_REGIMES`) of each side pair ``(d2, d3)`` in
+    ``itertools.product`` order (rows, at the ratios ``a``, ``b``) and each
+    ``d4`` (columns), and a mask of the rows that only ``rd_bound`` may
+    evaluate.
+
+    Those are the rows where ``rd_bound`` could raise (a target that is not a
+    finite positive float, ``r1`` below ``r1_star``, ``exp(2 r4)``
+    overflowing, ``z = 0``, the threshold order violated, an excess
+    denominator not positive) and those that reach the harmonic corner band,
+    where it cross-checks two branches.  Every ``log`` and ``exp`` comes from
+    :mod:`math`: ``exp(2 r4)`` once, ``z`` and ``R(z)`` once per ``d4``, the
+    excess term's ``log`` once per excess entry.  numpy, passed in as ``np``,
+    applies only ``+ - * / abs sqrt max``, comparisons and ``where``, in the
+    operation order of :func:`rd_bound` and :func:`_penalty_den`.
+    """
+    d4_values = grid.d4_values
+    shape = (len(a), len(d4_values))
+    refused = np.ones(shape[0], dtype=bool)
+    sums, codes = np.zeros(shape), np.zeros(shape, dtype=np.intp)
+    if not ((d1 is UNCONSTRAINED or _positive_float(d1))
+            and all(map(_positive_float, d4_values))):
+        return sums, codes, refused
+    try:
+        r1_star = rate_to_reach((sx2 if d1 is UNCONSTRAINED else min(d1, sx2)) / sx2)
+        e4 = math.exp(2.0 * r4)
+    except (InvalidRegimeInput, OverflowError):
+        return sums, codes, refused
+    d1s = sx2 * math.exp(-2.0 * r1)
+    zs = [d4 * e4 / d1s for d4 in d4_values]
+    if r1 < r1_star * (1.0 - FEASIBILITY_RTOL) - 1e-15 or 0.0 in zs:
+        return sums, codes, refused
+    z, rz = np.array(zs), np.array([rate_to_reach(v) for v in zs])
+
+    ab = a * b
+    low = (ab - (1.0 - a) * (1.0 - b))[:, None]
+    harm = (ab / (a + b - ab))[:, None]
+    clean = np.logical_and.outer([_positive_float(d2) for d2 in grid.d2_values],
+                                 [_positive_float(d3) for d3 in grid.d3_values])
+    refused = (~clean.ravel() | ~(a > 0.0) | ~(b > 0.0)
+               | (low[:, 0] > harm[:, 0] * (1.0 + FEASIBILITY_RTOL)))
+    # The branch tests of rd_bound, in its if/elif order; the codes index
+    # _RD_REGIMES (low 0, slack 1, excess 2).
+    to_harm = np.abs(z - harm)
+    slack = ((harm > 0.0) & (to_harm <= BOUNDARY_RTOL * np.maximum(z, harm))) | (z > harm)
+    refused |= (slack & (to_harm <= 1e-12 * harm) & (low < z)).any(axis=1)
+    low_band = (low > 0.0) & ((np.abs(z - low) <= BOUNDARY_RTOL * np.maximum(z, low))
+                              | (z < low))
+    codes = np.where(slack, 1, np.where(low_band, 0, 2))
+    sums = np.where(slack, 0.0, rz)
+
+    # _excess_term over the excess entries with z < 1; at z >= 1 it is 0.
+    rows, cols = np.nonzero(~(slack | low_band) & (z < 1.0))
+    zr = z[cols]
+    a_rel = np.maximum(a[rows] - zr, 0.0) / (1.0 - zr)
+    b_rel = np.maximum(b[rows] - zr, 0.0) / (1.0 - zr)
+    sqrt_pi, sqrt_delta = np.sqrt((1.0 - a_rel) * (1.0 - b_rel)), np.sqrt(a_rel * b_rel)
+    den = np.where(sqrt_delta >= sqrt_pi, 1.0,
+                   ((a_rel + b_rel - a_rel * b_rel) / (1.0 + sqrt_pi) + sqrt_delta)
+                   * (1.0 + sqrt_pi - sqrt_delta))
+    positive = den > 0.0
+    refused[rows[~positive]] = True
+    excess = [max(-0.5 * math.log(v), 0.0) for v in np.where(positive, den, 1.0).tolist()]
+    sums[rows, cols] = rz[cols] + np.array(excess)
+    return sums, codes, refused
+
+
 def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceReport:
     """Classify every grid point by both characterizations and reconcile.
 
@@ -472,44 +560,53 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     within a relative band of ``1e-9`` around either boundary are recorded as
     boundary points rather than disagreements.
 
-    Each ``(r1, r4, d1)`` block is one array kernel over its (rate pair x
-    side-target pair) points.  Every ``exp`` comes from per-axis tables built
-    with :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and ``var
-    exp(-2 total)``); numpy applies only ``+ - * / sqrt min max`` to them, in
-    the operation order of :func:`_pi_delta` and :func:`_penalty_den`, so the
-    bound equals :func:`dr_bound`'s bit for bit.  Points the scalar forms
-    would refuse are re-run through them, which raise with their own
-    messages, and a numerator below the normal range goes through
+    Each ``(r1, r4, d1)`` block runs two array kernels.  The first gives the
+    d4 bound of every (rate pair x side-target pair) point.  Every ``exp``
+    comes from per-axis tables built with :mod:`math` (the floors,
+    ``exp(-2 (r2+r3))`` and ``var exp(-2 total)``); numpy applies only ``+ -
+    * / sqrt min max`` to them, in the operation order of :func:`_pi_delta`
+    and :func:`_penalty_den`, so the bound equals :func:`dr_bound`'s bit for
+    bit.  A numerator below the normal range goes through
     :func:`_exp_quotient`; a bound that underflows to 0 raises
-    :class:`InvalidRegimeInput`, since its margin has no value.  ``rd_bound``
-    does not read ``(r2, r3)``: it runs once per ``(r1, r4, d1, d2, d3, d4)``,
-    at the pair's first feasible ``(r2, r3)``, so the regime keys and the
-    first raise come in the order of a per-point loop.  Verdicts are taken
+    :class:`InvalidRegimeInput`, since its margin has no value.  The second,
+    :func:`_rd_block`, gives ``rd_bound``'s sum bound and regime for every
+    (side-target pair x d4) entry, which is all ``rd_bound`` reads.  Points
+    and rows that the scalar forms would refuse are re-run through them at
+    the position where a per-point loop first meets them (a row at its
+    pair's first feasible ``(r2, r3)``), so the errors, the first raise and
+    the order of the regime keys are a per-point loop's.  Verdicts are taken
     one ``d4`` column at a time.  numpy is imported here, not when the
     module loads.
     """
     import numpy as np
 
     report = EquivalenceReport()
+    if not grid.total_points():
+        return report
     regime_counts = report.regime_counts
     sx2 = source.variance
     tol = BOUNDARY_RTOL
     r2_values, r3_values = grid.r2_values, grid.r3_values
     d2_values, d3_values, d4_values = grid.d2_values, grid.d3_values, grid.d4_values
+    for name, values in (("r2", r2_values), ("r3", r3_values)):
+        for value in values:
+            _require_rate(name, value)
     n4 = len(d4_values)
     sides = list(itertools.product(d2_values, d3_values))
     n_sides = len(sides)
     rate_pairs = list(itertools.product(r2_values, r3_values))
     rate_sums = [r2 + r3 for r2, r3 in rate_pairs]
     rate_sum_col = np.array(rate_sums, dtype=float)[:, None]
+    regime_index = np.arange(len(_RD_REGIMES))
     skipped = boundary = in_both = out_both = evaluated = 0
     blocks = itertools.product(grid.r1_values, grid.r4_values, grid.d1_values)
     # Entries off the feasible mask may divide by 0 or overflow; none is read.
     with np.errstate(all="ignore"):
         for r1, r4, d1 in blocks:
+            _require_rate("r1", r1)
+            _require_rate("r4", r4)
             d1s = sx2 * math.exp(-2.0 * r1)
             m1 = _margin(d1, d1s)
-            rates = [RateTuple(r1, r2, r3, r4) for r2, r3 in rate_pairs]
             m2 = np.array([[_margin(d2, d1s * math.exp(-2.0 * r2)) for d2 in d2_values]
                            for r2 in r2_values], dtype=float)
             m3 = np.array([[_margin(d3, d1s * math.exp(-2.0 * r3)) for d3 in d3_values]
@@ -535,7 +632,7 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
             c = (a + b - ab) / one_plus
             s = [math.exp(-2.0 * rs) for rs in rate_sums]
             s_col = np.array(s, dtype=float)[:, None]
-            exponents = [-2.0 * rt.total() for rt in rates]
+            exponents = [-2.0 * (r1 + r2 + r3 + r4) for r2, r3 in rate_pairs]
             numerators = [sx2 * math.exp(e) for e in exponents]
             delta = ab - s_col
             dtol = FEASIBILITY_RTOL * np.maximum(ab, s_col)
@@ -545,30 +642,34 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
             den = np.where(sqrt_delta >= sqrt_pi, 1.0,
                            (c + sqrt_delta) * (one_plus - sqrt_delta))
             refused = feasible & (refused | (den <= 0.0))
+            sum_bounds, codes, rd_refused = _rd_block(np, sx2, r1, r4, d1, grid, a, b)
 
             # The raising calls of a per-point loop, in its order: the scalar
             # bound at each refused point, and each side pair's rd_bound row
-            # just after the bound at the pair's first feasible point.
-            uses = feasible.sum(axis=0).tolist()
+            # just after the bound at the pair's first feasible point, where
+            # the loop also meets the row's regime keys first.
+            uses = feasible.sum(axis=0)
             first = (feasible.argmax(axis=0) * n_sides + np.arange(n_sides)).tolist()
-            events = sorted([(first[k], 1, k) for k in range(n_sides) if uses[k]]
+            events = sorted([(first[k], 1, k) for k in np.flatnonzero(uses).tolist()]
                             + [(i, 0, i) for i in np.flatnonzero(refused).tolist()])
-            sum_bounds = np.full((n_sides, n4), np.nan)
-            keys: list[list[str]] = [[] for _ in sides]
             for _, is_row, index in events:
-                if is_row:
+                if not is_row:
+                    p, k = divmod(index, n_sides)
+                    ak, bk = a[k].item(), b[k].item()
+                    den[p, k] = _penalty_den(ak, bk, _pi_delta(ak, bk, s[p])[1])
+                    continue
+                if rd_refused[index]:
                     d2, d3 = sides[index]
                     for j, d4 in enumerate(d4_values):
                         rd = rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))
                         sum_bounds[index, j] = rd.sum_bound
-                        keys[index].append(rd.regime.value)
-                        regime_counts.setdefault(rd.regime.value, 0)
-                else:
-                    p, k = divmod(index, n_sides)
-                    ak, bk = a[k].item(), b[k].item()
-                    den[p, k] = _penalty_den(ak, bk, _pi_delta(ak, bk, s[p])[1])
-            for k, n in enumerate(uses):
-                for key in keys[k]:
+                        codes[index, j] = _RD_REGIMES.index(rd.regime.value)
+                if len(regime_counts) < len(_RD_REGIMES):
+                    for code in codes[index].tolist():
+                        regime_counts.setdefault(_RD_REGIMES[code], 0)
+            per_regime = uses @ (codes[:, :, None] == regime_index).sum(axis=1)
+            for key, n in zip(_RD_REGIMES, per_regime.tolist()):
+                if n:
                     regime_counts[key] += n
 
             bound = np.array(numerators)[:, None] / den
@@ -578,10 +679,10 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
                     # quotient need not have.
                     for k in np.flatnonzero(feasible[p]).tolist():
                         d4_bound = _exp_quotient(sx2, exponents[p], den[p, k].item())
-                        if not d4_bound and n4:
+                        if not d4_bound:
                             raise InvalidRegimeInput(
                                 f"d4 bound underflows to 0 at rates "
-                                f"{rates[p].as_tuple()}; the margin "
+                                f"{(r1, *rate_pairs[p], r4)}; the margin "
                                 f"(d4 - d4_bound)/d4_bound is undefined")
                         bound[p, k] = d4_bound
 
@@ -605,11 +706,11 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
                 p, k = divmod(point, n_sides)
                 d4, d4_bound = d4_values[j], bound[p, k].item()
                 report.mismatches.append({
-                    "rates": rates[p].as_tuple(),
+                    "rates": (r1, *rate_pairs[p], r4),
                     "d": (None if d1 is UNCONSTRAINED else d1, *sides[k], d4),
                     "dr_margin": (d4 - d4_bound) / d4_bound,
                     "rd_margin": rate_sums[p] - sum_bounds[k, j].item(),
-                    "regime": keys[k][j],
+                    "regime": _RD_REGIMES[codes[k, j]],
                 })
     report.evaluated, report.skipped_infeasible = evaluated, skipped
     report.boundary, report.in_both, report.out_both = boundary, in_both, out_both

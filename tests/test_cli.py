@@ -496,11 +496,20 @@ def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
     ["loss", "--r3", "1", "--r1-grid", "0:400:3"],
     ["asymptote", "--b", "1e308", "--r-grid", "1,2"],
     ["sweep-wz-md", "--r1", "400", "--points", "3"],
-], ids=["dr-bound", "rd-bound", "rd-bound-r4", "loss", "asymptote", "sweep-wz-md"])
+    ["rd-bound", "--var", "1e10", "--r1", "0", "--r4", "0",
+     "--d", "inf,0.5,0.5,5e-324"],
+    ["rd-bound", "--var", "1e10", "--r1", "0", "--r4", "0",
+     "--d", "inf,1e-320,0.5,0.1"],
+    ["rd-bound", "--var", "1e10", "--r1", "0", "--r4", "0",
+     "--d", "1e-320,0.5,0.5,0.1"],
+], ids=["dr-bound", "rd-bound", "rd-bound-r4", "loss", "asymptote", "sweep-wz-md",
+        "rd-bound-z", "rd-bound-a", "rd-bound-d1"])
 def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
     # d1_star = exp(-800) underflows to zero at r1 = 400 nats; exp(2 r4) at
     # r4 = 400, exp(2 alpha r1) at alpha r1 = 400 and 4 b at b = 1e308
-    # overflow.  None of them leaves as an internal error (exit 4).
+    # overflow; at variance 1e10 the ratios z = d4/d1_star, a = d2/d1_star
+    # and d1/var underflow to zero.  None of them leaves as an internal
+    # error (exit 4) or a bare ValueError.
     code = cli.main(argv)
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 2

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussrd import (
     DistortionTuple,
@@ -409,6 +410,8 @@ def test_rate_to_reach_basics():
     assert rate_to_reach(1.0) == 0.0
     assert rate_to_reach(0.5) == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
     assert rate_to_reach(2.0) == 0.0  # ratios above one need no rate
+    with pytest.raises(InvalidRegimeInput, match="d1/var underflows"):
+        rate_to_reach(0.0, "d1/var")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +475,9 @@ def test_equivalence_scan_counts_infeasible_points():
 def _reference_scan(source, grid) -> EquivalenceReport:
     """The scan as a plain loop: ``dr_bound`` and ``rd_bound`` are called for
     every grid point, through the module so that a patched bound reaches
-    both this loop and :func:`equivalence_scan`."""
+    both this loop and :func:`equivalence_scan`.  A d4 bound that underflows
+    to 0 leaves its margin undefined, which the scan refuses with
+    :class:`InvalidRegimeInput`; so does this loop."""
     report = EquivalenceReport()
     tol = regions.BOUNDARY_RTOL
     for r1, r4, d1, r2, r3, d2, d3, d4 in itertools.product(
@@ -488,6 +493,8 @@ def _reference_scan(source, grid) -> EquivalenceReport:
             report.boundary += 1
             continue
         d4_bound = regions.dr_bound(source, rates, d1, d2, d3).d4_bound
+        if not d4_bound:
+            raise InvalidRegimeInput(f"d4 bound underflows to 0 at {rates}")
         rd = regions.rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))
         key = rd.regime.value
         report.evaluated += 1
@@ -595,15 +602,72 @@ def _degenerate_grid():
     return source, grid
 
 
+#: At r1 = r4 = 0 and unit variance, rd_bound's ``z`` is ``d4`` and its
+#: ``(a, b)`` is ``(d2, d3)``.  The side pair (0.5, 0.6) has its harmonic
+#: threshold ``ab/(a + b - ab)`` at 0.375, and (0.7, 0.8) its low threshold
+#: ``ab - (1-a)(1-b)`` at 0.5.
+HARMONIC_THR = 0.5 * 0.6 / (0.5 + 0.6 - 0.5 * 0.6)
+LOW_THR = 0.7 * 0.8 - (1.0 - 0.7) * (1.0 - 0.8)
+
+
+def _threshold_grid(threshold: float, *factors: float):
+    source = GaussianSource(variance=1.0)
+    grid = GridSpec(
+        r1_values=(0.0,), r4_values=(0.0,), d1_values=(UNCONSTRAINED,),
+        d2_values=(0.5, 0.7), d3_values=(0.6, 0.8),
+        r2_values=(0.4, 0.9), r3_values=(0.3, 1.1),
+        d4_values=tuple(threshold * c for c in factors),
+    )
+    return source, grid
+
+
+def _harmonic_corner_grid():
+    # Within 1e-12 of the harmonic threshold: the corner band, where
+    # rd_bound cross-checks two branches.
+    return _threshold_grid(HARMONIC_THR, 1.0 - 5e-13, 1.0, 1.0 + 5e-13)
+
+
+def _harmonic_band_grid():
+    # Outside the corner band: within the 1e-9 band around the harmonic
+    # threshold, and outside it.
+    return _threshold_grid(HARMONIC_THR, 1.0 - 3e-9, 1.0 - 8e-10, 1.0 + 8e-10,
+                           1.0 + 3e-9)
+
+
+def _low_band_grid():
+    # Within and outside the 1e-9 band around the low threshold.
+    return _threshold_grid(LOW_THR, 1.0 - 3e-9, 1.0 - 8e-10, 1.0, 1.0 + 8e-10,
+                           1.0 + 3e-9)
+
+
+def _z_at_least_one_grid():
+    # z = d4 exp(2 r4)/d1_star from just below 1 to past it.
+    return _threshold_grid(1.0, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.7)
+
+
+def _first_layer_rate_grid():
+    # At r1 = 0, a float d1 at or above the variance gives r1_star = R(1) =
+    # 0, exactly r1; at r1 = 0.35, a d1 just above d1_star gives r1_star
+    # just below r1.
+    source = GaussianSource(variance=3.0)
+    d1s = 3.0 * math.exp(-2.0 * 0.35)
+    grid = dataclasses.replace(default_grid(source, 3), d1_values=(
+        3.0 * (1.0 + 2e-9), 4.5, d1s * (1.0 + 2e-9), d1s * 1.3))
+    return source, grid
+
+
 @pytest.mark.parametrize("make_grid", [
     lambda: _jittered_grid(11), lambda: _jittered_grid(12),
     lambda: _jittered_grid(13), _float_d1_grid, _duplicated_axes_grid,
     _floor_band_grid, _high_rate_grid,
     lambda: _extreme_variance_grid(1e-300),
     lambda: _extreme_variance_grid(1e300), _degenerate_grid,
+    _harmonic_corner_grid, _harmonic_band_grid, _low_band_grid,
+    _z_at_least_one_grid, _first_layer_rate_grid,
 ], ids=["jittered-11", "jittered-12", "jittered-13", "float-d1",
         "duplicated-axes", "floor-band", "high-rate", "variance-1e-300",
-        "variance-1e300", "degenerate"])
+        "variance-1e300", "degenerate", "harmonic-corner", "harmonic-band", "low-band",
+        "z-at-least-one", "r1-at-r1-star"])
 def test_equivalence_scan_matches_a_per_point_reference(make_grid):
     source, grid = make_grid()
     report = equivalence_scan(source, grid)
@@ -651,14 +715,67 @@ def test_equivalence_scan_kernel_branches_are_reached(monkeypatch):
     assert regimes[Regime.NON_DEGENERATE] > 0
 
 
+def test_rd_kernel_branches_are_reached(monkeypatch):
+    calls, outputs = Counter(), []
+    rd, kernel = regions.rd_bound, regions._rd_block
+
+    def counted(*args):
+        calls["rd_bound"] += 1
+        return rd(*args)
+
+    def captured(*args):
+        outputs.append(kernel(*args))
+        return outputs[-1]
+
+    def scan(make_grid):
+        calls.clear()
+        outputs.clear()
+        source, grid = make_grid()
+        assert equivalence_scan(source, grid).evaluated > 0
+        return grid
+
+    monkeypatch.setattr(regions, "rd_bound", counted)
+    monkeypatch.setattr(regions, "_rd_block", captured)
+    # Side pairs in product order: (0.5, 0.6), (0.5, 0.8), (0.7, 0.6) and
+    # (0.7, 0.8).  Only the harmonic corner row goes back to rd_bound.
+    grid = scan(_harmonic_corner_grid)
+    assert [refused.tolist() for _, _, refused in outputs] == [
+        [True, False, False, False]]
+    assert calls["rd_bound"] == len(grid.d4_values)
+    # Inside the harmonic threshold's band the sum is slack on both sides;
+    # inside the low threshold's band, R(z) alone holds on both sides.
+    for make_grid, row, regimes in (
+            (_harmonic_band_grid, 0, ["rd-excess", "rd-slack", "rd-slack",
+                                      "rd-slack"]),
+            (_low_band_grid, 3, ["rd-low", "rd-low", "rd-low", "rd-low",
+                                 "rd-excess"])):
+        scan(make_grid)
+        (_, codes, refused), = outputs
+        assert not refused.any() and calls["rd_bound"] == 0
+        assert [regions._RD_REGIMES[c] for c in codes[row].tolist()] == regimes
+    # At z >= 1, and at r1 on or just above r1_star, the kernel decides.
+    for make_grid in (_z_at_least_one_grid, _first_layer_rate_grid):
+        scan(make_grid)
+        assert not any(refused.any() for _, _, refused in outputs)
+        assert calls["rd_bound"] == 0
+    scan(_z_at_least_one_grid)
+    (_, codes, _), = outputs
+    assert (codes == regions._RD_REGIMES.index("rd-slack")).all()
+
+
 def test_equivalence_scan_reports_mismatches_in_reference_order(monkeypatch):
-    rd = regions.rd_bound
+    rd, kernel = regions.rd_bound, regions._rd_block
 
     def shifted(*args):
         res = rd(*args)
         return dataclasses.replace(res, sum_bound=0.9 * res.sum_bound + 0.01)
 
+    def shifted_kernel(*args):
+        sum_bounds, codes, refused = kernel(*args)
+        return 0.9 * sum_bounds + 0.01, codes, refused
+
     monkeypatch.setattr(regions, "rd_bound", shifted)
+    monkeypatch.setattr(regions, "_rd_block", shifted_kernel)
     source = GaussianSource(variance=1.0)
     grid = default_grid(source, 4)
     report = equivalence_scan(source, grid)
@@ -692,15 +809,13 @@ def test_equivalence_scan_bound_calls_follow_the_grid_structure(monkeypatch):
     equivalence_scan(source, g)
     # The d4 bound comes from the array kernel, never from dr_bound.
     assert calls["dr_bound"] == 0
-    # rd_bound does not read (r2, r3): at most one call per value it reads.
-    assert 0 < calls["rd_bound"] <= (
-        len(g.r1_values) * len(g.r4_values) * len(g.d1_values)
-        * len(g.d2_values) * len(g.d3_values) * len(g.d4_values))
+    # Nor does the sum bound come from rd_bound on a grid it would not refuse.
+    assert calls["rd_bound"] == 0
 
 
-def _malformed(**axes):
+def _malformed(variance: float = 1.0, **axes):
     def make():
-        source = GaussianSource(variance=1.0)
+        source = GaussianSource(variance=variance)
         return source, dataclasses.replace(default_grid(source, 3), **axes)
     return make
 
@@ -726,16 +841,28 @@ def _grid_values(field: str, *extra: float):
     # a b = d2 d3 / d1*^2 lies below the normal range.
     (_malformed(d2_values=(1e-300,), d3_values=(1e-300,),
                 r2_values=(400.0,), r3_values=(400.0,)), InvalidRegimeInput),
+    (_malformed(d4_values=_grid_values("d4_values", 0.0)), InfeasibleDistortion),
+    # Infinite targets clear every floor, then fail DistortionTuple.
+    (_malformed(d1_values=(UNCONSTRAINED, math.inf)), ValueError),
+    (_malformed(d2_values=_grid_values("d2_values", math.inf)), ValueError),
+    # z = d4 exp(2 r4)/d1_star underflows to 0 at d1_star > 2.
+    (_malformed(variance=10.0, d4_values=(0.5, 5e-324)), InvalidRegimeInput),
+    # exp(2 r4) overflows; the d4 bound 1e300 exp(-800 - ...) does not
+    # underflow.
+    (_malformed(variance=1e300, r4_values=(0.0, 400.0)), InvalidRegimeInput),
 ], ids=["negative-r1", "negative-r3", "negative-d4", "nan-d4", "inf-d4",
         "nan-d2", "zero-d3", "empty-d1", "empty-r2", "empty-d4",
-        "underflowed-d1-floor", "underflowed-side-product"])
+        "underflowed-d1-floor", "underflowed-side-product", "zero-d4",
+        "inf-d1", "inf-d2", "underflowed-z", "overflowing-exp-2r4"])
 def test_equivalence_scan_on_malformed_grids(make_grid, raises):
     source, grid = make_grid()
     if raises is not None:
-        with pytest.raises(raises):
+        with pytest.raises(raises) as expected:
             _reference_scan(source, grid)
-        with pytest.raises(raises):
+        with pytest.raises(raises) as raised:
             equivalence_scan(source, grid)
+        # The per-point loop's first error, message included.
+        assert str(raised.value) == str(expected.value)
         return
     report = equivalence_scan(source, grid)
     assert report == _reference_scan(source, grid)
@@ -771,3 +898,46 @@ def test_equivalence_scan_pins_the_k10_report_and_its_types():
               report.in_both, report.out_both, *report.regime_counts.values()]
     assert all(type(n) is int for n in counts)
 
+
+
+@st.composite
+def _random_grids(draw):
+    """A grid of up to 3 values per axis: variance 1e-300 to 1e300, rates
+    0 to 40 nats.  Each value is drawn either close in (targets a multiple
+    of the variance up to about 1, rates below 0.5 nats), where the three
+    sum-rate regimes meet, or across the whole range (targets log-uniform
+    down to 1e-40 or 1e-80 of the variance)."""
+    variance = 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    def axis(values):
+        return tuple(draw(st.lists(values, min_size=1, max_size=3)))
+
+    def targets(top: float, steps: int, decades: float):
+        # Either a multiple of top/steps or log-uniform over the decades.
+        return st.one_of(st.integers(1, steps).map(lambda i: top * i / steps),
+                         st.floats(-decades, 0.1).map(lambda e: 10.0 ** e)
+                         ).map(lambda x: variance * x)
+
+    rates = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 40.0))
+    grid = GridSpec(
+        r1_values=axis(rates), r4_values=axis(rates),
+        d1_values=axis(st.one_of(st.just(UNCONSTRAINED), targets(1.2, 12, 40.0))),
+        d2_values=axis(targets(0.8, 16, 40.0)),
+        d3_values=axis(targets(0.8, 16, 40.0)),
+        r2_values=axis(rates), r3_values=axis(rates),
+        d4_values=axis(targets(1.2, 240, 80.0)))
+    return GaussianSource(variance), grid
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_random_grids())
+def test_equivalence_scan_matches_the_reference_on_random_grids(case):
+    source, grid = case
+    try:
+        expected = _reference_scan(source, grid)
+    except Exception as exc:  # noqa: BLE001 - the scan must raise the same
+        with pytest.raises(Exception) as raised:
+            equivalence_scan(source, grid)
+        assert type(raised.value) is type(exc)
+        return
+    assert equivalence_scan(source, grid) == expected
