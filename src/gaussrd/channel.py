@@ -90,24 +90,10 @@ def _checked_inputs(source: GaussianSource, rates: RateTuple, d2: float, d3: flo
     return d1s, a, b, s, *_pi_delta(a, b, s)
 
 
-def construct_channel(source: GaussianSource, rates: RateTuple,
-                      d2: float, d3: float) -> TestChannel:
-    """Noise variances and correlation that meet ``(d1_star, d2, d3)`` exactly.
-
-    Requires the non-degenerate regime (``pi >= delta`` up to rounding); in
-    the degenerate one call :func:`degenerate_adjust` first.  The refinement
-    correlation is ``rho = -sqrt(1 - d1_star^2 exp(-2 (r2+r3)) / (d2 d3))``,
-    which is zero exactly when ``delta = 0`` (both targets at their floors).
-    The noise variances and ``d4_star`` are computed relative to
-    ``d1_star``, so products like ``d2 d3`` never underflow at high ``r1``.
-    """
-    d1s, a, b, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
-    # The adjusted boundary case lands at pi == delta up to rounding.
-    if degenerate:
-        raise OutOfRegime(
-            f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
-        )
-
+def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float
+             ) -> TestChannel:
+    """The channel of :func:`construct_channel` at ``d1_star = d1s``, the
+    side ratios ``a``, ``b`` and ``s = exp(-2 (r2+r3))``, unchecked."""
     # d1_star / (1 - exp(-2 r1)) = d1_star var / (var - d1_star), free of
     # the product that over- or underflows at extreme variances.
     sigma1_sq = math.inf if rates.r1 == 0.0 else d1s / -math.expm1(-2.0 * rates.r1)
@@ -134,6 +120,41 @@ def construct_channel(source: GaussianSource, rates: RateTuple,
     return TestChannel(sigma1_sq, d1s * t2, d1s * t3, sigma4_sq, rho, d4_star)
 
 
+def construct_channel(source: GaussianSource, rates: RateTuple,
+                      d2: float, d3: float) -> TestChannel:
+    """Noise variances and correlation that meet ``(d1_star, d2, d3)`` exactly.
+
+    Requires the non-degenerate regime (``pi >= delta`` up to rounding); in
+    the degenerate one call :func:`degenerate_adjust` first.  The refinement
+    correlation is ``rho = -sqrt(1 - d1_star^2 exp(-2 (r2+r3)) / (d2 d3))``,
+    which is zero exactly when ``delta = 0`` (both targets at their floors).
+    The noise variances and ``d4_star`` are computed relative to
+    ``d1_star``, so products like ``d2 d3`` never underflow at high ``r1``.
+    """
+    d1s, a, b, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
+    # The adjusted boundary case lands at pi == delta up to rounding.
+    if degenerate:
+        raise OutOfRegime(
+            f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
+        )
+    return _channel(rates, d1s, a, b, s)
+
+
+def _adjust(rates: RateTuple, d1s: float, s: float, d2: float, d3: float
+            ) -> DegenerateAdjustment:
+    """The targets of :func:`degenerate_adjust` at ``d1_star = d1s`` and
+    ``s = exp(-2 (r2+r3))``, unchecked."""
+    floor2 = d1s * math.exp(-2.0 * rates.r2)
+    floor3 = d1s * math.exp(-2.0 * rates.r3)
+    target_sum = d1s * (1.0 + s)
+    span = (d2 - floor2) + (d3 - floor3)
+    # delta > pi forces d2 + d3 > target_sum >= floor2 + floor3, so span > 0.
+    shrink = (target_sum - floor2 - floor3) / span
+    d2p = floor2 + shrink * (d2 - floor2)
+    d3p = floor3 + shrink * (d3 - floor3)
+    return DegenerateAdjustment(d2p, d3p)
+
+
 def degenerate_adjust(source: GaussianSource, rates: RateTuple,
                       d2: float, d3: float) -> DegenerateAdjustment:
     """Shrink over-generous side targets onto the degeneracy boundary.
@@ -152,15 +173,7 @@ def degenerate_adjust(source: GaussianSource, rates: RateTuple,
             f"adjustment needs pi < delta beyond rounding, got pi={pi}, "
             f"delta={delta}"
         )
-    floor2 = d1s * math.exp(-2.0 * rates.r2)
-    floor3 = d1s * math.exp(-2.0 * rates.r3)
-    target_sum = d1s * (1.0 + s)
-    span = (d2 - floor2) + (d3 - floor3)
-    # delta > pi forces d2 + d3 > target_sum >= floor2 + floor3, so span > 0.
-    shrink = (target_sum - floor2 - floor3) / span
-    d2p = floor2 + shrink * (d2 - floor2)
-    d3p = floor3 + shrink * (d3 - floor3)
-    return DegenerateAdjustment(d2p, d3p)
+    return _adjust(rates, d1s, s, d2, d3)
 
 
 def certify_achievability(source: GaussianSource, rates: RateTuple,
@@ -180,11 +193,19 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     """
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
     d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
+    s = math.exp(-2.0 * (rates.r2 + rates.r3))
+    a, b = d2c / d1s, d3c / d1s
     adjustment = None
     if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
-        adjustment = degenerate_adjust(source, rates, d2c, d3c)
+        adjustment = _adjust(rates, d1s, s, d2c, d3c)
         d2c, d3c = adjustment.d2_prime, adjustment.d3_prime
-    channel = construct_channel(source, rates, d2c, d3c)
+        a, b = _side_ratios(d1s, d2c, d3c)
+        pi, delta, degenerate = _pi_delta(a, b, s)
+        if degenerate:
+            raise OutOfRegime(
+                f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
+            )
+    channel = _channel(rates, d1s, a, b, s)
     achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
     ach_d1, ach_d4 = achieved.d1, achieved.d4
     closed_d4 = math.exp(-2.0 * rates.r4) * channel.d4_star

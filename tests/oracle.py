@@ -14,6 +14,11 @@ closed-form sum bound of :func:`gaussrd.regions.rd_bound`.
 :func:`mc_estimate_mse_unchunked` is the Monte Carlo estimator in its
 original whole-array form; the library streams the same draws through a
 fixed block and must return exactly its result.
+
+:func:`ld_channel_distortions` is the certification chain in its original
+form, each double converted by ``numpy.longdouble(x)``; the library feeds
+the same chain without the scalar constructor and must return exactly its
+result.
 """
 
 from __future__ import annotations
@@ -134,6 +139,28 @@ def mp_channel_distortions(var, channel):
             info23 = (s2 + s3 - 2 * cov) / (s2 * s3 - cov * cov)
         return (1 / info1, 1 / (info1 + 1 / s2), 1 / (info1 + 1 / s3),
                 1 / (info1 + info23 + 1 / s4))
+
+
+def ld_channel_distortions(sx2, channel):
+    """``gaussrd.mmse._msr_distortions``'s chain of ``v s / (v + s)``
+    updates, each double converted by ``numpy.longdouble(x)`` and each
+    infinity tested on the converted value."""
+    def update(v, s):
+        return v if math.isinf(s) else v * s / (v + s)
+
+    s1, s2, s3, s4 = (np.longdouble(s) for s in (
+        channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq,
+        channel.sigma4_sq))
+    d1 = update(np.longdouble(sx2), s1)
+    if math.isinf(s2) or math.isinf(s3):
+        innovation = s3
+    else:
+        rho = np.longdouble(channel.rho)
+        gain = 1 - rho * np.sqrt(s3 / s2)
+        innovation = s3 * (1 - rho) * (1 + rho) / (gain * gain)
+    v2 = update(d1, s2)
+    d4 = update(update(v2, innovation), s4)
+    return float(d1), float(v2), float(update(d1, s3)), float(d4)
 
 
 def invert_dr_sum_rate(source, r1: float, d2: float, d3: float,

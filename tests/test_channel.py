@@ -10,6 +10,7 @@ import pytest
 import gaussrd.cli as cli
 from gaussrd import (
     GaussianSource,
+    GaussRdError,
     InfeasibleDistortion,
     OutOfRegime,
     RateTuple,
@@ -20,6 +21,8 @@ from gaussrd import (
     degenerate_adjust,
     dr_bound,
 )
+
+from gaussrd.selfcheck import sample_feasible_instance
 
 from conftest import GOLDEN_RHO, make_rng
 
@@ -279,6 +282,35 @@ def test_certified_distortion_agrees_with_dr_bound_closed_form():
     record = certify_achievability(source, rates, d2, d3)
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
     assert record.achieved.d4 == pytest.approx(bound.d4_bound, rel=1e-10)
+
+
+def test_certified_channel_is_the_public_construction():
+    # Certification builds its channel from dr_bound's own d1_star, clamped
+    # targets and ratios; that must be the channel the public, checked
+    # functions give, on both paths.
+    rng = make_rng(1409)
+    paths = {False: 0, True: 0}
+    for i in range(3000):
+        rates, d2, d3 = sample_feasible_instance(rng, max_rate=(3.0, 10.0, 40.0)[i % 3])
+        variance = 10.0 ** rng.uniform(-200.0, 200.0)
+        source = GaussianSource(variance)
+        try:
+            record = certify_achievability(source, rates, d2 * variance, d3 * variance)
+        except GaussRdError:
+            continue
+        d2c, d3c = record.bound.d2_hat, record.bound.d3_hat
+        if record.adjustment is not None:
+            assert record.adjustment == degenerate_adjust(source, rates, d2c, d3c)
+            d2c, d3c = record.adjustment.d2_prime, record.adjustment.d3_prime
+            try:
+                expected = construct_channel(source, rates, d2c, d3c)
+            except OutOfRegime:
+                continue
+        else:
+            expected = construct_channel(source, rates, d2c, d3c)
+        assert record.channel == expected
+        paths[record.adjustment is not None] += 1
+    assert min(paths.values()) > 200
 
 
 #: Sampled points (``sample_feasible_instance``, seeds 401, 405, 407 and 410)

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from gaussrd import (
     CovarianceMatrix,
     GaussianSource,
+    GaussRdError,
     OutOfRegime,
     RateTuple,
     SingularObservation,
     assemble_msr_covariance,
     conditional_mmse,
+    certify_achievability,
     construct_channel,
     mc_estimate_mse,
 )
@@ -216,6 +218,26 @@ def test_scalar_chain_matches_conditional_mmse_on_the_assembled_covariance():
             assert value == pytest.approx(matrix, rel=1e-10), obs
         checked += 1
     assert checked >= 25
+
+
+def test_chain_equals_the_longdouble_constructor_form_bit_for_bit():
+    # The chain converts each double by adding it to a longdouble zero; over
+    # certified channels up to 40 nats and across the double range that
+    # must give exactly the numpy.longdouble(x) form.
+    rng = np.random.default_rng(1407)
+    channels = 0
+    while channels < 10_000:
+        rates, d2, d3 = sample_feasible_instance(
+            rng, max_rate=(3.0, 40.0)[channels % 2])
+        variance = 10.0 ** rng.uniform(-300.0, 300.0)
+        try:
+            channel = certify_achievability(GaussianSource(variance), rates,
+                                            d2 * variance, d3 * variance).channel
+        except GaussRdError:
+            continue
+        assert (_msr_distortions(variance, channel)
+                == oracle.ld_channel_distortions(variance, channel)), channel
+        channels += 1
 
 
 # ---------------------------------------------------------------------------
