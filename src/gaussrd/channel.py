@@ -14,7 +14,6 @@ An infinite noise variance encodes a zero-rate description (``sigma1_sq`` at
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import (InfeasibleDistortion, InvalidChannel, OutOfRegime)
@@ -35,6 +34,10 @@ class TestChannel:
 
     ``d4_star`` is the residual variance left for the central refiner after
     observing both side descriptions, i.e. ``E[(X' - E[X'|U2, U3])^2]``.
+    ``q = 1 - rho^2`` is carried exactly as computed, ``d1_star^2
+    exp(-2 (r2+r3)) / (d2 d3)``: rebuilt from the double ``rho``, it would
+    keep only ``eps/q`` of relative accuracy as ``rho`` nears -1, where the
+    side rates are high.  It is exactly 1 when ``rho`` snaps to 0.
     """
 
     sigma1_sq: float
@@ -43,6 +46,7 @@ class TestChannel:
     sigma4_sq: float
     rho: float
     d4_star: float
+    q: float
 
     def __post_init__(self) -> None:
         for name in ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"):
@@ -53,6 +57,8 @@ class TestChannel:
             raise InvalidChannel(f"rho must lie in [-1, 0], got {self.rho}")
         if not (self.d4_star > 0.0 and math.isfinite(self.d4_star)):
             raise InvalidChannel(f"d4_star must be positive finite, got {self.d4_star}")
+        if not 0.0 < self.q <= 1.0:
+            raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -106,18 +112,21 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float
     # yield rho = 0 rather than -sqrt(rounding noise).
     q = s / (a * b)
     rho_sq = 1.0 - q
-    rho = -math.sqrt(rho_sq) if rho_sq > FEASIBILITY_RTOL * max(1.0, q) else 0.0
+    if rho_sq > FEASIBILITY_RTOL * max(1.0, q):
+        rho = -math.sqrt(rho_sq)
+    else:
+        rho, q = 0.0, 1.0
 
     if math.isinf(t2) or math.isinf(t3):
         # A zero-rate side description leaves the other side's distortion.
         rel_d4 = min(a, b)
     else:
-        omega = t2 * t3 * (1.0 - rho * rho)
+        omega = t2 * t3 * q
         rel_d4 = omega / (omega + t2 + t3 - 2.0 * rho * math.sqrt(t2 * t3))
     d4_star = d1s * rel_d4
     sigma4_sq = (math.inf if rates.r4 == 0.0
                  else d4_star / math.expm1(2.0 * rates.r4))
-    return TestChannel(sigma1_sq, d1s * t2, d1s * t3, sigma4_sq, rho, d4_star)
+    return TestChannel(sigma1_sq, d1s * t2, d1s * t3, sigma4_sq, rho, d4_star, q)
 
 
 def construct_channel(source: GaussianSource, rates: RateTuple,
@@ -186,10 +195,9 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     chain of scalar MMSE updates on the returned channel, carried in
     ``numpy.longdouble`` (:func:`gaussrd.mmse._msr_distortions`).  The central
     one is cross-checked against the closed form ``exp(-2 r4) d4_star``
-    within 1e-10 relative, widened to ``4 eps / (1 - rho^2)`` when larger:
-    the closed form's ``1 - rho*rho`` cancels as ``rho`` nears -1.
-    ``matches_bound`` records whether it meets the distortion-rate bound
-    within 1e-9 relative.
+    within 1e-10 relative; both read the channel's exact ``q = 1 - rho^2``,
+    so neither loses digits as ``rho`` nears -1.  ``matches_bound`` records
+    whether it meets the distortion-rate bound within 1e-9 relative.
     """
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
     d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
@@ -209,11 +217,7 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
     ach_d1, ach_d4 = achieved.d1, achieved.d4
     closed_d4 = math.exp(-2.0 * rates.r4) * channel.d4_star
-    tol_rel = CROSSCHECK_RTOL
-    if not (math.isinf(channel.sigma2_sq) or math.isinf(channel.sigma3_sq)):
-        rho, eps = channel.rho, sys.float_info.epsilon
-        tol_rel = max(tol_rel, 4.0 * eps / ((1.0 - rho) * (1.0 + rho)))
-    if abs(ach_d4 - closed_d4) > tol_rel * closed_d4:
+    if abs(ach_d4 - closed_d4) > CROSSCHECK_RTOL * closed_d4:
         raise InvalidChannel(
             f"internal cross-check failed: MMSE d4={ach_d4} vs closed form {closed_d4}"
         )

@@ -154,7 +154,8 @@ def _msr_distortions(sx2: float, channel: "TestChannel"
     doubles.  ``U1`` is independent of ``(X', U2, U3, U4)``, so the chain
     conditions the residual ``X'``; ``U3`` enters through its innovation
     ``U3 - c U2``, ``c = rho sqrt(s3/s2)``, which observes ``(1 - c) X'``
-    through noise of variance ``s3 (1 - rho^2)`` independent of ``U2``.  With
+    through noise of variance ``s3 q`` independent of ``U2``, with the
+    channel's own ``q = 1 - rho^2``.  With
     ``rho <= 0`` every step adds and multiplies positive terms, so nothing
     cancels however far the central distortion sits below ``var(X')``.  An
     infinite noise variance leaves its update out.  No matrix is built.
@@ -166,9 +167,8 @@ def _msr_distortions(sx2: float, channel: "TestChannel"
     if math.isinf(s2) or math.isinf(s3):
         innovation = x3
     else:
-        rho = _LD_ZERO + channel.rho
-        gain = 1 - rho * np.sqrt(x3 / x2)
-        innovation = x3 * (1 - rho) * (1 + rho) / (gain * gain)
+        gain = 1 - (_LD_ZERO + channel.rho) * np.sqrt(x3 / x2)
+        innovation = x3 * (_LD_ZERO + channel.q) / (gain * gain)
     v2 = _ld_residual_variance(d1, x2, s2)
     d4 = _ld_residual_variance(_ld_residual_variance(v2, innovation, s3), x4, s4)
     return (float(d1), float(v2), float(_ld_residual_variance(d1, x3, s3)),

@@ -126,7 +126,9 @@ def mp_channel_distortions(var, channel):
     """``(var(X|U1), var(X|U1,U2), var(X|U1,U3), var(X|U1,U2,U3,U4))`` of a
     forward channel, in the information form: conditional precisions add,
     ``1/var(X'|U) = 1/d1 + 1' K^-1 1`` over the observed noise covariance
-    ``K``.  An infinite noise variance contributes no information."""
+    ``K``, whose correlation is ``-sqrt(1 - q)`` at the channel's exact
+    ``q = 1 - rho^2``.  An infinite noise variance contributes no
+    information."""
     with mpmath.workdps(DPS):
         s1, s2, s3, s4 = (mpmath.mpf(s) for s in (
             channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq,
@@ -135,8 +137,9 @@ def mp_channel_distortions(var, channel):
         if mpmath.isinf(s2) or mpmath.isinf(s3):
             info23 = 1 / s2 + 1 / s3
         else:
-            cov = mpmath.mpf(channel.rho) * mpmath.sqrt(s2 * s3)
-            info23 = (s2 + s3 - 2 * cov) / (s2 * s3 - cov * cov)
+            q = mpmath.mpf(channel.q)
+            cov = -mpmath.sqrt(1 - q) * mpmath.sqrt(s2 * s3)
+            info23 = (s2 + s3 - 2 * cov) / (s2 * s3 * q)
         return (1 / info1, 1 / (info1 + 1 / s2), 1 / (info1 + 1 / s3),
                 1 / (info1 + info23 + 1 / s4))
 
@@ -155,9 +158,8 @@ def ld_channel_distortions(sx2, channel):
     if math.isinf(s2) or math.isinf(s3):
         innovation = s3
     else:
-        rho = np.longdouble(channel.rho)
-        gain = 1 - rho * np.sqrt(s3 / s2)
-        innovation = s3 * (1 - rho) * (1 + rho) / (gain * gain)
+        gain = 1 - np.longdouble(channel.rho) * np.sqrt(s3 / s2)
+        innovation = s3 * np.longdouble(channel.q) / (gain * gain)
     v2 = update(d1, s2)
     d4 = update(update(v2, innovation), s4)
     return float(d1), float(v2), float(update(d1, s3)), float(d4)

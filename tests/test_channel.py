@@ -6,12 +6,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gaussrd.cli as cli
 from gaussrd import (
     GaussianSource,
     GaussRdError,
     InfeasibleDistortion,
+    InvalidRegimeInput,
     OutOfRegime,
     RateTuple,
     Regime,
@@ -388,3 +390,34 @@ def test_certification_is_scale_free_over_the_double_range(variance):
     assert record.channel.sigma1_sq == pytest.approx(d1s / -math.expm1(-2.0),
                                                      rel=1e-15)
     assert record.achieved.d1 == pytest.approx(d1s, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(variance=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+       rates=st.tuples(*[st.floats(0.0, 40.0)] * 4),
+       spent=st.tuples(*[st.floats(0.0, 1.0)] * 2))
+def test_certification_matches_the_bound_or_raises_up_to_40_nats(variance, rates,
+                                                                 spent):
+    # The channel carries q = 1 - rho^2 itself, so rho near -1 (high side
+    # rates) costs no accuracy: every certified point meets the bound.
+    d1s = variance * math.exp(-2.0 * rates[0])
+    d2 = d1s * math.exp(-2.0 * rates[1] * spent[0])
+    d3 = d1s * math.exp(-2.0 * rates[2] * spent[1])
+    try:
+        record = certify_achievability(GaussianSource(variance), RateTuple(*rates),
+                                       d2, d3)
+    except GaussRdError:
+        return
+    assert record.matches_bound, (record.achieved.d4, record.bound.d4_bound)
+
+
+@pytest.mark.parametrize("rates", ["0,7,7,0", "0,10,10,0", "0,20,20,0"])
+def test_channel_cli_certifies_balanced_high_side_rates(capsys, rates):
+    # rho^2 rounds to 1 - 1e-12 at 7 nats and to 1 at 10: rebuilt from rho,
+    # q missed the bound by 1e-5 and then left d4_star at 0.
+    code = cli.main(["channel", "--rates", rates, "--d", "0.5,0.5"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["matches_bound"] is True
+    assert list(out["channel"])[-1] == "q"
+    assert 0.0 < out["channel"]["q"] < 1e-11

@@ -135,7 +135,7 @@ def test_assembled_covariance_hand_oracle_uncorrelated_case():
     source = GaussianSource(variance=1.0)
     base = ForwardChannel(
         sigma1_sq=1.0, sigma2_sq=1.0, sigma3_sq=1.0, sigma4_sq=1.0,
-        rho=0.0, d4_star=0.25)
+        rho=0.0, d4_star=0.25, q=1.0)
     cov = assemble_msr_covariance(source, base).entries
     d1 = 0.5
     assert cov[IDX_X, IDX_X] == 1.0
@@ -170,7 +170,7 @@ def test_assembled_covariance_is_valid_for_extreme_correlation():
         tweaked = ForwardChannel(
             sigma1_sq=channel.sigma1_sq, sigma2_sq=channel.sigma2_sq,
             sigma3_sq=channel.sigma3_sq, sigma4_sq=channel.sigma4_sq,
-            rho=rho, d4_star=channel.d4_star)
+            rho=rho, d4_star=channel.d4_star, q=(1.0 - rho) * (1.0 + rho))
         cov = assemble_msr_covariance(source, tweaked)
         eigvals = np.linalg.eigvalsh(cov.entries)
         assert eigvals.min() >= -1e-10 * eigvals.max()
