@@ -14,9 +14,11 @@ An infinite noise variance encodes a zero-rate description (``sigma1_sq`` at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import (InfeasibleDistortion, InvalidChannel, OutOfRegime)
+from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
+                     OutOfRegime)
 from .mmse import _msr_distortions
 from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, _checked_d1_star)
@@ -96,16 +98,17 @@ def _checked_inputs(source: GaussianSource, rates: RateTuple, d2: float, d3: flo
     return d1s, a, b, s, *_pi_delta(a, b, s)
 
 
-def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float
-             ) -> TestChannel:
+def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float,
+             a_gap: float, b_gap: float) -> TestChannel:
     """The channel of :func:`construct_channel` at ``d1_star = d1s``, the
-    side ratios ``a``, ``b`` and ``s = exp(-2 (r2+r3))``, unchecked."""
+    side ratios ``a``, ``b``, their gaps ``1 - a``, ``1 - b`` and
+    ``s = exp(-2 (r2+r3))``, unchecked."""
     # d1_star / (1 - exp(-2 r1)) = d1_star var / (var - d1_star), free of
     # the product that over- or underflows at extreme variances.
     sigma1_sq = math.inf if rates.r1 == 0.0 else d1s / -math.expm1(-2.0 * rates.r1)
     # t2, t3: sigma2_sq, sigma3_sq relative to d1_star.
-    t2 = math.inf if a >= 1.0 else a / (1.0 - a)
-    t3 = math.inf if b >= 1.0 else b / (1.0 - b)
+    t2 = math.inf if a_gap <= 0.0 else a / a_gap
+    t3 = math.inf if b_gap <= 0.0 else b / b_gap
     # Snap within-rounding values of rho^2 to the exact floor corner: like
     # the delta term of the distortion bound, sqrt has unbounded sensitivity
     # at zero, and both targets sitting exactly on their rate floors must
@@ -126,7 +129,17 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float
     d4_star = d1s * rel_d4
     sigma4_sq = (math.inf if rates.r4 == 0.0
                  else d4_star / math.expm1(2.0 * rates.r4))
-    return TestChannel(sigma1_sq, d1s * t2, d1s * t3, sigma4_sq, rho, d4_star, q)
+    sigma2_sq, sigma3_sq = d1s * t2, d1s * t3
+    # An infinite noise variance means a zero rate; near the top of the
+    # double range a small positive rate overflows to one.
+    if ((rates.r1 > 0.0 and math.isinf(sigma1_sq))
+            or (a_gap > 0.0 and math.isinf(sigma2_sq))
+            or (b_gap > 0.0 and math.isinf(sigma3_sq))
+            or (rates.r4 > 0.0 and math.isinf(sigma4_sq))):
+        raise InvalidChannel(
+            f"a noise variance of a positive rate overflows: ({sigma1_sq}, "
+            f"{sigma2_sq}, {sigma3_sq}, {sigma4_sq}) at d1_star={d1s}")
+    return TestChannel(sigma1_sq, sigma2_sq, sigma3_sq, sigma4_sq, rho, d4_star, q)
 
 
 def construct_channel(source: GaussianSource, rates: RateTuple,
@@ -146,22 +159,56 @@ def construct_channel(source: GaussianSource, rates: RateTuple,
         raise OutOfRegime(
             f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
         )
-    return _channel(rates, d1s, a, b, s)
+    return _channel(rates, d1s, a, b, s, 1.0 - a, 1.0 - b)
 
 
-def _adjust(rates: RateTuple, d1s: float, s: float, d2: float, d3: float
-            ) -> DegenerateAdjustment:
-    """The targets of :func:`degenerate_adjust` at ``d1_star = d1s`` and
-    ``s = exp(-2 (r2+r3))``, unchecked."""
-    floor2 = d1s * math.exp(-2.0 * rates.r2)
-    floor3 = d1s * math.exp(-2.0 * rates.r3)
-    target_sum = d1s * (1.0 + s)
-    span = (d2 - floor2) + (d3 - floor3)
-    # delta > pi forces d2 + d3 > target_sum >= floor2 + floor3, so span > 0.
-    shrink = (target_sum - floor2 - floor3) / span
-    d2p = floor2 + shrink * (d2 - floor2)
-    d3p = floor3 + shrink * (d3 - floor3)
-    return DegenerateAdjustment(d2p, d3p)
+def _over_floor(d1s: float, d: float, e: float, c: float) -> float:
+    """``d - d1s e``, the excess of a side target over its floor ``d1s e``,
+    ``e = exp(-2 r) = 1 - c``.  Near a zero rate (``e > 1/2``) it is formed
+    as ``d1s c - (d1s - d)``, whose subtraction is exact, since ``d1s e``
+    would carry rounding of ``eps`` relative to ``d1s``, not to ``d1s c``.
+    """
+    return d - d1s * e if e < 0.5 else d1s * c - (d1s - d)
+
+
+def _adjust(rates: RateTuple, d1s: float, d2: float, d3: float
+            ) -> tuple[DegenerateAdjustment, float, float]:
+    """The targets of :func:`degenerate_adjust` at ``d1_star = d1s``,
+    unchecked, with their gaps ``1 - d2'/d1s`` and ``1 - d3'/d1s``.
+
+    With ``e_i = exp(-2 r_i) = 1 - c_i`` and the excesses ``x_i`` of the
+    targets over their floors ``d1s e_i``, the boundary
+    ``d2' + d3' = d1s (1 + s)`` leaves excesses summing to ``d1s c2 c3``:
+    each excess keeps the share ``shrink = d1s c2 c3 / (x2 + x3)`` and loses
+    ``cut = 1 - shrink``.  ``cut (x2 + x3) / d1s = a + b - 1 - s`` is formed
+    around the smaller gap ``1 - b`` as ``c3 e2 + x2/d1s - (1 - b)`` (or its
+    mirror), which cancels no more than the distance to the boundary does.
+    A target is formed from whichever of its floor and its request it stays
+    nearer to, and its gap ``1 - d_i/d1s + cut x_i/d1s`` adds positive
+    terms, so it keeps its digits where ``d_i'`` lies within rounding of
+    ``d1s``.
+    """
+    e2, e3 = math.exp(-2.0 * rates.r2), math.exp(-2.0 * rates.r3)
+    c2, c3 = -math.expm1(-2.0 * rates.r2), -math.expm1(-2.0 * rates.r3)
+    g2, g3 = (d1s - d2) / d1s, (d1s - d3) / d1s
+    x2, x3 = _over_floor(d1s, d2, e2, c2), _over_floor(d1s, d3, e3, c3)
+    # delta > pi forces d2 + d3 > d1s (1 + s), so span > d1s c2 c3 >= 0,
+    # unless d1s is subnormal and the floors carry no digits.
+    span = x2 + x3
+    if not span > 0.0:
+        raise InvalidRegimeInput(
+            f"side targets ({d2}, {d3}) do not exceed their floors at "
+            f"d1_star={d1s}; there is no excess to shrink"
+        )
+    shrink = d1s / span * c2 * c3
+    over = c3 * e2 + x2 / d1s - g3 if g3 <= g2 else c2 * e3 + x3 / d1s - g2
+    cut = max(d1s / span * over, 0.0)
+    if shrink <= cut:
+        adjustment = DegenerateAdjustment(d1s * e2 + shrink * x2,
+                                          d1s * e3 + shrink * x3)
+    else:
+        adjustment = DegenerateAdjustment(d2 - cut * x2, d3 - cut * x3)
+    return adjustment, g2 + cut * x2 / d1s, g3 + cut * x3 / d1s
 
 
 def degenerate_adjust(source: GaussianSource, rates: RateTuple,
@@ -176,22 +223,34 @@ def degenerate_adjust(source: GaussianSource, rates: RateTuple,
     requested value.  The boundary case, ``pi == delta`` up to rounding,
     raises, since there is nothing to adjust.
     """
-    d1s, _, _, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
+    d1s, _, _, _, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
     if not degenerate:
         raise OutOfRegime(
             f"adjustment needs pi < delta beyond rounding, got pi={pi}, "
             f"delta={delta}"
         )
-    return _adjust(rates, d1s, s, d2, d3)
+    return _adjust(rates, d1s, d2, d3)[0]
 
 
 def certify_achievability(source: GaussianSource, rates: RateTuple,
                           d2: float, d3: float) -> CertificationRecord:
     """Build the forward channel and verify it meets the converse bound.
 
-    Side targets above ``d1_star`` are clamped (a zero-rate description
-    already achieves ``d1_star``); degenerate inputs are first tightened by
-    :func:`degenerate_adjust`.  The four achieved distortions come from one
+    One pass: :func:`~gaussrd.regions.dr_bound` validates the inputs once,
+    and its ``d1_star``, clamped side targets and ratios feed the channel
+    arithmetic of :func:`construct_channel` directly.  Side targets above
+    ``d1_star`` are clamped (a zero-rate description already achieves
+    ``d1_star``); degenerate inputs are first tightened as
+    :func:`degenerate_adjust` does.  Those targets lie on ``pi = delta`` by
+    construction, so the channel is built from them, and from their gaps
+    ``1 - d'/d1_star`` as the adjustment forms them, without
+    :func:`construct_channel`'s regime test.  That test could fail there
+    only on rounding: of ``pi = (1-a)(1-b)`` when ``b`` is near 1, or of a
+    target moved within rounding of ``d1_star``.  The cross-check and
+    ``matches_bound`` below still judge the result.  A bound
+    below the normal double range raises :class:`InvalidRegimeInput`: there
+    a double keeps fewer than 53 bits, too few for the verdict's 1e-9
+    relative tolerances.  The four achieved distortions come from one
     chain of scalar MMSE updates on the returned channel, carried in
     ``numpy.longdouble`` (:func:`gaussrd.mmse._msr_distortions`).  The central
     one is cross-checked against the closed form ``exp(-2 r4) d4_star``
@@ -200,20 +259,21 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     whether it meets the distortion-rate bound within 1e-9 relative.
     """
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
+    if not bound.d4_bound >= sys.float_info.min:
+        raise InvalidRegimeInput(
+            f"d4 bound {bound.d4_bound} underflows below the normal double range "
+            f"at rates {tuple(float(r) for r in rates.as_tuple())}; it keeps too "
+            f"few digits to certify a channel against")
     d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
     s = math.exp(-2.0 * (rates.r2 + rates.r3))
-    a, b = d2c / d1s, d3c / d1s
-    adjustment = None
     if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
-        adjustment = _adjust(rates, d1s, s, d2c, d3c)
-        d2c, d3c = adjustment.d2_prime, adjustment.d3_prime
-        a, b = _side_ratios(d1s, d2c, d3c)
-        pi, delta, degenerate = _pi_delta(a, b, s)
-        if degenerate:
-            raise OutOfRegime(
-                f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
-            )
-    channel = _channel(rates, d1s, a, b, s)
+        adjustment, a_gap, b_gap = _adjust(rates, d1s, d2c, d3c)
+        a, b = _side_ratios(d1s, adjustment.d2_prime, adjustment.d3_prime)
+    else:
+        adjustment = None
+        a, b = d2c / d1s, d3c / d1s
+        a_gap, b_gap = 1.0 - a, 1.0 - b
+    channel = _channel(rates, d1s, a, b, s, a_gap, b_gap)
     achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
     ach_d1, ach_d4 = achieved.d1, achieved.d4
     closed_d4 = math.exp(-2.0 * rates.r4) * channel.d4_star

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from gaussrd import (
     GaussianSource,
     GaussRdError,
     InfeasibleDistortion,
+    InvalidChannel,
     InvalidRegimeInput,
     OutOfRegime,
     RateTuple,
@@ -27,6 +30,8 @@ from gaussrd import (
 from gaussrd.selfcheck import sample_feasible_instance
 
 from conftest import GOLDEN_RHO, make_rng
+
+EPS = sys.float_info.epsilon
 
 
 def _golden_channel():
@@ -288,8 +293,11 @@ def test_certified_distortion_agrees_with_dr_bound_closed_form():
 
 def test_certified_channel_is_the_public_construction():
     # Certification builds its channel from dr_bound's own d1_star, clamped
-    # targets and ratios; that must be the channel the public, checked
-    # functions give, on both paths.
+    # targets and ratios.  Off the degenerate regime that is the channel
+    # construct_channel gives, bit for bit.  In it, the adjustment is
+    # degenerate_adjust's, and the channel is construct_channel's on those
+    # targets up to the rounding of the gaps 1 - d'/d1_star, which
+    # certification forms without subtracting from 1.
     rng = make_rng(1409)
     paths = {False: 0, True: 0}
     for i in range(3000):
@@ -301,16 +309,21 @@ def test_certified_channel_is_the_public_construction():
         except GaussRdError:
             continue
         d2c, d3c = record.bound.d2_hat, record.bound.d3_hat
-        if record.adjustment is not None:
-            assert record.adjustment == degenerate_adjust(source, rates, d2c, d3c)
-            d2c, d3c = record.adjustment.d2_prime, record.adjustment.d3_prime
+        if record.adjustment is None:
+            assert record.channel == construct_channel(source, rates, d2c, d3c)
+        else:
+            adjustment = degenerate_adjust(source, rates, d2c, d3c)
+            assert record.adjustment == adjustment
+            d2p, d3p = adjustment.d2_prime, adjustment.d3_prime
             try:
-                expected = construct_channel(source, rates, d2c, d3c)
+                expected = construct_channel(source, rates, d2p, d3p)
             except OutOfRegime:
                 continue
-        else:
-            expected = construct_channel(source, rates, d2c, d3c)
-        assert record.channel == expected
+            d1s = record.bound.d1_star
+            rtol = 4.0 * EPS / min(1.0 - d2p / d1s, 1.0 - d3p / d1s)
+            for name, value in asdict(expected).items():
+                assert getattr(record.channel, name) == pytest.approx(
+                    value, rel=rtol), name
         paths[record.adjustment is not None] += 1
     assert min(paths.values()) > 200
 
@@ -343,6 +356,72 @@ def test_certification_accepts_small_pi_adjusted_points(r, d2, d3):
     record = certify_achievability(GaussianSource(1.0), RateTuple(*r), d2, d3)
     assert record.adjustment is not None
     assert record.matches_bound
+
+
+def test_certification_accepts_an_adjusted_point_with_b_near_one():
+    # The adjustment puts the targets on pi = delta; with b = 1 - 1.3e-4,
+    # pi = (1-a)(1-b) carries rounding of eps/(1-b) relative, and the
+    # regime re-test of construct_channel refused the adjusted targets.
+    source = GaussianSource(1.0493554174245998e-43)
+    rates = RateTuple(5.143979738162221, 8.240567075045707,
+                      5.6952894000872334e-05, 7.674316418315996)
+    record = certify_achievability(source, rates, 2.0099118019517234e-49,
+                                   3.571962216736635e-48)
+    assert record.adjustment is not None
+    assert record.matches_bound
+    assert record.achieved.d4 == record.bound.d4_bound
+
+
+@pytest.mark.parametrize("variance, rates, d2, d3", [
+    # r2 = 0: d1* (1 + s) - floor2 - floor3 left only rounding, 7e-9 of d3'.
+    (1.0, (0.0, 0.0, 9.0, 0.0), 1.0, 1.0),
+    # ... and at 19 nats a negative shrink that put d3' at 0.
+    (1.0, (0.0, 0.0, 19.0, 0.0), 1.0, 1.0),
+    # d2' = d1* (1 - 2.3e-16) rounds to d1*: 1 - d2'/d1* must come from the
+    # excesses, not from the rounded ratio.
+    (10.0, (0.0, 2.9375, 18.0, 0.0), 10.0, 10.0 * math.exp(-36.0)),
+    (5.81970269236372e+198, (0.0, 27.0, 27.653481411109652, 0.0),
+     2.055884801275804e+175, 5.81970269236372e+198),
+], ids=["r2-0", "r2-0-19-nats", "d2-rounds-to-d1", "d3-rounds-to-d1"])
+def test_certification_meets_the_bound_where_an_adjusted_target_nears_d1_star(
+        variance, rates, d2, d3):
+    record = certify_achievability(GaussianSource(variance), RateTuple(*rates),
+                                   d2, d3)
+    assert record.adjustment is not None
+    assert record.matches_bound
+    assert record.achieved.d4 == pytest.approx(record.bound.d4_bound, rel=1e-14)
+
+
+def test_degenerate_adjust_names_targets_without_excess():
+    # d1_star = 6e-313 is subnormal: the floors keep no digits, and the
+    # excess over them rounds to 0 (a bare ZeroDivisionError before).
+    source = GaussianSource(2.27674076911379e-298)
+    rates = RateTuple(16.76382027343233, 12.932615815208477, 0.0, 0.0)
+    with pytest.raises(InvalidRegimeInput, match="no excess"):
+        degenerate_adjust(source, rates, 5e-324, 6.25812601136e-313)
+
+
+@pytest.mark.parametrize("variance, rates, d2, d3", [
+    # d4_bound = var exp(-2 (r1+r2+r3+r4)) / den underflows to 0: no channel
+    # meets it (InvalidChannel on a zero sigma4_sq before).
+    (1e-200, (38.94321942583643, 34.18371773174844, 39.68471326127271,
+              35.247697372811615), 3.415362060029526e-246, 2.5985620784733553e-237),
+    # A subnormal bound keeps too few digits for the 1e-9 verdict, which
+    # then failed on one-unit differences.
+    (1e-300, (0.0, 6.0, 6.0, 0.0), 1e-300 * math.exp(-6.0), 1e-300 * math.exp(-6.0)),
+], ids=["zero", "subnormal"])
+def test_certification_names_an_underflowing_bound(variance, rates, d2, d3):
+    with pytest.raises(InvalidRegimeInput, match="below the normal double range"):
+        certify_achievability(GaussianSource(variance), RateTuple(*rates), d2, d3)
+
+
+def test_channel_names_an_overflowing_noise_variance():
+    # sigma1_sq = d1_star / (1 - exp(-2e-9)) overflows at d1_star = 1e300;
+    # read as a zero rate, it left achieved d1 at the source variance.
+    with pytest.raises(InvalidChannel, match="overflows"):
+        certify_achievability(GaussianSource(1e300),
+                              RateTuple(1e-9, 0.0, 0.0, 1.524826646647446),
+                              9.999999980000001e+299, 9.999999980000001e+299)
 
 
 @pytest.mark.parametrize("r1", [7.0, 10.0, 20.0, 50.0, 100.0])

@@ -502,13 +502,17 @@ def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
      "--d", "inf,1e-320,0.5,0.1"],
     ["rd-bound", "--var", "1e10", "--r1", "0", "--r4", "0",
      "--d", "1e-320,0.5,0.5,0.1"],
+    ["channel", "--var", "1e-200", "--rates",
+     "38.94321942583643,34.18371773174844,39.68471326127271,35.247697372811615",
+     "--d", "3.415362060029526e-246,2.5985620784733553e-237"],
 ], ids=["dr-bound", "rd-bound", "rd-bound-r4", "loss", "asymptote", "sweep-wz-md",
-        "rd-bound-z", "rd-bound-a", "rd-bound-d1"])
+        "rd-bound-z", "rd-bound-a", "rd-bound-d1", "channel-d4"])
 def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
     # d1_star = exp(-800) underflows to zero at r1 = 400 nats; exp(2 r4) at
     # r4 = 400, exp(2 alpha r1) at alpha r1 = 400 and 4 b at b = 1e308
     # overflow; at variance 1e10 the ratios z = d4/d1_star, a = d2/d1_star
-    # and d1/var underflow to zero.  None of them leaves as an internal
+    # and d1/var underflow to zero, and so does the channel's d4 bound at
+    # 1e-200 times exp(-296).  None of them leaves as an internal
     # error (exit 4) or a bare ValueError.
     code = cli.main(argv)
     error = json.loads(capsys.readouterr().err)["error"]
