@@ -247,13 +247,13 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     :func:`construct_channel`'s regime test.  That test could fail there
     only on rounding: of ``pi = (1-a)(1-b)`` when ``b`` is near 1, or of a
     target moved within rounding of ``d1_star``.  The cross-check and
-    ``matches_bound`` below still judge the result.  A bound
-    below the normal double range raises :class:`InvalidRegimeInput`: there
-    a double keeps fewer than 53 bits, too few for the verdict's 1e-9
-    relative tolerances.  The four achieved distortions come from one
-    chain of scalar MMSE updates on the returned channel, carried in
-    ``numpy.longdouble`` (:func:`gaussrd.mmse._msr_distortions`).  The central
-    one is cross-checked against the closed form ``exp(-2 r4) d4_star``
+    ``matches_bound`` below still judge the result.  A bound below the
+    normal double range raises :class:`InvalidRegimeInput`: there a double
+    keeps fewer than 53 bits, too few for the verdict's 1e-9 relative
+    tolerances.  The four achieved distortions come from one chain of
+    scalar MMSE updates on the returned channel, carried in
+    ``numpy.longdouble`` (:func:`gaussrd.mmse._msr_distortions`).  The
+    central one is cross-checked against the closed form ``exp(-2 r4) d4_star``
     within 1e-10 relative; both read the channel's exact ``q = 1 - rho^2``,
     so neither loses digits as ``rho`` nears -1.  ``matches_bound`` records
     whether it meets the distortion-rate bound within 1e-9 relative.

@@ -155,10 +155,10 @@ def _msr_distortions(sx2: float, channel: "TestChannel"
     conditions the residual ``X'``; ``U3`` enters through its innovation
     ``U3 - c U2``, ``c = rho sqrt(s3/s2)``, which observes ``(1 - c) X'``
     through noise of variance ``s3 q`` independent of ``U2``, with the
-    channel's own ``q = 1 - rho^2``.  With
-    ``rho <= 0`` every step adds and multiplies positive terms, so nothing
-    cancels however far the central distortion sits below ``var(X')``.  An
-    infinite noise variance leaves its update out.  No matrix is built.
+    channel's own ``q = 1 - rho^2``.  With ``rho <= 0`` every step adds and
+    multiplies positive terms, so nothing cancels however far the central
+    distortion sits below ``var(X')``.  An infinite noise variance leaves
+    its update out.  No matrix is built.
     """
     s1, s2, s3, s4 = (channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq,
                       channel.sigma4_sq)

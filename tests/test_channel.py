@@ -377,12 +377,15 @@ def test_certification_accepts_an_adjusted_point_with_b_near_one():
     (1.0, (0.0, 0.0, 9.0, 0.0), 1.0, 1.0),
     # ... and at 19 nats a negative shrink that put d3' at 0.
     (1.0, (0.0, 0.0, 19.0, 0.0), 1.0, 1.0),
+    # r3 = 1.2e-38: exp(-2 r3) rounds to 1, so d3 - d1* exp(-2 r3) is 0,
+    # not the excess d1* (1 - exp(-2 r3)) = 2.4e-38 d1*.
+    (1.0, (0.0, 33.0, 1.175494351e-38, 0.0), 1.0, 1.0),
     # d2' = d1* (1 - 2.3e-16) rounds to d1*: 1 - d2'/d1* must come from the
     # excesses, not from the rounded ratio.
     (10.0, (0.0, 2.9375, 18.0, 0.0), 10.0, 10.0 * math.exp(-36.0)),
     (5.81970269236372e+198, (0.0, 27.0, 27.653481411109652, 0.0),
      2.055884801275804e+175, 5.81970269236372e+198),
-], ids=["r2-0", "r2-0-19-nats", "d2-rounds-to-d1", "d3-rounds-to-d1"])
+], ids=["r2-0", "r2-0-19-nats", "r3-1e-38", "d2-rounds-to-d1", "d3-rounds-to-d1"])
 def test_certification_meets_the_bound_where_an_adjusted_target_nears_d1_star(
         variance, rates, d2, d3):
     record = certify_achievability(GaussianSource(variance), RateTuple(*rates),
