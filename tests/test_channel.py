@@ -358,20 +358,6 @@ def test_certification_accepts_small_pi_adjusted_points(r, d2, d3):
     assert record.matches_bound
 
 
-def test_certification_accepts_an_adjusted_point_with_b_near_one():
-    # The adjustment puts the targets on pi = delta; with b = 1 - 1.3e-4,
-    # pi = (1-a)(1-b) carries rounding of eps/(1-b) relative, and the
-    # regime re-test of construct_channel refused the adjusted targets.
-    source = GaussianSource(1.0493554174245998e-43)
-    rates = RateTuple(5.143979738162221, 8.240567075045707,
-                      5.6952894000872334e-05, 7.674316418315996)
-    record = certify_achievability(source, rates, 2.0099118019517234e-49,
-                                   3.571962216736635e-48)
-    assert record.adjustment is not None
-    assert record.matches_bound
-    assert record.achieved.d4 == record.bound.d4_bound
-
-
 @pytest.mark.parametrize("variance, rates, d2, d3", [
     # r2 = 0: d1* (1 + s) - floor2 - floor3 left only rounding, 7e-9 of d3'.
     (1.0, (0.0, 0.0, 9.0, 0.0), 1.0, 1.0),
@@ -385,7 +371,13 @@ def test_certification_accepts_an_adjusted_point_with_b_near_one():
     (10.0, (0.0, 2.9375, 18.0, 0.0), 10.0, 10.0 * math.exp(-36.0)),
     (5.81970269236372e+198, (0.0, 27.0, 27.653481411109652, 0.0),
      2.055884801275804e+175, 5.81970269236372e+198),
-], ids=["r2-0", "r2-0-19-nats", "r3-1e-38", "d2-rounds-to-d1", "d3-rounds-to-d1"])
+    # b = 1 - 1.3e-4: pi = (1-a)(1-b) carries rounding of eps/(1-b)
+    # relative, and construct_channel's regime re-test refused the point.
+    (1.0493554174245998e-43, (5.143979738162221, 8.240567075045707,
+                              5.6952894000872334e-05, 7.674316418315996),
+     2.0099118019517234e-49, 3.571962216736635e-48),
+], ids=["r2-0", "r2-0-19-nats", "r3-1e-38", "d2-rounds-to-d1", "d3-rounds-to-d1",
+        "b-near-1"])
 def test_certification_meets_the_bound_where_an_adjusted_target_nears_d1_star(
         variance, rates, d2, d3):
     record = certify_achievability(GaussianSource(variance), RateTuple(*rates),
