@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
 from .model import (UNCONSTRAINED, GaussianSource, RateTuple, Regime,
-                    _checked_d1_star)
+                    _checked_d1_star, _require_rate)
 from .regions import _penalty_den, dr_bound
 
 #: Tolerance for the internal consistency checks between specialized
@@ -209,9 +209,8 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
     is at least 1, equals ``1 + O(alpha)`` as ``alpha -> 0``, and grows
     without bound in ``r1`` for fixed positive ``alpha`` and ``r3``.
     """
-    for name, value in (("r1", r1), ("r3", r3)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be a nonnegative rate, got {value}")
+    _require_rate("r1", r1)
+    _require_rate("r3", r3)
     a = config.alpha
     d1s = source.variance * math.exp(-2.0 * r1)
     d2_floor = d1s * (1.0 + math.exp(-2.0 * (a * r1 + r3)) - math.exp(-2.0 * r3))

@@ -21,8 +21,8 @@ from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
 from .mmse import _msr_distortions
 from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
-                    GaussianSource, RateTuple, Regime, _checked_d1_star)
-from .regions import DrBoundResult, _pi_delta, _side_ratios, dr_bound
+                    GaussianSource, RateTuple, Regime)
+from .regions import DrBoundResult, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
 CROSSCHECK_RTOL = 1e-10
@@ -82,27 +82,27 @@ class CertificationRecord:
     adjustment: DegenerateAdjustment | None
 
 
-def _checked_inputs(source: GaussianSource, rates: RateTuple, d2: float, d3: float
-                    ) -> tuple[float, float, float, float, float, float, bool]:
-    """``(d1_star, a, b, s, pi, delta, degenerate)`` of clamped, individually
-    feasible side targets, with ``a = d2/d1_star``, ``b = d3/d1_star`` and
-    ``s = exp(-2 (r2+r3))``."""
-    d1s = _checked_d1_star(source, rates, UNCONSTRAINED, d2, d3)
+def _checked_bound(source: GaussianSource, rates: RateTuple,
+                   d2: float, d3: float) -> DrBoundResult:
+    """:func:`~gaussrd.regions.dr_bound` at ``d1`` unconstrained, after which
+    a side target above ``d1_star`` (beyond rounding) raises
+    :class:`InfeasibleDistortion`: the channel builders take clamped
+    targets."""
+    bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
+    d1s = bound.d1_star
     for name, d in (("d2", d2), ("d3", d3)):
         if d > d1s * (1.0 + FEASIBILITY_RTOL):
             raise InfeasibleDistortion(
                 f"{name}={d} exceeds the first-layer floor {d1s}; clamp it first"
             )
-    a, b = _side_ratios(d1s, d2, d3)
-    s = math.exp(-2.0 * (rates.r2 + rates.r3))
-    return d1s, a, b, s, *_pi_delta(a, b, s)
+    return bound
 
 
-def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float,
+def _channel(rates: RateTuple, d1s: float, a: float, b: float,
              a_gap: float, b_gap: float) -> TestChannel:
     """The channel of :func:`construct_channel` at ``d1_star = d1s``, the
-    side ratios ``a``, ``b``, their gaps ``1 - a``, ``1 - b`` and
-    ``s = exp(-2 (r2+r3))``, unchecked."""
+    side ratios ``a``, ``b`` and their gaps ``1 - a``, ``1 - b``,
+    unchecked."""
     # d1_star / (1 - exp(-2 r1)) = d1_star var / (var - d1_star), free of
     # the product that over- or underflows at extreme variances.
     sigma1_sq = math.inf if rates.r1 == 0.0 else d1s / -math.expm1(-2.0 * rates.r1)
@@ -113,7 +113,7 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float, s: float,
     # the delta term of the distortion bound, sqrt has unbounded sensitivity
     # at zero, and both targets sitting exactly on their rate floors must
     # yield rho = 0 rather than -sqrt(rounding noise).
-    q = s / (a * b)
+    q = math.exp(-2.0 * (rates.r2 + rates.r3)) / (a * b)
     rho_sq = 1.0 - q
     if rho_sq > FEASIBILITY_RTOL * max(1.0, q):
         rho = -math.sqrt(rho_sq)
@@ -153,13 +153,16 @@ def construct_channel(source: GaussianSource, rates: RateTuple,
     The noise variances and ``d4_star`` are computed relative to
     ``d1_star``, so products like ``d2 d3`` never underflow at high ``r1``.
     """
-    d1s, a, b, s, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
+    bound = _checked_bound(source, rates, d2, d3)
     # The adjusted boundary case lands at pi == delta up to rounding.
-    if degenerate:
+    if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
         raise OutOfRegime(
-            f"pi={pi} < delta={delta}: degenerate regime, adjust the targets first"
+            f"pi={bound.pi} < delta={bound.delta}: degenerate regime, adjust the "
+            f"targets first"
         )
-    return _channel(rates, d1s, a, b, s, 1.0 - a, 1.0 - b)
+    d1s = bound.d1_star
+    a, b = bound.d2_hat / d1s, bound.d3_hat / d1s
+    return _channel(rates, d1s, a, b, 1.0 - a, 1.0 - b)
 
 
 def _over_floor(d1s: float, d: float, e: float, c: float) -> float:
@@ -223,13 +226,13 @@ def degenerate_adjust(source: GaussianSource, rates: RateTuple,
     requested value.  The boundary case, ``pi == delta`` up to rounding,
     raises, since there is nothing to adjust.
     """
-    d1s, _, _, _, pi, delta, degenerate = _checked_inputs(source, rates, d2, d3)
-    if not degenerate:
+    bound = _checked_bound(source, rates, d2, d3)
+    if bound.regime is not Regime.DEGENERATE_PI_LESS_DELTA:
         raise OutOfRegime(
-            f"adjustment needs pi < delta beyond rounding, got pi={pi}, "
-            f"delta={delta}"
+            f"adjustment needs pi < delta beyond rounding, got pi={bound.pi}, "
+            f"delta={bound.delta}"
         )
-    return _adjust(rates, d1s, d2, d3)[0]
+    return _adjust(rates, bound.d1_star, d2, d3)[0]
 
 
 def certify_achievability(source: GaussianSource, rates: RateTuple,
@@ -265,7 +268,6 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
             f"at rates {tuple(float(r) for r in rates.as_tuple())}; it keeps too "
             f"few digits to certify a channel against")
     d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
-    s = math.exp(-2.0 * (rates.r2 + rates.r3))
     if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
         adjustment, a_gap, b_gap = _adjust(rates, d1s, d2c, d3c)
         a, b = _side_ratios(d1s, adjustment.d2_prime, adjustment.d3_prime)
@@ -273,7 +275,7 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
         adjustment = None
         a, b = d2c / d1s, d3c / d1s
         a_gap, b_gap = 1.0 - a, 1.0 - b
-    channel = _channel(rates, d1s, a, b, s, a_gap, b_gap)
+    channel = _channel(rates, d1s, a, b, a_gap, b_gap)
     achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
     ach_d1, ach_d4 = achieved.d1, achieved.d4
     closed_d4 = math.exp(-2.0 * rates.r4) * channel.d4_star

@@ -196,87 +196,75 @@ def _from_nats(value: float, unit: RateUnit) -> float:
 class _Opt(NamedTuple):
     """One command-line option, which a scenario file may also set.
 
-    ``kind`` is the argparse type, or a list of the admitted choices.
-    ``convert(flag, value)`` checks and converts the value from any
-    source.  A ``None`` default makes the option required; a callable one is
-    computed from the options resolved before it.
+    ``convert(flag, value)`` is the one check and conversion of the value,
+    whether it comes from the flag (a string), a scenario file or the
+    default.  A ``None`` default makes the option required; a callable one
+    is computed from the options resolved before it.
     """
 
     flag: str
-    kind: object
     convert: object
     default: object
     help: str | None = None
 
 
-_UNIT = _Opt("unit", ["nats", "bits"], _as_unit, "nats",
-             "unit for rate inputs and outputs (default nats)")
+_UNIT = _Opt("unit", _as_unit, "nats", "unit for rate inputs and outputs (default nats)")
 _GRID_HELP = "start:stop:count or comma list"
 
-#: (name, help, aliases, echo the inputs in the JSON output, options).  The
-#: options are resolved in this order.  ``--scenario`` and ``--unit`` are
-#: accepted by every subcommand; only those listing ``_UNIT`` read the unit.
+#: (name, help, aliases, echo the inputs in the JSON output, options).  Every
+#: subcommand also accepts ``--scenario`` and ``--unit``; the unit is resolved
+#: first, then the options in this order.
 _COMMANDS = (
     ("dr-bound", "central-distortion bound at fixed rates", (), True, (
-        _UNIT,
-        _Opt("var", float, _as_float, 1.0, "source variance (default 1)"),
-        _Opt("rates", None, _as_floats(4), None, "r1,r2,r3,r4"),
-        _Opt("d", None, _as_floats(3, unconstrained_first=True), None,
+        _Opt("var", _as_float, 1.0, "source variance (default 1)"),
+        _Opt("rates", _as_floats(4), None, "r1,r2,r3,r4"),
+        _Opt("d", _as_floats(3, unconstrained_first=True), None,
              "d1,d2,d3 (d1 may be 'inf' for unconstrained)"))),
     ("rd-bound", "rate requirements at fixed distortions", (), True, (
-        _UNIT,
-        _Opt("var", float, _as_float, 1.0),
-        _Opt("r1", float, _as_float, None),
-        _Opt("r4", float, _as_float, None),
-        _Opt("d", None, _as_floats(4, unconstrained_first=True), None,
+        _Opt("var", _as_float, 1.0),
+        _Opt("r1", _as_float, None),
+        _Opt("r4", _as_float, None),
+        _Opt("d", _as_floats(4, unconstrained_first=True), None,
              "d1,d2,d3,d4 (d1 may be 'inf')"))),
     ("channel", "forward construction and certification", (), True, (
-        _UNIT,
-        _Opt("var", float, _as_float, 1.0),
-        _Opt("rates", None, _as_floats(4), None, "r1,r2,r3,r4"),
-        _Opt("d", None, _as_floats(2), None, "d2,d3"))),
+        _Opt("var", _as_float, 1.0),
+        _Opt("rates", _as_floats(4), None, "r1,r2,r3,r4"),
+        _Opt("d", _as_floats(2), None, "d2,d3"))),
     ("discrete", "finite-alphabet bounds from a pmf file", (), True, (
-        _UNIT,
-        _Opt("pmf", None, _as_path, None,
-             "path to the JSON configuration, or - for stdin"))),
+        _Opt("pmf", _as_path, None, "path to the JSON configuration, or - for stdin"),)),
     ("loss", "fixed-channel distortion penalty sweep", (), False, (
-        _UNIT,
-        _Opt("var", float, _as_float, 1.0),
-        _Opt("alpha", float, _as_float, 1.0),
-        _Opt("r3", float, _as_float, None),
-        _Opt("r1-grid", None, _as_grid, None, _GRID_HELP))),
+        _Opt("var", _as_float, 1.0),
+        _Opt("alpha", _as_float, 1.0),
+        _Opt("r3", _as_float, None),
+        _Opt("r1-grid", _as_grid, None, _GRID_HELP))),
     ("mdcr", "conditional-refinement vs re-budgeted comparison", (), False, (
-        _UNIT,
-        _Opt("var", float, _as_float, 1.0),
-        _Opt("r2", float, _as_float, None),
-        _Opt("r3", float, _as_float, None),
-        _Opt("beta", float, _as_float, 0.5),
-        _Opt("d2", float, _as_float, None),
-        _Opt("d3", float, _as_float, None),
-        _Opt("r4-grid", None, _as_grid, None, _GRID_HELP))),
+        _Opt("var", _as_float, 1.0),
+        _Opt("r2", _as_float, None),
+        _Opt("r3", _as_float, None),
+        _Opt("beta", _as_float, 0.5),
+        _Opt("d2", _as_float, None),
+        _Opt("d3", _as_float, None),
+        _Opt("r4-grid", _as_grid, None, _GRID_HELP))),
     ("asymptote", "high-rate asymptote convergence table", (), False, (
-        _UNIT,
-        _Opt("b", float, _as_float, 1.0),
-        _Opt("eta", float, _as_float, 0.0),
-        _Opt("eta1", float, _as_float,
-             lambda o: o["eta"] if o["eta"] > 0 else 0.0),
-        _Opt("r-grid", None, _as_grid, None, _GRID_HELP))),
+        _Opt("b", _as_float, 1.0),
+        _Opt("eta", _as_float, 0.0),
+        _Opt("eta1", _as_float, lambda o: o["eta"] if o["eta"] > 0 else 0.0),
+        _Opt("r-grid", _as_grid, None, _GRID_HELP))),
     ("sweep-wz-md",
      "sweep the second user's target: binning vs plain two-description",
      ("sweep-fig3",), False, (
-         _UNIT,
-         _Opt("var", float, _as_float, 1.0),
-         _Opt("r1", float, _as_float, 1.0),
-         _Opt("r2", float, _as_float, 0.5),
-         _Opt("r3", float, _as_float, 1.0),
-         _Opt("r4", float, _as_float, 0.5),
-         _Opt("points", int, _as_int, 200))),
+         _Opt("var", _as_float, 1.0),
+         _Opt("r1", _as_float, 1.0),
+         _Opt("r2", _as_float, 0.5),
+         _Opt("r3", _as_float, 1.0),
+         _Opt("r4", _as_float, 0.5),
+         _Opt("points", _as_int, 200))),
     ("verify", "seeded end-to-end self-verification", (), False, (
-        _Opt("var", float, _as_float, 1.0),
-        _Opt("seed", int, _as_int,
+        _Opt("var", _as_float, 1.0),
+        _Opt("seed", _as_int,
              lambda o: _env_int("GAUSSRD_SEED", DEFAULT_SEED),
              "defaults to $GAUSSRD_SEED, then 12345"),
-        _Opt("grid-density", int, _as_int, DEFAULT_GRID_DENSITY,
+        _Opt("grid-density", _as_int, DEFAULT_GRID_DENSITY,
              "points per swept grid axis (default 6)"))),
 )
 
@@ -454,14 +442,14 @@ def build_parser() -> _Parser:
     for name, help_, aliases, echo, opts in _COMMANDS:
         p = sub.add_parser(name, help=help_, aliases=list(aliases))
         p.add_argument("--scenario", help="JSON file of option defaults")
-        for opt in (_UNIT,) + tuple(o for o in opts if o is not _UNIT):
-            choices = opt.kind if isinstance(opt.kind, list) else None
-            p.add_argument(f"--{opt.flag}", type=None if choices else opt.kind,
-                           choices=choices, help=opt.help)
+        # Every value reaches _resolve as a string; its converter checks it.
+        p.add_argument("--unit", metavar="{nats,bits}", help=_UNIT.help)
+        for opt in opts:
+            p.add_argument(f"--{opt.flag}", help=opt.help)
         # The command function is looked up here, not when the table is
         # built, so a replaced module attribute takes effect.
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")],
-                       command=(name, echo, opts))
+                       command=(name, echo, (_UNIT, *opts)))
     return parser
 
 

@@ -163,21 +163,23 @@ def _msr_distortions(sx2: float, channel: "TestChannel"
     s1, s2, s3, s4 = (channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq,
                       channel.sigma4_sq)
     x1, x2, x3, x4 = (_LD_ZERO + s1, _LD_ZERO + s2, _LD_ZERO + s3, _LD_ZERO + s4)
-    d1 = _ld_residual_variance(_LD_ZERO + sx2, x1, s1)
+    d1 = _residual_variance(_LD_ZERO + sx2, x1, s1)
     if math.isinf(s2) or math.isinf(s3):
         innovation = x3
     else:
         gain = 1 - (_LD_ZERO + channel.rho) * np.sqrt(x3 / x2)
         innovation = x3 * (_LD_ZERO + channel.q) / (gain * gain)
-    v2 = _ld_residual_variance(d1, x2, s2)
-    d4 = _ld_residual_variance(_ld_residual_variance(v2, innovation, s3), x4, s4)
-    return (float(d1), float(v2), float(_ld_residual_variance(d1, x3, s3)),
-            float(d4))
+    v2 = _residual_variance(d1, x2, s2)
+    d4 = _residual_variance(_residual_variance(v2, innovation, s3), x4, s4)
+    return (float(d1), float(v2), float(_residual_variance(d1, x3, s3)), float(d4))
 
 
-def _ld_residual_variance(v, x, s: float):
-    """:func:`_residual_variance` of ``v`` for the noise variance ``x``, the
-    ``longdouble`` of the double ``s``, whose infinity is tested as a double."""
+def _residual_variance(v, x, s: float):
+    """``v x / (v + x)``, the variance ``v`` left after observing through
+    noise of variance ``x``; unlike the Schur complement it keeps its digits
+    when the result is far below ``v``.  ``s`` is ``x`` as a double (``x``
+    may be its ``longdouble``), and an infinite ``s``, a zero-rate
+    description, leaves ``v``."""
     return v if math.isinf(s) else v * x / (v + x)
 
 
@@ -227,12 +229,6 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     return float(mean), std_error
 
 
-def _residual_variance(sx2: float, s1: float) -> float:
-    """``var(X | U1) = sx2 s1 / (sx2 + s1)`` for ``var(N1) = s1``; unlike the
-    Schur complement it keeps its digits when ``var(X') << sx2``."""
-    return sx2 if math.isinf(s1) else sx2 * s1 / (sx2 + s1)
-
-
 def assemble_msr_covariance(source: "GaussianSource",
                             channel: "TestChannel") -> CovarianceMatrix:
     """Joint covariance of (X, X', U1, U2, U3, U4) under a forward channel.
@@ -247,7 +243,7 @@ def assemble_msr_covariance(source: "GaussianSource",
     """
     sx2 = source.variance
     s1 = channel.sigma1_sq
-    d1 = _residual_variance(sx2, s1)
+    d1 = _residual_variance(sx2, s1, s1)
 
     refinements = ((IDX_U2, channel.sigma2_sq), (IDX_U3, channel.sigma3_sq),
                    (IDX_U4, channel.sigma4_sq))

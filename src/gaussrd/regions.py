@@ -160,6 +160,18 @@ def _penalty_den(a: float, b: float, delta: float) -> float:
     return den
 
 
+def _penalty_dens(np, a, b, delta):
+    """:func:`_penalty_den` over arrays (numpy passed in as ``np``), in its
+    operation order, so each entry is its value bit for bit.  ``a``, ``b``
+    and ``delta`` broadcast against each other.  Nothing raises: an entry
+    that is not positive is where the scalar form would, and the caller
+    refuses it."""
+    sqrt_pi, sqrt_delta = np.sqrt((1.0 - a) * (1.0 - b)), np.sqrt(delta)
+    one_plus = 1.0 + sqrt_pi
+    return np.where(sqrt_delta >= sqrt_pi, 1.0,
+                    ((a + b - a * b) / one_plus + sqrt_delta) * (one_plus - sqrt_delta))
+
+
 #: ln 2 split so that ``n * _LN2_HI`` is exact for ``|n| < 2**21``.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
@@ -334,9 +346,8 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     distortion-side characterization of :func:`dr_bound`.
     """
     sx2 = source.variance
-    for name, value in (("r1", r1), ("r4", r4)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be a finite nonnegative rate, got {value}")
+    _require_rate("r1", r1)
+    _require_rate("r4", r4)
     d1 = dist.d1
     d1_eff = sx2 if d1 is UNCONSTRAINED else min(d1, sx2)
     if d1 is not UNCONSTRAINED and not d1 > 0:
@@ -539,10 +550,7 @@ def _rd_block(np, sx2: float, r1: float, r4: float, d1: float | Unconstrained,
     zr = z[cols]
     a_rel = np.maximum(a[rows] - zr, 0.0) / (1.0 - zr)
     b_rel = np.maximum(b[rows] - zr, 0.0) / (1.0 - zr)
-    sqrt_pi, sqrt_delta = np.sqrt((1.0 - a_rel) * (1.0 - b_rel)), np.sqrt(a_rel * b_rel)
-    den = np.where(sqrt_delta >= sqrt_pi, 1.0,
-                   ((a_rel + b_rel - a_rel * b_rel) / (1.0 + sqrt_pi) + sqrt_delta)
-                   * (1.0 + sqrt_pi - sqrt_delta))
+    den = _penalty_dens(np, a_rel, b_rel, a_rel * b_rel)
     positive = den > 0.0
     refused[rows[~positive]] = True
     excess = [max(-0.5 * math.log(v), 0.0) for v in np.where(positive, den, 1.0).tolist()]
@@ -627,9 +635,6 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
             # side-target pairs across.
             a, b = np.array([_side_ratios(d1s, d2, d3) for d2, d3 in sides]).T
             ab = a * b
-            sqrt_pi = np.sqrt((1.0 - a) * (1.0 - b))
-            one_plus = 1.0 + sqrt_pi
-            c = (a + b - ab) / one_plus
             s = [math.exp(-2.0 * rs) for rs in rate_sums]
             s_col = np.array(s, dtype=float)[:, None]
             exponents = [-2.0 * (r1 + r2 + r3 + r4) for r2, r3 in rate_pairs]
@@ -638,9 +643,7 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
             dtol = FEASIBILITY_RTOL * np.maximum(ab, s_col)
             refused = (ab < sys.float_info.min) | (delta < -3.0 * dtol)
             delta = np.maximum(np.where(np.abs(delta) <= dtol, 0.0, delta), 0.0)
-            sqrt_delta = np.sqrt(delta)
-            den = np.where(sqrt_delta >= sqrt_pi, 1.0,
-                           (c + sqrt_delta) * (one_plus - sqrt_delta))
+            den = _penalty_dens(np, a, b, delta)
             refused = feasible & (refused | (den <= 0.0))
             sum_bounds, codes, rd_refused = _rd_block(np, sx2, r1, r4, d1, grid, a, b)
 

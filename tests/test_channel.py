@@ -106,6 +106,17 @@ def test_channel_rejects_infeasible_targets():
         construct_channel(source, rates, 0.0, 0.45)
 
 
+@pytest.mark.parametrize("build", [construct_channel, degenerate_adjust,
+                                   certify_achievability],
+                         ids=["construct", "adjust", "certify"])
+def test_channel_builders_name_an_underflowed_first_layer_floor(build):
+    # d1_star = exp(-800) underflows to 0: every builder validates through
+    # dr_bound, which names the underflow, rather than reading 0.5 as above a
+    # first-layer floor of 0.0.
+    with pytest.raises(InvalidRegimeInput, match="d1_star=0.0 underflows"):
+        build(GaussianSource(variance=1.0), RateTuple(400.0, 0.0, 0.0, 0.0), 0.5, 0.5)
+
+
 def test_channel_central_residual_interpolates_single_description():
     # With one side description at its trivial ceiling (d2 = d1_star) the
     # central residual reduces to the single-observation conditional variance.

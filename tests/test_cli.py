@@ -454,14 +454,27 @@ def test_malformed_rate_list_is_a_usage_error():
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("argv, scenario, env, source", [
-    (["sweep-wz-md"], {"points": "abc"}, {}, "option --points"),
-    (["verify"], {"seed": "abc"}, {}, "option --seed"),
-    (["verify"], {"grid-density": "abc"}, {}, "option --grid-density"),
-    (["verify"], None, {"GAUSSRD_SEED": "abc"}, "environment variable GAUSSRD_SEED"),
-], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed"])
+@pytest.mark.parametrize("argv, scenario, env, message", [
+    (["sweep-wz-md"], {"points": "abc"}, {},
+     "option --points expects an integer, got 'abc'"),
+    (["verify"], {"seed": "abc"}, {}, "option --seed expects an integer, got 'abc'"),
+    (["verify"], {"grid-density": "abc"}, {},
+     "option --grid-density expects an integer, got 'abc'"),
+    (["verify"], None, {"GAUSSRD_SEED": "abc"},
+     "environment variable GAUSSRD_SEED expects an integer, got 'abc'"),
+    (["sweep-wz-md", "--points", "abc"], None, {},
+     "option --points expects an integer, got 'abc'"),
+    (["verify", "--seed", "abc"], None, {}, "option --seed expects an integer, got 'abc'"),
+    (["dr-bound", "--var", "abc", *SCALAR_ARGVS["dr-bound"]], None, {},
+     "option --var expects a number, got 'abc'"),
+    (["dr-bound", "--unit", "furlongs", *SCALAR_ARGVS["dr-bound"]], None, {},
+     "unknown unit 'furlongs'; use nats or bits"),
+], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed",
+        "flag-points", "flag-seed", "flag-var", "flag-unit"])
 def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                                   argv, scenario, env, source):
+                                                   argv, scenario, env, message):
+    # A flag's value meets the same converter as a scenario value, so both
+    # leave a JSON error rather than argparse's plain-text usage message.
     monkeypatch.delenv("GAUSSRD_SEED", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -474,7 +487,12 @@ def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert code == 1
     assert error["type"] == "UsageError"
     # The message names where the bad value came from.
-    assert error["message"] == f"{source} expects an integer, got 'abc'"
+    assert error["message"] == message
+
+
+def test_help_lists_the_unit_choices(capsys):
+    assert cli.main(["dr-bound", "--help"]) == 0
+    assert "[--unit {nats,bits}]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("pmf", [12, ["a"]], ids=["number", "list"])
