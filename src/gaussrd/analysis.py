@@ -56,10 +56,11 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     """Solve the two noise variances so the coarse and refined estimates hit
     ``d1* = var exp(-2 r1)`` and ``d2* = var exp(-2 (r1+r2))`` exactly.
 
-    They are solved in units of ``2^k``, the variance's binary order
-    (``var = m 2^k``, ``1/2 <= m < 1``): products such as ``var d2*`` then
-    neither over- nor underflow, and wherever they would not have anyway the
-    scaling is exact, so the result is that of the unscaled formulas.
+    With ``c(r) = 1 - exp(-2 r)``, ``sigma2 = d2*/c(r1+r2)`` and
+    ``sigma1 = d1* c(r2)/(c(r1) c(r1+r2))``, each ``c`` from ``expm1``, so
+    nothing cancels at small rates.  They are solved in units of ``2^k``, the
+    variance's binary order (``var = m 2^k``, ``1/2 <= m < 1``), so no
+    intermediate over- or underflows where the result would not.
     """
     if not r1 > 0.0 or not r2 > 0.0:
         raise InvalidChannel(
@@ -74,8 +75,9 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
             f"stage floor d2* = var exp(-2 (r1+r2)) = {math.ldexp(d2s, k)} is "
             f"below the normal double range; the noise variances cannot be solved"
         )
-    sigma2_sq = m * d2s / (m - d2s)
-    sigma1_sq = m * d1s / (m - d1s) - sigma2_sq
+    c1, c2, c12 = (-math.expm1(-2.0 * r) for r in (r1, r2, r1 + r2))
+    sigma2_sq = d2s / c12
+    sigma1_sq = d1s * (c2 / c12) / c1  # c1 c12 underflows below rates of ~1e-162
     gamma = sigma2_sq / (sigma1_sq + sigma2_sq)
     try:
         return WzChannel(math.ldexp(sigma1_sq, k), math.ldexp(sigma2_sq, k), gamma)
@@ -207,7 +209,9 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
         ``exp(2 alpha r1) + exp(-2 r3) - exp(2 (alpha r1 - r3))``,
 
     is at least 1, equals ``1 + O(alpha)`` as ``alpha -> 0``, and grows
-    without bound in ``r1`` for fixed positive ``alpha`` and ``r3``.
+    without bound in ``r1`` for fixed positive ``alpha`` and ``r3``.  Raises
+    :class:`InvalidRegimeInput` when the ratio overflows or ``d2_floor``
+    falls below the normal double range.
     """
     _require_rate("r1", r1)
     _require_rate("r3", r3)
@@ -218,9 +222,15 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
         ratio = (math.exp(2.0 * a * r1) + math.exp(-2.0 * r3)
                  - math.exp(2.0 * (a * r1 - r3)))
     except OverflowError:
+        ratio = math.inf
+    # exp(inf) is inf without an OverflowError, and inf - inf is nan.
+    if not math.isfinite(ratio):
         raise InvalidRegimeInput(
-            f"the penalty ratio exp(2 alpha r1) overflows at alpha r1 = {a * r1}"
-        ) from None
+            f"the penalty ratio exp(2 alpha r1) overflows at alpha r1 = {a * r1}")
+    if d2_floor < sys.float_info.min:
+        raise InvalidRegimeInput(
+            f"the frozen floor d2_floor = {d2_floor} is below the normal double "
+            f"range at r1 = {r1}")
     return FixedChannelLoss(ratio, d2_floor)
 
 

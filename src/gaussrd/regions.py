@@ -9,11 +9,16 @@ Notation used throughout (all rates in nats):
 * the normalized side targets are ``a = d2_hat/d1_star``, ``b = d3_hat/d1_star``;
 * ``pi = (1 - a)(1 - b)`` and ``delta = a b - exp(-2 (r2 + r3))`` drive the
   central-distortion penalty ``1 / (1 - (max(sqrt(pi) - sqrt(delta), 0))^2)``,
-  whose denominator :func:`_penalty_den` evaluates in ratio form;
+  whose denominator :func:`_penalty` evaluates in ratio form;
 * ``R(x) = -log(x)/2`` is the rate that moves a distortion ratio to ``x``.
 
 For individually feasible inputs ``delta >= 0`` always holds (``a >= exp(-2 r2)``
 and ``b >= exp(-2 r3)``); a materially negative value therefore raises.
+
+The closed forms that the scalar bounds and the grid scan share are written
+once against a namespace ``xp``: numpy for arrays, :data:`_MATH` for doubles.
+``xp.where`` evaluates both branches, so those bodies hold only expressions
+that cannot raise on a double; the refusals stay with their callers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
@@ -103,15 +109,30 @@ def _side_ratios(d1_star: float, d2: float, d3: float) -> tuple[float, float]:
     return min(d2, d1_star) / d1_star, min(d3, d1_star) / d1_star
 
 
+#: The array namespace's operations on doubles.
+_MATH = SimpleNamespace(sqrt=math.sqrt, abs=abs, maximum=max,
+                        where=lambda c, x, y: x if c else y)
+
+
+def _delta(xp, ab, s):
+    """``delta = a b - s``, its tolerance ``FEASIBILITY_RTOL max(a b, s)``
+    (the scale on which the subtraction loses its digits), and ``delta``
+    snapped to 0 within it and clamped at 0: ``sqrt(delta)`` has unbounded
+    sensitivity at zero, so input rounding treated as an excess would put
+    noise of order ``sqrt(eps)`` into the bound at targets on their floors.
+    """
+    delta = ab - s
+    tol = FEASIBILITY_RTOL * xp.maximum(ab, s)
+    return delta, tol, xp.maximum(xp.where(xp.abs(delta) <= tol, 0.0, delta), 0.0)
+
+
 def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
     """``pi``, ``delta`` and whether the point is degenerate, at the
     normalized side targets ``a``, ``b`` and ``s = exp(-2 (r2+r3))``.
 
-    Degenerate means ``pi < delta`` by more than the rounding tolerance
-    ``FEASIBILITY_RTOL * max(a b, s)`` of ``delta``, the scale on which the
-    subtraction ``a b - s`` loses its digits.
+    Degenerate means ``pi < delta`` beyond the tolerance of :func:`_delta`.
     """
-    pi = (1.0 - a) * (1.0 - b)
+    pi = max((1.0 - a) * (1.0 - b), 0.0)
     ab = a * b
     if ab < sys.float_info.min:
         # Then ab and s <= ab carry no relative precision, and sqrt(delta)
@@ -120,56 +141,41 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
             f"a b = {ab} is below the normal double range (a={a}, b={b}); "
             f"delta = a b - exp(-2 (r2+r3)) cannot be formed"
         )
-    delta = ab - s
-    tol = FEASIBILITY_RTOL * max(ab, s)
+    raw, tol, delta = _delta(_MATH, ab, s)
     # Each side target may sit FEASIBILITY_RTOL below its floor, so a b may
-    # fall short of s by 2 tol plus rounding; such a delta clamps to 0 below.
-    if delta < -3.0 * tol:
+    # fall short of s by 2 tol plus rounding; such a delta clamps to 0.
+    if raw < -3.0 * tol:
         raise NegativeDelta(
-            f"delta={delta} is negative beyond rounding; inputs are inconsistent"
+            f"delta={raw} is negative beyond rounding; inputs are inconsistent"
         )
-    # Snap within-rounding values of delta to the exact boundary: sqrt(delta)
-    # has unbounded sensitivity at zero, so treating leftover input rounding
-    # as a genuine excess would inject noise of order sqrt(eps) into the
-    # bound for side targets sitting exactly on their rate floors.
-    if abs(delta) <= tol:
-        delta = 0.0
-    pi, delta = max(pi, 0.0), max(delta, 0.0)
     return pi, delta, delta - pi > tol
 
 
-def _penalty_den(a: float, b: float, delta: float) -> float:
+def _penalty(xp, a, b, delta):
     """The penalty denominator ``1 - g^2``, ``g = sqrt(pi) - sqrt(delta)``,
     at the normalized side targets ``a``, ``b`` (``pi = (1-a)(1-b)``).
 
     Evaluated as ``(1 - g)(1 + g)`` with ``1 - sqrt(pi) =
     (a + b - ab)/(1 + sqrt(pi))``: every term is nonnegative, so nothing
     cancels when ``pi`` tends to 1 at high rate, where ``1 - g^2`` written
-    out loses all its digits.  Returns 1 when ``sqrt(delta) >= sqrt(pi)``
-    (the penalty vanishes).
+    out loses all its digits.  It is 1 where ``sqrt(delta) >= sqrt(pi)``
+    (the penalty vanishes).  Nothing raises; an entry that is not positive
+    is refused by the caller.
     """
-    sqrt_pi, sqrt_delta = math.sqrt((1.0 - a) * (1.0 - b)), math.sqrt(delta)
-    if sqrt_delta >= sqrt_pi:
-        return 1.0
-    den = (((a + b - a * b) / (1.0 + sqrt_pi) + sqrt_delta)
-           * (1.0 + sqrt_pi - sqrt_delta))
+    sqrt_pi, sqrt_delta = xp.sqrt((1.0 - a) * (1.0 - b)), xp.sqrt(delta)
+    one_plus = 1.0 + sqrt_pi
+    return xp.where(sqrt_delta >= sqrt_pi, 1.0,
+                    ((a + b - a * b) / one_plus + sqrt_delta) * (one_plus - sqrt_delta))
+
+
+def _penalty_den(a: float, b: float, delta: float) -> float:
+    """:func:`_penalty` at doubles; a denominator that is not positive raises."""
+    den = _penalty(_MATH, a, b, delta)
     if den <= 0.0:
         raise InvalidRegimeInput(
             f"penalty denominator {den} not positive (a={a}, b={b}, delta={delta})"
         )
     return den
-
-
-def _penalty_dens(np, a, b, delta):
-    """:func:`_penalty_den` over arrays (numpy passed in as ``np``), in its
-    operation order, so each entry is its value bit for bit.  ``a``, ``b``
-    and ``delta`` broadcast against each other.  Nothing raises: an entry
-    that is not positive is where the scalar form would, and the caller
-    refuses it."""
-    sqrt_pi, sqrt_delta = np.sqrt((1.0 - a) * (1.0 - b)), np.sqrt(delta)
-    one_plus = 1.0 + sqrt_pi
-    return np.where(sqrt_delta >= sqrt_pi, 1.0,
-                    ((a + b - a * b) / one_plus + sqrt_delta) * (one_plus - sqrt_delta))
 
 
 #: ln 2 split so that ``n * _LN2_HI`` is exact for ``|n| < 2**21``.
@@ -306,21 +312,42 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
     return var * math.exp(x), f(x)
 
 
+def _excess_args(xp, a, b, z):
+    """``a' = (a-z)/(1-z)``, ``b' = (b-z)/(1-z)`` and ``a' b'`` for ``z < 1``,
+    the arguments at which :func:`_penalty` gives the excess term."""
+    a_rel = xp.maximum(a - z, 0.0) / (1.0 - z)
+    b_rel = xp.maximum(b - z, 0.0) / (1.0 - z)
+    return a_rel, b_rel, a_rel * b_rel
+
+
 def _excess_term(a: float, b: float, z: float) -> float:
     """Extra sum rate beyond R(z) in the excess regime, in nats.
 
     ``0.5 log[(1-z)^2 / ((1-z)^2 - (sqrt(pi) - w)^2)]`` with
     ``w = sqrt((a-z)(b-z))``; algebraically this inverts the d4 bound for the
     implied ``exp(-2 (r2+r3))``, so it is nonnegative wherever defined.  It
-    equals ``-0.5 log`` of :func:`_penalty_den` at ``a' = (a-z)/(1-z)``,
-    ``b' = (b-z)/(1-z)`` and ``delta' = a' b'``; at ``z >= 1`` (the
-    ``a = b = 1`` corner) it is 0.
+    equals ``-0.5 log`` of the penalty denominator at the arguments of
+    :func:`_excess_args`; at ``z >= 1`` (the ``a = b = 1`` corner) it is 0.
     """
     if z >= 1.0:
         return 0.0
-    a_rel = max(a - z, 0.0) / (1.0 - z)
-    b_rel = max(b - z, 0.0) / (1.0 - z)
-    return max(-0.5 * math.log(_penalty_den(a_rel, b_rel, a_rel * b_rel)), 0.0)
+    return max(-0.5 * math.log(_penalty_den(*_excess_args(_MATH, a, b, z))), 0.0)
+
+
+def _rd_branches(xp, a, b, z):
+    """:func:`rd_bound`'s low threshold ``ab - pi`` and harmonic threshold
+    ``ab/(a + b - ab)`` (both from ``1 - pi = a + b - ab``, whose terms do not
+    cancel), then its slack, harmonic-corner and low-band tests of ``z``; a
+    ``BOUNDARY_RTOL`` band around a positive threshold counts as beyond it.
+    """
+    ab = a * b
+    low, harm = ab - (1.0 - a) * (1.0 - b), ab / (a + b - ab)
+    to_harm = xp.abs(z - harm)
+    slack = ((harm > 0.0) & (to_harm <= BOUNDARY_RTOL * xp.maximum(z, harm))) | (z > harm)
+    corner = slack & (to_harm <= 1e-12 * harm) & (low < z)
+    low_band = (low > 0.0) & ((xp.abs(z - low) <= BOUNDARY_RTOL * xp.maximum(z, low))
+                              | (z < low))
+    return low, harm, slack, corner, low_band
 
 
 _Z_NAME = "z = d4 exp(2 r4)/d1_star"
@@ -372,23 +399,16 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
         ) from None
     z = d4_hat / d1s
 
-    # Both thresholds from 1 - pi = a + b - ab, whose terms do not cancel.
-    ab = a * b
-    low_thr = ab - (1.0 - a) * (1.0 - b)
-    harmonic_thr = ab / (a + b - ab)
+    low_thr, harmonic_thr, slack, at_corner, low_band = _rd_branches(_MATH, a, b, z)
     if low_thr > harmonic_thr * (1.0 + FEASIBILITY_RTOL):
         raise InvalidRegimeInput(
             f"threshold order violated: ab-pi={low_thr} > harmonic {harmonic_thr}"
         )
-
-    def near(threshold: float) -> bool:
-        return threshold > 0.0 and abs(z - threshold) <= BOUNDARY_RTOL * max(z, threshold)
-
     excess = 0.0
-    if near(harmonic_thr) or z > harmonic_thr:
+    if slack:
         # At the harmonic corner the excess branch lands exactly on the sum of
         # the individual bounds, so the constraint it would add is redundant.
-        if abs(z - harmonic_thr) <= 1e-12 * harmonic_thr and low_thr < z:
+        if at_corner:
             corner = rate_to_reach(z) + _excess_term(a, b, min(z, harmonic_thr))
             if abs(corner - (r2_bound + r3_bound)) > BOUNDARY_RTOL * max(1.0, corner):
                 raise InvalidRegimeInput(
@@ -396,7 +416,7 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
                     f"{r2_bound + r3_bound}"
                 )
         regime, sum_bound = Regime.RD_SLACK, 0.0
-    elif near(low_thr) or 0.0 < low_thr and z < low_thr:
+    elif low_band:
         # Both branches are continuous across the low threshold and the
         # excess term is nonnegative, so inside its band R(z) is the weaker.
         regime, sum_bound = Regime.RD_LOW, rate_to_reach(z, _Z_NAME)
@@ -506,9 +526,7 @@ def _rd_block(np, sx2: float, r1: float, r4: float, d1: float | Unconstrained,
     denominator not positive) and those that reach the harmonic corner band,
     where it cross-checks two branches.  Every ``log`` and ``exp`` comes from
     :mod:`math`: ``exp(2 r4)`` once, ``z`` and ``R(z)`` once per ``d4``, the
-    excess term's ``log`` once per excess entry.  numpy, passed in as ``np``,
-    applies only ``+ - * / abs sqrt max``, comparisons and ``where``, in the
-    operation order of :func:`rd_bound` and :func:`_penalty_den`.
+    excess term's ``log`` once per excess entry.
     """
     d4_values = grid.d4_values
     shape = (len(a), len(d4_values))
@@ -528,29 +546,18 @@ def _rd_block(np, sx2: float, r1: float, r4: float, d1: float | Unconstrained,
         return sums, codes, refused
     z, rz = np.array(zs), np.array([rate_to_reach(v) for v in zs])
 
-    ab = a * b
-    low = (ab - (1.0 - a) * (1.0 - b))[:, None]
-    harm = (ab / (a + b - ab))[:, None]
+    low, harm, slack, corner, low_band = _rd_branches(np, a[:, None], b[:, None], z)
     clean = np.logical_and.outer([_positive_float(d2) for d2 in grid.d2_values],
                                  [_positive_float(d3) for d3 in grid.d3_values])
-    refused = (~clean.ravel() | ~(a > 0.0) | ~(b > 0.0)
+    refused = (~clean.ravel() | ~(a > 0.0) | ~(b > 0.0) | corner.any(axis=1)
                | (low[:, 0] > harm[:, 0] * (1.0 + FEASIBILITY_RTOL)))
-    # The branch tests of rd_bound, in its if/elif order; the codes index
-    # _RD_REGIMES (low 0, slack 1, excess 2).
-    to_harm = np.abs(z - harm)
-    slack = ((harm > 0.0) & (to_harm <= BOUNDARY_RTOL * np.maximum(z, harm))) | (z > harm)
-    refused |= (slack & (to_harm <= 1e-12 * harm) & (low < z)).any(axis=1)
-    low_band = (low > 0.0) & ((np.abs(z - low) <= BOUNDARY_RTOL * np.maximum(z, low))
-                              | (z < low))
+    # The codes index _RD_REGIMES (low 0, slack 1, excess 2).
     codes = np.where(slack, 1, np.where(low_band, 0, 2))
     sums = np.where(slack, 0.0, rz)
 
     # _excess_term over the excess entries with z < 1; at z >= 1 it is 0.
     rows, cols = np.nonzero(~(slack | low_band) & (z < 1.0))
-    zr = z[cols]
-    a_rel = np.maximum(a[rows] - zr, 0.0) / (1.0 - zr)
-    b_rel = np.maximum(b[rows] - zr, 0.0) / (1.0 - zr)
-    den = _penalty_dens(np, a_rel, b_rel, a_rel * b_rel)
+    den = _penalty(np, *_excess_args(np, a[rows], b[rows], z[cols]))
     positive = den > 0.0
     refused[rows[~positive]] = True
     excess = [max(-0.5 * math.log(v), 0.0) for v in np.where(positive, den, 1.0).tolist()]
@@ -569,12 +576,10 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     boundary points rather than disagreements.
 
     Each ``(r1, r4, d1)`` block runs two array kernels.  The first gives the
-    d4 bound of every (rate pair x side-target pair) point.  Every ``exp``
-    comes from per-axis tables built with :mod:`math` (the floors,
-    ``exp(-2 (r2+r3))`` and ``var exp(-2 total)``); numpy applies only ``+ -
-    * / sqrt min max`` to them, in the operation order of :func:`_pi_delta`
-    and :func:`_penalty_den`, so the bound equals :func:`dr_bound`'s bit for
-    bit.  A numerator below the normal range goes through
+    d4 bound of every (rate pair x side-target pair) point through
+    :func:`_delta` and :func:`_penalty`.  Every ``exp`` comes from per-axis
+    tables built with :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and
+    ``var exp(-2 total)``).  A numerator below the normal range goes through
     :func:`_exp_quotient`; a bound that underflows to 0 raises
     :class:`InvalidRegimeInput`, since its margin has no value.  The second,
     :func:`_rd_block`, gives ``rd_bound``'s sum bound and regime for every
@@ -639,11 +644,9 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
             s_col = np.array(s, dtype=float)[:, None]
             exponents = [-2.0 * (r1 + r2 + r3 + r4) for r2, r3 in rate_pairs]
             numerators = [sx2 * math.exp(e) for e in exponents]
-            delta = ab - s_col
-            dtol = FEASIBILITY_RTOL * np.maximum(ab, s_col)
-            refused = (ab < sys.float_info.min) | (delta < -3.0 * dtol)
-            delta = np.maximum(np.where(np.abs(delta) <= dtol, 0.0, delta), 0.0)
-            den = _penalty_dens(np, a, b, delta)
+            raw, dtol, delta = _delta(np, ab, s_col)
+            refused = (ab < sys.float_info.min) | (raw < -3.0 * dtol)
+            den = _penalty(np, a, b, delta)
             refused = feasible & (refused | (den <= 0.0))
             sum_bounds, codes, rd_refused = _rd_block(np, sx2, r1, r4, d1, grid, a, b)
 

@@ -28,6 +28,7 @@ import math
 import mpmath
 import numpy as np
 
+from gaussrd.analysis import SPECIALIZATION_RTOL
 from gaussrd.errors import InfeasibleDistortion
 from gaussrd.mmse import conditional_mmse
 from gaussrd.model import FEASIBILITY_RTOL
@@ -78,6 +79,49 @@ def mp_witness_t(var, rates, d2, d3):
     """The witness bound ``t(eps*)``, the d4 penalty factor itself."""
     with mpmath.workdps(DPS):
         return +_penalty(var, rates, d2, d3)
+
+
+def mp_fixed_channel_loss(var, r1, r3, alpha):
+    """``(ratio, d2_floor)`` of the frozen first-layer channel: ``ratio =
+    e^{2 alpha r1} (1 - e^{-2 r3}) + e^{-2 r3}`` and ``d2_floor = var
+    e^{-2 r1} (1 - e^{-2 r3} + e^{-2 (alpha r1 + r3)})``, each a sum of
+    nonnegative terms with ``1 - e^{-x}`` from ``expm1``."""
+    with mpmath.workdps(DPS):
+        r1, r3, alpha = mpmath.mpf(r1), mpmath.mpf(r3), mpmath.mpf(alpha)
+        c3 = -mpmath.expm1(-2 * r3)
+        ratio = mpmath.exp(2 * alpha * r1) * c3 + mpmath.exp(-2 * r3)
+        d2_floor = (mpmath.mpf(var) * mpmath.exp(-2 * r1)
+                    * (c3 + mpmath.exp(-2 * (alpha * r1 + r3))))
+        return +ratio, +d2_floor
+
+
+def mp_wz_md_sweep(var, rates, d3_values):
+    """``(d4_wz, d4_md, gap)`` of each ``d3`` in ``d3_values``, with the
+    first two stages at their floors ``d1* = var e^{-2 r1}`` and
+    ``d2* = var e^{-2 (r1+r2)}``.
+
+    The binning channel solves ``1/(1/var + 1/(s1 + s2)) = d1*`` and
+    ``1/(1/var + 1/s2) = d2*``, so ``s2 = d2*/c(r1+r2)`` and ``s1 + s2 =
+    d1*/c(r1)`` with ``c(r) = 1 - e^{-2 r}``, and ``gamma = s2/(s1 + s2)``;
+    ``d4_md`` is :func:`mp_dr_bound` at ``(d2*, d3)``.  ``gap = d4_wz - d4_md``
+    is 0 within ``SPECIALIZATION_RTOL d4_md``, the library's convention.
+    """
+    with mpmath.workdps(DPS):
+        var = mpmath.mpf(var)
+        r1, r2, r3, r4 = (mpmath.mpf(r) for r in rates)
+        d1s, d2s = var * mpmath.exp(-2 * r1), var * mpmath.exp(-2 * (r1 + r2))
+        s2 = d2s / -mpmath.expm1(-2 * (r1 + r2))
+        s1 = d1s / -mpmath.expm1(-2 * r1) - s2
+        g = s2 / (s1 + s2)
+        scale = mpmath.exp(-2 * (r3 + r4))
+        rows = []
+        for d3 in d3_values:
+            wz = (scale * var * s1 * s2 / ((var + s1 + s2)
+                  * ((1 - g) ** 2 * min(mpmath.mpf(d3), d1s) + g * s1)))
+            md = mp_dr_bound(var, rates, d2s, d3)
+            gap = wz - md
+            rows.append((wz, md, 0 if abs(gap) <= SPECIALIZATION_RTOL * md else gap))
+        return rows
 
 
 def _rate(x):

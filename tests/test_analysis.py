@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import pytest
@@ -33,6 +34,8 @@ from gaussrd import (
 )
 
 from conftest import make_rng
+
+EPS = sys.float_info.epsilon
 
 #: Operating point of the side-information-versus-plain-coding sweep.
 SWEEP_RATES = RateTuple(1.0, 0.5, 1.0, 0.5)
@@ -164,6 +167,30 @@ def test_wz_channel_rejects_stage_floors_below_the_normal_range():
         wz_channel_from_rates(GaussianSource(1.0), 355.5, 0.5)
 
 
+def test_wz_md_sweep_matches_the_oracle():
+    # Stage rates from 1e-18 nats, where var exp(-2 r1) rounds to var and
+    # the textbook var d1*/(var - d1*) divides by 0, to 3; variances
+    # 10^U[-100, 100].  d4_wz is within 16 eps, d4_md within dr_bound's
+    # rounding model 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap
+    # within the sum of the two.
+    rng = make_rng(9)
+    for i in range(40):
+        var = 10.0 ** rng.uniform(-100.0, 100.0)
+        r1 = 10.0 ** rng.uniform(-17.0, 0.5) if i % 4 else 10.0 ** rng.uniform(-18.0, -16.0)
+        rates = RateTuple(r1, 10.0 ** rng.uniform(-12.0, 0.5),
+                          *rng.uniform(0.01, 2.0, size=2))
+        rows = wz_md_sweep(GaussianSource(var), rates, 9)
+        exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
+        d2s = var * math.exp(-2.0 * (rates.r1 + rates.r2))
+        for row, (wz, md, gap) in zip(rows, exact):
+            kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
+            wz_err = 16.0 * EPS * wz
+            md_err = 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
+            assert abs(row.d4_wz - wz) <= wz_err
+            assert abs(row.d4_md - md) <= md_err
+            assert abs(row.gap - gap) <= wz_err + md_err
+
+
 def test_wz_md_sweep_validates_point_count():
     with pytest.raises(ValueError):
         wz_md_sweep(GaussianSource(variance=1.0), SWEEP_RATES, points=1)
@@ -238,6 +265,29 @@ def test_fixed_channel_loss_grows_without_bound_in_r1():
         assert ratio > previous
         previous = ratio
     assert previous > 1e6  # far beyond any bounded penalty
+
+
+def test_fixed_channel_loss_matches_the_oracle():
+    # Each output is a signed sum of three exponentials.  Its relative error
+    # is at most eps kappa (1 + the exponents' magnitudes): kappa, the sum of
+    # the terms' magnitudes over the result, is the cancellation, and each
+    # exponent's rounded argument moves its term by that magnitude times eps.
+    rng = make_rng(3)
+    for i in range(300):
+        var = 10.0 ** rng.uniform(-100.0, 100.0)
+        alpha = float(rng.uniform(0.0, 2.0)) if i % 7 else 0.0
+        r1 = float(rng.uniform(0.0, 20.0 if i % 5 else 100.0))
+        r3 = float(rng.uniform(0.0, 3.0)) if i % 4 else 10.0 ** rng.uniform(-12.0, 0.0)
+        loss = fixed_channel_loss(GaussianSource(var), r1, r3, FixedChannelConfig(alpha))
+        ratio, d2_floor = oracle.mp_fixed_channel_loss(var, r1, r3, alpha)
+        ar = alpha * r1
+        terms = math.exp(2.0 * ar) + math.exp(-2.0 * r3) + math.exp(2.0 * (ar - r3))
+        kappa = terms / float(ratio)
+        assert abs(loss.ratio - ratio) <= EPS * kappa * (1.0 + 2.0 * (ar + r3)) * ratio
+        floor_terms = 1.0 + math.exp(-2.0 * (ar + r3)) + math.exp(-2.0 * r3)
+        kappa = floor_terms * var * math.exp(-2.0 * r1) / float(d2_floor)
+        assert (abs(loss.d2_floor - d2_floor)
+                <= EPS * kappa * (1.0 + 2.0 * (r1 + ar + r3)) * d2_floor)
 
 
 def test_fixed_channel_loss_validates_inputs():

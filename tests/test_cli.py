@@ -523,15 +523,20 @@ def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
     ["channel", "--var", "1e-200", "--rates",
      "38.94321942583643,34.18371773174844,39.68471326127271,35.247697372811615",
      "--d", "3.415362060029526e-246,2.5985620784733553e-237"],
+    ["loss", "--alpha", "1", "--r3", "1", "--r1-grid", "1,1e308"],
+    ["loss", "--alpha", "1e-300", "--r3", "1", "--r1-grid", "1e10"],
 ], ids=["dr-bound", "rd-bound", "rd-bound-r4", "loss", "asymptote", "sweep-wz-md",
-        "rd-bound-z", "rd-bound-a", "rd-bound-d1", "channel-d4"])
+        "rd-bound-z", "rd-bound-a", "rd-bound-d1", "channel-d4", "loss-inf-ratio",
+        "loss-d2-floor"])
 def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
     # d1_star = exp(-800) underflows to zero at r1 = 400 nats; exp(2 r4) at
     # r4 = 400, exp(2 alpha r1) at alpha r1 = 400 and 4 b at b = 1e308
     # overflow; at variance 1e10 the ratios z = d4/d1_star, a = d2/d1_star
     # and d1/var underflow to zero, and so does the channel's d4 bound at
-    # 1e-200 times exp(-296).  None of them leaves as an internal
-    # error (exit 4) or a bare ValueError.
+    # 1e-200 times exp(-296).  At alpha r1 = 1e308, 2 alpha r1 is inf and
+    # exp(inf) - exp(inf) is nan, and d2_floor underflows at r1 = 1e10.
+    # None of them leaves as an internal error (exit 4), a bare ValueError
+    # or a printed nan or 0.
     code = cli.main(argv)
     error = json.loads(capsys.readouterr().err)["error"]
     assert code == 2
@@ -542,10 +547,13 @@ def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
     (["mdcr", "--r2", "1", "--r3", "1", "--d2", "0.3", "--d3", "0.3",
       "--r4-grid", "0:400:3"], "ratio"),
     (["sweep-wz-md", "--r1", "300", "--points", "3"], "d4_wz"),
-], ids=["mdcr", "sweep-wz-md"])
+    (["sweep-wz-md", "--r1", "1e-17", "--points", "3"], "d4_wz"),
+], ids=["mdcr", "sweep-wz-md", "sweep-wz-md-small-r1"])
 def test_large_rate_sweeps_print_finite_values(capsys, argv, column):
     # The last mdcr row's bounds underflow to 0.0, but their ratio does not;
-    # at r1 = 300 nats s1 s2 ~ d1*^2 underflows, but d4_wz does not.
+    # at r1 = 300 nats s1 s2 ~ d1*^2 underflows, but d4_wz does not; at
+    # r1 = 1e-17 var exp(-2 r1) rounds to var, but the channel does not
+    # divide by their difference.
     assert cli.main(argv) == 0
     header, rows = parse_csv(capsys.readouterr().out)
     values = [row[header.index(column)] for row in rows]

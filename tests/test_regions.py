@@ -8,6 +8,7 @@ import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,8 @@ from gaussrd import (
 )
 from gaussrd import regions
 from gaussrd.model import FEASIBILITY_RTOL, _floor_margins
-from gaussrd.regions import EquivalenceReport, GridSpec, rate_to_reach
+from gaussrd.regions import (BOUNDARY_RTOL, EquivalenceReport, GridSpec,
+                             rate_to_reach)
 
 from conftest import (
     GOLDEN_D2,
@@ -938,3 +940,84 @@ def test_equivalence_scan_matches_the_reference_on_random_grids(case):
         assert type(raised.value) is type(exc)
         return
     assert equivalence_scan(source, grid) == expected
+
+
+# ---------------------------------------------------------------------------
+# The closed forms shared by the scalar bounds and the scan kernels
+# ---------------------------------------------------------------------------
+
+SHARED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+RATIO = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+NEAR = st.floats(-3.0, 3.0)
+
+
+def _bits(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    return float(value).hex()
+
+
+def _same_bits(form, rows):
+    """``form`` through ``regions._MATH`` at each row of doubles gives, bit
+    for bit, ``form`` through numpy at the columns' arrays."""
+    arrays = form(np, *(np.array(column, dtype=float) for column in zip(*rows)))
+    arrays = arrays if isinstance(arrays, tuple) else (arrays,)
+    for i, row in enumerate(rows):
+        scalars = form(regions._MATH, *row)
+        scalars = scalars if isinstance(scalars, tuple) else (scalars,)
+        assert [_bits(v) for v in scalars] == [_bits(v[i]) for v in arrays], row
+
+
+@st.composite
+def _penalty_args(draw):
+    # delta either anywhere in [0, 1] or a multiple of pi up to 2, so that
+    # sqrt(delta) >= sqrt(pi) and the branch point itself are drawn.
+    a, b = draw(RATIO), draw(RATIO)
+    pi = (1.0 - a) * (1.0 - b)
+    delta = st.one_of(st.floats(0.0, 1.0), st.floats(0.5, 2.0).map(lambda x: x * pi))
+    return a, b, draw(delta)
+
+
+@st.composite
+def _delta_args(draw):
+    # s = ab (1 + k FEASIBILITY_RTOL) with |k| <= 3 puts delta in the snap
+    # band or within reach of the refusal at -3 tolerances; or s anywhere.
+    ab = draw(RATIO) * draw(RATIO)
+    near = draw(NEAR.map(lambda k: ab * (1.0 + k * FEASIBILITY_RTOL)))
+    return ab, draw(st.one_of(st.just(near), RATIO))
+
+
+@st.composite
+def _branch_args(draw):
+    # z in [0, 1), or within 3 band widths of either threshold.
+    a, b = draw(RATIO), draw(RATIO)
+    ab = a * b
+    threshold = draw(st.sampled_from([ab - (1.0 - a) * (1.0 - b), ab / (a + b - ab)]))
+    near = draw(st.one_of(NEAR.map(lambda k: threshold * (1.0 + k * BOUNDARY_RTOL)),
+                          NEAR.map(lambda k: threshold * (1.0 + k * 1e-12))))
+    return a, b, draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(near)))
+
+
+@SHARED
+@given(st.lists(_penalty_args(), min_size=1, max_size=16))
+def test_penalty_is_the_same_on_doubles_and_arrays(rows):
+    _same_bits(regions._penalty, rows)
+
+
+@SHARED
+@given(st.lists(_delta_args(), min_size=1, max_size=16))
+def test_delta_and_its_snap_are_the_same_on_doubles_and_arrays(rows):
+    _same_bits(regions._delta, rows)
+
+
+@SHARED
+@given(st.lists(_branch_args(), min_size=1, max_size=16))
+def test_rd_branches_are_the_same_on_doubles_and_arrays(rows):
+    _same_bits(regions._rd_branches, rows)
+
+
+@SHARED
+@given(st.lists(st.tuples(RATIO, RATIO, st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=16))
+def test_excess_args_are_the_same_on_doubles_and_arrays(rows):
+    _same_bits(regions._excess_args, rows)
