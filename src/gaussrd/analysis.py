@@ -167,9 +167,12 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
     sx2 = source.variance
     lo = sx2 * math.exp(-2.0 * (rates.r1 + rates.r3))
     hi = sx2 * math.exp(-2.0 * rates.r1)
-    rows = []
+    span, rows = hi - lo, []
     for i in range(points):
-        d3 = lo + (hi - lo) * i / (points - 1)
+        step = span * i
+        # Near the top of the double range span i overflows, though the
+        # fraction i/(points - 1) of the span does not.
+        d3 = lo + (step / (points - 1) if step < math.inf else span * (i / (points - 1)))
         wz = wz_region(source, rates, d3)
         md = md_region_slice(source, rates, d3)
         gap = wz - md
@@ -209,21 +212,25 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
         ``exp(2 alpha r1) + exp(-2 r3) - exp(2 (alpha r1 - r3))``,
 
     is at least 1, equals ``1 + O(alpha)`` as ``alpha -> 0``, and grows
-    without bound in ``r1`` for fixed positive ``alpha`` and ``r3``.  Raises
-    :class:`InvalidRegimeInput` when the ratio overflows or ``d2_floor``
-    falls below the normal double range.
+    without bound in ``r1`` for fixed positive ``alpha`` and ``r3``.  Both
+    are formed as sums of nonnegative terms, with ``c3 = 1 - exp(-2 r3)``
+    from ``expm1``: ``ratio = exp(2 alpha r1) c3 + exp(-2 r3)`` and
+    ``d2_floor = d1* (c3 + exp(-2 (alpha r1 + r3)))``, so nothing cancels at
+    small ``r3`` and large ``alpha r1``.  Raises :class:`InvalidRegimeInput`
+    when the ratio overflows or ``d2_floor`` falls below the normal double
+    range.
     """
     _require_rate("r1", r1)
     _require_rate("r3", r3)
     a = config.alpha
     d1s = source.variance * math.exp(-2.0 * r1)
-    d2_floor = d1s * (1.0 + math.exp(-2.0 * (a * r1 + r3)) - math.exp(-2.0 * r3))
+    c3 = -math.expm1(-2.0 * r3)
+    d2_floor = d1s * (c3 + math.exp(-2.0 * (a * r1 + r3)))
     try:
-        ratio = (math.exp(2.0 * a * r1) + math.exp(-2.0 * r3)
-                 - math.exp(2.0 * (a * r1 - r3)))
+        ratio = math.exp(2.0 * a * r1) * c3 + math.exp(-2.0 * r3)
     except OverflowError:
         ratio = math.inf
-    # exp(inf) is inf without an OverflowError, and inf - inf is nan.
+    # exp(inf) is inf without an OverflowError, and inf * 0 is nan.
     if not math.isfinite(ratio):
         raise InvalidRegimeInput(
             f"the penalty ratio exp(2 alpha r1) overflows at alpha r1 = {a * r1}")

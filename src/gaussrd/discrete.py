@@ -68,7 +68,9 @@ class JointPmf:
             raise InvalidPmf("pmf entries must be finite")
         if np.any(arr < 0.0):
             raise InvalidPmf(f"pmf entries must be nonnegative (min {arr.min():.3e})")
-        total = float(arr.sum())
+        # An overflowing sum is inf, which the check below refuses.
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
         if abs(total - 1.0) > PMF_ATOL:
             raise InvalidPmf(f"pmf must sum to 1 within {PMF_ATOL}, got {total!r}")
         arr.flags.writeable = False
@@ -184,30 +186,37 @@ def load_configuration(text: str) -> tuple[JointPmf, DecoderMaps | None]:
     return pmf, decoders
 
 
-def _plogq(p: np.ndarray, q: np.ndarray) -> float:
-    """Sum of p * log(q) over the support of p (0 log 0 = 0)."""
+_TINY = np.finfo(float).tiny
+
+
+def _support(p: np.ndarray, *marginals: np.ndarray) -> list[np.ndarray]:
+    """The entries of ``p`` on its support, and of each marginal broadcast
+    to them; wherever ``p > 0`` its marginals are positive too."""
     mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(q[mask])))
+    return [p[mask], *(np.broadcast_to(m, p.shape)[mask] for m in marginals)]
 
 
 def _mutual_information(joint: np.ndarray) -> float:
     """I between the first axis and the rest of a joint table, in nats."""
     flat = joint.reshape(joint.shape[0], -1)
-    px = flat.sum(axis=1, keepdims=True)
-    py = flat.sum(axis=0, keepdims=True)
-    # Wherever flat > 0 both marginals are positive, so the ratio is defined.
-    return _plogq(flat, flat) - _plogq(flat, px * py)
+    p, px, py = _support(flat, flat.sum(axis=1, keepdims=True),
+                         flat.sum(axis=0, keepdims=True))
+    pxy = px * py
+    # Below the normal range the product has lost digits or vanished.
+    log_pxy = np.where(pxy >= _TINY, np.log(pxy), np.log(px) + np.log(py))
+    return float(np.sum(p * np.log(p))) - float(np.sum(p * log_pxy))
 
 
 def _conditional_mi_23_given_1(p123: np.ndarray) -> float:
     """I(U2; U3 | U1) from the joint table p(u1, u2, u3), in nats."""
-    p1 = p123.sum(axis=(1, 2))
-    p12 = p123.sum(axis=2)
-    p13 = p123.sum(axis=1)
-    num = p123 * p1[:, None, None]
-    den = p12[:, :, None] * p13[:, None, :]
-    mask = p123 > 0.0
-    return float(np.sum(p123[mask] * np.log(num[mask] / den[mask])))
+    p, p1, p12, p13 = _support(p123, p123.sum(axis=(1, 2))[:, None, None],
+                               p123.sum(axis=2)[:, :, None], p123.sum(axis=1)[:, None, :])
+    num, den = p * p1, p12 * p13
+    # Below the normal range a product has lost digits or vanished.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where((num >= _TINY) & (den >= _TINY), np.log(num / den),
+                             np.log(p) + np.log(p1) - np.log(p12) - np.log(p13))
+    return float(np.sum(p * log_ratio))
 
 
 def eval_region_bounds(pmf: JointPmf) -> RateRegionBounds:

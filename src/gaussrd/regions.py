@@ -394,9 +394,12 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     try:
         d4_hat = dist.d4 * math.exp(2.0 * r4)
     except OverflowError:
+        d4_hat = math.inf
+    # exp(inf) is inf without an OverflowError (r4 past ~8.9e307), and the
+    # product may overflow where exp(2 r4) does not.
+    if d4_hat == math.inf:
         raise InvalidRegimeInput(
-            f"exp(2 r4) overflows at r4={r4}; d4_hat = d4 exp(2 r4) is out of range"
-        ) from None
+            f"d4_hat = d4 exp(2 r4) overflows at d4={dist.d4}, r4={r4}")
     z = d4_hat / d1s
 
     low_thr, harmonic_thr, slack, at_corner, low_band = _rd_branches(_MATH, a, b, z)
@@ -511,57 +514,73 @@ def _positive_float(value) -> bool:
     return isinstance(value, float) and 0.0 < value < math.inf
 
 
-def _rd_block(np, sx2: float, r1: float, r4: float, d1: float | Unconstrained,
-              grid: GridSpec, a, b):
-    """``rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))`` over a
-    block of ``grid``, bit for bit: the ``sum_bound`` and the regime code (an
-    index into :data:`_RD_REGIMES`) of each side pair ``(d2, d3)`` in
-    ``itertools.product`` order (rows, at the ratios ``a``, ``b``) and each
-    ``d4`` (columns), and a mask of the rows that only ``rd_bound`` may
-    evaluate.
-
-    Those are the rows where ``rd_bound`` could raise (a target that is not a
-    finite positive float, ``r1`` below ``r1_star``, ``exp(2 r4)``
-    overflowing, ``z = 0``, the threshold order violated, an excess
-    denominator not positive) and those that reach the harmonic corner band,
-    where it cross-checks two branches.  Every ``log`` and ``exp`` comes from
-    :mod:`math`: ``exp(2 r4)`` once, ``z`` and ``R(z)`` once per ``d4``, the
-    excess term's ``log`` once per excess entry.
-    """
-    d4_values = grid.d4_values
-    shape = (len(a), len(d4_values))
-    refused = np.ones(shape[0], dtype=bool)
-    sums, codes = np.zeros(shape), np.zeros(shape, dtype=np.intp)
-    if not ((d1 is UNCONSTRAINED or _positive_float(d1))
-            and all(map(_positive_float, d4_values))):
-        return sums, codes, refused
+def _rd_z(sx2: float, r1: float, r4: float, d1: float | Unconstrained,
+          d4_values) -> list[float] | None:
+    """``rd_bound``'s ``z = d4 exp(2 r4)/d1_star`` at each ``d4`` of one
+    ``(r1, r4, d1)`` block, or None where ``rd_bound`` could raise on every
+    row of the block: ``d1`` not a finite positive float, ``r1`` below
+    ``r1_star``, a ``d4 exp(2 r4)`` overflowing, ``d1_star`` or a ``z`` of
+    0."""
+    if not (d1 is UNCONSTRAINED or _positive_float(d1)):
+        return None
     try:
         r1_star = rate_to_reach((sx2 if d1 is UNCONSTRAINED else min(d1, sx2)) / sx2)
         e4 = math.exp(2.0 * r4)
     except (InvalidRegimeInput, OverflowError):
-        return sums, codes, refused
+        return None
     d1s = sx2 * math.exp(-2.0 * r1)
-    zs = [d4 * e4 / d1s for d4 in d4_values]
-    if r1 < r1_star * (1.0 - FEASIBILITY_RTOL) - 1e-15 or 0.0 in zs:
-        return sums, codes, refused
-    z, rz = np.array(zs), np.array([rate_to_reach(v) for v in zs])
+    hats = [d4 * e4 for d4 in d4_values]
+    if (r1 < r1_star * (1.0 - FEASIBILITY_RTOL) - 1e-15 or not d1s > 0.0
+            or math.inf in hats):
+        return None
+    zs = [d4_hat / d1s for d4_hat in hats]
+    return None if 0.0 in zs else zs
 
-    low, harm, slack, corner, low_band = _rd_branches(np, a[:, None], b[:, None], z)
+
+def _rd_block(np, sx2: float, blocks, grid: GridSpec, a, b):
+    """``rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))`` over the
+    ``(r1, r4, d1)`` blocks of ``grid`` listed in ``blocks``, bit for bit:
+    the ``sum_bound`` and the regime code (an index into
+    :data:`_RD_REGIMES`) of each block (axis 0), each side pair ``(d2, d3)``
+    in ``itertools.product`` order (axis 1, at the ratios ``a``, ``b``, one
+    row per block) and each ``d4`` (axis 2), and a mask of the (block, side
+    pair) rows that only ``rd_bound`` may evaluate.
+
+    Those are the rows where ``rd_bound`` could raise (a target that is not a
+    finite positive float, every row of a block where :func:`_rd_z` gives
+    None, the threshold order violated, an excess denominator not positive)
+    and those that reach the harmonic corner band, where it cross-checks two
+    branches.  Every ``log`` and ``exp`` comes from :mod:`math`: ``exp(2
+    r4)`` once per block, ``z`` and ``R(z)`` once per block and ``d4``, the
+    excess term's ``log`` once per excess entry.
+    """
+    d4_values = grid.d4_values
+    clean_d4 = all(map(_positive_float, d4_values))
+    zs = [_rd_z(sx2, r1, r4, d1, d4_values) if clean_d4 else None
+          for r1, r4, d1 in blocks]
+    whole = np.array([row is None for row in zs])
+    # A block refused whole takes z = 1, which reaches no excess entry.
+    zs = [[1.0] * len(d4_values) if row is None else row for row in zs]
+    z, rz = np.array(zs), np.array([[rate_to_reach(v) for v in row] for row in zs])
+
+    low, harm, slack, corner, low_band = _rd_branches(
+        np, a[:, :, None], b[:, :, None], z[:, None, :])
     clean = np.logical_and.outer([_positive_float(d2) for d2 in grid.d2_values],
                                  [_positive_float(d3) for d3 in grid.d3_values])
-    refused = (~clean.ravel() | ~(a > 0.0) | ~(b > 0.0) | corner.any(axis=1)
-               | (low[:, 0] > harm[:, 0] * (1.0 + FEASIBILITY_RTOL)))
+    refused = (whole[:, None] | ~clean.ravel() | ~(a > 0.0) | ~(b > 0.0)
+               | corner.any(axis=2)
+               | (low[:, :, 0] > harm[:, :, 0] * (1.0 + FEASIBILITY_RTOL)))
     # The codes index _RD_REGIMES (low 0, slack 1, excess 2).
     codes = np.where(slack, 1, np.where(low_band, 0, 2))
-    sums = np.where(slack, 0.0, rz)
+    sums = np.where(slack, 0.0, rz[:, None, :])
 
     # _excess_term over the excess entries with z < 1; at z >= 1 it is 0.
-    rows, cols = np.nonzero(~(slack | low_band) & (z < 1.0))
-    den = _penalty(np, *_excess_args(np, a[rows], b[rows], z[cols]))
+    blk, rows, cols = np.nonzero(~(slack | low_band) & (z[:, None, :] < 1.0))
+    den = _penalty(np, *_excess_args(np, a[blk, rows], b[blk, rows], z[blk, cols]))
     positive = den > 0.0
-    refused[rows[~positive]] = True
-    excess = [max(-0.5 * math.log(v), 0.0) for v in np.where(positive, den, 1.0).tolist()]
-    sums[rows, cols] = rz[cols] + np.array(excess)
+    refused[blk[~positive], rows[~positive]] = True
+    logs = np.array(list(map(math.log, np.where(positive, den, 1.0).tolist())))
+    sums[blk, rows, cols] = rz[blk, cols] + np.maximum(-0.5 * logs, 0.0)
     return sums, codes, refused
 
 
@@ -575,149 +594,191 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     within a relative band of ``1e-9`` around either boundary are recorded as
     boundary points rather than disagreements.
 
-    Each ``(r1, r4, d1)`` block runs two array kernels.  The first gives the
-    d4 bound of every (rate pair x side-target pair) point through
-    :func:`_delta` and :func:`_penalty`.  Every ``exp`` comes from per-axis
-    tables built with :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and
-    ``var exp(-2 total)``).  A numerator below the normal range goes through
-    :func:`_exp_quotient`; a bound that underflows to 0 raises
-    :class:`InvalidRegimeInput`, since its margin has no value.  The second,
-    :func:`_rd_block`, gives ``rd_bound``'s sum bound and regime for every
-    (side-target pair x d4) entry, which is all ``rd_bound`` reads.  Points
-    and rows that the scalar forms would refuse are re-run through them at
-    the position where a per-point loop first meets them (a row at its
-    pair's first feasible ``(r2, r3)``), so the errors, the first raise and
-    the order of the regime keys are a per-point loop's.  Verdicts are taken
-    one ``d4`` column at a time.  numpy is imported here, not when the
-    module loads.
+    The whole grid goes through each kernel once, on arrays with a leading
+    axis over the ``(r1, r4, d1)`` blocks.  The floor margins, the side
+    ratios and :func:`_delta` and :func:`_penalty` depend on ``r1`` alone
+    and are built once per ``r1``.  The d4 bound of every (block x rate pair
+    x side-target pair) point divides ``var exp(-2 total)`` by them; every
+    ``exp`` comes from :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and the
+    numerators, one per block and rate pair).  A numerator below the normal
+    range goes through :func:`_exp_quotient`; a bound that underflows to 0
+    raises :class:`InvalidRegimeInput`, since its margin has no value.  One
+    call of :func:`_rd_block` gives ``rd_bound``'s sum bound and regime for
+    every (block x side-target pair x d4) entry, which is all ``rd_bound``
+    reads.  Points and rows that the scalar forms would refuse are re-run
+    through them in block order, at the position where a per-point loop
+    first meets them (a row at its pair's first feasible ``(r2, r3)``), and
+    each block's subnormal numerators after them; so the errors and the
+    first raise are a per-point loop's, and the regime keys are ordered by
+    where such a loop first meets them.  Verdicts are taken one ``d4``
+    column at a time over all blocks, so a temporary holds
+    ``total_points / len(d4_values)`` doubles (16,384 at ``default_grid``
+    k=8).  numpy is imported here, not when the module loads.
     """
     import numpy as np
 
     report = EquivalenceReport()
     if not grid.total_points():
         return report
-    regime_counts = report.regime_counts
-    sx2 = source.variance
-    tol = BOUNDARY_RTOL
-    r2_values, r3_values = grid.r2_values, grid.r3_values
-    d2_values, d3_values, d4_values = grid.d2_values, grid.d3_values, grid.d4_values
-    for name, values in (("r2", r2_values), ("r3", r3_values)):
-        for value in values:
+    for name in ("r1", "r2", "r3", "r4"):
+        for value in getattr(grid, f"{name}_values"):
             _require_rate(name, value)
-    n4 = len(d4_values)
-    sides = list(itertools.product(d2_values, d3_values))
-    n_sides = len(sides)
-    rate_pairs = list(itertools.product(r2_values, r3_values))
+    sx2, tol = source.variance, BOUNDARY_RTOL
+    d4_values, n4 = grid.d4_values, len(grid.d4_values)
+    sides = list(itertools.product(grid.d2_values, grid.d3_values))
+    rate_pairs = list(itertools.product(grid.r2_values, grid.r3_values))
     rate_sums = [r2 + r3 for r2, r3 in rate_pairs]
-    rate_sum_col = np.array(rate_sums, dtype=float)[:, None]
-    regime_index = np.arange(len(_RD_REGIMES))
-    skipped = boundary = in_both = out_both = evaluated = 0
-    blocks = itertools.product(grid.r1_values, grid.r4_values, grid.d1_values)
+    blocks = list(itertools.product(grid.r1_values, grid.r4_values, grid.d1_values))
+    n_pairs, n_sides, n_blocks = len(rate_pairs), len(sides), len(blocks)
+    block_size = n_pairs * n_sides
+    # Blocks are r1-major: (r1, block of that r1) indexes the stacked axis.
+    n1 = len(grid.r1_values)
+    per_r1 = n_blocks // n1
+    stacked = (n_blocks, n_pairs, n_sides)
+    d1s_of = [sx2 * math.exp(-2.0 * r1) for r1 in grid.r1_values]
+    s = [math.exp(-2.0 * rs) for rs in rate_sums]
     # Entries off the feasible mask may divide by 0 or overflow; none is read.
     with np.errstate(all="ignore"):
-        for r1, r4, d1 in blocks:
-            _require_rate("r1", r1)
-            _require_rate("r4", r4)
-            d1s = sx2 * math.exp(-2.0 * r1)
-            m1 = _margin(d1, d1s)
-            m2 = np.array([[_margin(d2, d1s * math.exp(-2.0 * r2)) for d2 in d2_values]
-                           for r2 in r2_values], dtype=float)
-            m3 = np.array([[_margin(d3, d1s * math.exp(-2.0 * r3)) for d3 in d3_values]
-                           for r3 in r3_values], dtype=float)
-            base = np.minimum(m2.reshape(len(r2_values), 1, len(d2_values), 1),
-                              m3.reshape(1, len(r3_values), 1, len(d3_values)))
-            base = np.minimum(base.reshape(len(rate_pairs), n_sides), m1)
-            n_skipped = int(np.count_nonzero(base < -tol))
-            feasible = base > tol
-            n_feasible = int(np.count_nonzero(feasible))
-            skipped += n_skipped * n4
-            boundary += (base.size - n_skipped - n_feasible) * n4
-            if not n_feasible:
-                continue
-            evaluated += n_feasible * n4
+        # The tables of r1 alone, (r1, rate pair, side pair).
+        d1s = np.array(d1s_of)[:, None]
 
-            # The d4 bound of dr_bound over the block, rate pairs down and
-            # side-target pairs across.
-            a, b = np.array([_side_ratios(d1s, d2, d3) for d2, d3 in sides]).T
-            ab = a * b
-            s = [math.exp(-2.0 * rs) for rs in rate_sums]
-            s_col = np.array(s, dtype=float)[:, None]
-            exponents = [-2.0 * (r1 + r2 + r3 + r4) for r2, r3 in rate_pairs]
-            numerators = [sx2 * math.exp(e) for e in exponents]
-            raw, dtol, delta = _delta(np, ab, s_col)
-            refused = (ab < sys.float_info.min) | (raw < -3.0 * dtol)
-            den = _penalty(np, a, b, delta)
-            refused = feasible & (refused | (den <= 0.0))
-            sum_bounds, codes, rd_refused = _rd_block(np, sx2, r1, r4, d1, grid, a, b)
+        def margins(d_values, r_values):
+            # model._margin over (r1, r, d): -inf at a target that is not
+            # positive, inf over a floor that underflowed.
+            d = np.array(d_values, dtype=float)
+            f = d1s[:, :, None] * np.array([math.exp(-2.0 * r) for r in r_values])[:, None]
+            return np.where(d > 0.0, np.where(f > 0.0, (d - f) / f, math.inf), -math.inf)
 
-            # The raising calls of a per-point loop, in its order: the scalar
-            # bound at each refused point, and each side pair's rd_bound row
-            # just after the bound at the pair's first feasible point, where
-            # the loop also meets the row's regime keys first.
-            uses = feasible.sum(axis=0)
-            first = (feasible.argmax(axis=0) * n_sides + np.arange(n_sides)).tolist()
-            events = sorted([(first[k], 1, k) for k in np.flatnonzero(uses).tolist()]
-                            + [(i, 0, i) for i in np.flatnonzero(refused).tolist()])
-            for _, is_row, index in events:
-                if not is_row:
-                    p, k = divmod(index, n_sides)
-                    ak, bk = a[k].item(), b[k].item()
-                    den[p, k] = _penalty_den(ak, bk, _pi_delta(ak, bk, s[p])[1])
-                    continue
-                if rd_refused[index]:
-                    d2, d3 = sides[index]
-                    for j, d4 in enumerate(d4_values):
-                        rd = rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))
-                        sum_bounds[index, j] = rd.sum_bound
-                        codes[index, j] = _RD_REGIMES.index(rd.regime.value)
-                if len(regime_counts) < len(_RD_REGIMES):
-                    for code in codes[index].tolist():
-                        regime_counts.setdefault(_RD_REGIMES[code], 0)
-            per_regime = uses @ (codes[:, :, None] == regime_index).sum(axis=1)
-            for key, n in zip(_RD_REGIMES, per_regime.tolist()):
-                if n:
-                    regime_counts[key] += n
+        m2 = margins(grid.d2_values, grid.r2_values)
+        m3 = margins(grid.d3_values, grid.r3_values)
+        floor_margin = np.minimum(m2[:, :, None, :, None], m3[:, None, :, None, :])
+        floor_margin = floor_margin.reshape(n1, 1, n_pairs, n_sides)
+        a = np.repeat(np.minimum(np.array(grid.d2_values, dtype=float), d1s) / d1s,
+                      len(grid.d3_values), axis=1)
+        b = np.tile(np.minimum(np.array(grid.d3_values, dtype=float), d1s) / d1s,
+                    len(grid.d2_values))
+        ab = a * b
+        raw, dtol, delta = _delta(np, ab[:, None, :], np.array(s)[:, None])
+        den = _penalty(np, a[:, None, :], b[:, None, :], delta)
+        # Each refusal is a raise of _side_ratios, _pi_delta or _penalty_den.
+        refusal = (~(d1s > 0.0)[:, :, None] | (ab < sys.float_info.min)[:, None, :]
+                   | (raw < -3.0 * dtol) | (den <= 0.0))
 
-            bound = np.array(numerators)[:, None] / den
-            for p, numerator in enumerate(numerators):
-                if numerator < sys.float_info.min:
-                    # The numerator has left the normal range, though the
-                    # quotient need not have.
-                    for k in np.flatnonzero(feasible[p]).tolist():
-                        d4_bound = _exp_quotient(sx2, exponents[p], den[p, k].item())
-                        if not d4_bound:
-                            raise InvalidRegimeInput(
-                                f"d4 bound underflows to 0 at rates "
-                                f"{(r1, *rate_pairs[p], r4)}; the margin "
-                                f"(d4 - d4_bound)/d4_bound is undefined")
-                        bound[p, k] = d4_bound
+        # The stacked arrays, (block, rate pair, side pair); the r1 tables
+        # broadcast over the blocks of their r1.
+        m1 = np.array([_margin(d1, d1s_of[i // per_r1])
+                       for i, (_, _, d1) in enumerate(blocks)])
+        base = np.minimum(floor_margin, m1.reshape(n1, per_r1, 1, 1)).reshape(stacked)
+        n_skipped = int(np.count_nonzero(base < -tol))
+        feasible = base > tol
+        n_feasible = int(np.count_nonzero(feasible))
+        report.skipped_infeasible = n_skipped * n4
+        report.boundary = (base.size - n_skipped - n_feasible) * n4
+        report.evaluated = n_feasible * n4
+        if not n_feasible:
+            return report
 
-            # Verdicts one d4 column at a time, so memory stays that of a block.
-            found = []
-            for j, d4 in enumerate(d4_values):
-                m_dr = (d4 - bound) / bound
-                m_rd = rate_sum_col - sum_bounds[:, j]
-                dr_in = m_dr > tol
-                rd_in = m_rd > tol
-                decided = feasible & (dr_in | (m_dr < -tol)) & (rd_in | (m_rd < -tol))
-                split = decided & (dr_in != rd_in)
-                n_decided = int(np.count_nonzero(decided))
-                n_in = int(np.count_nonzero(decided & dr_in & rd_in))
-                boundary += n_feasible - n_decided
-                in_both += n_in
-                out_both += n_decided - n_in - int(np.count_nonzero(split))
-                found += [i * n4 + j for i in np.flatnonzero(split).tolist()]
-            for index in sorted(found):
-                point, j = divmod(index, n4)
+        exponents = [-2.0 * (r1 + r2 + r3 + r4)
+                     for r1, r4, _ in blocks for r2, r3 in rate_pairs]
+        numerators = np.array([sx2 * math.exp(e) for e in exponents])
+        bound = numerators.reshape(n1, per_r1, n_pairs, 1) / den[:, None]
+        # An infeasible point's bound is NaN, which no verdict decides.
+        bound = np.where(feasible, bound.reshape(stacked), math.nan)
+        sums, codes, rd_refused = _rd_block(np, sx2, blocks, grid,
+                                            np.repeat(a, per_r1, axis=0),
+                                            np.repeat(b, per_r1, axis=0))
+
+        # The raising calls of a per-point loop, in its order within each
+        # block: the scalar bound at each refused point (which raises), and
+        # each side pair's rd_bound row at the pair's first feasible point;
+        # then, sorted after the block's last point, its numerators below
+        # the normal range.
+        uses = feasible.sum(axis=1)
+        met = ((np.arange(n_blocks)[:, None] * n_pairs + feasible.argmax(axis=1))
+               * n_sides + np.arange(n_sides))
+        refused = feasible.reshape(n1, per_r1, n_pairs, n_sides) & refusal[:, None]
+        subnormal = (numerators < sys.float_info.min) & feasible.any(axis=2).ravel()
+        events = sorted(
+            [(g, 0, g) for g in np.flatnonzero(refused).tolist()]
+            + [(met.flat[i], 1, i)
+               for i in np.flatnonzero(rd_refused & (uses > 0)).tolist()]
+            + [((i // n_pairs + 1) * block_size - 1, 2, i)
+               for i in np.flatnonzero(subnormal).tolist()])
+        for _, kind, index in events:
+            if kind == 0:
+                blk, point = divmod(index, block_size)
                 p, k = divmod(point, n_sides)
-                d4, d4_bound = d4_values[j], bound[p, k].item()
-                report.mismatches.append({
-                    "rates": (r1, *rate_pairs[p], r4),
-                    "d": (None if d1 is UNCONSTRAINED else d1, *sides[k], d4),
-                    "dr_margin": (d4 - d4_bound) / d4_bound,
-                    "rd_margin": rate_sums[p] - sum_bounds[k, j].item(),
-                    "regime": _RD_REGIMES[codes[k, j]],
-                })
-    report.evaluated, report.skipped_infeasible = evaluated, skipped
-    report.boundary, report.in_both, report.out_both = boundary, in_both, out_both
+                ak, bk = _side_ratios(d1s_of[blk // per_r1], *sides[k])
+                _penalty_den(ak, bk, _pi_delta(ak, bk, s[p])[1])
+            elif kind == 1:
+                blk, k = divmod(index, n_sides)
+                r1, r4, d1 = blocks[blk]
+                for j, d4 in enumerate(d4_values):
+                    rd = rd_bound(source, r1, r4, DistortionTuple(d1, *sides[k], d4))
+                    sums[blk, k, j] = rd.sum_bound
+                    codes[blk, k, j] = _RD_REGIMES.index(rd.regime.value)
+            else:
+                # The numerator has left the normal range, though the
+                # quotient need not have.
+                blk, p = divmod(index, n_pairs)
+                r1, r4, _ = blocks[blk]
+                for k in np.flatnonzero(feasible[blk, p]).tolist():
+                    d4_bound = _exp_quotient(sx2, exponents[index],
+                                             den[blk // per_r1, p, k].item())
+                    if not d4_bound:
+                        raise InvalidRegimeInput(
+                            f"d4 bound underflows to 0 at rates "
+                            f"{(r1, *rate_pairs[p], r4)}; the margin "
+                            f"(d4 - d4_bound)/d4_bound is undefined")
+                    bound[blk, p, k] = d4_bound
+
+        # Each regime's count, keyed in the order a per-point loop meets the
+        # regimes: a row's entries at its first use, in d4 order.
+        counts = np.bincount(codes.ravel(), np.repeat(uses.ravel(), n4),
+                             len(_RD_REGIMES)).tolist()
+        never = feasible.size * n4
+        meets = np.where(uses[:, :, None] > 0, met[:, :, None] * n4 + np.arange(n4), never)
+        for _, c in sorted((meets.min(where=codes == c, initial=never), c)
+                           for c, n in enumerate(counts) if n):
+            report.regime_counts[_RD_REGIMES[c]] = int(counts[c])
+
+        # Verdicts one d4 column at a time over every block, into buffers
+        # that every column reuses: fresh temporaries of this size cost more
+        # to allocate than to fill.  Both operands of m_rd are contiguous,
+        # which numpy subtracts fastest.
+        rate_sum = np.broadcast_to(np.array(rate_sums)[:, None], stacked).copy()
+        sum_columns = np.ascontiguousarray(np.moveaxis(sums, 2, 0))[:, :, None, :]
+        m_dr, m_rd = np.empty(stacked), np.empty(stacked)
+        dr_in, dr_out, rd_in, rd_out, both, disagree = (np.empty(stacked, dtype=bool)
+                                                        for _ in range(6))
+        found = []
+        for j, d4 in enumerate(d4_values):
+            np.divide(np.subtract(d4, bound, out=m_dr), bound, out=m_dr)
+            np.subtract(rate_sum, sum_columns[j], out=m_rd)
+            np.greater(m_dr, tol, out=dr_in)
+            np.less(m_dr, -tol, out=dr_out)
+            np.greater(m_rd, tol, out=rd_in)
+            np.less(m_rd, -tol, out=rd_out)
+            n_in = int(np.count_nonzero(np.logical_and(dr_in, rd_in, out=both)))
+            n_out = int(np.count_nonzero(np.logical_and(dr_out, rd_out, out=both)))
+            np.logical_or(np.logical_and(dr_in, rd_out, out=both),
+                          np.logical_and(dr_out, rd_in, out=disagree), out=disagree)
+            split = np.flatnonzero(disagree).tolist()
+            report.in_both += n_in
+            report.out_both += n_out
+            report.boundary += n_feasible - n_in - n_out - len(split)
+            found += [g * n4 + j for g in split]
+    for index in sorted(found):
+        point, j = divmod(index, n4)
+        blk, point = divmod(point, block_size)
+        p, k = divmod(point, n_sides)
+        r1, r4, d1 = blocks[blk]
+        d4, d4_bound = d4_values[j], bound[blk, p, k].item()
+        report.mismatches.append({
+            "rates": (r1, *rate_pairs[p], r4),
+            "d": (None if d1 is UNCONSTRAINED else d1, *sides[k], d4),
+            "dr_margin": (d4 - d4_bound) / d4_bound,
+            "rd_margin": rate_sums[p] - sums[blk, k, j].item(),
+            "regime": _RD_REGIMES[codes[blk, k, j]],
+        })
     return report

@@ -95,6 +95,41 @@ def mp_fixed_channel_loss(var, r1, r3, alpha):
         return +ratio, +d2_floor
 
 
+def mp_mdcr_compare(var, r2, r3, r4, beta, d2, d3):
+    """``(d4_mdcr, d4_md, ratio)`` at zero first-layer rate: ``d4_mdcr`` is
+    :func:`mp_dr_bound` at rates ``(0, r2, r3, r4)``, ``d4_md`` at the
+    re-budgeted rates ``(0, r2 + beta r4, r3 + (1 - beta) r4, 0)`` formed
+    exactly, and ``ratio = d4_mdcr / d4_md``."""
+    with mpmath.workdps(DPS):
+        r2, r3, r4, beta = (mpmath.mpf(x) for x in (r2, r3, r4, beta))
+        mdcr = mp_dr_bound(var, (0, r2, r3, r4), d2, d3)
+        md = mp_dr_bound(var, (0, r2 + beta * r4, r3 + (1 - beta) * r4, 0), d2, d3)
+        return mdcr, md, mdcr / md
+
+
+def mp_asymptote_convergence(b, eta, r_grid, dps=DPS):
+    """``(exact, asymptote, ratio)`` at each ``r'`` of ``r_grid``: ``exact``
+    is :func:`mp_dr_bound` at unit variance, rates ``(0, r', r', 0)`` and
+    both side targets ``b e^{-2 (1-eta) r'}`` formed exactly; the asymptote
+    is ``e^{-2 r'} / (2 (b + sqrt(b^2 - 1)))`` at ``eta = 0`` and
+    ``e^{-2 (1+eta) r'} / (4 b)`` otherwise.  The bound needs about
+    ``0.87 (1 - eta) r'`` digits beyond double precision (see
+    :func:`mp_dr_bound`)."""
+    with mpmath.workdps(dps):
+        b, eta = mpmath.mpf(b), mpmath.mpf(eta)
+        rows = []
+        for rp in r_grid:
+            rp = mpmath.mpf(rp)
+            side = b * mpmath.exp(-2 * (1 - eta) * rp)
+            exact = mp_dr_bound(1, (0, rp, rp, 0), side, side, dps=dps)
+            if eta == 0:
+                asym = mpmath.exp(-2 * rp) / (2 * (b + mpmath.sqrt(b * b - 1)))
+            else:
+                asym = mpmath.exp(-2 * (1 + eta) * rp) / (4 * b)
+            rows.append((exact, asym, exact / asym))
+        return rows
+
+
 def mp_wz_md_sweep(var, rates, d3_values):
     """``(d4_wz, d4_md, gap)`` of each ``d3`` in ``d3_values``, with the
     first two stages at their floors ``d1* = var e^{-2 r1}`` and

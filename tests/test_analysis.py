@@ -268,10 +268,10 @@ def test_fixed_channel_loss_grows_without_bound_in_r1():
 
 
 def test_fixed_channel_loss_matches_the_oracle():
-    # Each output is a signed sum of three exponentials.  Its relative error
-    # is at most eps kappa (1 + the exponents' magnitudes): kappa, the sum of
-    # the terms' magnitudes over the result, is the cancellation, and each
-    # exponent's rounded argument moves its term by that magnitude times eps.
+    # Each output is a sum of nonnegative terms, so nothing cancels: its
+    # relative error is at most eps (1 + the exponents' magnitudes), since
+    # each exponent's rounded argument moves its term by that magnitude
+    # times eps.
     rng = make_rng(3)
     for i in range(300):
         var = 10.0 ** rng.uniform(-100.0, 100.0)
@@ -281,13 +281,9 @@ def test_fixed_channel_loss_matches_the_oracle():
         loss = fixed_channel_loss(GaussianSource(var), r1, r3, FixedChannelConfig(alpha))
         ratio, d2_floor = oracle.mp_fixed_channel_loss(var, r1, r3, alpha)
         ar = alpha * r1
-        terms = math.exp(2.0 * ar) + math.exp(-2.0 * r3) + math.exp(2.0 * (ar - r3))
-        kappa = terms / float(ratio)
-        assert abs(loss.ratio - ratio) <= EPS * kappa * (1.0 + 2.0 * (ar + r3)) * ratio
-        floor_terms = 1.0 + math.exp(-2.0 * (ar + r3)) + math.exp(-2.0 * r3)
-        kappa = floor_terms * var * math.exp(-2.0 * r1) / float(d2_floor)
+        assert abs(loss.ratio - ratio) <= EPS * (1.0 + 2.0 * (ar + r3)) * ratio
         assert (abs(loss.d2_floor - d2_floor)
-                <= EPS * kappa * (1.0 + 2.0 * (r1 + ar + r3)) * d2_floor)
+                <= EPS * (1.0 + 2.0 * (r1 + ar + r3)) * d2_floor)
 
 
 def test_fixed_channel_loss_validates_inputs():
@@ -345,6 +341,35 @@ def test_mdcr_rejects_broken_premises():
     # degenerate, which voids the comparison.
     with pytest.raises(OutOfRegime):
         mdcr_compare(source, 1.0, 1.0, 1.0, MdcrSplit(beta=0.5), 0.98, 0.98)
+
+
+def test_mdcr_compare_matches_the_oracle():
+    # Each bound meets dr_bound's rounding model 4 eps (1 + total rate)
+    # kappa, kappa = max(1, sqrt(ab/delta)) at its own rates (the
+    # re-budgeted rates are rounded sums); the ratio meets the sum of both.
+    rng = make_rng(29)
+    compared = 0
+    for i in range(200):
+        var = 10.0 ** rng.uniform(-100.0, 100.0)
+        r2, r3, r4 = (float(rng.uniform(0.0, 3.0 if i % 2 else 40.0)) for _ in range(3))
+        beta = float(rng.uniform(0.0, 1.0)) if i % 5 else float(rng.integers(0, 2))
+        d2 = var * math.exp(-2.0 * r2 * rng.uniform(0.0, 1.0))
+        d3 = var * math.exp(-2.0 * r3 * rng.uniform(0.0, 1.0))
+        try:
+            got = mdcr_compare(GaussianSource(var), r2, r3, r4, MdcrSplit(beta), d2, d3)
+        except (InfeasibleDistortion, OutOfRegime):
+            continue
+        compared += 1
+        scale = 4.0 * EPS * (1.0 + r2 + r3 + r4)
+        k_mdcr = oracle.mp_floor_conditioning(var, (0.0, r2, r3, r4), d2, d3)
+        k_md = oracle.mp_floor_conditioning(
+            var, (0.0, r2 + beta * r4, r3 + (1.0 - beta) * r4, 0.0), d2, d3)
+        for value, exact, rtol in zip(
+                (got.d4_mdcr, got.d4_md, got.ratio),
+                oracle.mp_mdcr_compare(var, r2, r3, r4, beta, d2, d3),
+                (scale * k_mdcr, scale * k_md, scale * (k_mdcr + k_md))):
+            assert abs(value - exact) <= rtol * exact, (i, value, exact)
+    assert compared >= 150
 
 
 @pytest.mark.parametrize("r4", [200.0, 360.0, 400.0, 1000.0])
@@ -432,6 +457,29 @@ def test_asymptote_convergence_ratio_tends_to_one():
     for row in rows:
         assert row.exact > 0.0 and row.asymptote > 0.0
         assert row.ratio == pytest.approx(row.exact / row.asymptote, rel=1e-15)
+
+
+def test_asymptote_convergence_matches_the_oracle():
+    # Side targets b exp(-2 (1-eta) r') and the numerator exp(-4 r') carry
+    # exponents up to 4 r', each rounded argument moving its term by that
+    # magnitude times eps, and sqrt(delta) scales a side target's rounding
+    # by kappa = max(1, sqrt(ab/delta)): each entry of a row stays within
+    # 2 eps (1 + 4 r') kappa.
+    rng = make_rng(31)
+    for i in range(40):
+        b = 1.0 if i % 4 == 0 else float(10.0 ** rng.uniform(0.0, 3.0))
+        eta = 0.0 if i % 3 == 0 else float(rng.uniform(0.0, 0.9))
+        grid = sorted({float(r) for r in rng.uniform(1.0, 150.0, size=3)})
+        rows = asymptote_convergence(AsymptoticConfig(1.0, b, eta, eta), grid)
+        # 1 - pi ~ exp(-2 (1-eta) r') needs 400 digits at r' = 150.
+        exact = oracle.mp_asymptote_convergence(b, eta, grid, dps=400)
+        for row, oracle_row in zip(rows, exact):
+            rp = row.r_prime
+            side = b * math.exp(-2.0 * (1.0 - eta) * rp)
+            rtol = (2.0 * EPS * (1.0 + 4.0 * rp)
+                    * oracle.mp_floor_conditioning(1.0, (0.0, rp, rp, 0.0), side, side))
+            for value, want in zip((row.exact, row.asymptote, row.ratio), oracle_row):
+                assert abs(value - want) <= rtol * want, (b, eta, rp, value, want)
 
 
 def test_asymptote_convergence_validates_grid():

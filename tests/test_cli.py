@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussrd.cli as cli
 
@@ -558,3 +563,149 @@ def test_large_rate_sweeps_print_finite_values(capsys, argv, column):
     header, rows = parse_csv(capsys.readouterr().out)
     values = [row[header.index(column)] for row in rows]
     assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# The exit and output contract over generated argvs
+# ---------------------------------------------------------------------------
+
+#: Values from the smallest subnormal to near the largest double, exact zeros
+#: and the moderate range where most subcommands succeed.
+_VALUE = st.one_of(st.just(0.0), st.floats(0.0, 4.0),
+                   st.floats(5e-324, 1.7e308)).map(repr)
+
+
+def _values(n: int):
+    return st.lists(_VALUE, min_size=n, max_size=n).map(",".join)
+
+
+def _flags(*defaulted, **options):
+    """The argv tail ``--name value`` for each drawn option, plus a unit;
+    the options named in ``defaulted`` are sometimes left to their
+    defaults."""
+    unit = st.sampled_from([[], ["--unit", "nats"], ["--unit", "bits"]])
+    options = {name: st.one_of(st.none(), value) if name in defaulted else value
+               for name, value in options.items()}
+    pairs = st.fixed_dictionaries(options).map(lambda o: [
+        token for name, value in o.items() if value is not None
+        for token in (f"--{name.replace('_', '-')}", value)])
+    return st.tuples(pairs, unit).map(lambda t: t[0] + t[1])
+
+
+def _pmf_text(weights, sizes, normalize: bool) -> str:
+    """A pmf file of the alphabet ``sizes``, its entries the ``weights``
+    repeated, divided by their sum if ``normalize`` and the sum allows."""
+    n = math.prod(sizes)
+    entries = (weights * n)[:n]
+    total = sum(entries)
+    if normalize and 0.0 < total < math.inf:
+        entries = [w / total for w in entries]
+    return json.dumps({"alphabet_sizes": sizes, "probabilities": entries})
+
+
+_GRID = st.integers(1, 3).flatmap(_values)
+#: In-domain alternatives, so that the success paths are drawn too: a
+#: fraction (of the default unit variance), and rates of 1 nat and more
+#: (the asymptote's grid, and its b >= 1).
+_FRACTION = st.floats(0.0, 1.0).map(repr)
+_HIGH_RATES = st.lists(st.floats(1.0, 1e3), min_size=1, max_size=3, unique=True).map(
+    lambda rs: ",".join(map(repr, sorted(rs))))
+
+_ARGVS = {
+    "dr-bound": _flags("var", var=_VALUE, rates=_values(4), d=st.one_of(
+        _values(3), _values(2).map("inf,".__add__))),
+    "rd-bound": _flags("var", var=_VALUE, r1=_VALUE, r4=_VALUE, d=st.one_of(
+        _values(4), _values(3).map("inf,".__add__))),
+    "channel": _flags("var", var=_VALUE, rates=_values(4), d=_values(2)),
+    "loss": _flags("var", "alpha", var=_VALUE, alpha=_VALUE, r3=_VALUE, r1_grid=_GRID),
+    "mdcr": _flags("var", "beta", var=_VALUE, r2=_VALUE, r3=_VALUE,
+                   beta=st.one_of(_FRACTION, _VALUE), d2=st.one_of(_FRACTION, _VALUE),
+                   d3=st.one_of(_FRACTION, _VALUE), r4_grid=_GRID),
+    "asymptote": _flags("b", "eta", "eta1", b=st.one_of(st.floats(1.0, 1e3).map(repr),
+                                                       _VALUE),
+                        eta=_VALUE, eta1=_VALUE, r_grid=st.one_of(_HIGH_RATES, _GRID)),
+    "sweep-wz-md": _flags("var", "r1", "r2", "r3", "r4", "points", var=_VALUE,
+                          r1=_VALUE, r2=_VALUE, r3=_VALUE, r4=_VALUE,
+                          points=st.integers(0, 4).map(str)),
+}
+
+
+def _run_in_process(argv: list[str], stdin: str = ""):
+    """``cli.main(argv)``'s exit code, stdout and stderr; a warning goes to
+    stderr, as a launched interpreter would print it."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    printed = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                      for w in caught)
+    return code, out.getvalue(), printed + err.getvalue()
+
+
+def _assert_contract(argv: list[str], code: int, stdout: str, stderr: str) -> None:
+    """Exit 0, 1 or 2 (3 for a failed self-verification); an error leaves
+    a JSON error on stderr; stdout holds no nan and no infinity, except a
+    ``sigma*_sq`` noise variance (printed as null) of a description that
+    carries no rate."""
+    assert code in ({0, 1, 2, 3} if argv[0] == "verify" else {0, 1, 2}), (argv, stderr)
+    if code in (1, 2):
+        error = json.loads(stderr)["error"]
+        assert set(error) == {"type", "message"}, (argv, stderr)
+        return
+    if argv[0] in ("loss", "mdcr", "asymptote", "sweep-wz-md"):
+        parse_csv(stdout)  # every cell a finite number
+        return
+    payload = json.loads(stdout)  # NaN and Infinity parse as floats
+    if argv[0] == "channel":
+        channel, achieved = payload["channel"], payload["achieved"]
+        rates = [float(r) for r in argv[argv.index("--rates") + 1].split(",")]
+        for i, zero in ((1, rates[0] == 0.0), (4, rates[3] == 0.0),
+                        (2, achieved["d2"] == achieved["d1"]),
+                        (3, achieved["d3"] == achieved["d1"])):
+            assert zero or channel[f"sigma{i}_sq"] is not None, (argv, stdout)
+        payload = {k: v for k, v in payload.items() if k != "channel"}
+    nulls = {"adjustment", "distortions"}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, k)
+        elif isinstance(value, list):
+            for v in value:
+                walk(v, key)
+        elif isinstance(value, float):
+            assert math.isfinite(value), (argv, key, stdout)
+        else:
+            assert value is not None or key in nulls, (argv, key, stdout)
+    walk(payload, None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(sorted(_ARGVS)).flatmap(
+    lambda name: _ARGVS[name].map(lambda tail: [name, *tail])))
+def test_every_subcommand_keeps_the_exit_and_output_contract(argv):
+    _assert_contract(argv, *_run_in_process(argv))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1.7e308)), min_size=1,
+                max_size=4),
+       st.lists(st.integers(1, 2), min_size=5, max_size=5), st.booleans(),
+       st.sampled_from([[], ["--unit", "bits"]]))
+def test_discrete_keeps_the_exit_and_output_contract(weights, sizes, normalize, unit):
+    argv = ["discrete", "--pmf", "-", *unit]
+    _assert_contract(argv, *_run_in_process(argv, _pmf_text(weights, sizes, normalize)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(st.one_of(st.floats(1e-3, 1e3), st.just(0.0), st.floats(5e-324, 1.7e308)),
+       st.integers(0, 2 ** 32))
+def test_verify_keeps_the_exit_and_output_contract(var, seed):
+    # At its default grid density; each run takes about half a second.
+    argv = ["verify", "--var", repr(var), "--seed", str(seed)]
+    _assert_contract(argv, *_run_in_process(argv))

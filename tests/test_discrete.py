@@ -158,6 +158,23 @@ def test_bounds_match_entropy_combination_oracle():
             assert abs(got - want) <= 1e-12, f"trial {trial}: {got} vs {want}"
 
 
+def test_bounds_with_underflowing_products_match_the_oracle():
+    # Masses far below 1e-154, whose products with their marginals leave
+    # the normal range or vanish, once gave nan or inf bounds.
+    rng = make_rng(331)
+    for trial in range(25):
+        sizes = tuple(int(n) for n in rng.integers(1, 4, size=5))
+        p = random_pmf(rng, sizes, concentration=0.7).probabilities.copy()
+        tiny = rng.random(p.shape) < 0.5
+        p[tiny] = 10.0 ** rng.uniform(-320.0, -160.0, size=int(tiny.sum()))
+        pmf = JointPmf(p / p.sum())
+        bounds = eval_region_bounds(pmf)
+        for got, want in zip(
+                (bounds.b1, bounds.b12, bounds.b13, bounds.b123, bounds.b1234),
+                _oracle_bounds(pmf)):
+            assert abs(got - want) <= 1e-12, f"trial {trial}: {got} vs {want}"
+
+
 def test_bounds_obey_monotone_chain():
     rng = make_rng(311)
     for _ in range(25):

@@ -741,8 +741,9 @@ def test_rd_kernel_branches_are_reached(monkeypatch):
     # Side pairs in product order: (0.5, 0.6), (0.5, 0.8), (0.7, 0.6) and
     # (0.7, 0.8).  Only the harmonic corner row goes back to rd_bound.
     grid = scan(_harmonic_corner_grid)
+    # One block, so one row of refusals.
     assert [refused.tolist() for _, _, refused in outputs] == [
-        [True, False, False, False]]
+        [[True, False, False, False]]]
     assert calls["rd_bound"] == len(grid.d4_values)
     # Inside the harmonic threshold's band the sum is slack on both sides;
     # inside the low threshold's band, R(z) alone holds on both sides; at
@@ -756,11 +757,34 @@ def test_rd_kernel_branches_are_reached(monkeypatch):
         scan(make_grid)
         (_, codes, refused), = outputs
         assert not refused.any() and calls["rd_bound"] == 0
-        assert [regions._RD_REGIMES[c] for c in codes[row].tolist()] == regimes
-    # With r1 on or just above r1_star, the kernel decides too.
+        assert [regions._RD_REGIMES[c] for c in codes[0, row].tolist()] == regimes
+    # With r1 on or just above r1_star, the kernel decides too.  Blocks in
+    # (r1, r4, d1) order: at r1 = 0 the last two d1 lie below the variance,
+    # so r1 < r1_star refuses those blocks whole; no point in them is
+    # feasible, so rd_bound is never called.
     scan(_first_layer_rate_grid)
-    assert not any(refused.any() for _, _, refused in outputs)
+    (_, _, refused), = outputs
+    whole = [False, False, True, True] * 2 + [False] * 8
+    assert refused.all(axis=1).tolist() == whole
+    assert refused.any(axis=1).tolist() == whole
     assert calls["rd_bound"] == 0
+
+
+def test_equivalence_scan_runs_the_rd_kernel_once(monkeypatch):
+    calls = Counter()
+    kernel = regions._rd_block
+
+    def counted(*args):
+        calls["_rd_block"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(regions, "_rd_block", counted)
+    source = GaussianSource(variance=1.0)
+    grid = default_grid(source, 4)
+    # Four (r1, r4, d1) blocks, one stacked kernel call.
+    assert len(grid.r1_values) * len(grid.r4_values) * len(grid.d1_values) == 4
+    assert equivalence_scan(source, grid) == _reference_scan(source, grid)
+    assert calls["_rd_block"] == 1
 
 
 def test_equivalence_scan_reports_mismatches_in_reference_order(monkeypatch):
@@ -827,6 +851,7 @@ def _grid_values(field: str, *extra: float):
 @pytest.mark.parametrize("make_grid, raises", [
     (_malformed(r1_values=(-0.1, 0.35)), ValueError),
     (_malformed(r3_values=(0.17, -0.3)), ValueError),
+    (_malformed(r4_values=(0.0, -0.25)), ValueError),
     (_malformed(d4_values=_grid_values("d4_values", -0.1)), ValueError),
     (_malformed(d4_values=_grid_values("d4_values", math.nan)), ValueError),
     (_malformed(d4_values=_grid_values("d4_values", math.inf)), ValueError),
@@ -850,7 +875,7 @@ def _grid_values(field: str, *extra: float):
     # exp(2 r4) overflows; the d4 bound 1e300 exp(-800 - ...) does not
     # underflow.
     (_malformed(variance=1e300, r4_values=(0.0, 400.0)), InvalidRegimeInput),
-], ids=["negative-r1", "negative-r3", "negative-d4", "nan-d4", "inf-d4",
+], ids=["negative-r1", "negative-r3", "negative-r4", "negative-d4", "nan-d4", "inf-d4",
         "nan-d2", "zero-d3", "empty-d1", "empty-r2", "empty-d4",
         "underflowed-d1-floor", "underflowed-side-product", "zero-d4",
         "inf-d1", "inf-d2", "underflowed-z", "overflowing-exp-2r4"])
