@@ -23,7 +23,7 @@ from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
 from .model import (UNCONSTRAINED, GaussianSource, RateTuple, Regime,
                     _checked_d1_star, _require_rate)
-from .regions import _penalty_den, dr_bound
+from .regions import _exp_quotient, _penalty_den, dr_bound
 
 #: Tolerance for the internal consistency checks between specialized
 #: closed forms and the general region evaluation.
@@ -48,8 +48,9 @@ class WzChannel:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise InvalidChannel(f"{name} must be positive finite, got {value}")
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidChannel(f"gamma must lie in (0, 1), got {self.gamma}")
+        # gamma rounds to 1 once sigma1_sq < eps/2 sigma2_sq; see wz_region.
+        if not 0.0 < self.gamma <= 1.0:
+            raise InvalidChannel(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
 def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzChannel:
@@ -100,8 +101,10 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
         -------------------------------------------------
         (var + s1 + s2) ((1-gamma)^2 min(d3', d1*) + gamma s1)
 
-    It coincides with the plain two-description slice at both ends of the
-    feasible range of ``d3_prime`` and is strictly worse in between.
+    ``1 - gamma`` is formed as ``s1/(s1 + s2)``: ``gamma`` rounds to 1 once
+    ``s1 < eps s2 / 2`` (``r2`` below about ``1e-16 r1``).  It coincides
+    with the plain two-description slice at both ends of the feasible range
+    of ``d3_prime`` and is strictly worse in between.
     """
     sx2 = source.variance
     ch = wz_channel_from_rates(source, rates.r1, rates.r2)
@@ -111,13 +114,14 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
     scale = math.exp(-2.0 * (rates.r3 + rates.r4))
     numerator = scale * sx2 * s1 * s2
     if sys.float_info.min <= numerator < math.inf:
-        denominator = (sx2 + s1 + s2) * ((1.0 - g) ** 2 * min(d3_prime, d1s) + g * s1)
+        denominator = (sx2 + s1 + s2) * ((s1 / (s1 + s2)) ** 2 * min(d3_prime, d1s)
+                                         + g * s1)
         return numerator / denominator
     # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
     # beyond ~1e102); in units of d1* and of var nothing does.
     q1, q2 = s1 / d1s, s2 / d1s
     return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q1 * q2
-            / ((1.0 - g) ** 2 * min(d3_prime / d1s, 1.0) + g * q1))
+            / ((q1 / (q1 + q2)) ** 2 * min(d3_prime / d1s, 1.0) + g * q1))
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:
@@ -225,11 +229,18 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
     a = config.alpha
     d1s = source.variance * math.exp(-2.0 * r1)
     c3 = -math.expm1(-2.0 * r3)
-    d2_floor = d1s * (c3 + math.exp(-2.0 * (a * r1 + r3)))
     try:
         ratio = math.exp(2.0 * a * r1) * c3 + math.exp(-2.0 * r3)
+        d2_floor = d1s * (c3 + math.exp(-2.0 * (a * r1 + r3)))
     except OverflowError:
-        ratio = math.inf
+        # exp(2 alpha r1) overflows, though its product with c3 need not;
+        # exp(-2 (alpha r1 + r3)) then lies below the normal range.
+        try:
+            grown = math.exp(2.0 * a * r1 + math.log(c3)) if c3 else 0.0
+        except OverflowError:
+            grown = math.inf
+        ratio = grown + math.exp(-2.0 * r3)
+        d2_floor = d1s * c3 + _exp_quotient(d1s, -2.0 * (a * r1 + r3), 1.0)
     # exp(inf) is inf without an OverflowError, and inf * 0 is nan.
     if not math.isfinite(ratio):
         raise InvalidRegimeInput(

@@ -22,7 +22,7 @@ from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
 from .mmse import _msr_distortions
 from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime)
-from .regions import DrBoundResult, _side_ratios, dr_bound
+from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
 CROSSCHECK_RTOL = 1e-10
@@ -109,14 +109,12 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float,
     # t2, t3: sigma2_sq, sigma3_sq relative to d1_star.
     t2 = math.inf if a_gap <= 0.0 else a / a_gap
     t3 = math.inf if b_gap <= 0.0 else b / b_gap
-    # Snap within-rounding values of rho^2 to the exact floor corner: like
-    # the delta term of the distortion bound, sqrt has unbounded sensitivity
-    # at zero, and both targets sitting exactly on their rate floors must
-    # yield rho = 0 rather than -sqrt(rounding noise).
-    q = math.exp(-2.0 * (rates.r2 + rates.r3)) / (a * b)
-    rho_sq = 1.0 - q
-    if rho_sq > FEASIBILITY_RTOL * max(1.0, q):
-        rho = -math.sqrt(rho_sq)
+    # rho^2 = 1 - q = delta/(a b) snaps to 0 where the bound's delta does, so
+    # targets on their rate floors give rho = 0, not -sqrt(rounding noise).
+    s = math.exp(-2.0 * (rates.r2 + rates.r3))
+    if _delta(_MATH, a * b, s)[2]:
+        q = s / (a * b)
+        rho = -math.sqrt(1.0 - q)
     else:
         rho, q = 0.0, 1.0
 

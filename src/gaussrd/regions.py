@@ -600,18 +600,19 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     and are built once per ``r1``.  The d4 bound of every (block x rate pair
     x side-target pair) point divides ``var exp(-2 total)`` by them; every
     ``exp`` comes from :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and the
-    numerators, one per block and rate pair).  A numerator below the normal
-    range goes through :func:`_exp_quotient`; a bound that underflows to 0
-    raises :class:`InvalidRegimeInput`, since its margin has no value.  One
-    call of :func:`_rd_block` gives ``rd_bound``'s sum bound and regime for
-    every (block x side-target pair x d4) entry, which is all ``rd_bound``
-    reads.  Points and rows that the scalar forms would refuse are re-run
-    through them in block order, at the position where a per-point loop
-    first meets them (a row at its pair's first feasible ``(r2, r3)``), and
-    each block's subnormal numerators after them; so the errors and the
-    first raise are a per-point loop's, and the regime keys are ordered by
-    where such a loop first meets them.  Verdicts are taken one ``d4``
-    column at a time over all blocks, so a temporary holds
+    numerators, one per block and rate pair); a numerator below the normal
+    range goes through :func:`_exp_quotient`.  One call of :func:`_rd_block`
+    gives ``rd_bound``'s sum bound and regime for every (block x side-target
+    pair x d4) entry, which is all ``rd_bound`` reads.  The fallback takes,
+    at the position where a per-point loop meets it, each flagged point (a
+    refusal the kernel hints at, or a bound of 0) through ``dr_bound``,
+    which raises, returns 0 (then the scan raises
+    :class:`InvalidRegimeInput`: the margin has no value) or gives the bound,
+    and each row ``_rd_block`` refuses through ``rd_bound``, after the
+    ``dr_bound`` call at its pair's first feasible ``(r2, r3)``.  So the
+    errors and the first raise are a per-point loop's, and the regime keys
+    are ordered by where such a loop first meets them.  Verdicts are taken
+    one ``d4`` column at a time over all blocks, so a temporary holds
     ``total_points / len(d4_values)`` doubles (16,384 at ``default_grid``
     k=8).  numpy is imported here, not when the module loads.
     """
@@ -630,7 +631,6 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     rate_sums = [r2 + r3 for r2, r3 in rate_pairs]
     blocks = list(itertools.product(grid.r1_values, grid.r4_values, grid.d1_values))
     n_pairs, n_sides, n_blocks = len(rate_pairs), len(sides), len(blocks)
-    block_size = n_pairs * n_sides
     # Blocks are r1-major: (r1, block of that r1) indexes the stacked axis.
     n1 = len(grid.r1_values)
     per_r1 = n_blocks // n1
@@ -660,9 +660,10 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         ab = a * b
         raw, dtol, delta = _delta(np, ab[:, None, :], np.array(s)[:, None])
         den = _penalty(np, a[:, None, :], b[:, None, :], delta)
-        # Each refusal is a raise of _side_ratios, _pi_delta or _penalty_den.
-        refusal = (~(d1s > 0.0)[:, :, None] | (ab < sys.float_info.min)[:, None, :]
-                   | (raw < -3.0 * dtol) | (den <= 0.0))
+        # Every point at which dr_bound could raise, and maybe more: an
+        # underflowed d1_star makes a, b and den NaN.
+        refusal = ((ab < sys.float_info.min)[:, None, :] | (raw < -3.0 * dtol)
+                   | ~(den > 0.0))
 
         # The stacked arrays, (block, rate pair, side pair); the r1 tables
         # broadcast over the blocks of their r1.
@@ -684,53 +685,44 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         bound = numerators.reshape(n1, per_r1, n_pairs, 1) / den[:, None]
         # An infeasible point's bound is NaN, which no verdict decides.
         bound = np.where(feasible, bound.reshape(stacked), math.nan)
+        hinted = feasible & np.repeat(refusal, per_r1, axis=0)
+        # A quotient need not leave the normal range with its numerator.
+        for i in np.flatnonzero(numerators < sys.float_info.min).tolist():
+            blk, p = divmod(i, n_pairs)
+            for k in np.flatnonzero(feasible[blk, p] & ~hinted[blk, p]).tolist():
+                bound[blk, p, k] = _exp_quotient(sx2, exponents[i],
+                                                 den[blk // per_r1, p, k].item())
         sums, codes, rd_refused = _rd_block(np, sx2, blocks, grid,
                                             np.repeat(a, per_r1, axis=0),
                                             np.repeat(b, per_r1, axis=0))
 
-        # The raising calls of a per-point loop, in its order within each
-        # block: the scalar bound at each refused point (which raises), and
-        # each side pair's rd_bound row at the pair's first feasible point;
-        # then, sorted after the block's last point, its numerators below
-        # the normal range.
+        # The calls of a per-point loop that may raise, in its order:
+        # dr_bound at each flagged point, then rd_bound at each refused row.
         uses = feasible.sum(axis=1)
         met = ((np.arange(n_blocks)[:, None] * n_pairs + feasible.argmax(axis=1))
                * n_sides + np.arange(n_sides))
-        refused = feasible.reshape(n1, per_r1, n_pairs, n_sides) & refusal[:, None]
-        subnormal = (numerators < sys.float_info.min) & feasible.any(axis=2).ravel()
         events = sorted(
-            [(g, 0, g) for g in np.flatnonzero(refused).tolist()]
+            [(g, 0, g) for g in np.flatnonzero(hinted | (bound == 0.0)).tolist()]
             + [(met.flat[i], 1, i)
-               for i in np.flatnonzero(rd_refused & (uses > 0)).tolist()]
-            + [((i // n_pairs + 1) * block_size - 1, 2, i)
-               for i in np.flatnonzero(subnormal).tolist()])
+               for i in np.flatnonzero(rd_refused & (uses > 0)).tolist()])
         for _, kind, index in events:
             if kind == 0:
-                blk, point = divmod(index, block_size)
-                p, k = divmod(point, n_sides)
-                ak, bk = _side_ratios(d1s_of[blk // per_r1], *sides[k])
-                _penalty_den(ak, bk, _pi_delta(ak, bk, s[p])[1])
-            elif kind == 1:
+                blk, p, k = np.unravel_index(index, stacked)
+                r1, r4, d1 = blocks[blk]
+                rates = (r1, *rate_pairs[p], r4)
+                d4_bound = dr_bound(source, RateTuple(*rates), d1, *sides[k]).d4_bound
+                if not d4_bound:
+                    raise InvalidRegimeInput(
+                        f"d4 bound underflows to 0 at rates {rates}; the margin "
+                        f"(d4 - d4_bound)/d4_bound is undefined")
+                bound.flat[index] = d4_bound
+            else:
                 blk, k = divmod(index, n_sides)
                 r1, r4, d1 = blocks[blk]
                 for j, d4 in enumerate(d4_values):
                     rd = rd_bound(source, r1, r4, DistortionTuple(d1, *sides[k], d4))
                     sums[blk, k, j] = rd.sum_bound
                     codes[blk, k, j] = _RD_REGIMES.index(rd.regime.value)
-            else:
-                # The numerator has left the normal range, though the
-                # quotient need not have.
-                blk, p = divmod(index, n_pairs)
-                r1, r4, _ = blocks[blk]
-                for k in np.flatnonzero(feasible[blk, p]).tolist():
-                    d4_bound = _exp_quotient(sx2, exponents[index],
-                                             den[blk // per_r1, p, k].item())
-                    if not d4_bound:
-                        raise InvalidRegimeInput(
-                            f"d4 bound underflows to 0 at rates "
-                            f"{(r1, *rate_pairs[p], r4)}; the margin "
-                            f"(d4 - d4_bound)/d4_bound is undefined")
-                    bound[blk, p, k] = d4_bound
 
         # Each regime's count, keyed in the order a per-point loop meets the
         # regimes: a row's entries at its first use, in d4 order.
@@ -769,9 +761,7 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
             report.boundary += n_feasible - n_in - n_out - len(split)
             found += [g * n4 + j for g in split]
     for index in sorted(found):
-        point, j = divmod(index, n4)
-        blk, point = divmod(point, block_size)
-        p, k = divmod(point, n_sides)
+        blk, p, k, j = np.unravel_index(index, (*stacked, n4))
         r1, r4, d1 = blocks[blk]
         d4, d4_bound = d4_values[j], bound[blk, p, k].item()
         report.mismatches.append({

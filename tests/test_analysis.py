@@ -172,13 +172,18 @@ def test_wz_md_sweep_matches_the_oracle():
     # the textbook var d1*/(var - d1*) divides by 0, to 3; variances
     # 10^U[-100, 100].  d4_wz is within 16 eps, d4_md within dr_bound's
     # rounding model 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap
-    # within the sum of the two.
+    # within the sum of the two.  Every fourth r2 lies 1e-20 to 1e-16.5 of
+    # r1, where gamma = s2/(s1 + s2) rounds to 1 once s1/s2 ~ r2/r1 < eps/2.
     rng = make_rng(9)
+    rounded = 0
     for i in range(40):
         var = 10.0 ** rng.uniform(-100.0, 100.0)
         r1 = 10.0 ** rng.uniform(-17.0, 0.5) if i % 4 else 10.0 ** rng.uniform(-18.0, -16.0)
-        rates = RateTuple(r1, 10.0 ** rng.uniform(-12.0, 0.5),
-                          *rng.uniform(0.01, 2.0, size=2))
+        r2 = 10.0 ** rng.uniform(-12.0, 0.5)
+        if i % 4 == 1:
+            r2 = r1 * 10.0 ** rng.uniform(-20.0, -16.5)
+        rates = RateTuple(r1, r2, *rng.uniform(0.01, 2.0, size=2))
+        rounded += wz_channel_from_rates(GaussianSource(var), r1, r2).gamma == 1.0
         rows = wz_md_sweep(GaussianSource(var), rates, 9)
         exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
         d2s = var * math.exp(-2.0 * (rates.r1 + rates.r2))
@@ -189,6 +194,7 @@ def test_wz_md_sweep_matches_the_oracle():
             assert abs(row.d4_wz - wz) <= wz_err
             assert abs(row.d4_md - md) <= md_err
             assert abs(row.gap - gap) <= wz_err + md_err
+    assert rounded > 0
 
 
 def test_wz_md_sweep_validates_point_count():
@@ -273,11 +279,17 @@ def test_fixed_channel_loss_matches_the_oracle():
     # each exponent's rounded argument moves its term by that magnitude
     # times eps.
     rng = make_rng(3)
+    cases = []
     for i in range(300):
         var = 10.0 ** rng.uniform(-100.0, 100.0)
         alpha = float(rng.uniform(0.0, 2.0)) if i % 7 else 0.0
         r1 = float(rng.uniform(0.0, 20.0 if i % 5 else 100.0))
         r3 = float(rng.uniform(0.0, 3.0)) if i % 4 else 10.0 ** rng.uniform(-12.0, 0.0)
+        cases.append((var, alpha, r1, r3))
+    # exp(2 alpha r1) = exp(720) overflows, though the ratio does not (1 at
+    # r3 = 0, 9.84e302 at r3 = 1e-10), and exp(-720) in d2_floor is subnormal.
+    cases += [(1e300, 360.0, 1.0, 0.0), (1e300, 360.0, 1.0, 1e-10)]
+    for var, alpha, r1, r3 in cases:
         loss = fixed_channel_loss(GaussianSource(var), r1, r3, FixedChannelConfig(alpha))
         ratio, d2_floor = oracle.mp_fixed_channel_loss(var, r1, r3, alpha)
         ar = alpha * r1

@@ -506,3 +506,43 @@ def test_channel_cli_certifies_balanced_high_side_rates(capsys, rates):
     assert out["matches_bound"] is True
     assert list(out["channel"])[-1] == "q"
     assert 0.0 < out["channel"]["q"] < 1e-11
+
+
+def _assert_one_snap(variance, rates, d2, d3):
+    """Off the degenerate regime, the channel's rho is 0 exactly where the
+    bound's delta is: one snap decides both.  Returns the record, or None
+    where certification refuses the point."""
+    try:
+        record = certify_achievability(GaussianSource(variance), RateTuple(*rates),
+                                       d2, d3)
+    except GaussRdError:
+        return None
+    if record.bound.regime is Regime.NON_DEGENERATE:
+        assert (record.channel.rho == 0.0) == (record.bound.delta == 0.0), (
+            record.channel.rho, record.bound.delta)
+    return record
+
+
+def test_channel_keeps_rho_where_the_bound_keeps_a_tiny_delta():
+    # delta = 2.5e-67 lies just outside its snap band, while 1 - q lay just
+    # inside a second tolerance test of the channel's own: rho snapped to 0
+    # and the certified d4 missed the bound by 2.15e-12 relative.
+    rates = (25.148569865730703, 24.247457004624493, 38.60700132251501,
+             10.238145700590353)
+    d2, d3 = 1.2449623120771536e-43, 4.193865369289699e-56
+    record = _assert_one_snap(1.0, rates, d2, d3)
+    assert record.bound.delta > 0.0
+    assert record.achieved.d4 == pytest.approx(record.bound.d4_bound, rel=1e-13)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(variance=st.floats(-100.0, 100.0).map(lambda e: 10.0 ** e),
+       rates=st.tuples(*[st.floats(0.0, 40.0)] * 4),
+       offsets=st.tuples(*[st.floats(-3e-12, 3e-12)] * 2))
+def test_channel_snaps_rho_exactly_where_the_bound_snaps_delta(variance, rates,
+                                                               offsets):
+    # Side targets within 3e-12 relative of their floors, where delta sits
+    # in or near its snap band.
+    d1s = variance * math.exp(-2.0 * rates[0])
+    d2, d3 = (d1s * math.exp(-2.0 * r) * (1.0 + k) for r, k in zip(rates[1:3], offsets))
+    _assert_one_snap(variance, rates, d2, d3)

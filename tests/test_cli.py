@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussrd.cli as cli
+import oracle
 
 from conftest import GOLDEN_D4_BOUND, GOLDEN_RHO
 
@@ -553,16 +554,31 @@ def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
       "--r4-grid", "0:400:3"], "ratio"),
     (["sweep-wz-md", "--r1", "300", "--points", "3"], "d4_wz"),
     (["sweep-wz-md", "--r1", "1e-17", "--points", "3"], "d4_wz"),
-], ids=["mdcr", "sweep-wz-md", "sweep-wz-md-small-r1"])
+    (["sweep-wz-md", "--r2", "1e-17", "--points", "3"], "d4_wz"),
+], ids=["mdcr", "sweep-wz-md", "sweep-wz-md-small-r1", "sweep-wz-md-small-r2"])
 def test_large_rate_sweeps_print_finite_values(capsys, argv, column):
     # The last mdcr row's bounds underflow to 0.0, but their ratio does not;
     # at r1 = 300 nats s1 s2 ~ d1*^2 underflows, but d4_wz does not; at
     # r1 = 1e-17 var exp(-2 r1) rounds to var, but the channel does not
-    # divide by their difference.
+    # divide by their difference; at r2 = 1e-17 gamma rounds to 1, but
+    # 1 - gamma does not.
     assert cli.main(argv) == 0
     header, rows = parse_csv(capsys.readouterr().out)
     values = [row[header.index(column)] for row in rows]
     assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+@pytest.mark.parametrize("r3", ["0", "1e-10"])
+def test_loss_prints_the_oracle_past_the_overflow_of_its_growth_factor(capsys, r3):
+    # exp(2 alpha r1) = exp(720) overflows; the ratio exp(720) c3 + exp(-2 r3)
+    # does not.
+    assert cli.main(["loss", "--var", "1e300", "--alpha", "360", "--r3", r3,
+                     "--r1-grid", "1"]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    ratio, d2_floor = oracle.mp_fixed_channel_loss(1e300, 1.0, float(r3), 360.0)
+    assert header == ["r1", "ratio", "d2_floor"]
+    printed = [float(f"{float(x):.11e}") for x in (1.0, ratio, d2_floor)]
+    assert rows == [printed]
 
 
 # ---------------------------------------------------------------------------

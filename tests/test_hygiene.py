@@ -146,3 +146,22 @@ def test_scalar_path_modules_import_numpy_only_in_the_scan(name):
     offending = [(line, function) for function, line in _numpy_imports(tree)
                  if (name, function) not in NUMPY_IMPORTERS]
     assert not offending, f"{name}.py imports numpy in (line, function): {offending}"
+
+
+#: Guards decided in one place, and the names a function would read to decide
+#: them again: the scan sends the points it cannot evaluate to dr_bound
+#: instead of replaying its raises, and the channel snaps rho where
+#: regions._delta snaps delta.
+DECIDED_ELSEWHERE = {
+    ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den"},
+    ("channel", "_channel"): {"FEASIBILITY_RTOL"},
+}
+
+
+@pytest.mark.parametrize("name, function", sorted(DECIDED_ELSEWHERE))
+def test_each_guard_is_decided_once(name, function):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    body, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == function]
+    repeated = sorted(DECIDED_ELSEWHERE[(name, function)] & set(_references(body)))
+    assert not repeated, f"{name}.{function} names {repeated}"

@@ -479,7 +479,7 @@ def _reference_scan(source, grid) -> EquivalenceReport:
     every grid point, through the module so that a patched bound reaches
     both this loop and :func:`equivalence_scan`.  A d4 bound that underflows
     to 0 leaves its margin undefined, which the scan refuses with
-    :class:`InvalidRegimeInput`; so does this loop."""
+    :class:`InvalidRegimeInput`; so does this loop, in the scan's words."""
     report = EquivalenceReport()
     tol = regions.BOUNDARY_RTOL
     for r1, r4, d1, r2, r3, d2, d3, d4 in itertools.product(
@@ -496,7 +496,9 @@ def _reference_scan(source, grid) -> EquivalenceReport:
             continue
         d4_bound = regions.dr_bound(source, rates, d1, d2, d3).d4_bound
         if not d4_bound:
-            raise InvalidRegimeInput(f"d4 bound underflows to 0 at {rates}")
+            raise InvalidRegimeInput(
+                f"d4 bound underflows to 0 at rates {(r1, r2, r3, r4)}; the "
+                f"margin (d4 - d4_bound)/d4_bound is undefined")
         rd = regions.rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))
         key = rd.regime.value
         report.evaluated += 1
@@ -875,10 +877,21 @@ def _grid_values(field: str, *extra: float):
     # exp(2 r4) overflows; the d4 bound 1e300 exp(-800 - ...) does not
     # underflow.
     (_malformed(variance=1e300, r4_values=(0.0, 400.0)), InvalidRegimeInput),
+    # The d4 bound 1e-300 exp(-81) underflows to 0, which the loop meets
+    # before rd_bound refuses d4 = 0.
+    (_malformed(variance=1e-300, r1_values=(0.0,), r4_values=(0.0,),
+                r2_values=(0.5,), r3_values=(40.0,), d2_values=(1e-300,),
+                d3_values=(5e-302,), d4_values=(0.0,)), InvalidRegimeInput),
+    # The bound exp(-760) underflows to 0 at the first side pair, before
+    # the last pair's a b = 1e-320 is refused.
+    (_malformed(r1_values=(0.0,), r4_values=(10.0,), r2_values=(185.0,),
+                r3_values=(185.0,), d2_values=(0.5, 1e-160),
+                d3_values=(0.5, 1e-160), d4_values=(1.0,)), InvalidRegimeInput),
 ], ids=["negative-r1", "negative-r3", "negative-r4", "negative-d4", "nan-d4", "inf-d4",
         "nan-d2", "zero-d3", "empty-d1", "empty-r2", "empty-d4",
         "underflowed-d1-floor", "underflowed-side-product", "zero-d4",
-        "inf-d1", "inf-d2", "underflowed-z", "overflowing-exp-2r4"])
+        "inf-d1", "inf-d2", "underflowed-z", "overflowing-exp-2r4",
+        "zero-bound-before-zero-d4", "zero-bound-before-side-product"])
 def test_equivalence_scan_on_malformed_grids(make_grid, raises):
     source, grid = make_grid()
     if raises is not None:
@@ -927,10 +940,11 @@ def test_equivalence_scan_pins_the_k10_report_and_its_types():
 @st.composite
 def _random_grids(draw):
     """A grid of up to 3 values per axis: variance 1e-300 to 1e300, rates
-    0 to 40 nats.  Each value is drawn either close in (targets a multiple
+    0 to 200 nats.  Each value is drawn either close in (targets a multiple
     of the variance up to about 1, rates below 0.5 nats), where the three
     sum-rate regimes meet, or across the whole range (targets log-uniform
-    down to 1e-40 or 1e-80 of the variance)."""
+    down to 1e-40 or 1e-80 of the variance, rates up to 40 or 200 nats,
+    where bounds and side products leave the double range)."""
     variance = 10.0 ** draw(st.floats(-300.0, 300.0))
 
     def axis(values):
@@ -942,7 +956,7 @@ def _random_grids(draw):
                          st.floats(-decades, 0.1).map(lambda e: 10.0 ** e)
                          ).map(lambda x: variance * x)
 
-    rates = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 40.0))
+    rates = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 40.0), st.floats(0.0, 200.0))
     grid = GridSpec(
         r1_values=axis(rates), r4_values=axis(rates),
         d1_values=axis(st.one_of(st.just(UNCONSTRAINED), targets(1.2, 12, 40.0))),
@@ -963,6 +977,7 @@ def test_equivalence_scan_matches_the_reference_on_random_grids(case):
         with pytest.raises(Exception) as raised:
             equivalence_scan(source, grid)
         assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
         return
     assert equivalence_scan(source, grid) == expected
 
