@@ -230,7 +230,10 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
     d1s = source.variance * math.exp(-2.0 * r1)
     c3 = -math.expm1(-2.0 * r3)
     try:
-        ratio = math.exp(2.0 * a * r1) * c3 + math.exp(-2.0 * r3)
+        growth = math.exp(2.0 * a * r1)
+        # At c3 = 0 the product is 0, also where 2 alpha r1 is inf and
+        # exp(inf) * 0 would be nan.
+        ratio = (growth * c3 if c3 else 0.0) + math.exp(-2.0 * r3)
         d2_floor = d1s * (c3 + math.exp(-2.0 * (a * r1 + r3)))
     except OverflowError:
         # exp(2 alpha r1) overflows, though its product with c3 need not;
@@ -241,7 +244,7 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
             grown = math.inf
         ratio = grown + math.exp(-2.0 * r3)
         d2_floor = d1s * c3 + _exp_quotient(d1s, -2.0 * (a * r1 + r3), 1.0)
-    # exp(inf) is inf without an OverflowError, and inf * 0 is nan.
+    # exp(inf) is inf without an OverflowError.
     if not math.isfinite(ratio):
         raise InvalidRegimeInput(
             f"the penalty ratio exp(2 alpha r1) overflows at alpha r1 = {a * r1}")

@@ -5,6 +5,13 @@ symbol; distortions are mean squared errors.  The first-layer distortion may
 be the distinguished value :data:`UNCONSTRAINED`, which makes the
 two-description reduction visible in the type rather than hidden in a
 sentinel float.
+
+The value types validate accept-first.  One expression per field admits the
+common case, a ``float`` in range (``isinstance(v, float) and 0.0 <= v <
+math.inf`` for a rate).  Only a value it does not admit goes through the
+``_require_*`` chain, which refuses it with its exception and message, or
+accepts it (an ``int``, say).  The first test admits nothing the chain would
+refuse, so it changes no outcome.
 """
 
 from __future__ import annotations
@@ -74,9 +81,12 @@ class GaussianSource:
     variance: float
 
     def __post_init__(self) -> None:
-        _require_finite_number("variance", self.variance)
-        if self.variance <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        v = self.variance
+        if isinstance(v, float) and 0.0 < v < math.inf:
+            return
+        _require_finite_number("variance", v)
+        if v <= 0.0:
+            raise ValueError(f"variance must be positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,13 @@ class RateTuple:
     r4: float
 
     def __post_init__(self) -> None:
-        for name, value in zip(("r1", "r2", "r3", "r4"), self.as_tuple()):
+        r1, r2, r3, r4 = self.r1, self.r2, self.r3, self.r4
+        if (isinstance(r1, float) and 0.0 <= r1 < math.inf
+                and isinstance(r2, float) and 0.0 <= r2 < math.inf
+                and isinstance(r3, float) and 0.0 <= r3 < math.inf
+                and isinstance(r4, float) and 0.0 <= r4 < math.inf):
+            return
+        for name, value in zip(("r1", "r2", "r3", "r4"), (r1, r2, r3, r4)):
             _require_rate(name, value)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -115,14 +131,17 @@ class DistortionTuple:
     d4: float
 
     def __post_init__(self) -> None:
-        if self.d1 is not UNCONSTRAINED:
-            _require_finite_number("d1", self.d1)
-            if self.d1 < 0.0:
-                raise ValueError(f"d1 must be nonnegative, got {self.d1}")
-        for name, value in (("d2", self.d2), ("d3", self.d3), ("d4", self.d4)):
-            _require_finite_number(name, value)
-            if value < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        d1, d2, d3, d4 = self.d1, self.d2, self.d3, self.d4
+        if ((d1 is UNCONSTRAINED or isinstance(d1, float) and 0.0 <= d1 < math.inf)
+                and isinstance(d2, float) and 0.0 <= d2 < math.inf
+                and isinstance(d3, float) and 0.0 <= d3 < math.inf
+                and isinstance(d4, float) and 0.0 <= d4 < math.inf):
+            return
+        # A distortion is held to a rate's test: finite and nonnegative.
+        if d1 is not UNCONSTRAINED:
+            _require_rate("d1", d1)
+        for name, value in (("d2", d2), ("d3", d3), ("d4", d4)):
+            _require_rate(name, value)
 
 
 def convert_rate(value: float, from_unit: RateUnit, to_unit: RateUnit) -> float:

@@ -36,19 +36,27 @@ def sample_feasible_instance(rng: np.random.Generator, *,
     Unit-variance convention: scale the targets by the source variance before
     use.  Some rate components are zeroed outright so the infinite-variance
     conventions get exercised.
+
+    Each call reads exactly eight doubles ``u`` from one ``rng.random(8)``:
+    the rates are ``max_rate u[0:4]``, ``u[4]`` and ``u[5]`` decide whether
+    ``r1`` and ``r4`` are zeroed, and ``u[6]``, ``u[7]`` place ``d2`` and
+    ``d3``.  That is the stream, values and generator state of the calls
+    ``uniform(0, max_rate, 4)``, ``random()``, ``random()`` and
+    ``uniform(0, 1, 2)``, since numpy's ``uniform(lo, hi)`` is ``lo + (hi -
+    lo) u``.  Rates and targets are plain ``float``.
     """
-    r = rng.uniform(0.0, max_rate, size=4)
-    if rng.random() < zero_rate_prob:
-        r[0] = 0.0
-    if rng.random() < zero_rate_prob:
-        r[3] = 0.0
-    rates = RateTuple(*r)
-    d1s = math.exp(-2.0 * rates.r1)
+    u = rng.random(8).tolist()
+    r1, r2, r3, r4 = (max_rate * u[0], max_rate * u[1], max_rate * u[2],
+                      max_rate * u[3])
+    if u[4] < zero_rate_prob:
+        r1 = 0.0
+    if u[5] < zero_rate_prob:
+        r4 = 0.0
+    d1s = math.exp(-2.0 * r1)
     # u = 0 puts the target at d1_star, u = 1 at its floor.
-    u2, u3 = rng.uniform(0.0, 1.0, size=2)
-    d2 = d1s * math.exp(-2.0 * rates.r2 * u2)
-    d3 = d1s * math.exp(-2.0 * rates.r3 * u3)
-    return rates, d2, d3
+    d2 = d1s * math.exp(-2.0 * r2 * u[6])
+    d3 = d1s * math.exp(-2.0 * r3 * u[7])
+    return RateTuple(r1, r2, r3, r4), d2, d3
 
 
 #: Sampled witnesses lie below this ``eps``, inside the maximizer's bracket.

@@ -137,7 +137,9 @@ def mp_wz_md_sweep(var, rates, d3_values):
 
     The binning channel solves ``1/(1/var + 1/(s1 + s2)) = d1*`` and
     ``1/(1/var + 1/s2) = d2*``, so ``s2 = d2*/c(r1+r2)`` and ``s1 + s2 =
-    d1*/c(r1)`` with ``c(r) = 1 - e^{-2 r}``, and ``gamma = s2/(s1 + s2)``;
+    d1*/c(r1)`` with ``c(r) = 1 - e^{-2 r}``, and ``gamma = s2/(s1 + s2)``.
+    The difference is formed as ``s1 = d1* c(r2)/(c(r1) c(r1+r2))``, which
+    does not cancel at ``r2`` far below ``r1``;
     ``d4_md`` is :func:`mp_dr_bound` at ``(d2*, d3)``.  ``gap = d4_wz - d4_md``
     is 0 within ``SPECIALIZATION_RTOL d4_md``, the library's convention.
     """
@@ -145,8 +147,9 @@ def mp_wz_md_sweep(var, rates, d3_values):
         var = mpmath.mpf(var)
         r1, r2, r3, r4 = (mpmath.mpf(r) for r in rates)
         d1s, d2s = var * mpmath.exp(-2 * r1), var * mpmath.exp(-2 * (r1 + r2))
-        s2 = d2s / -mpmath.expm1(-2 * (r1 + r2))
-        s1 = d1s / -mpmath.expm1(-2 * r1) - s2
+        c1, c2, c12 = (-mpmath.expm1(-2 * r) for r in (r1, r2, r1 + r2))
+        s2 = d2s / c12
+        s1 = d1s * c2 / (c1 * c12)
         g = s2 / (s1 + s2)
         scale = mpmath.exp(-2 * (r3 + r4))
         rows = []

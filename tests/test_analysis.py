@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import sys
 
@@ -10,6 +11,7 @@ import mpmath
 import pytest
 
 import gaussrd.analysis as analysis
+import gaussrd.cli as cli
 import oracle
 from gaussrd import (
     AsymptoticConfig,
@@ -173,17 +175,21 @@ def test_wz_md_sweep_matches_the_oracle():
     # 10^U[-100, 100].  d4_wz is within 16 eps, d4_md within dr_bound's
     # rounding model 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap
     # within the sum of the two.  Every fourth r2 lies 1e-20 to 1e-16.5 of
-    # r1, where gamma = s2/(s1 + s2) rounds to 1 once s1/s2 ~ r2/r1 < eps/2.
+    # r1, where gamma = s2/(s1 + s2) rounds to 1 once s1/s2 ~ r2/r1 < eps/2;
+    # the last case puts r2 300 decades below r1.
     rng = make_rng(9)
-    rounded = 0
+    cases = []
     for i in range(40):
         var = 10.0 ** rng.uniform(-100.0, 100.0)
         r1 = 10.0 ** rng.uniform(-17.0, 0.5) if i % 4 else 10.0 ** rng.uniform(-18.0, -16.0)
         r2 = 10.0 ** rng.uniform(-12.0, 0.5)
         if i % 4 == 1:
             r2 = r1 * 10.0 ** rng.uniform(-20.0, -16.5)
-        rates = RateTuple(r1, r2, *rng.uniform(0.01, 2.0, size=2))
-        rounded += wz_channel_from_rates(GaussianSource(var), r1, r2).gamma == 1.0
+        cases.append((var, RateTuple(r1, r2, *rng.uniform(0.01, 2.0, size=2))))
+    cases.append((1.0, RateTuple(1.0, 1e-300, 1.0, 0.5)))
+    rounded = 0
+    for var, rates in cases:
+        rounded += wz_channel_from_rates(GaussianSource(var), rates.r1, rates.r2).gamma == 1.0
         rows = wz_md_sweep(GaussianSource(var), rates, 9)
         exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
         d2s = var * math.exp(-2.0 * (rates.r1 + rates.r2))
@@ -296,6 +302,17 @@ def test_fixed_channel_loss_matches_the_oracle():
         assert abs(loss.ratio - ratio) <= EPS * (1.0 + 2.0 * (ar + r3)) * ratio
         assert (abs(loss.d2_floor - d2_floor)
                 <= EPS * (1.0 + 2.0 * (r1 + ar + r3)) * d2_floor)
+
+
+def test_loss_at_an_infinite_exponent_and_zero_r3_is_refused_for_its_floor(capsys):
+    # 2 alpha r1 is inf, but at r3 = 0 the ratio is exp(-2 r3) = 1: the row
+    # is refused because d2_floor = d1* exp(-inf) is 0, not for the ratio.
+    code = cli.main(["loss", "--alpha", "1.7e308", "--r3", "0", "--r1-grid", "1"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 2
+    assert error["type"] == "InvalidRegimeInput"
+    assert error["message"] == ("the frozen floor d2_floor = 0.0 is below the "
+                                "normal double range at r1 = 1.0")
 
 
 def test_fixed_channel_loss_validates_inputs():

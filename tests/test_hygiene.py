@@ -1,15 +1,20 @@
 """Static hygiene of the package sources: no module imports a name it never
-uses, and no private helper outlives its last caller."""
+uses, and no private helper outlives its last caller; and the benchmark's
+imports load every module its tracer wraps."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gaussrd"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gaussrd"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -165,3 +170,27 @@ def test_each_guard_is_decided_once(name, function):
              if isinstance(node, ast.FunctionDef) and node.name == function]
     repeated = sorted(DECIDED_ELSEWHERE[(name, function)] & set(_references(body)))
     assert not repeated, f"{name}.{function} names {repeated}"
+
+
+def test_bench_imports_load_every_traced_layer():
+    # bench/spans.py wraps each LAYERS module found in sys.modules once the
+    # workloads have been imported; a layer that import chain no longer
+    # loads would fail every --trace 1 run.  The fresh interpreter runs the
+    # workloads' own package imports.
+    spans = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    layers, = [ast.literal_eval(node.value) for node in spans.body
+               if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)]
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    imports = [ast.unparse(node) for node in workloads.body
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "gaussrd"]
+    assert any("channel" in line and "selfcheck" in line for line in imports)
+    code = "\n".join([*imports, "import sys",
+                      "print(' '.join(sorted(sys.modules)))"])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    missing = [layer for layer in layers if f"gaussrd.{layer}" not in loaded]
+    assert not missing, f"traced layers not loaded by the bench imports: {missing}"

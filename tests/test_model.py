@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from gaussrd import (
@@ -39,6 +40,49 @@ def test_rate_tuple_rejects_negative_and_non_finite():
             RateTuple(bad, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             RateTuple(0.0, 0.0, 0.0, bad)
+
+
+#: Each probe value, and how a field refuses it: ``None`` where it is
+#: accepted, else the message between the field's name and the value's repr.
+_PROBES = {
+    "true": (True, "must be a real number, got"),
+    "int": (1, None),
+    "negative": (-1.0, "must be nonnegative, got"),
+    "negative-zero": (-0.0, None),
+    "inf": (math.inf, "must be finite, got"),
+    "nan": (math.nan, "must be finite, got"),
+    "np-nan": (np.float64("nan"), "must be finite, got"),
+    "str": ("1", "must be a real number, got"),
+    "none": (None, "must be a real number, got"),
+}
+_FIELDS = {
+    "variance": (GaussianSource, {"variance": 1.0}),
+    **{f"r{i}": (RateTuple, dict.fromkeys(("r1", "r2", "r3", "r4"), 0.5))
+       for i in range(1, 5)},
+    **{f"d{i}": (DistortionTuple, {"d1": UNCONSTRAINED, "d2": 0.5, "d3": 0.5,
+                                   "d4": 0.5})
+       for i in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+def test_each_field_accepts_or_refuses_a_probe_value(field, probe):
+    # A finite, nonnegative int is accepted like a float; a variance is
+    # refused at zero, -0.0 included, and says "positive" where a rate or a
+    # distortion says "nonnegative".
+    cls, valid = _FIELDS[field]
+    value, refusal = _PROBES[probe]
+    if field == "variance" and probe in ("negative", "negative-zero"):
+        refusal = "must be positive, got"
+    kwargs = {**valid, field: value}
+    if refusal is None:
+        assert getattr(cls(**kwargs), field) is value
+        return
+    with pytest.raises(ValueError) as caught:
+        cls(**kwargs)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{field} {refusal} {value!r}"
 
 
 def test_distortion_tuple_allows_unconstrained_first_stage():

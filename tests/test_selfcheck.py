@@ -57,11 +57,32 @@ def test_witness_instances_have_finite_interior_maximizer():
         assert wit.t_bound >= 1.0
 
 
-def test_sampling_is_seed_deterministic():
-    a = [sample_feasible_instance(make_rng(507)) for _ in range(1)][0]
-    b = [sample_feasible_instance(make_rng(507)) for _ in range(1)][0]
-    assert a[0].as_tuple() == b[0].as_tuple()
-    assert (a[1], a[2]) == (b[1], b[2])
+def _four_call_sample(rng, max_rate, zero_rate_prob):
+    """The sampler as four generator calls, the reference of its stream."""
+    r = rng.uniform(0.0, max_rate, size=4)
+    if rng.random() < zero_rate_prob:
+        r[0] = 0.0
+    if rng.random() < zero_rate_prob:
+        r[3] = 0.0
+    d1s = math.exp(-2.0 * r[0])
+    u2, u3 = rng.uniform(0.0, 1.0, size=2)
+    return (*r, d1s * math.exp(-2.0 * r[1] * u2), d1s * math.exp(-2.0 * r[2] * u3))
+
+
+@pytest.mark.parametrize("zero_rate_prob", [0.0, 0.15])
+@pytest.mark.parametrize("max_rate", [2.0, 3.0, 10.0, 40.0])
+def test_sampling_reads_the_four_call_stream(max_rate, zero_rate_prob):
+    # One rng.random(8) per draw gives the four calls' values bit for bit
+    # and leaves the generator where they leave it.
+    rng, reference = make_rng(507), make_rng(507)
+    for _ in range(5_000):
+        rates, d2, d3 = sample_feasible_instance(rng, max_rate=max_rate,
+                                                 zero_rate_prob=zero_rate_prob)
+        expected = _four_call_sample(reference, max_rate, zero_rate_prob)
+        assert all(type(r) is float for r in rates.as_tuple())
+        assert ([float.hex(float(v)) for v in (*rates.as_tuple(), d2, d3)]
+                == [float.hex(float(v)) for v in expected])
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("variance", [1.0, 1e-9, 1e9])
