@@ -358,14 +358,10 @@ def high_rate_asymptote(config: AsymptoticConfig) -> HighRateAsymptotes:
         raise InvalidRegimeInput(
             f"b={b} is too large: the constant 2 (b + sqrt(b^2 - 1)) overflows"
         )
-    if eta == 0.0:
-        md = math.exp(-2.0 * rp) / sharp
-    else:
-        md = math.exp(-2.0 * (1.0 + eta) * rp) / (4.0 * b)
-    if eta1 == eta:
-        mdcr = math.exp(-2.0 * (1.0 + eta) * rp) / sharp
-    else:
-        mdcr = math.exp(-2.0 * (1.0 + eta) * rp) / (4.0 * b)
+    # At eta == 0 the exponent -2 (1 + eta) r' is exactly -2 r'.
+    decay = math.exp(-2.0 * (1.0 + eta) * rp)
+    md = decay / (sharp if eta == 0.0 else 4.0 * b)
+    mdcr = decay / (sharp if eta1 == eta else 4.0 * b)
     product = math.exp(-4.0 * rp) / 4.0
     return HighRateAsymptotes(md, mdcr, product)
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
 from .mmse import _msr_distortions
-from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
-                    GaussianSource, RateTuple, Regime)
+from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
+                    Regime, _over_ceiling)
 from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
@@ -85,16 +85,14 @@ class CertificationRecord:
 def _checked_bound(source: GaussianSource, rates: RateTuple,
                    d2: float, d3: float) -> DrBoundResult:
     """:func:`~gaussrd.regions.dr_bound` at ``d1`` unconstrained, after which
-    a side target above ``d1_star`` (beyond rounding) raises
-    :class:`InfeasibleDistortion`: the channel builders take clamped
+    a side target above ``d1_star`` by :func:`~gaussrd.model._over_ceiling`
+    raises :class:`InfeasibleDistortion`: the channel builders take clamped
     targets."""
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
-    d1s = bound.d1_star
     for name, d in (("d2", d2), ("d3", d3)):
-        if d > d1s * (1.0 + FEASIBILITY_RTOL):
-            raise InfeasibleDistortion(
-                f"{name}={d} exceeds the first-layer floor {d1s}; clamp it first"
-            )
+        if _over_ceiling(d, bound.d1_star):
+            raise InfeasibleDistortion(f"{name}={d} exceeds the first-layer floor "
+                                       f"{bound.d1_star}; clamp it first")
     return bound
 
 

@@ -105,17 +105,23 @@ def _load_scenario(path: str | None) -> dict:
 
 
 def _as_float(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"option --{key} expects a number, got {value!r}") from exc
+    # float() would read a scenario's JSON true as 1.0.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"option --{key} expects a number, got {value!r}")
 
 
 def _as_int(key: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"option --{key} expects an integer, got {value!r}") from exc
+    # int() would truncate a scenario's 2.7 and read true (a bool) as 1.
+    if isinstance(value, str) or type(value) is int:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"option --{key} expects an integer, got {value!r}")
 
 
 def _env_int(name: str, default: int) -> int:

@@ -69,9 +69,10 @@ def _require_finite_number(name: str, value: float) -> None:
 
 
 def _require_rate(name: str, value: float) -> None:
-    _require_finite_number(name, value)
-    if value < 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    if not (isinstance(value, float) and 0.0 <= value < math.inf):
+        _require_finite_number(name, value)
+        if value < 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -167,39 +168,47 @@ def _margin(d: float | Unconstrained, floor: float) -> float:
 def _floor_margins(d1_star: float, rates: RateTuple, d1: float | Unconstrained,
                    d2: float | Unconstrained, d3: float | Unconstrained
                    ) -> tuple[float, float, float]:
-    """The individual-feasibility test: relative margins ``(d - f) / f`` of
-    the targets over their floors ``f1 = d1_star``, ``f_i = d1_star
-    exp(-2 r_i)``.  A point is feasible at tolerance ``rtol`` when no margin
-    is below ``-rtol``; unconstrained targets have margin ``inf``."""
+    """Margins ``(d - f)/f`` over the floors ``d1_star``, ``d1_star exp(-2 r_i)``."""
     return (_margin(d1, d1_star),
             _margin(d2, d1_star * math.exp(-2.0 * rates.r2)),
             _margin(d3, d1_star * math.exp(-2.0 * rates.r3)))
 
 
+def _require_floors(names: str, targets: tuple, margins: tuple[float, ...]) -> None:
+    """The one floor test: a target whose margin over its floor is below
+    ``-FEASIBILITY_RTOL`` raises :class:`InfeasibleDistortion`."""
+    if min(margins) < -FEASIBILITY_RTOL:
+        raise InfeasibleDistortion(
+            f"a target lies below its floor: ({names}) = "
+            f"({', '.join(map(repr, targets))}), relative margins "
+            f"({', '.join(f'{m:.3e}' for m in margins)})")
+
+
+def _over_ceiling(d: float, d1_star: float) -> bool:
+    """The one ceiling test: ``(d - d1_star)/d1_star > FEASIBILITY_RTOL``."""
+    return _margin(d, d1_star) > FEASIBILITY_RTOL
+
+
 def _checked_d1_star(source: GaussianSource, rates: RateTuple,
                      d1: float | Unconstrained, d2: float | Unconstrained,
                      d3: float | Unconstrained) -> float:
-    """``d1_star = var exp(-2 r1)``, after raising
-    :class:`InfeasibleDistortion` for a target below its floor beyond
-    :data:`FEASIBILITY_RTOL`."""
+    """``d1_star = var exp(-2 r1)``, once the three targets clear their floors."""
     d1s = source.variance * math.exp(-2.0 * rates.r1)
-    m1, m2, m3 = _floor_margins(d1s, rates, d1, d2, d3)
-    if min(m1, m2, m3) < -FEASIBILITY_RTOL:
-        raise InfeasibleDistortion(
-            f"a target lies below its floor: (d1, d2, d3) = ({d1!r}, {d2!r}, "
-            f"{d3!r}), relative margins ({m1:.3e}, {m2:.3e}, {m3:.3e})"
-        )
+    _require_floors("d1, d2, d3", (d1, d2, d3), _floor_margins(d1s, rates, d1, d2, d3))
     return d1s
 
 
 def feasible_individual(source: GaussianSource, rates: RateTuple,
                         dist: DistortionTuple) -> bool:
-    """True when each first-round decoder target clears its exponential floor,
-    up to :data:`FEASIBILITY_RTOL`.
+    """True when each first-round decoder target clears its exponential floor
+    by the test of :func:`_require_floors`.
 
     The three tests are ``d1 >= var*exp(-2 r1)``, ``d2 >= var*exp(-2 (r1+r2))``
     and ``d3 >= var*exp(-2 (r1+r3))``; an unconstrained ``d1`` passes its test
     vacuously, and ``d4`` is not consulted here.
     """
-    d1s = source.variance * math.exp(-2.0 * rates.r1)
-    return min(_floor_margins(d1s, rates, dist.d1, dist.d2, dist.d3)) >= -FEASIBILITY_RTOL
+    try:
+        _checked_d1_star(source, rates, dist.d1, dist.d2, dist.d3)
+    except InfeasibleDistortion:
+        return False
+    return True

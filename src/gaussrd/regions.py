@@ -33,7 +33,8 @@ from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
 from .model import (FEASIBILITY_RTOL, LN2, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, Unconstrained,
-                    _checked_d1_star, _margin, _require_rate)
+                    _checked_d1_star, _margin, _over_ceiling, _require_floors,
+                    _require_rate)
 
 #: Relative half-width of the band around regime boundaries inside which the
 #: adjacent branches are reconciled instead of trusted blindly.
@@ -255,11 +256,9 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
     as ``eps -> inf``.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
-    tol = FEASIBILITY_RTOL * d1s
-    if d2 > d1s + tol or d3 > d1s + tol:
+    if _over_ceiling(d2, d1s) or _over_ceiling(d3, d1s):
         raise OutOfRegime(
-            f"witness needs d2, d3 <= d1_star={d1s}, got d2={d2}, d3={d3}"
-        )
+            f"witness needs d2, d3 <= d1_star={d1s}, got d2={d2}, d3={d3}")
     a, b = _side_ratios(d1s, d2, d3)
     pi_star, delta_star, _ = _pi_delta(a, b, math.exp(-2.0 * (rates.r2 + rates.r3)))
     gap = math.sqrt(pi_star) - math.sqrt(delta_star)
@@ -357,10 +356,10 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
              dist) -> RdBoundResult:
     """Rate requirements on (r2, r3) for the targets in ``dist``.
 
-    ``dist`` carries (d1, d2, d3, d4); ``r1`` must already cover the
-    first-layer requirement ``R(min(d1, var)/var)``.  Individual bounds are
-    ``r2 >= R(d2_hat/d1_star)`` and ``r3 >= R(d3_hat/d1_star)``; the sum bound
-    uses ``z = d4 exp(2 r4) / d1_star`` and splits into three regimes:
+    ``dist`` carries (d1, d2, d3, d4); ``d1`` must clear ``var exp(-2 r1)``
+    by :func:`dr_bound`'s floor test.  Individual bounds are ``r2 >=
+    R(d2_hat/d1_star)`` and ``r3 >= R(d3_hat/d1_star)``; the sum bound uses
+    ``z = d4 exp(2 r4) / d1_star`` and splits into three regimes:
 
     * low (``z < a + b - 1 = ab - pi``): ``R(z)`` alone suffices;
     * slack (``z`` above the harmonic threshold ``ab/(a + b - ab)``): the
@@ -376,18 +375,14 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     _require_rate("r1", r1)
     _require_rate("r4", r4)
     d1 = dist.d1
-    d1_eff = sx2 if d1 is UNCONSTRAINED else min(d1, sx2)
     if d1 is not UNCONSTRAINED and not d1 > 0:
         raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
     for name, value in (("d2", dist.d2), ("d3", dist.d3), ("d4", dist.d4)):
         if not value > 0:
             raise InfeasibleDistortion(f"{name} must be positive, got {value}")
-    r1_star = rate_to_reach(d1_eff / sx2, "d1/var")
-    if r1 < r1_star * (1.0 - FEASIBILITY_RTOL) - 1e-15:
-        raise InfeasibleDistortion(
-            f"r1={r1} below the first-layer requirement {r1_star}"
-        )
+    r1_star = rate_to_reach(1.0 if d1 is UNCONSTRAINED else d1 / sx2, "d1/var")
     d1s = sx2 * math.exp(-2.0 * r1)
+    _require_floors("d1", (d1,), (_margin(d1, d1s),))
     a, b = _side_ratios(d1s, dist.d2, dist.d3)
     r2_bound = rate_to_reach(a, "a = d2_hat/d1_star")
     r3_bound = rate_to_reach(b, "b = d3_hat/d1_star")
@@ -518,20 +513,18 @@ def _rd_z(sx2: float, r1: float, r4: float, d1: float | Unconstrained,
           d4_values) -> list[float] | None:
     """``rd_bound``'s ``z = d4 exp(2 r4)/d1_star`` at each ``d4`` of one
     ``(r1, r4, d1)`` block, or None where ``rd_bound`` could raise on every
-    row of the block: ``d1`` not a finite positive float, ``r1`` below
-    ``r1_star``, a ``d4 exp(2 r4)`` overflowing, ``d1_star`` or a ``z`` of
-    0."""
+    row of the block: ``d1`` not a finite positive float, a ``d4 exp(2 r4)``
+    overflowing, ``d1_star`` or a ``z`` of 0.  Not ``d1`` below its floor: no
+    point of that block is feasible, so no row of it reaches ``rd_bound``."""
     if not (d1 is UNCONSTRAINED or _positive_float(d1)):
         return None
     try:
-        r1_star = rate_to_reach((sx2 if d1 is UNCONSTRAINED else min(d1, sx2)) / sx2)
         e4 = math.exp(2.0 * r4)
-    except (InvalidRegimeInput, OverflowError):
+    except OverflowError:
         return None
     d1s = sx2 * math.exp(-2.0 * r1)
     hats = [d4 * e4 for d4 in d4_values]
-    if (r1 < r1_star * (1.0 - FEASIBILITY_RTOL) - 1e-15 or not d1s > 0.0
-            or math.inf in hats):
+    if not d1s > 0.0 or math.inf in hats:
         return None
     zs = [d4_hat / d1s for d4_hat in hats]
     return None if 0.0 in zs else zs
@@ -548,11 +541,11 @@ def _rd_block(np, sx2: float, blocks, grid: GridSpec, a, b):
 
     Those are the rows where ``rd_bound`` could raise (a target that is not a
     finite positive float, every row of a block where :func:`_rd_z` gives
-    None, the threshold order violated, an excess denominator not positive)
-    and those that reach the harmonic corner band, where it cross-checks two
-    branches.  Every ``log`` and ``exp`` comes from :mod:`math`: ``exp(2
-    r4)`` once per block, ``z`` and ``R(z)`` once per block and ``d4``, the
-    excess term's ``log`` once per excess entry.
+    None, the threshold order violated, an excess denominator not positive;
+    not ``d1`` below its floor, see :func:`_rd_z`) and those in the harmonic
+    corner band, where it cross-checks two branches.  Every ``log`` and
+    ``exp`` comes from :mod:`math`: ``exp(2 r4)`` once per block, ``z`` and
+    ``R(z)`` once per block and ``d4``, the excess ``log`` once per entry.
     """
     d4_values = grid.d4_values
     clean_d4 = all(map(_positive_float, d4_values))

@@ -475,8 +475,16 @@ def test_malformed_rate_list_is_a_usage_error():
      "option --var expects a number, got 'abc'"),
     (["dr-bound", "--unit", "furlongs", *SCALAR_ARGVS["dr-bound"]], None, {},
      "unknown unit 'furlongs'; use nats or bits"),
+    # A JSON float or bool is refused as its flag's spelling is, not
+    # truncated or read as 1.
+    (["sweep-wz-md"], {"points": 2.7}, {},
+     "option --points expects an integer, got 2.7"),
+    (["verify"], {"seed": True}, {}, "option --seed expects an integer, got True"),
+    (["dr-bound", *SCALAR_ARGVS["dr-bound"]], {"var": True}, {},
+     "option --var expects a number, got True"),
 ], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed",
-        "flag-points", "flag-seed", "flag-var", "flag-unit"])
+        "flag-points", "flag-seed", "flag-var", "flag-unit", "scenario-points-float",
+        "scenario-seed-bool", "scenario-var-bool"])
 def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                    argv, scenario, env, message):
     # A flag's value meets the same converter as a scenario value, so both

@@ -155,21 +155,43 @@ def test_scalar_path_modules_import_numpy_only_in_the_scan(name):
 
 #: Guards decided in one place, and the names a function would read to decide
 #: them again: the scan sends the points it cannot evaluate to dr_bound
-#: instead of replaying its raises, and the channel snaps rho where
-#: regions._delta snaps delta.
+#: instead of replaying its raises, the channel snaps rho where
+#: regions._delta snaps delta, and the rd kernel leaves the first-layer floor
+#: to the scan's margins.
 DECIDED_ELSEWHERE = {
     ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den"},
     ("channel", "_channel"): {"FEASIBILITY_RTOL"},
+    ("regions", "_rd_z"): {"FEASIBILITY_RTOL", "rate_to_reach"},
 }
+
+#: The functions that refuse a target against the first-layer floor, and the
+#: one test in model.py that each must call to do so.
+MODEL_TESTS = {
+    ("regions", "rd_bound"): "_require_floors",
+    ("regions", "converse_witness"): "_over_ceiling",
+    ("channel", "_checked_bound"): "_over_ceiling",
+}
+
+
+def _function(name: str, function: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    body, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == function]
+    return body
 
 
 @pytest.mark.parametrize("name, function", sorted(DECIDED_ELSEWHERE))
 def test_each_guard_is_decided_once(name, function):
-    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
-    body, = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == function]
+    body = _function(name, function)
     repeated = sorted(DECIDED_ELSEWHERE[(name, function)] & set(_references(body)))
     assert not repeated, f"{name}.{function} names {repeated}"
+
+
+@pytest.mark.parametrize("name, function", sorted(MODEL_TESTS))
+def test_floor_and_ceiling_are_tested_in_model(name, function):
+    test = MODEL_TESTS[(name, function)]
+    refs = _references(_function(name, function))
+    assert refs[test], f"{name}.{function} skips {test}"
 
 
 def test_bench_imports_load_every_traced_layer():

@@ -22,6 +22,7 @@ from gaussrd import (
     Regime,
     UNCONSTRAINED,
     certify_achievability,
+    construct_channel,
     converse_witness,
     default_grid,
     dr_bound,
@@ -298,6 +299,60 @@ def test_rd_bound_first_layer_requirement():
     assert res.r1_star == pytest.approx(0.5 * math.log(2.0), rel=1e-15)
     with pytest.raises(InfeasibleDistortion):
         rd_bound(source, 0.25, 0.0, dist)
+
+
+def _refuses(error, call, *args) -> bool:
+    try:
+        call(*args)
+    except error:
+        return True
+    return False
+
+
+def test_both_characterizations_refuse_the_same_first_layer_targets():
+    # d1 within 3e-12 of its floor d1* = var exp(-2 r1): dr_bound and rd_bound
+    # run one floor test, so each refuses d1 exactly where the other does,
+    # and exactly where feasible_individual is false.
+    rng = make_rng(2101)
+    refused = 0
+    for _ in range(2000):
+        r1, var = 10.0 ** rng.uniform(-4.0, 1.5), 10.0 ** rng.uniform(-3.0, 3.0)
+        d1s = var * math.exp(-2.0 * r1)
+        dist = DistortionTuple(d1s * (1.0 + rng.uniform(-3e-12, 3e-12)),
+                               0.9 * d1s, 0.9 * d1s, 0.2 * d1s)
+        source, rates = GaussianSource(var), RateTuple(r1, 0.5, 0.5, 0.0)
+        infeasible = not feasible_individual(source, rates, dist)
+        assert _refuses(InfeasibleDistortion, dr_bound, source, rates,
+                        dist.d1, dist.d2, dist.d3) is infeasible
+        assert _refuses(InfeasibleDistortion, rd_bound, source, r1, 0.0,
+                        dist) is infeasible
+        refused += infeasible
+    assert 0 < refused < 2000
+
+
+def test_witness_and_channel_share_the_side_target_ceiling():
+    # d2 up to 2.5e-12 above d1* at r2 = 0, d3 on its floor, so pi = delta =
+    # 0 and the channel is buildable: the witness's OutOfRegime and the
+    # channel's "clamp it first" come from one ceiling test, so they fire
+    # together.
+    rng = make_rng(2102)
+    refused = 0
+    for _ in range(2000):
+        r1, var = 10.0 ** rng.uniform(-4.0, 1.5), 10.0 ** rng.uniform(-3.0, 3.0)
+        d1s = var * math.exp(-2.0 * r1)
+        source, rates = GaussianSource(var), RateTuple(r1, 0.0, 0.5, 0.0)
+        d2, d3 = d1s * (1.0 + rng.uniform(0.0, 2.5e-12)), d1s * math.exp(-1.0)
+        out = _refuses(OutOfRegime, converse_witness, source, rates, UNCONSTRAINED,
+                       d2, d3)
+        try:
+            construct_channel(source, rates, d2, d3)
+            clamp = False
+        except InfeasibleDistortion as exc:
+            assert "clamp it first" in str(exc)
+            clamp = True
+        assert out is clamp
+        refused += clamp
+    assert 0 < refused < 2000
 
 
 def test_rd_bound_slack_regime_when_central_target_is_loose():
@@ -762,13 +817,11 @@ def test_rd_kernel_branches_are_reached(monkeypatch):
         assert [regions._RD_REGIMES[c] for c in codes[0, row].tolist()] == regimes
     # With r1 on or just above r1_star, the kernel decides too.  Blocks in
     # (r1, r4, d1) order: at r1 = 0 the last two d1 lie below the variance,
-    # so r1 < r1_star refuses those blocks whole; no point in them is
-    # feasible, so rd_bound is never called.
+    # so below their floor.  The kernel refuses none of their rows, but no
+    # point in those blocks is feasible, so rd_bound is never called.
     scan(_first_layer_rate_grid)
     (_, _, refused), = outputs
-    whole = [False, False, True, True] * 2 + [False] * 8
-    assert refused.all(axis=1).tolist() == whole
-    assert refused.any(axis=1).tolist() == whole
+    assert not refused.any()
     assert calls["rd_bound"] == 0
 
 
