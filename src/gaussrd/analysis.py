@@ -149,7 +149,7 @@ def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> floa
     return result.d4_bound
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SweepRow:
     d3: float
     d4_wz: float
@@ -196,7 +196,7 @@ class FixedChannelConfig:
             raise ValueError(f"alpha must be a nonnegative real, got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FixedChannelLoss:
     """Multiplicative penalty for keeping the first-layer channel frozen."""
 
@@ -266,7 +266,7 @@ class MdcrSplit:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MdcrComparison:
     d4_mdcr: float
     d4_md: float
@@ -334,7 +334,7 @@ class AsymptoticConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HighRateAsymptotes:
     d4_asymptote_md: float
     d4_asymptote_mdcr: float
@@ -366,7 +366,7 @@ def high_rate_asymptote(config: AsymptoticConfig) -> HighRateAsymptotes:
     return HighRateAsymptotes(md, mdcr, product)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConvergenceRow:
     r_prime: float
     exact: float

@@ -63,7 +63,7 @@ class TestChannel:
             raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {self.q}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DegenerateAdjustment:
     """Side targets tightened onto the degeneracy boundary."""
 
@@ -71,7 +71,7 @@ class DegenerateAdjustment:
     d3_prime: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CertificationRecord:
     """Outcome of the forward construction at one operating point."""
 

@@ -103,7 +103,7 @@ class JointPmf:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RateRegionBounds:
     """The five mutual-information bounds, in nats."""
 

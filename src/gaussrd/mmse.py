@@ -88,7 +88,7 @@ class CovarianceMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MmseResult:
     """Linear MMSE estimator of one variable from a subset of the others."""
 

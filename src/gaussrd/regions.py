@@ -55,7 +55,7 @@ def rate_to_reach(ratio: float, name: str = "ratio") -> float:
     return -0.5 * math.log(ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DrBoundResult:
     """Central-distortion bound for fixed rates and side targets."""
 
@@ -68,7 +68,7 @@ class DrBoundResult:
     regime: Regime
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RdBoundResult:
     """Rate requirements for fixed distortion targets, r1 and r4."""
 
@@ -81,7 +81,7 @@ class RdBoundResult:
     regime: Regime
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConverseWitness:
     """Closed-form maximizer of the converse's auxiliary bound.
 
@@ -456,13 +456,19 @@ class GridSpec:
         return n
 
 
-@dataclass
+@dataclass(slots=True)
 class EquivalenceReport:
-    """Outcome of scanning both region characterizations over a grid."""
+    """Outcome of scanning both region characterizations over a grid.
+
+    ``evaluated``, ``skipped_infeasible`` and ``floor_band`` partition the
+    grid.  ``boundary`` counts the ``floor_band`` points, which are never
+    evaluated, plus the evaluated points whose verdict falls in the band.
+    """
 
     evaluated: int = 0
     skipped_infeasible: int = 0
     boundary: int = 0
+    floor_band: int = 0
     in_both: int = 0
     out_both: int = 0
     regime_counts: dict[str, int] = field(default_factory=dict)
@@ -667,7 +673,8 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         feasible = base > tol
         n_feasible = int(np.count_nonzero(feasible))
         report.skipped_infeasible = n_skipped * n4
-        report.boundary = (base.size - n_skipped - n_feasible) * n4
+        report.floor_band = (base.size - n_skipped - n_feasible) * n4
+        report.boundary = report.floor_band
         report.evaluated = n_feasible * n4
         if not n_feasible:
             return report

@@ -1,10 +1,13 @@
 """Static hygiene of the package sources: no module imports a name it never
-uses, and no private helper outlives its last caller; and the benchmark's
-imports load every module its tracer wraps."""
+uses, and no private helper outlives its last caller; every record is frozen
+or slotted by one rule; and the benchmark's imports load every module its
+tracer wraps."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import os
 import subprocess
 import sys
@@ -192,6 +195,37 @@ def test_floor_and_ceiling_are_tested_in_model(name, function):
     test = MODEL_TESTS[(name, function)]
     refs = _references(_function(name, function))
     assert refs[test], f"{name}.{function} skips {test}"
+
+
+#: Records that callers build and pass in.  These, and every record that
+#: checks its fields in ``__post_init__``, are frozen, so that no value can
+#: change after its check.  Every other record is one the library builds and
+#: returns: slotted, not frozen, since a frozen ``__init__`` stores each
+#: field through ``object.__setattr__``.
+PASSED_IN = {"model.GaussianSource", "model.RateTuple", "model.DistortionTuple",
+             "channel.TestChannel", "regions.GridSpec", "analysis.WzChannel",
+             "analysis.FixedChannelConfig", "analysis.MdcrSplit",
+             "analysis.AsymptoticConfig", "discrete.JointPmf",
+             "discrete.DecoderMaps", "mmse.CovarianceMatrix"}
+
+
+def test_records_are_frozen_when_checked_or_passed_in_and_slotted_otherwise():
+    records = {}
+    for path in MODULES:
+        module = importlib.import_module(f"gaussrd.{path.stem}")
+        records.update(
+            (f"{path.stem}.{name}", value) for name, value in vars(module).items()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            and value.__module__ == module.__name__)
+    assert PASSED_IN <= set(records), sorted(PASSED_IN - set(records))
+    wrong = []
+    for name, cls in sorted(records.items()):
+        frozen = "__post_init__" in vars(cls) or name in PASSED_IN
+        if cls.__dataclass_params__.frozen != frozen:
+            wrong.append(f"{name} should {'' if frozen else 'not '}be frozen")
+        elif not frozen and "__slots__" not in vars(cls):
+            wrong.append(f"{name} should have __slots__")
+    assert not wrong, wrong
 
 
 def test_bench_imports_load_every_traced_layer():

@@ -1,0 +1,124 @@
+"""The records the library returns survive the standard-library copies, and
+the records callers pass in stay frozen.
+
+Result records are slotted, mutable dataclasses; records that validate their
+fields, or that callers build and pass in, are frozen
+(``tests/test_hygiene.py`` checks which is which).  Either way ``pickle`` at
+its default protocol, ``copy.deepcopy``, ``dataclasses.asdict`` and
+``dataclasses.replace`` must give back an equal record.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+
+from gaussrd import (
+    UNCONSTRAINED,
+    AsymptoticConfig,
+    CovarianceMatrix,
+    DistortionTuple,
+    FixedChannelConfig,
+    GaussianSource,
+    MdcrSplit,
+    MmseResult,
+    RateTuple,
+    asymptote_convergence,
+    certify_achievability,
+    conditional_mmse,
+    converse_witness,
+    default_grid,
+    dr_bound,
+    equivalence_scan,
+    eval_region_bounds,
+    fixed_channel_loss,
+    high_rate_asymptote,
+    mdcr_compare,
+    random_pmf,
+    rd_bound,
+    wz_md_sweep,
+)
+
+from conftest import make_rng, random_psd_matrix
+
+
+def _results() -> list[tuple[str, object]]:
+    source = GaussianSource(variance=1.0)
+    rates = RateTuple(0.0, 0.5, 0.5, 0.0)
+    bound = dr_bound(source, rates, UNCONSTRAINED, 0.45, 0.45)
+    adjusted = certify_achievability(source, rates, 0.9, 0.9)
+    assert adjusted.adjustment is not None
+    config = AsymptoticConfig(r_prime=2.0, b=1.5, eta=0.0, eta1=0.0)
+    joint = CovarianceMatrix(random_psd_matrix(make_rng(3), 4))
+    return [
+        ("dr_bound", bound),
+        ("rd_bound", rd_bound(source, 0.0, 0.0,
+                              DistortionTuple(1.0, 0.45, 0.45, bound.d4_bound))),
+        ("converse_witness", converse_witness(source, rates, 1.0, 0.45, 0.45)),
+        ("certify_achievability", certify_achievability(source, rates, 0.45, 0.45)),
+        ("certify_achievability-adjusted", adjusted),
+        ("degenerate_adjustment", adjusted.adjustment),
+        ("equivalence_scan", equivalence_scan(source, default_grid(source, 2))),
+        ("wz_md_sweep", wz_md_sweep(source, RateTuple(0.3, 0.4, 0.5, 0.0), 3)[1]),
+        ("fixed_channel_loss", fixed_channel_loss(source, 1.0, 1.0,
+                                                  FixedChannelConfig(alpha=1.0))),
+        ("mdcr_compare", mdcr_compare(source, 0.5, 0.5, 0.3, MdcrSplit(0.5),
+                                      0.45, 0.45)),
+        ("high_rate_asymptote", high_rate_asymptote(config)),
+        ("asymptote_convergence", asymptote_convergence(config, [1.0, 2.0])[0]),
+        ("eval_region_bounds", eval_region_bounds(
+            random_pmf(make_rng(5), (2, 2, 2, 2, 2)))),
+        ("conditional_mmse", conditional_mmse(joint, 0, (1, 2, 3))),
+    ]
+
+
+RESULTS = _results()
+
+
+def _same(x, y) -> bool:
+    """``x == y``; an :class:`MmseResult` compares its coefficient array
+    elementwise, since the generated ``__eq__`` compares field tuples and
+    cannot decide an array of two or more entries."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, MmseResult):
+        return (np.array_equal(x.coefficients, y.coefficients)
+                and dataclasses.replace(x, coefficients=None)
+                == dataclasses.replace(y, coefficients=None))
+    return x == y
+
+
+def _rebuilt(record):
+    """The record built again from its ``asdict``, nested records too."""
+    values = dataclasses.asdict(record)
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if dataclasses.is_dataclass(value):
+            values[f.name] = _rebuilt(value)
+    return type(record)(**values)
+
+
+@pytest.mark.parametrize("record", [r for _, r in RESULTS],
+                         ids=[name for name, _ in RESULTS])
+def test_result_round_trips_through_the_standard_copies(record):
+    for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                  _rebuilt(record), dataclasses.replace(record)):
+        assert other is not record
+        assert _same(other, record)
+        assert _same(record, other)
+    assert dataclasses.asdict(pickle.loads(pickle.dumps(record))).keys() \
+        == {f.name for f in dataclasses.fields(record)}
+
+
+def test_passed_in_records_refuse_assignment():
+    source = GaussianSource(variance=1.0)
+    rates = RateTuple(0.0, 0.5, 0.5, 0.0)
+    record = certify_achievability(source, rates, 0.45, 0.45)
+    for value, name in ((rates, "r2"), (record.achieved, "d4"),
+                        (record.channel, "q")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.25)

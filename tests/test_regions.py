@@ -547,6 +547,7 @@ def _reference_scan(source, grid) -> EquivalenceReport:
             report.skipped_infeasible += 1
             continue
         if base <= tol:
+            report.floor_band += 1
             report.boundary += 1
             continue
         d4_bound = regions.dr_bound(source, rates, d1, d2, d3).d4_bound
@@ -734,6 +735,27 @@ def test_equivalence_scan_matches_a_per_point_reference(make_grid):
     assert report == expected
     assert report.evaluated > 0
     assert (report.evaluated + report.skipped_infeasible + report.boundary
+            == grid.total_points())
+    assert (report.evaluated + report.skipped_infeasible + report.floor_band
+            == grid.total_points())
+
+
+def test_equivalence_scan_counts_partition_the_grid_with_a_verdict_in_the_band():
+    # d4 at dr_bound's own bound puts one evaluated point's verdict in the
+    # band: boundary counts it, floor_band does not.
+    source = GaussianSource(variance=1.0)
+    d4_bound = 0.040762203978366225
+    assert dr_bound(source, RateTuple(0.3, 0.5, 0.6, 0.2), UNCONSTRAINED,
+                    0.4, 0.45).d4_bound == d4_bound
+    grid = GridSpec(
+        r1_values=(0.3,), r4_values=(0.2,), d1_values=(UNCONSTRAINED,),
+        d2_values=(0.4,), d3_values=(0.45,), r2_values=(0.5,),
+        r3_values=(0.6,), d4_values=(d4_bound, 2.0 * d4_bound),
+    )
+    report = equivalence_scan(source, grid)
+    assert (report.evaluated, report.skipped_infeasible, report.floor_band,
+            report.boundary, report.in_both) == (2, 0, 0, 1, 1)
+    assert (report.evaluated + report.skipped_infeasible + report.floor_band
             == grid.total_points())
 
 
