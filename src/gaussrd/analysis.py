@@ -281,9 +281,11 @@ def mdcr_compare(source: GaussianSource, r2: float, r3: float, r4: float,
     refinement system keeps ``(r2, r3)`` on the side branches and spends
     ``r4`` centrally, while the comparison system folds the same budget into
     the branches as ``(r2 + beta r4, r3 + (1-beta) r4)``.  The central-
-    distortion bounds share their numerator, so the ratio isolates the
-    penalty denominators; it is at least 1 and nondecreasing in ``r4``.
-    Requires the re-budgeted system to be non-degenerate.
+    distortion bounds share their numerator, so the ratio is that of the
+    penalty denominators, formed as such: it keeps its digits where the
+    numerator underflows, and its error does not grow with the rates.  It is
+    at least 1 and nondecreasing in ``r4``.  Requires the re-budgeted system
+    to be non-degenerate.
     """
     sx2 = source.variance
     for name, d in (("d2", d2), ("d3", d3)):
@@ -301,13 +303,9 @@ def mdcr_compare(source: GaussianSource, r2: float, r3: float, r4: float,
             "premise fails"
         )
     bound_mdcr = dr_bound(source, rates_mdcr, sx2, d2, d3)
-    if bound_md.d4_bound >= sys.float_info.min:
-        ratio = bound_mdcr.d4_bound / bound_md.d4_bound
-    else:
-        # The shared numerator var exp(-2 (r2+r3+r4)) has underflowed; the
-        # ratio is still that of the penalty denominators (d1* = var).
-        a, b = bound_md.d2_hat / sx2, bound_md.d3_hat / sx2
-        ratio = _penalty_den(a, b, bound_md.delta) / _penalty_den(a, b, bound_mdcr.delta)
+    # The numerators cancel (d1* = var), also where they have underflowed.
+    a, b = bound_md.d2_hat / sx2, bound_md.d3_hat / sx2
+    ratio = _penalty_den(a, b, bound_md.delta) / _penalty_den(a, b, bound_mdcr.delta)
     return MdcrComparison(bound_mdcr.d4_bound, bound_md.d4_bound, ratio)
 
 
@@ -352,8 +350,9 @@ def high_rate_asymptote(config: AsymptoticConfig) -> HighRateAsymptotes:
     targets with the central one is bounded by ``exp(-4 r') / 4`` either way.
     """
     rp, b, eta, eta1 = config.r_prime, config.b, config.eta, config.eta1
-    # b * b overflows past ~1.3e154, where sqrt(b^2 - 1) rounds to b.
-    sharp = 2.0 * (b + (b if math.isinf(b * b) else math.sqrt(b * b - 1.0)))
+    # sqrt(b - 1) sqrt(b + 1) neither cancels near b = 1 nor overflows where
+    # b * b would.
+    sharp = 2.0 * (b + math.sqrt(b - 1.0) * math.sqrt(b + 1.0))
     if math.isinf(sharp):
         raise InvalidRegimeInput(
             f"b={b} is too large: the constant 2 (b + sqrt(b^2 - 1)) overflows"

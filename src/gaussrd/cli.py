@@ -28,7 +28,7 @@ from .analysis import (AsymptoticConfig, FixedChannelConfig, MdcrSplit,
 from .errors import GaussRdError
 from .model import (DEFAULT_GRID_DENSITY, DEFAULT_SEED, UNCONSTRAINED,
                     DistortionTuple, GaussianSource, RateTuple, RateUnit,
-                    convert_rate)
+                    Unconstrained, convert_rate)
 from .regions import dr_bound, rd_bound
 
 # ``channel``, ``discrete`` and ``selfcheck`` load numpy; only the commands
@@ -68,9 +68,12 @@ def _emit_csv(header: list[str], rows: list[list[float]]) -> None:
 
 
 def _sanitize(value):
-    """Make a result JSON-safe; infinities become null."""
+    """Make a result JSON-safe: infinities become null, and an option value
+    (:data:`UNCONSTRAINED`, a unit) the string a scenario file states."""
     if isinstance(value, float):
         return None if math.isinf(value) else value
+    if isinstance(value, (Unconstrained, RateUnit)):
+        return value.value
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -87,14 +90,19 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _read(kind: str, path: str) -> str:
+    """The text of the ``kind`` file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def _load_scenario(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read scenario file {path}: {exc}") from exc
+    text = _read("scenario", path)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -293,17 +301,6 @@ def _resolve(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
     return values
 
 
-def _echo(value):
-    """An option value as a scenario file states it."""
-    if value is UNCONSTRAINED:
-        return "unconstrained"
-    if isinstance(value, RateUnit):
-        return value.value
-    if isinstance(value, list):
-        return [_echo(v) for v in value]
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Subcommands: each takes the resolved options and returns a JSON payload
 # (a dict) or a CSV table (header, rows).
@@ -362,14 +359,7 @@ def cmd_discrete(o: dict) -> dict:
     from .discrete import eval_distortions, eval_region_bounds, load_configuration
 
     unit, path = o["unit"], o["pmf"]
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read pmf file {path}: {exc}") from exc
+    text = sys.stdin.read() if path == "-" else _read("pmf", path)
     try:
         pmf, decoders = load_configuration(text)
     except json.JSONDecodeError as exc:
@@ -475,7 +465,7 @@ def main(argv=None) -> int:
         payload = {"command": name}
         if echo:
             # The unit is resolved first but echoed last.
-            payload["inputs"] = {k: _echo(options[k])
+            payload["inputs"] = {k: options[k]
                                  for k in sorted(options, key="unit".__eq__)}
         _emit_json({**payload, **out})
         # Only the verify report carries ``all_passed``.

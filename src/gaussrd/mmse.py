@@ -97,6 +97,15 @@ class MmseResult:
     target_index: int
     observed_indices: tuple[int, ...] = field(default=())
 
+    def __eq__(self, other):
+        # The generated __eq__ compares field tuples, which raises on a
+        # coefficient array of two or more entries; compare it elementwise.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (np.array_equal(self.coefficients, other.coefficients)
+                and (self.error_variance, self.target_index, self.observed_indices)
+                == (other.error_variance, other.target_index, other.observed_indices))
+
 
 def _check_indices(joint: CovarianceMatrix, target_index: int,
                    observed_indices: Sequence[int]) -> tuple[int, ...]:

@@ -599,13 +599,13 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     and are built once per ``r1``.  The d4 bound of every (block x rate pair
     x side-target pair) point divides ``var exp(-2 total)`` by them; every
     ``exp`` comes from :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and the
-    numerators, one per block and rate pair); a numerator below the normal
-    range goes through :func:`_exp_quotient`.  One call of :func:`_rd_block`
+    numerators, one per block and rate pair).  One call of :func:`_rd_block`
     gives ``rd_bound``'s sum bound and regime for every (block x side-target
     pair x d4) entry, which is all ``rd_bound`` reads.  The fallback takes,
     at the position where a per-point loop meets it, each flagged point (a
-    refusal the kernel hints at, or a bound of 0) through ``dr_bound``,
-    which raises, returns 0 (then the scan raises
+    refusal the kernel hints at, or a numerator below the normal range,
+    whose quotient ``dr_bound`` forms by :func:`_exp_quotient`) through
+    ``dr_bound``, which raises, returns 0 (then the scan raises
     :class:`InvalidRegimeInput`: the margin has no value) or gives the bound,
     and each row ``_rd_block`` refuses through ``rd_bound``, after the
     ``dr_bound`` call at its pair's first feasible ``(r2, r3)``.  So the
@@ -679,19 +679,15 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         if not n_feasible:
             return report
 
-        exponents = [-2.0 * (r1 + r2 + r3 + r4)
-                     for r1, r4, _ in blocks for r2, r3 in rate_pairs]
-        numerators = np.array([sx2 * math.exp(e) for e in exponents])
+        numerators = np.array([sx2 * math.exp(-2.0 * (r1 + r2 + r3 + r4))
+                               for r1, r4, _ in blocks for r2, r3 in rate_pairs])
         bound = numerators.reshape(n1, per_r1, n_pairs, 1) / den[:, None]
         # An infeasible point's bound is NaN, which no verdict decides.
         bound = np.where(feasible, bound.reshape(stacked), math.nan)
-        hinted = feasible & np.repeat(refusal, per_r1, axis=0)
-        # A quotient need not leave the normal range with its numerator.
-        for i in np.flatnonzero(numerators < sys.float_info.min).tolist():
-            blk, p = divmod(i, n_pairs)
-            for k in np.flatnonzero(feasible[blk, p] & ~hinted[blk, p]).tolist():
-                bound[blk, p, k] = _exp_quotient(sx2, exponents[i],
-                                                 den[blk // per_r1, p, k].item())
+        # dr_bound decides the points it may refuse, and those whose numerator
+        # lies below the normal range: it forms their quotient as m 2^k.
+        subnormal = (numerators < sys.float_info.min).reshape(n_blocks, n_pairs, 1)
+        flagged = feasible & (np.repeat(refusal, per_r1, axis=0) | subnormal)
         sums, codes, rd_refused = _rd_block(np, sx2, blocks, grid,
                                             np.repeat(a, per_r1, axis=0),
                                             np.repeat(b, per_r1, axis=0))
@@ -702,7 +698,7 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         met = ((np.arange(n_blocks)[:, None] * n_pairs + feasible.argmax(axis=1))
                * n_sides + np.arange(n_sides))
         events = sorted(
-            [(g, 0, g) for g in np.flatnonzero(hinted | (bound == 0.0)).tolist()]
+            [(g, 0, g) for g in np.flatnonzero(flagged).tolist()]
             + [(met.flat[i], 1, i)
                for i in np.flatnonzero(rd_refused & (uses > 0)).tolist()])
         for _, kind, index in events:

@@ -24,6 +24,7 @@ from gaussrd import (
     MdcrSplit,
     OutOfRegime,
     RateTuple,
+    WzChannel,
     asymptote_convergence,
     dr_bound,
     fixed_channel_loss,
@@ -65,6 +66,20 @@ def test_wz_channel_requires_positive_stage_rates():
         wz_channel_from_rates(source, 0.0, 0.5)
     with pytest.raises(InvalidChannel):
         wz_channel_from_rates(source, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((0.0, 1.0, 0.5), "sigma1_sq must be positive finite, got 0.0"),
+    ((1.0, math.inf, 0.5), "sigma2_sq must be positive finite, got inf"),
+    ((1.0, math.nan, 0.5), "sigma2_sq must be positive finite, got nan"),
+    ((1.0, 1.0, 0.0), "gamma must lie in (0, 1], got 0.0"),
+    ((1.0, 1.0, 1.5), "gamma must lie in (0, 1], got 1.5"),
+])
+def test_wz_channel_refuses_each_invalid_field(fields, message):
+    WzChannel(1.0, 1.0, 1.0)
+    with pytest.raises(InvalidChannel) as caught:
+        WzChannel(*fields)
+    assert str(caught.value) == message
 
 
 def test_wz_matches_plain_coding_at_both_sweep_ends():
@@ -375,7 +390,9 @@ def test_mdcr_rejects_broken_premises():
 def test_mdcr_compare_matches_the_oracle():
     # Each bound meets dr_bound's rounding model 4 eps (1 + total rate)
     # kappa, kappa = max(1, sqrt(ab/delta)) at its own rates (the
-    # re-budgeted rates are rounded sums); the ratio meets the sum of both.
+    # re-budgeted rates are rounded sums).  The ratio of the penalty
+    # denominators carries no exponential of the total rate: it meets the
+    # rate-free 2 eps (kappa_mdcr + kappa_md).
     rng = make_rng(29)
     compared = 0
     for i in range(200):
@@ -396,7 +413,7 @@ def test_mdcr_compare_matches_the_oracle():
         for value, exact, rtol in zip(
                 (got.d4_mdcr, got.d4_md, got.ratio),
                 oracle.mp_mdcr_compare(var, r2, r3, r4, beta, d2, d3),
-                (scale * k_mdcr, scale * k_md, scale * (k_mdcr + k_md))):
+                (scale * k_mdcr, scale * k_md, 2.0 * EPS * (k_mdcr + k_md))):
             assert abs(value - exact) <= rtol * exact, (i, value, exact)
     assert compared >= 150
 
@@ -463,6 +480,21 @@ def test_asymptote_constant_survives_an_overflowing_b_squared():
     for eta in (0.0, 0.5):
         with pytest.raises(InvalidRegimeInput):
             high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=1e308, eta=eta, eta1=eta))
+
+
+def test_asymptote_constant_keeps_its_digits_near_b_one():
+    # sqrt(b^2 - 1) written out cancels as b tends to 1 (b * b - 1 keeps
+    # about eps/(b - 1) of relative accuracy); sqrt(b - 1) sqrt(b + 1)
+    # does not, so the asymptote stays within 2 eps of 50 digits.
+    rng = make_rng(37)
+    for _ in range(200):
+        b = 1.0 + float(10.0 ** rng.uniform(-12.0, 0.0))
+        res = high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=b, eta=0.0, eta1=0.0))
+        with mpmath.workdps(oracle.DPS):
+            mb = mpmath.mpf(b)
+            exact = mpmath.exp(-2) / (2 * (mb + mpmath.sqrt(mb * mb - 1)))
+            error = abs(res.d4_asymptote_md - exact) / exact
+        assert error <= 2.0 * EPS, (b, float(error) / EPS)
 
 
 def test_asymptotic_config_validation():

@@ -27,6 +27,7 @@ from gaussrd import (
     dr_bound,
 )
 
+from gaussrd.channel import TestChannel as ForwardChannel
 from gaussrd.selfcheck import sample_feasible_instance
 
 from conftest import GOLDEN_RHO, make_rng
@@ -93,6 +94,28 @@ def test_channel_rejects_degenerate_inputs():
     source = GaussianSource(variance=1.0)
     with pytest.raises(OutOfRegime):
         construct_channel(source, RateTuple(0.0, 1.5, 1.5, 0.0), 0.9, 0.9)
+
+
+#: Noise parameters that TestChannel accepts; each case below spoils one.
+VALID_CHANNEL = dict(sigma1_sq=1.0, sigma2_sq=2.0, sigma3_sq=3.0, sigma4_sq=math.inf,
+                     rho=-0.5, d4_star=0.1, q=0.75)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma3_sq", 0.0, "sigma3_sq must be positive, got 0.0"),
+    ("sigma1_sq", math.nan, "sigma1_sq must be positive, got nan"),
+    ("rho", 0.5, "rho must lie in [-1, 0], got 0.5"),
+    ("rho", -1.5, "rho must lie in [-1, 0], got -1.5"),
+    ("d4_star", 0.0, "d4_star must be positive finite, got 0.0"),
+    ("d4_star", math.inf, "d4_star must be positive finite, got inf"),
+    ("q", 0.0, "q = 1 - rho^2 must lie in (0, 1], got 0.0"),
+    ("q", 1.5, "q = 1 - rho^2 must lie in (0, 1], got 1.5"),
+])
+def test_channel_record_refuses_each_invalid_field(field, value, message):
+    ForwardChannel(**VALID_CHANNEL)
+    with pytest.raises(InvalidChannel) as caught:
+        ForwardChannel(**{**VALID_CHANNEL, field: value})
+    assert str(caught.value) == message
 
 
 def test_channel_rejects_infeasible_targets():

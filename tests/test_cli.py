@@ -521,6 +521,44 @@ def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
     assert "--pmf expects a path" in error["message"]
 
 
+def _unreadable(path) -> str:
+    """The message of the ``OSError`` that opening ``path`` raises."""
+    with pytest.raises(OSError) as caught:
+        open(path, encoding="utf-8")
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("argv, scenario, message", [
+    (["loss", "--r3", "1", "--r1-grid", "0:1"], None,
+     "option --r1-grid grid must be start:stop:count"),
+    (["loss", "--r3", "1", "--r1-grid", "0:1:x"], None,
+     "option --r1-grid count must be an integer"),
+    (["loss", "--r3", "1", "--r1-grid", "0:1:1"], None,
+     "option --r1-grid count must be at least 2"),
+    (["dr-bound"], [0, 0.5, 0.5, 0], "scenario file {scenario} must hold a JSON object"),
+    (["dr-bound", "--d", "inf,0.45,0.45"], {"rates": 3},
+     "option --rates expects a comma list, got 3"),
+    (["dr-bound", "--scenario", "{missing}"], None,
+     "cannot read scenario file {missing}: {unreadable}"),
+    (["discrete", "--pmf", "{missing}"], None,
+     "cannot read pmf file {missing}: {unreadable}"),
+], ids=["grid-two-pieces", "grid-count-text", "grid-count-one", "scenario-list",
+        "scenario-rates-number", "scenario-unreadable", "pmf-unreadable"])
+def test_refused_option_is_a_usage_error(tmp_path, capsys, argv, scenario, message):
+    missing = tmp_path / "missing.json"
+    names = {"missing": missing, "unreadable": _unreadable(missing),
+             "scenario": tmp_path / "scenario.json"}
+    argv = [arg.format(**names) for arg in argv]
+    if scenario is not None:
+        names["scenario"].write_text(json.dumps(scenario))
+        argv += ["--scenario", str(names["scenario"])]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "UsageError", "message": message.format(**names)}
+
+
 @pytest.mark.parametrize("argv", [
     ["dr-bound", "--rates", "400,0,0,0", "--d", "inf,0.5,0.5"],
     ["rd-bound", "--r1", "400", "--r4", "0", "--d", "inf,0.5,0.5,0.1"],

@@ -265,6 +265,50 @@ def test_decoder_shape_and_range_validation():
         )
 
 
+def _nan_pmf():
+    joint = np.full((2, 1, 1, 1, 1), 0.5)
+    joint[1] = math.nan
+    return JointPmf(joint)
+
+
+def _flat_distortion_matrix():
+    _, dec = _hamming_copy_configuration()
+    return DecoderMaps(dec.g1, dec.g2, dec.g3, dec.g4, np.zeros(4))
+
+
+def _three_row_distortion_matrix():
+    pmf, dec = _hamming_copy_configuration()
+    DecoderMaps(dec.g1, dec.g2, dec.g3, dec.g4, np.ones((3, 2))).check_shapes(pmf)
+
+
+def _payload_without_g4():
+    pmf, dec = _hamming_copy_configuration()
+    decoders = {name: getattr(dec, name).tolist() for name in ("g1", "g2", "g3")}
+    return DecoderMaps.from_dict({"decoders": decoders,
+                                  "distortion_matrix": dec.distortion_matrix.tolist()},
+                                 pmf.alphabet_sizes)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (_nan_pmf, InvalidPmf, "pmf entries must be finite"),
+    (lambda: JointPmf.from_dict({"alphabet_sizes": [2, 1, 1, 1, 1]}), InvalidPmf,
+     "malformed pmf payload: 'probabilities'"),
+    (lambda: JointPmf.from_dict({"alphabet_sizes": [2, "x", 1, 1, 1],
+                                 "probabilities": [0.5, 0.5]}), InvalidPmf,
+     "malformed pmf payload: invalid literal for int() with base 10: 'x'"),
+    (_flat_distortion_matrix, DimensionMismatch,
+     "distortion_matrix must be 2-dimensional"),
+    (_three_row_distortion_matrix, AlphabetMismatch,
+     "distortion_matrix has 3 rows, expected 2"),
+    (_payload_without_g4, InvalidPmf, "malformed decoder payload: 'g4'"),
+], ids=["pmf-nan", "pmf-payload-missing-key", "pmf-payload-bad-size",
+        "matrix-1d", "matrix-rows", "decoder-payload-missing-key"])
+def test_pmf_and_decoder_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------

@@ -157,14 +157,18 @@ def test_scalar_path_modules_import_numpy_only_in_the_scan(name):
 
 
 #: Guards decided in one place, and the names a function would read to decide
-#: them again: the scan sends the points it cannot evaluate to dr_bound
-#: instead of replaying its raises, the channel snaps rho where
-#: regions._delta snaps delta, and the rd kernel leaves the first-layer floor
-#: to the scan's margins.
+#: them again: the scan sends the points it cannot evaluate, and those whose
+#: numerator lies below the normal range, to dr_bound instead of replaying
+#: its raises and its quotient; the channel snaps rho where regions._delta
+#: snaps delta; the rd kernel leaves the first-layer floor to the scan's
+#: margins; and the mdcr ratio is that of the penalty denominators at every
+#: rate, with no underflow test.
 DECIDED_ELSEWHERE = {
-    ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den"},
+    ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den",
+                                      "_exp_quotient"},
     ("channel", "_channel"): {"FEASIBILITY_RTOL"},
     ("regions", "_rd_z"): {"FEASIBILITY_RTOL", "rate_to_reach"},
+    ("analysis", "mdcr_compare"): {"float_info"},
 }
 
 #: The functions that refuse a target against the first-layer floor, and the

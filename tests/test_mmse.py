@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaussrd import (
     CovarianceMatrix,
+    DimensionMismatch,
     GaussianSource,
     GaussRdError,
     OutOfRegime,
@@ -42,7 +43,6 @@ def test_covariance_matrix_basic_acceptance():
 
 
 def test_covariance_matrix_rejects_bad_shapes():
-    from gaussrd import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         CovarianceMatrix(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
@@ -60,6 +60,27 @@ def test_covariance_matrix_rejects_asymmetric_and_indefinite():
         CovarianceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
     with pytest.raises(ValueError):
         CovarianceMatrix(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+
+
+def _mmse_of_eye(target, observed):
+    return lambda: conditional_mmse(CovarianceMatrix(np.eye(3)), target, observed)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CovarianceMatrix(np.diag([-1.0, -2.0])), ValueError,
+     "covariance trace is negative"),
+    (_mmse_of_eye(3, (0,)), DimensionMismatch, "target index 3 out of range for dim 3"),
+    (_mmse_of_eye(-1, (0,)), DimensionMismatch, "target index -1 out of range for dim 3"),
+    (_mmse_of_eye(0, (1, 2, 1)), DimensionMismatch,
+     "observed indices contain duplicates: (1, 2, 1)"),
+    (_mmse_of_eye(0, (1, 3)), DimensionMismatch, "observed index 3 out of range for dim 3"),
+    (_mmse_of_eye(0, (1, 0)), DimensionMismatch, "target index may not be observed"),
+], ids=["negative-trace", "target-past-dim", "target-negative", "duplicates",
+        "observed-past-dim", "target-observed"])
+def test_covariance_and_indices_refusals(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -79,19 +79,6 @@ def _results() -> list[tuple[str, object]]:
 RESULTS = _results()
 
 
-def _same(x, y) -> bool:
-    """``x == y``; an :class:`MmseResult` compares its coefficient array
-    elementwise, since the generated ``__eq__`` compares field tuples and
-    cannot decide an array of two or more entries."""
-    if type(x) is not type(y):
-        return False
-    if isinstance(x, MmseResult):
-        return (np.array_equal(x.coefficients, y.coefficients)
-                and dataclasses.replace(x, coefficients=None)
-                == dataclasses.replace(y, coefficients=None))
-    return x == y
-
-
 def _rebuilt(record):
     """The record built again from its ``asdict``, nested records too."""
     values = dataclasses.asdict(record)
@@ -108,10 +95,24 @@ def test_result_round_trips_through_the_standard_copies(record):
     for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
                   _rebuilt(record), dataclasses.replace(record)):
         assert other is not record
-        assert _same(other, record)
-        assert _same(record, other)
+        assert other == record
+        assert record == other
     assert dataclasses.asdict(pickle.loads(pickle.dumps(record))).keys() \
         == {f.name for f in dataclasses.fields(record)}
+
+
+def test_mmse_result_compares_its_coefficients_elementwise():
+    joint = CovarianceMatrix(random_psd_matrix(make_rng(3), 4))
+    record = conditional_mmse(joint, 0, (1, 2, 3))
+    assert record == copy.deepcopy(record)
+    others = [dataclasses.replace(record, coefficients=record.coefficients[::-1]),
+              dataclasses.replace(record, coefficients=record.coefficients[:2]),
+              dataclasses.replace(record, error_variance=record.error_variance / 2),
+              conditional_mmse(joint, 0, (3, 2, 1)), conditional_mmse(joint, 0, ())]
+    for other in others:
+        assert record != other and other != record
+    assert record != None and record != (record.error_variance,)  # noqa: E711
+    assert MmseResult(np.zeros(0), 1.0, 0) == MmseResult(np.zeros(0), 1.0, 0)
 
 
 def test_passed_in_records_refuse_assignment():
