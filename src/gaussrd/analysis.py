@@ -378,8 +378,9 @@ def asymptote_convergence(config: AsymptoticConfig,
     """Exact-to-asymptote ratio of the plain system's bound along a rate grid.
 
     Unit source variance, balanced descriptions, side targets
-    ``b exp(-2 (1-eta) r')``.  Grid rates must be at least 1 nat and
-    increasing; the ratio tends to 1 as ``r'`` grows.  Raises
+    ``b exp(-2 (1-eta) r')``.  Grid rates must be finite, at least 1 nat and
+    increasing; ``config.r_prime`` is not read.  The ratio tends to 1 as
+    ``r'`` grows.  Raises
     :class:`InvalidRegimeInput` once the bound or the asymptote falls below
     the normal double range, or the side targets' product does (past about
     177 nats at ``eta = 0``).
@@ -388,8 +389,9 @@ def asymptote_convergence(config: AsymptoticConfig,
         raise ValueError("rate grid is empty")
     previous = None
     for rp in r_grid:
-        if rp < 1.0:
-            raise ValueError(f"grid rates must be at least 1 nat, got {rp}")
+        if not 1.0 <= rp < math.inf:
+            need = "finite" if rp == math.inf else "at least 1 nat"
+            raise ValueError(f"grid rates must be {need}, got {rp}")
         if previous is not None and rp <= previous:
             raise ValueError("grid rates must be strictly increasing")
         previous = rp

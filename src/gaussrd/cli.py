@@ -403,7 +403,8 @@ def cmd_mdcr(o: dict) -> tuple:
 def cmd_asymptote(o: dict) -> tuple:
     grid_in = o["r-grid"]
     grid = [_to_nats(r, o["unit"]) for r in grid_in]
-    config = AsymptoticConfig(max(grid[0], 1.0), o["b"], o["eta"], o["eta1"])
+    # The grid sets every row's r'; the config's own r_prime is not read.
+    config = AsymptoticConfig(1.0, o["b"], o["eta"], o["eta1"])
     rows = []
     for r_in, row in zip(grid_in, asymptote_convergence(config, grid)):
         rows.append([r_in, row.exact, row.asymptote, row.ratio])
@@ -421,10 +422,13 @@ def cmd_sweep_wz_md(o: dict) -> tuple:
 def cmd_verify(o: dict) -> dict:
     from . import selfcheck
 
-    density = o["grid-density"]
+    density, seed = o["grid-density"], o["seed"]
     if density < 2:
         raise UsageError(f"grid density must be at least 2, got {density}")
-    return selfcheck.run_verification(variance=o["var"], seed=o["seed"],
+    # numpy's SeedSequence takes no negative seed.
+    if seed < 0:
+        raise UsageError(f"option --seed must be nonnegative, got {seed}")
+    return selfcheck.run_verification(variance=o["var"], seed=seed,
                                       grid_density=density)
 
 

@@ -352,6 +352,14 @@ def _rd_branches(xp, a, b, z):
 _Z_NAME = "z = d4 exp(2 r4)/d1_star"
 
 
+def _exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def rd_bound(source: GaussianSource, r1: float, r4: float,
              dist) -> RdBoundResult:
     """Rate requirements on (r2, r3) for the targets in ``dist``.
@@ -386,10 +394,7 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     a, b = _side_ratios(d1s, dist.d2, dist.d3)
     r2_bound = rate_to_reach(a, "a = d2_hat/d1_star")
     r3_bound = rate_to_reach(b, "b = d3_hat/d1_star")
-    try:
-        d4_hat = dist.d4 * math.exp(2.0 * r4)
-    except OverflowError:
-        d4_hat = math.inf
+    d4_hat = dist.d4 * _exp_or_inf(2.0 * r4)
     # exp(inf) is inf without an OverflowError (r4 past ~8.9e307), and the
     # product may overflow where exp(2 r4) does not.
     if d4_hat == math.inf:
@@ -515,52 +520,35 @@ def _positive_float(value) -> bool:
     return isinstance(value, float) and 0.0 < value < math.inf
 
 
-def _rd_z(sx2: float, r1: float, r4: float, d1: float | Unconstrained,
-          d4_values) -> list[float] | None:
-    """``rd_bound``'s ``z = d4 exp(2 r4)/d1_star`` at each ``d4`` of one
-    ``(r1, r4, d1)`` block, or None where ``rd_bound`` could raise on every
-    row of the block: ``d1`` not a finite positive float, a ``d4 exp(2 r4)``
-    overflowing, ``d1_star`` or a ``z`` of 0.  Not ``d1`` below its floor: no
-    point of that block is feasible, so no row of it reaches ``rd_bound``."""
-    if not (d1 is UNCONSTRAINED or _positive_float(d1)):
-        return None
-    try:
-        e4 = math.exp(2.0 * r4)
-    except OverflowError:
-        return None
-    d1s = sx2 * math.exp(-2.0 * r1)
-    hats = [d4 * e4 for d4 in d4_values]
-    if not d1s > 0.0 or math.inf in hats:
-        return None
-    zs = [d4_hat / d1s for d4_hat in hats]
-    return None if 0.0 in zs else zs
-
-
-def _rd_block(np, sx2: float, blocks, grid: GridSpec, a, b):
+def _rd_block(np, blocks, grid: GridSpec, d1s, a, b):
     """``rd_bound(source, r1, r4, DistortionTuple(d1, d2, d3, d4))`` over the
     ``(r1, r4, d1)`` blocks of ``grid`` listed in ``blocks``, bit for bit:
     the ``sum_bound`` and the regime code (an index into
-    :data:`_RD_REGIMES`) of each block (axis 0), each side pair ``(d2, d3)``
-    in ``itertools.product`` order (axis 1, at the ratios ``a``, ``b``, one
-    row per block) and each ``d4`` (axis 2), and a mask of the (block, side
-    pair) rows that only ``rd_bound`` may evaluate.
+    :data:`_RD_REGIMES`) of each block (axis 0, whose ``d1_star`` is the
+    same row of ``d1s``), each side pair ``(d2, d3)`` in ``itertools.product``
+    order (axis 1, at the ratios ``a``, ``b``, one row per block) and each
+    ``d4`` (axis 2), and a mask of the (block, side pair) rows that only
+    ``rd_bound`` may evaluate.
 
     Those are the rows where ``rd_bound`` could raise (a target that is not a
-    finite positive float, every row of a block where :func:`_rd_z` gives
-    None, the threshold order violated, an excess denominator not positive;
-    not ``d1`` below its floor, see :func:`_rd_z`) and those in the harmonic
-    corner band, where it cross-checks two branches.  Every ``log`` and
-    ``exp`` comes from :mod:`math`: ``exp(2 r4)`` once per block, ``z`` and
-    ``R(z)`` once per block and ``d4``, the excess ``log`` once per entry.
+    finite positive float, ``d1`` neither that nor ``UNCONSTRAINED``, a block
+    whose ``z = d4 exp(2 r4)/d1_star`` is not finite and positive at every
+    ``d4``, the threshold order violated, an excess denominator not
+    positive) and those in the harmonic corner band, where it cross-checks
+    two branches.  ``d1`` below its floor is not among them: no point of
+    such a block is feasible, so no row of it reaches ``rd_bound``.  Every
+    ``log`` and ``exp`` comes from :mod:`math`: ``exp(2 r4)`` once per
+    block, ``R(z)`` once per block and ``d4``, the excess ``log`` once per
+    entry.
     """
-    d4_values = grid.d4_values
-    clean_d4 = all(map(_positive_float, d4_values))
-    zs = [_rd_z(sx2, r1, r4, d1, d4_values) if clean_d4 else None
-          for r1, r4, d1 in blocks]
-    whole = np.array([row is None for row in zs])
+    d4 = np.array([v if _positive_float(v) else math.nan for v in grid.d4_values])
+    # rd_bound's z, (d4 exp(2 r4))/d1_star, over (block, d4).
+    z = d4 * np.array([_exp_or_inf(2.0 * r4) for _, r4, _ in blocks])[:, None] / d1s
+    whole = ~((z > 0.0) & (z < math.inf)).all(axis=1) | np.array(
+        [not (d1 is UNCONSTRAINED or _positive_float(d1)) for _, _, d1 in blocks])
     # A block refused whole takes z = 1, which reaches no excess entry.
-    zs = [[1.0] * len(d4_values) if row is None else row for row in zs]
-    z, rz = np.array(zs), np.array([[rate_to_reach(v) for v in row] for row in zs])
+    z[whole] = 1.0
+    rz = np.array([[rate_to_reach(v) for v in row] for row in z.tolist()])
 
     low, harm, slack, corner, low_band = _rd_branches(
         np, a[:, :, None], b[:, :, None], z[:, None, :])
@@ -596,12 +584,13 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     The whole grid goes through each kernel once, on arrays with a leading
     axis over the ``(r1, r4, d1)`` blocks.  The floor margins, the side
     ratios and :func:`_delta` and :func:`_penalty` depend on ``r1`` alone
-    and are built once per ``r1``.  The d4 bound of every (block x rate pair
-    x side-target pair) point divides ``var exp(-2 total)`` by them; every
-    ``exp`` comes from :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and the
-    numerators, one per block and rate pair).  One call of :func:`_rd_block`
-    gives ``rd_bound``'s sum bound and regime for every (block x side-target
-    pair x d4) entry, which is all ``rd_bound`` reads.  The fallback takes,
+    and are built once per ``r1``; so is ``d1_star``, which both kernels
+    read.  The d4 bound of every (block x rate pair x side-target pair)
+    point divides ``var exp(-2 total)`` by them; every ``exp`` comes from
+    :mod:`math` (the floors, ``exp(-2 (r2+r3))`` and the numerators, one
+    per block and rate pair).  One call of :func:`_rd_block` gives
+    ``rd_bound``'s sum bound and regime for every (block x side-target pair
+    x d4) entry, which is all ``rd_bound`` reads.  The fallback takes,
     at the position where a per-point loop meets it, each flagged point (a
     refusal the kernel hints at, or a numerator below the normal range,
     whose quotient ``dr_bound`` forms by :func:`_exp_quotient`) through
@@ -688,9 +677,8 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         # lies below the normal range: it forms their quotient as m 2^k.
         subnormal = (numerators < sys.float_info.min).reshape(n_blocks, n_pairs, 1)
         flagged = feasible & (np.repeat(refusal, per_r1, axis=0) | subnormal)
-        sums, codes, rd_refused = _rd_block(np, sx2, blocks, grid,
-                                            np.repeat(a, per_r1, axis=0),
-                                            np.repeat(b, per_r1, axis=0))
+        sums, codes, rd_refused = _rd_block(
+            np, blocks, grid, *(np.repeat(t, per_r1, axis=0) for t in (d1s, a, b)))
 
         # The calls of a per-point loop that may raise, in its order:
         # dr_bound at each flagged point, then rd_bound at each refused row.

@@ -551,3 +551,33 @@ def test_asymptote_convergence_validates_grid():
         asymptote_convergence(config, [0.5, 2.0])
     with pytest.raises(ValueError):
         asymptote_convergence(config, [2.0, 2.0])
+
+
+def _md_slice_with(monkeypatch, field):
+    # md_region_slice with dr_bound's pi or delta moved by 0.25, so that its
+    # specialized closed form no longer matches.
+    bound = analysis.dr_bound
+
+    def moved(*args):
+        result = bound(*args)
+        return dataclasses.replace(result, **{field: getattr(result, field) + 0.25})
+
+    monkeypatch.setattr(analysis, "dr_bound", moved)
+    return md_region_slice(GaussianSource(1.0), RateTuple(0.5, 0.4, 0.6, 0.0), 0.3)
+
+
+@pytest.mark.parametrize("call, message", [
+    # sigma1 = d1* c(r2)/(c(r1) c(r1+r2)) is about 2.8e9 at r1 = 1e-10, and
+    # the variance's order 2^1024 takes it past the double range.
+    (lambda mp: wz_channel_from_rates(GaussianSource(1e308), 1e-10, 1.0),
+     "the noise variances 2781342322.7688017 and 0.08706582879922392 times "
+     "2^1024 overflow; the channel cannot be represented"),
+    (lambda mp: _md_slice_with(mp, "pi"),
+     "pi specialization mismatch: 0.10160731479311585 vs 0.35160731479311585"),
+    (lambda mp: _md_slice_with(mp, "delta"),
+     "delta specialization mismatch: 0.2310855442114382 vs 0.4810855442114382"),
+], ids=["wz-overflow", "md-slice-pi", "md-slice-delta"])
+def test_analysis_guards_raise_their_message(monkeypatch, call, message):
+    with pytest.raises(InvalidRegimeInput) as raised:
+        call(monkeypatch)
+    assert str(raised.value) == message

@@ -27,6 +27,7 @@ from gaussrd import (
     dr_bound,
 )
 
+import gaussrd.channel as channel_module
 from gaussrd.channel import TestChannel as ForwardChannel
 from gaussrd.selfcheck import sample_feasible_instance
 
@@ -569,3 +570,27 @@ def test_channel_snaps_rho_exactly_where_the_bound_snaps_delta(variance, rates,
     d1s = variance * math.exp(-2.0 * rates[0])
     d2, d3 = (d1s * math.exp(-2.0 * r) * (1.0 + k) for r, k in zip(rates[1:3], offsets))
     _assert_one_snap(variance, rates, d2, d3)
+
+
+@pytest.mark.parametrize("rates, d2, d3", [
+    (RateTuple(0.0, 0.5, 0.5, 0.0), 0.45, 0.45),
+    (RateTuple(0.3, 0.5, 0.6, 0.2), 0.4, 0.45),
+], ids=["golden", "four-stage"])
+def test_certification_refuses_an_mmse_d4_off_its_closed_form(monkeypatch, rates,
+                                                              d2, d3):
+    # The scalar MMSE chain and the closed form agree to rounding, so the
+    # cross-check fires only on a chain made to report twice its d4.
+    source = GaussianSource(variance=1.0)
+    record = certify_achievability(source, rates, d2, d3)
+    chain = channel_module._msr_distortions
+
+    def doubled(*args):
+        d1, d2_, d3_, d4 = chain(*args)
+        return d1, d2_, d3_, 2.0 * d4
+
+    monkeypatch.setattr(channel_module, "_msr_distortions", doubled)
+    closed = math.exp(-2.0 * rates.r4) * record.channel.d4_star
+    with pytest.raises(InvalidChannel) as raised:
+        certify_achievability(source, rates, d2, d3)
+    assert str(raised.value) == (f"internal cross-check failed: MMSE "
+                                 f"d4={2.0 * record.achieved.d4} vs closed form {closed}")

@@ -482,9 +482,15 @@ def test_malformed_rate_list_is_a_usage_error():
     (["verify"], {"seed": True}, {}, "option --seed expects an integer, got True"),
     (["dr-bound", *SCALAR_ARGVS["dr-bound"]], {"var": True}, {},
      "option --var expects a number, got True"),
+    # numpy refuses a negative seed; the CLI refuses it first, from any source.
+    (["verify", "--seed", "-1"], None, {}, "option --seed must be nonnegative, got -1"),
+    (["verify"], {"seed": -2}, {}, "option --seed must be nonnegative, got -2"),
+    (["verify"], None, {"GAUSSRD_SEED": "-3"},
+     "option --seed must be nonnegative, got -3"),
 ], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed",
         "flag-points", "flag-seed", "flag-var", "flag-unit", "scenario-points-float",
-        "scenario-seed-bool", "scenario-var-bool"])
+        "scenario-seed-bool", "scenario-var-bool", "flag-seed-negative",
+        "scenario-seed-negative", "env-seed-negative"])
 def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                    argv, scenario, env, message):
     # A flag's value meets the same converter as a scenario value, so both
@@ -502,6 +508,23 @@ def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys
     assert error["type"] == "UsageError"
     # The message names where the bad value came from.
     assert error["message"] == message
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("nan,2", "grid rates must be at least 1 nat, got nan"),
+    ("inf", "grid rates must be finite, got inf"),
+    ("1,nan,3", "grid rates must be at least 1 nat, got nan"),
+    ("2,inf", "grid rates must be finite, got inf"),
+    ("0.5,2", "grid rates must be at least 1 nat, got 0.5"),
+    ("2,2", "grid rates must be strictly increasing"),
+], ids=["nan-first", "inf-only", "nan-inside", "inf-last", "below-one", "repeated"])
+def test_asymptote_refuses_a_grid_rate_by_its_own_rule(capsys, grid, message):
+    # A NaN or inf rate is refused as a grid rate, not later as the config's
+    # r_prime or a bound's r2.
+    code = cli.main(["asymptote", "--r-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
 
 
 def test_help_lists_the_unit_choices(capsys):

@@ -1,14 +1,17 @@
 """Static hygiene of the package sources: no module imports a name it never
-uses, and no private helper outlives its last caller; every record is frozen
-or slotted by one rule; and the benchmark's imports load every module its
+uses, and no private helper outlives its last caller; every cross-reference
+in the documentation names something that exists; every record is frozen or
+slotted by one rule; and the benchmark's imports load every module its
 tracer wraps."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -92,6 +95,54 @@ def test_every_private_function_has_a_caller():
     assert not orphans, f"private functions nothing in the package calls: {orphans}"
 
 
+#: A Sphinx cross-reference such as :func:`~gaussrd.regions.dr_bound`: its
+#: role and target.
+CROSS_REFERENCE = re.compile(r":(func|data|class|exc|mod):`~?([\w.]+)`")
+
+
+def _documentation(tree: ast.Module, text: str):
+    """Every docstring in a module, then each ``#:`` doc comment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node):
+            yield ast.get_docstring(node)
+    yield from (line for line in text.splitlines() if line.lstrip().startswith("#:"))
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_documented_cross_reference_resolves():
+    texts = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    defined = {stem: _defined(ast.parse(text)) for stem, text in texts.items()}
+    package = set().union(*defined.values())
+
+    def resolves(role: str, target: str) -> bool:
+        if role == "mod":
+            return (target in sys.stdlib_module_names
+                    or target.removeprefix("gaussrd.") in defined)
+        module, _, name = target.rpartition(".")
+        if module:
+            return name in defined.get(module.removeprefix("gaussrd."), ())
+        return name in package or hasattr(builtins, name)
+
+    references = [(stem, role, target) for stem, text in texts.items()
+                  for doc in _documentation(ast.parse(text), text)
+                  for role, target in CROSS_REFERENCE.findall(doc)]
+    assert references
+    dangling = [ref for ref in references if not resolves(*ref[1:])]
+    assert not dangling, f"cross-references to nothing (module, role, target): {dangling}"
+
+
 #: The modules on the scalar command-line path, which must load without numpy.
 NUMPY_FREE = ("__init__", "cli", "model", "regions", "analysis", "errors")
 
@@ -167,7 +218,8 @@ DECIDED_ELSEWHERE = {
     ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den",
                                       "_exp_quotient"},
     ("channel", "_channel"): {"FEASIBILITY_RTOL"},
-    ("regions", "_rd_z"): {"FEASIBILITY_RTOL", "rate_to_reach"},
+    ("regions", "_rd_block"): {"_require_floors", "_margin", "_checked_d1_star",
+                               "_floor_margins"},
     ("analysis", "mdcr_compare"): {"float_info"},
 }
 

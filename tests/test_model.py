@@ -189,3 +189,13 @@ def test_feasibility_monotone_in_rates_and_targets():
         # Raising any rate keeps the point feasible.
         faster = RateTuple(r.r1 + 0.5, r.r2 + 0.5, r.r3 + 0.5, r.r4 + 0.5)
         assert feasible_individual(src, faster, d)
+
+
+@pytest.mark.parametrize("units, message", [
+    (("nats", RateUnit.BITS), "unsupported unit pair 'nats' -> <RateUnit.BITS: 'bits'>"),
+    ((RateUnit.NATS, "bits"), "unsupported unit pair <RateUnit.NATS: 'nats'> -> 'bits'"),
+], ids=["from-string", "to-string"])
+def test_convert_rate_refuses_a_unit_that_is_not_a_rate_unit(units, message):
+    with pytest.raises(ValueError) as raised:
+        convert_rate(1.0, *units)
+    assert str(raised.value) == message

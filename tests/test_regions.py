@@ -33,6 +33,7 @@ from gaussrd import (
     t_of_epsilon,
 )
 from gaussrd import regions
+from gaussrd.errors import NegativeDelta
 from gaussrd.model import FEASIBILITY_RTOL, _floor_margins
 from gaussrd.regions import (BOUNDARY_RTOL, EquivalenceReport, GridSpec,
                              rate_to_reach)
@@ -1136,3 +1137,30 @@ def test_rd_branches_are_the_same_on_doubles_and_arrays(rows):
                 min_size=1, max_size=16))
 def test_excess_args_are_the_same_on_doubles_and_arrays(rows):
     _same_bits(regions._excess_args, rows)
+
+
+def _rd_bound_with_branches(monkeypatch, branches):
+    # rd_bound's thresholds and tests replaced by fixed ones, to reach the
+    # guards that the closed forms never trip.
+    monkeypatch.setattr(regions, "_rd_branches", lambda xp, a, b, z: branches)
+    return rd_bound(GaussianSource(variance=1.0), 0.0, 0.0,
+                    DistortionTuple(UNCONSTRAINED, 0.5, 0.5, 0.1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: regions._pi_delta(0.5, 0.5, 0.3), NegativeDelta,
+     "delta=-0.04999999999999999 is negative beyond rounding; inputs are inconsistent"),
+    (lambda mp: regions._penalty_den(2.0, 2.0, 0.0), InvalidRegimeInput,
+     "penalty denominator 0.0 not positive (a=2.0, b=2.0, delta=0.0)"),
+    (lambda mp: _rd_bound_with_branches(mp, (0.75, 0.5, False, False, False)),
+     InvalidRegimeInput, "threshold order violated: ab-pi=0.75 > harmonic 0.5"),
+    # At the corner, R(0.1) plus the excess term at min(z, 1/3) is not the
+    # individual bounds' sum 2 R(0.5) = log 2.
+    (lambda mp: _rd_bound_with_branches(mp, (0.0, 1.0 / 3.0, True, True, False)),
+     InvalidRegimeInput, "branch disagreement at the harmonic corner: "
+     "1.1575038064963012 vs 0.6931471805599453"),
+], ids=["negative-delta", "penalty-denominator", "threshold-order", "harmonic-corner"])
+def test_region_guards_raise_their_message(monkeypatch, call, error, message):
+    with pytest.raises(error) as raised:
+        call(monkeypatch)
+    assert str(raised.value) == message

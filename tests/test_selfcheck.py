@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -180,3 +181,19 @@ def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
     assert selfcheck._worker_count(8) == 1
     assert (json.dumps(run_verification(seed=12345, grid_density=2),
                        sort_keys=True) == expected)
+
+
+@pytest.mark.parametrize("grid_density", [2, 3])
+def test_achievability_fails_on_a_record_that_misses_its_bound(monkeypatch,
+                                                               grid_density):
+    # A record whose d4 meets the bound but whose matches_bound is false (a
+    # side target missed) scores the worst residual, 1.
+    certify = selfcheck.certify_achievability
+    monkeypatch.setattr(selfcheck, "certify_achievability", lambda *args: (
+        dataclasses.replace(certify(*args), matches_bound=False)))
+    report = run_verification(grid_density=grid_density)
+    achievability, = [c for c in report["checks"] if c["name"] == "achievability"]
+    assert achievability == {"name": "achievability", "tolerance": 1e-9,
+                             "worst_residual": 1.0, "count": 25 * grid_density,
+                             "passed": False}
+    assert not report["all_passed"]
