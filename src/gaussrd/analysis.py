@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
@@ -311,25 +311,17 @@ def mdcr_compare(source: GaussianSource, r2: float, r3: float, r4: float,
 
 @dataclass(frozen=True)
 class AsymptoticConfig:
-    """Balanced high-rate scaling: side rates ``r'``, side targets
-    ``b exp(-2 (1-eta) r')``, and conditional-refinement exponent ``eta1``."""
+    """Balanced high-rate scaling: side targets ``b exp(-2 (1-eta) r')`` at
+    side rates ``r'``."""
 
-    r_prime: float
     b: float
     eta: float
-    eta1: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_prime) and self.r_prime > 0.0):
-            raise ValueError(f"r_prime must be positive, got {self.r_prime}")
         if not (math.isfinite(self.b) and self.b >= 1.0):
             raise ValueError(f"b must be at least 1, got {self.b}")
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
-        if not 0.0 <= self.eta1 <= self.eta:
-            raise ValueError(
-                f"eta1 must lie in [0, eta={self.eta}], got {self.eta1}"
-            )
 
 
 @dataclass(slots=True)
@@ -339,17 +331,23 @@ class HighRateAsymptotes:
     product_bound: float
 
 
-def high_rate_asymptote(config: AsymptoticConfig) -> HighRateAsymptotes:
-    """Leading-order central distortion for balanced descriptions at rate r'.
+def high_rate_asymptote(config: AsymptoticConfig, r_prime: float,
+                        eta1: float) -> HighRateAsymptotes:
+    """Leading-order central distortion for balanced descriptions at rate
+    ``r' = r_prime > 0``.
 
     Unit source variance.  The plain system obeys
     ``exp(-2 r') / (2 (b + sqrt(b^2 - 1)))`` when the side targets stay at
     constant ratio (``eta = 0``) and ``exp(-2 (1+eta) r') / (4 b)`` when they
-    shrink; the conditional-refinement system with exponent ``eta1`` keeps the
-    sharper constant only when ``eta1 = eta``.  The product of the two side
+    shrink; the conditional-refinement system with exponent ``eta1`` in
+    ``[0, eta]`` keeps the sharper constant only when ``eta1 = eta``.  The product of the two side
     targets with the central one is bounded by ``exp(-4 r') / 4`` either way.
     """
-    rp, b, eta, eta1 = config.r_prime, config.b, config.eta, config.eta1
+    if not (math.isfinite(r_prime) and r_prime > 0.0):
+        raise ValueError(f"r_prime must be positive, got {r_prime}")
+    b, eta = config.b, config.eta
+    if not 0.0 <= eta1 <= eta:
+        raise ValueError(f"eta1 must lie in [0, eta={eta}], got {eta1}")
     # sqrt(b - 1) sqrt(b + 1) neither cancels near b = 1 nor overflows where
     # b * b would.
     sharp = 2.0 * (b + math.sqrt(b - 1.0) * math.sqrt(b + 1.0))
@@ -358,10 +356,10 @@ def high_rate_asymptote(config: AsymptoticConfig) -> HighRateAsymptotes:
             f"b={b} is too large: the constant 2 (b + sqrt(b^2 - 1)) overflows"
         )
     # At eta == 0 the exponent -2 (1 + eta) r' is exactly -2 r'.
-    decay = math.exp(-2.0 * (1.0 + eta) * rp)
+    decay = math.exp(-2.0 * (1.0 + eta) * r_prime)
     md = decay / (sharp if eta == 0.0 else 4.0 * b)
     mdcr = decay / (sharp if eta1 == eta else 4.0 * b)
-    product = math.exp(-4.0 * rp) / 4.0
+    product = math.exp(-4.0 * r_prime) / 4.0
     return HighRateAsymptotes(md, mdcr, product)
 
 
@@ -379,8 +377,7 @@ def asymptote_convergence(config: AsymptoticConfig,
 
     Unit source variance, balanced descriptions, side targets
     ``b exp(-2 (1-eta) r')``.  Grid rates must be finite, at least 1 nat and
-    increasing; ``config.r_prime`` is not read.  The ratio tends to 1 as
-    ``r'`` grows.  Raises
+    increasing.  The ratio tends to 1 as ``r'`` grows.  Raises
     :class:`InvalidRegimeInput` once the bound or the asymptote falls below
     the normal double range, or the side targets' product does (past about
     177 nats at ``eta = 0``).
@@ -401,7 +398,7 @@ def asymptote_convergence(config: AsymptoticConfig,
         side = config.b * math.exp(-2.0 * (1.0 - config.eta) * rp)
         rates = RateTuple(0.0, rp, rp, 0.0)
         exact = dr_bound(source, rates, 1.0, side, side).d4_bound
-        asym = high_rate_asymptote(replace(config, r_prime=rp)).d4_asymptote_md
+        asym = high_rate_asymptote(config, rp, config.eta).d4_asymptote_md
         if min(exact, asym) < sys.float_info.min:
             raise InvalidRegimeInput(
                 f"at r'={rp} the bound {exact} or its asymptote {asym} is below "

@@ -48,11 +48,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with code 1."""
+    """argparse variant whose usage failures leave a JSON error and exit
+    with code 1, as every other usage error does."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        _emit_error(UsageError(f"{self.prog}: {message}"))
         raise SystemExit(EXIT_USAGE)
 
 
@@ -95,7 +95,7 @@ def _read(kind: str, path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
@@ -213,7 +213,7 @@ class _Opt(NamedTuple):
     ``convert(flag, value)`` is the one check and conversion of the value,
     whether it comes from the flag (a string), a scenario file or the
     default.  A ``None`` default makes the option required; a callable one
-    is computed from the options resolved before it.
+    is called, with no argument, only when the option is left unset.
     """
 
     flag: str
@@ -226,8 +226,8 @@ _UNIT = _Opt("unit", _as_unit, "nats", "unit for rate inputs and outputs (defaul
 _GRID_HELP = "start:stop:count or comma list"
 
 #: (name, help, aliases, echo the inputs in the JSON output, options).  Every
-#: subcommand also accepts ``--scenario`` and ``--unit``; the unit is resolved
-#: first, then the options in this order.
+#: subcommand also accepts ``--scenario`` and ``--unit``; the options are
+#: resolved, and echoed, in this order, and the unit last.
 _COMMANDS = (
     ("dr-bound", "central-distortion bound at fixed rates", (), True, (
         _Opt("var", _as_float, 1.0, "source variance (default 1)"),
@@ -262,7 +262,6 @@ _COMMANDS = (
     ("asymptote", "high-rate asymptote convergence table", (), False, (
         _Opt("b", _as_float, 1.0),
         _Opt("eta", _as_float, 0.0),
-        _Opt("eta1", _as_float, lambda o: o["eta"] if o["eta"] > 0 else 0.0),
         _Opt("r-grid", _as_grid, None, _GRID_HELP))),
     ("sweep-wz-md",
      "sweep the second user's target: binning vs plain two-description",
@@ -275,8 +274,7 @@ _COMMANDS = (
          _Opt("points", _as_int, 200))),
     ("verify", "seeded end-to-end self-verification", (), False, (
         _Opt("var", _as_float, 1.0),
-        _Opt("seed", _as_int,
-             lambda o: _env_int("GAUSSRD_SEED", DEFAULT_SEED),
+        _Opt("seed", _as_int, lambda: _env_int("GAUSSRD_SEED", DEFAULT_SEED),
              "defaults to $GAUSSRD_SEED, then 12345"),
         _Opt("grid-density", _as_int, DEFAULT_GRID_DENSITY,
              "points per swept grid axis (default 6)"))),
@@ -296,7 +294,7 @@ def _resolve(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
             elif opt.default is None:
                 raise UsageError(f"missing required option --{opt.flag}")
             else:
-                value = opt.default(values) if callable(opt.default) else opt.default
+                value = opt.default() if callable(opt.default) else opt.default
         values[opt.flag] = opt.convert(opt.flag, value)
     return values
 
@@ -403,8 +401,7 @@ def cmd_mdcr(o: dict) -> tuple:
 def cmd_asymptote(o: dict) -> tuple:
     grid_in = o["r-grid"]
     grid = [_to_nats(r, o["unit"]) for r in grid_in]
-    # The grid sets every row's r'; the config's own r_prime is not read.
-    config = AsymptoticConfig(1.0, o["b"], o["eta"], o["eta1"])
+    config = AsymptoticConfig(o["b"], o["eta"])
     rows = []
     for r_in, row in zip(grid_in, asymptote_convergence(config, grid)):
         rows.append([r_in, row.exact, row.asymptote, row.ratio])
@@ -449,7 +446,7 @@ def build_parser() -> _Parser:
         # The command function is looked up here, not when the table is
         # built, so a replaced module attribute takes effect.
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")],
-                       command=(name, echo, (_UNIT, *opts)))
+                       command=(name, echo, (*opts, _UNIT)))
     return parser
 
 
@@ -468,9 +465,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         payload = {"command": name}
         if echo:
-            # The unit is resolved first but echoed last.
-            payload["inputs"] = {k: options[k]
-                                 for k in sorted(options, key="unit".__eq__)}
+            payload["inputs"] = options
         _emit_json({**payload, **out})
         # Only the verify report carries ``all_passed``.
         return EXIT_OK if out.get("all_passed", True) else EXIT_VERIFY_FAILED

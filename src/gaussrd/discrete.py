@@ -49,6 +49,21 @@ PMF_ATOL = 1e-12
 _VARIABLE_NAMES = ("X", "U1", "U2", "U3", "U4")
 
 
+def _json_array(name: str, value, dtype: type) -> np.ndarray:
+    """Nested JSON lists of ints (dtype int) or numbers (dtype float), not
+    bools, as an array; numpy would truncate 1.9, read ``true`` as 1 and
+    parse ``"0.5"``."""
+    kinds, kind = ((int,), "integers") if dtype is int else ((int, float), "numbers")
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(reversed(entry))
+        elif isinstance(entry, bool) or not isinstance(entry, kinds):
+            raise TypeError(f"{name} entries must be {kind}, got {entry!r}")
+    return np.array(value, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Dense joint pmf over (X, U1, U2, U3, U4)."""
@@ -83,9 +98,10 @@ class JointPmf:
     @classmethod
     def from_dict(cls, payload: dict) -> "JointPmf":
         try:
-            sizes = tuple(int(n) for n in payload["alphabet_sizes"])
-            flat = np.array(payload["probabilities"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            sizes = tuple(map(int, _json_array("alphabet_sizes",
+                                               payload["alphabet_sizes"], int)))
+            flat = _json_array("probabilities", payload["probabilities"], float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidPmf(f"malformed pmf payload: {exc}") from exc
         if len(sizes) != 5:
             raise InvalidPmf(f"alphabet_sizes must list 5 sizes, got {len(sizes)}")
@@ -163,12 +179,12 @@ class DecoderMaps:
         _, n1, n2, n3, n4 = (int(n) for n in sizes)
         try:
             dec = payload["decoders"]
-            g1 = np.array(dec["g1"], dtype=int).reshape(n1)
-            g2 = np.array(dec["g2"], dtype=int).reshape(n1, n2)
-            g3 = np.array(dec["g3"], dtype=int).reshape(n1, n3)
-            g4 = np.array(dec["g4"], dtype=int).reshape(n1, n2, n3, n4)
-            dm = np.array(payload["distortion_matrix"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            g1 = _json_array("g1", dec["g1"], int).reshape(n1)
+            g2 = _json_array("g2", dec["g2"], int).reshape(n1, n2)
+            g3 = _json_array("g3", dec["g3"], int).reshape(n1, n3)
+            g4 = _json_array("g4", dec["g4"], int).reshape(n1, n2, n3, n4)
+            dm = _json_array("distortion_matrix", payload["distortion_matrix"], float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidPmf(f"malformed decoder payload: {exc}") from exc
         return cls(g1, g2, g3, g4, dm)
 

@@ -198,7 +198,7 @@ def test_criterion_07_high_rate_asymptotes_converge():
     cases = ((0.0, 1.0), (0.3, 1.0), (0.3, 2.0))
     ratios = {}
     for eta, b in cases:
-        config = AsymptoticConfig(r_prime=1.0, b=b, eta=eta, eta1=eta)
+        config = AsymptoticConfig(b=b, eta=eta)
         rows = asymptote_convergence(config, [1.0, 2.0, 4.0, 8.0])
         ratios[(eta, b)] = rows[-1].ratio
     band_ok = all(0.95 <= r <= 1.05 for r in ratios.values())

@@ -437,8 +437,7 @@ def test_mdcr_ratio_survives_underflowed_bounds(r4):
 # ---------------------------------------------------------------------------
 
 def test_asymptote_branch_constant_ratio_targets():
-    config = AsymptoticConfig(r_prime=2.0, b=1.0, eta=0.0, eta1=0.0)
-    res = high_rate_asymptote(config)
+    res = high_rate_asymptote(AsymptoticConfig(b=1.0, eta=0.0), 2.0, 0.0)
     assert res.d4_asymptote_md == pytest.approx(
         math.exp(-4.0) / 2.0, rel=1e-15)
     assert res.d4_asymptote_mdcr == pytest.approx(
@@ -447,8 +446,7 @@ def test_asymptote_branch_constant_ratio_targets():
 
 
 def test_asymptote_branch_shrinking_targets():
-    config = AsymptoticConfig(r_prime=2.0, b=2.0, eta=0.3, eta1=0.0)
-    res = high_rate_asymptote(config)
+    res = high_rate_asymptote(AsymptoticConfig(b=2.0, eta=0.3), 2.0, 0.0)
     assert res.d4_asymptote_md == pytest.approx(
         math.exp(-2.0 * 1.3 * 2.0) / 8.0, rel=1e-15)
     # eta1 < eta loses the sharper constant.
@@ -456,8 +454,7 @@ def test_asymptote_branch_shrinking_targets():
 
 
 def test_asymptote_conditional_refinement_keeps_sharper_constant():
-    config = AsymptoticConfig(r_prime=2.0, b=1.0, eta=0.3, eta1=0.3)
-    res = high_rate_asymptote(config)
+    res = high_rate_asymptote(AsymptoticConfig(b=1.0, eta=0.3), 2.0, 0.3)
     assert res.d4_asymptote_mdcr == pytest.approx(
         math.exp(-2.0 * 1.3 * 2.0) / 2.0, rel=1e-15)
     assert res.d4_asymptote_md == pytest.approx(
@@ -471,7 +468,7 @@ def test_asymptote_constant_survives_an_overflowing_b_squared():
     # b * b overflows past ~1.3e154; 2 (b + sqrt(b^2 - 1)) does not until
     # b ~ 4.5e307, and beyond that the constant is out of range.
     for b in (1e200, 4e307):
-        res = high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=b, eta=0.0, eta1=0.0))
+        res = high_rate_asymptote(AsymptoticConfig(b=b, eta=0.0), 1.0, 0.0)
         with mpmath.workdps(oracle.DPS):
             mb = mpmath.mpf(b)
             exact = mpmath.exp(-2) / (2 * (mb + mpmath.sqrt(mb * mb - 1)))
@@ -479,7 +476,7 @@ def test_asymptote_constant_survives_an_overflowing_b_squared():
         assert res.d4_asymptote_mdcr == res.d4_asymptote_md
     for eta in (0.0, 0.5):
         with pytest.raises(InvalidRegimeInput):
-            high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=1e308, eta=eta, eta1=eta))
+            high_rate_asymptote(AsymptoticConfig(b=1e308, eta=eta), 1.0, eta)
 
 
 def test_asymptote_constant_keeps_its_digits_near_b_one():
@@ -489,7 +486,7 @@ def test_asymptote_constant_keeps_its_digits_near_b_one():
     rng = make_rng(37)
     for _ in range(200):
         b = 1.0 + float(10.0 ** rng.uniform(-12.0, 0.0))
-        res = high_rate_asymptote(AsymptoticConfig(r_prime=1.0, b=b, eta=0.0, eta1=0.0))
+        res = high_rate_asymptote(AsymptoticConfig(b=b, eta=0.0), 1.0, 0.0)
         with mpmath.workdps(oracle.DPS):
             mb = mpmath.mpf(b)
             exact = mpmath.exp(-2) / (2 * (mb + mpmath.sqrt(mb * mb - 1)))
@@ -498,18 +495,20 @@ def test_asymptote_constant_keeps_its_digits_near_b_one():
 
 
 def test_asymptotic_config_validation():
-    with pytest.raises(ValueError):
-        AsymptoticConfig(r_prime=0.0, b=1.0, eta=0.0, eta1=0.0)
-    with pytest.raises(ValueError):
-        AsymptoticConfig(r_prime=1.0, b=0.5, eta=0.0, eta1=0.0)
-    with pytest.raises(ValueError):
-        AsymptoticConfig(r_prime=1.0, b=1.0, eta=1.0, eta1=0.0)
-    with pytest.raises(ValueError):
-        AsymptoticConfig(r_prime=1.0, b=1.0, eta=0.2, eta1=0.3)
+    # The config checks b and eta; each call checks its own r' and eta1.
+    with pytest.raises(ValueError, match=r"^r_prime must be positive, got 0\.0$"):
+        high_rate_asymptote(AsymptoticConfig(b=1.0, eta=0.0), 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^b must be at least 1, got 0\.5$"):
+        AsymptoticConfig(b=0.5, eta=0.0)
+    with pytest.raises(ValueError, match=r"^eta must lie in \[0, 1\), got 1\.0$"):
+        AsymptoticConfig(b=1.0, eta=1.0)
+    with pytest.raises(ValueError,
+                       match=r"^eta1 must lie in \[0, eta=0\.2\], got 0\.3$"):
+        high_rate_asymptote(AsymptoticConfig(b=1.0, eta=0.2), 1.0, 0.3)
 
 
 def test_asymptote_convergence_ratio_tends_to_one():
-    config = AsymptoticConfig(r_prime=1.0, b=1.0, eta=0.0, eta1=0.0)
+    config = AsymptoticConfig(b=1.0, eta=0.0)
     rows = asymptote_convergence(config, [1.0, 2.0, 4.0, 8.0])
     assert [row.r_prime for row in rows] == [1.0, 2.0, 4.0, 8.0]
     drift = [abs(row.ratio - 1.0) for row in rows]
@@ -531,7 +530,7 @@ def test_asymptote_convergence_matches_the_oracle():
         b = 1.0 if i % 4 == 0 else float(10.0 ** rng.uniform(0.0, 3.0))
         eta = 0.0 if i % 3 == 0 else float(rng.uniform(0.0, 0.9))
         grid = sorted({float(r) for r in rng.uniform(1.0, 150.0, size=3)})
-        rows = asymptote_convergence(AsymptoticConfig(1.0, b, eta, eta), grid)
+        rows = asymptote_convergence(AsymptoticConfig(b, eta), grid)
         # 1 - pi ~ exp(-2 (1-eta) r') needs 400 digits at r' = 150.
         exact = oracle.mp_asymptote_convergence(b, eta, grid, dps=400)
         for row, oracle_row in zip(rows, exact):
@@ -544,7 +543,7 @@ def test_asymptote_convergence_matches_the_oracle():
 
 
 def test_asymptote_convergence_validates_grid():
-    config = AsymptoticConfig(r_prime=1.0, b=1.0, eta=0.0, eta1=0.0)
+    config = AsymptoticConfig(b=1.0, eta=0.0)
     with pytest.raises(ValueError):
         asymptote_convergence(config, [])
     with pytest.raises(ValueError):

@@ -102,17 +102,26 @@ def test_dr_bound_output_is_deterministic():
     assert first.stdout == second.stdout
 
 
-@pytest.mark.parametrize("argv", [
+#: An argv of each subcommand that echoes its inputs; ``{pmf}`` stands for
+#: a pmf file.
+ECHO_ARGVS = [
     ("dr-bound", "--var", "2.0", "--rates", "0.2,0.6,0.5,0.1", "--d", "inf,0.6,0.7"),
     ("rd-bound", "--unit", "bits", "--var", "3.0", "--r1", "0.1", "--r4", "0.2",
      "--d", "2.9,1.5,1.6,0.3"),
     ("channel", "--var", "2.0", "--rates", "0.1,0.5,0.6,0.2", "--d", "0.9,0.8"),
     ("discrete", "--unit", "bits", "--pmf", "{pmf}"),
-], ids=lambda argv: argv[0])
-def test_inputs_block_reproduces_the_run(tmp_path, argv):
+]
+
+
+def _echo_argv(tmp_path, argv) -> list[str]:
     pmf_file = tmp_path / "copy.json"
     pmf_file.write_text(json.dumps(_copy_configuration()))
-    argv = [a.format(pmf=pmf_file) for a in argv]
+    return [a.format(pmf=pmf_file) for a in argv]
+
+
+@pytest.mark.parametrize("argv", ECHO_ARGVS, ids=lambda argv: argv[0])
+def test_inputs_block_reproduces_the_run(tmp_path, argv):
+    argv = _echo_argv(tmp_path, argv)
     first = run_cli(*argv)
     assert first.returncode == 0
     scenario_file = tmp_path / "scenario.json"
@@ -120,6 +129,19 @@ def test_inputs_block_reproduces_the_run(tmp_path, argv):
     second = run_cli(argv[0], "--scenario", str(scenario_file))
     assert second.returncode == 0
     assert second.stdout == first.stdout
+
+
+@pytest.mark.parametrize("argv, keys", zip(ECHO_ARGVS, [
+    ["var", "rates", "d", "unit"],
+    ["var", "r1", "r4", "d", "unit"],
+    ["var", "rates", "d", "unit"],
+    ["pmf", "unit"],
+]), ids=[argv[0] for argv in ECHO_ARGVS])
+def test_inputs_block_lists_the_options_in_table_order_then_the_unit(
+        tmp_path, capsys, argv, keys):
+    assert cli.main(_echo_argv(tmp_path, argv)) == 0
+    # A parsed JSON object keeps its keys in the order the text gives them.
+    assert list(json.loads(capsys.readouterr().out)["inputs"]) == keys
 
 
 def test_dr_bound_scenario_flags_take_precedence(tmp_path):
@@ -527,6 +549,21 @@ def test_asymptote_refuses_a_grid_rate_by_its_own_rule(capsys, grid, message):
     assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("argv", [
+    ["dr-bound", "--bogus", "1"],
+    ["dr-bound", "--var"],
+    [],
+    ["asymptote", "--eta1", "0.1", "--r-grid", "1,2"],
+], ids=["unknown-option", "missing-value", "no-subcommand", "asymptote-eta1"])
+def test_argparse_refusal_is_a_json_usage_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert set(error) == {"type", "message"}
+    assert error["type"] == "UsageError"
+
+
 def test_help_lists_the_unit_choices(capsys):
     assert cli.main(["dr-bound", "--help"]) == 0
     assert "[--unit {nats,bits}]" in capsys.readouterr().out
@@ -545,9 +582,11 @@ def test_non_string_pmf_in_scenario_is_a_usage_error(tmp_path, capsys, pmf):
 
 
 def _unreadable(path) -> str:
-    """The message of the ``OSError`` that opening ``path`` raises."""
-    with pytest.raises(OSError) as caught:
-        open(path, encoding="utf-8")
+    """The message of the ``OSError`` or ``UnicodeDecodeError`` that reading
+    ``path`` as UTF-8 raises."""
+    with pytest.raises((OSError, UnicodeDecodeError)) as caught:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
     return str(caught.value)
 
 
@@ -565,11 +604,18 @@ def _unreadable(path) -> str:
      "cannot read scenario file {missing}: {unreadable}"),
     (["discrete", "--pmf", "{missing}"], None,
      "cannot read pmf file {missing}: {unreadable}"),
+    (["dr-bound", "--scenario", "{latin1}"], None,
+     "cannot read scenario file {latin1}: {undecodable}"),
+    (["discrete", "--pmf", "{latin1}"], None,
+     "cannot read pmf file {latin1}: {undecodable}"),
 ], ids=["grid-two-pieces", "grid-count-text", "grid-count-one", "scenario-list",
-        "scenario-rates-number", "scenario-unreadable", "pmf-unreadable"])
+        "scenario-rates-number", "scenario-unreadable", "pmf-unreadable",
+        "scenario-not-utf8", "pmf-not-utf8"])
 def test_refused_option_is_a_usage_error(tmp_path, capsys, argv, scenario, message):
-    missing = tmp_path / "missing.json"
+    missing, latin1 = tmp_path / "missing.json", tmp_path / "latin1.json"
+    latin1.write_bytes('{"var": "\u00e9"}'.encode("latin-1"))
     names = {"missing": missing, "unreadable": _unreadable(missing),
+             "latin1": latin1, "undecodable": _unreadable(latin1),
              "scenario": tmp_path / "scenario.json"}
     argv = [arg.format(**names) for arg in argv]
     if scenario is not None:
@@ -706,9 +752,8 @@ _ARGVS = {
     "mdcr": _flags("var", "beta", var=_VALUE, r2=_VALUE, r3=_VALUE,
                    beta=st.one_of(_FRACTION, _VALUE), d2=st.one_of(_FRACTION, _VALUE),
                    d3=st.one_of(_FRACTION, _VALUE), r4_grid=_GRID),
-    "asymptote": _flags("b", "eta", "eta1", b=st.one_of(st.floats(1.0, 1e3).map(repr),
-                                                       _VALUE),
-                        eta=_VALUE, eta1=_VALUE, r_grid=st.one_of(_HIGH_RATES, _GRID)),
+    "asymptote": _flags("b", "eta", b=st.one_of(st.floats(1.0, 1e3).map(repr), _VALUE),
+                        eta=_VALUE, r_grid=st.one_of(_HIGH_RATES, _GRID)),
     "sweep-wz-md": _flags("var", "r1", "r2", "r3", "r4", "points", var=_VALUE,
                           r1=_VALUE, r2=_VALUE, r3=_VALUE, r4=_VALUE,
                           points=st.integers(0, 4).map(str)),

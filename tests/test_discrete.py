@@ -295,7 +295,7 @@ def _payload_without_g4():
      "malformed pmf payload: 'probabilities'"),
     (lambda: JointPmf.from_dict({"alphabet_sizes": [2, "x", 1, 1, 1],
                                  "probabilities": [0.5, 0.5]}), InvalidPmf,
-     "malformed pmf payload: invalid literal for int() with base 10: 'x'"),
+     "malformed pmf payload: alphabet_sizes entries must be integers, got 'x'"),
     (_flat_distortion_matrix, DimensionMismatch,
      "distortion_matrix must be 2-dimensional"),
     (_three_row_distortion_matrix, AlphabetMismatch,
@@ -312,6 +312,58 @@ def test_pmf_and_decoder_refusals(build, error, message):
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
+
+def _copy_payload() -> dict:
+    """The Hamming copy configuration in the JSON interchange format."""
+    pmf, dec = _hamming_copy_configuration()
+    return {**pmf.to_dict(),
+            "decoders": {name: getattr(dec, name).tolist()
+                         for name in ("g1", "g2", "g3", "g4")},
+            "distortion_matrix": dec.distortion_matrix.tolist()}
+
+
+_SIZES = "malformed pmf payload: alphabet_sizes entries must be integers, got "
+_PROBABILITIES = "malformed pmf payload: probabilities entries must be numbers, got "
+_DECODER = "malformed decoder payload: "
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alphabet_sizes", [2.9, 2, 1, 1, 1], _SIZES + "2.9"),
+    ("alphabet_sizes", [2.0, 2, 1, 1, 1], _SIZES + "2.0"),
+    ("alphabet_sizes", ["2", 2, 1, 1, 1], _SIZES + "'2'"),
+    ("alphabet_sizes", [2, 2, True, 1, 1], _SIZES + "True"),
+    ("probabilities", ["0.5", 0.0, 0.0, 0.5], _PROBABILITIES + "'0.5'"),
+    ("probabilities", [0.5, False, 0.0, 0.5], _PROBABILITIES + "False"),
+    ("g1", [0.2, 1.9], _DECODER + "g1 entries must be integers, got 0.2"),
+    ("g1", [0, True], _DECODER + "g1 entries must be integers, got True"),
+    ("g2", [[0], ["1"]], _DECODER + "g2 entries must be integers, got '1'"),
+    ("g4", [[[[0]]], [[[True]]]], _DECODER + "g4 entries must be integers, got True"),
+    ("g1", [0, 10 ** 30], _DECODER + "Python int too large to convert to C long"),
+    ("distortion_matrix", [[0.0, True], [1.0, 0.0]],
+     _DECODER + "distortion_matrix entries must be numbers, got True"),
+    ("distortion_matrix", [[0.0, "1"], [1.0, 0.0]],
+     _DECODER + "distortion_matrix entries must be numbers, got '1'"),
+], ids=["size-float", "size-integral-float", "size-string", "size-bool",
+        "probability-string", "probability-bool", "index-float", "index-bool-in-ints",
+        "index-string", "index-bool", "index-overflow", "matrix-bool", "matrix-string"])
+def test_json_entries_of_the_wrong_type_are_refused(field, value, message):
+    # numpy would truncate a float index or size, read a bool as 0 or 1 (also
+    # inside a list of ints) and parse a numeric string; an index past the
+    # int64 range would leave as an OverflowError.
+    payload = _copy_payload()
+    (payload["decoders"] if field in ("g1", "g2", "g3", "g4") else payload)[field] = value
+    with pytest.raises(InvalidPmf) as caught:
+        load_configuration(json.dumps(payload))
+    assert str(caught.value) == message
+
+
+def test_json_integers_are_numbers():
+    payload = _copy_payload()
+    payload["probabilities"] = [1, 0, 0, 0]
+    payload["distortion_matrix"] = [[0, 1], [1, 0]]
+    pmf, dec = load_configuration(json.dumps(payload))
+    assert eval_distortions(pmf, dec) == (0.0, 0.0, 0.0, 0.0)
+
 
 def test_load_configuration_round_trip_with_decoders():
     pmf, dec = _hamming_copy_configuration()

@@ -1,8 +1,8 @@
 """Static hygiene of the package sources: no module imports a name it never
 uses, and no private helper outlives its last caller; every cross-reference
-in the documentation names something that exists; every record is frozen or
-slotted by one rule; and the benchmark's imports load every module its
-tracer wraps."""
+in the documentation names something that exists; every CLI option is named
+by the command that takes it; every record is frozen or slotted by one rule;
+and the benchmark's imports load every module its tracer wraps."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from gaussrd import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gaussrd"
@@ -251,6 +253,18 @@ def test_floor_and_ceiling_are_tested_in_model(name, function):
     test = MODEL_TESTS[(name, function)]
     refs = _references(_function(name, function))
     assert refs[test], f"{name}.{function} skips {test}"
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS, ids=lambda command: command[0])
+def test_every_cli_option_is_read_by_its_command(command):
+    # A command reads each option as o["flag"]; a flag named only in the
+    # table would be accepted, checked and then dropped.
+    name, *_, opts = command
+    body = _function("cli", "cmd_" + name.replace("-", "_"))
+    constants = {node.value for node in ast.walk(body)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = [opt.flag for opt in opts if opt.flag not in constants]
+    assert not unread, f"cmd_{name} never names {unread}"
 
 
 #: Records that callers build and pass in.  These, and every record that

@@ -112,7 +112,7 @@ def test_asymptote_ratios_match_the_oracle_at_high_rate(capsys):
     # Side targets on their floors at r' nats: 1 - pi is about 2 exp(-2 r'),
     # which the penalty written as 1 - g^2 lost entirely by r' = 19.
     grid = [1.0, 5.0, 10.0, 15.0, 18.0, 19.0, 25.0]
-    rows = asymptote_convergence(AsymptoticConfig(1.0, 1.0, 0.0, 0.0), grid)
+    rows = asymptote_convergence(AsymptoticConfig(1.0, 0.0), grid)
     for row in rows:
         side = math.exp(-2.0 * row.r_prime)
         exact = oracle.mp_dr_bound(1.0, (0.0, row.r_prime, row.r_prime, 0.0),
@@ -152,8 +152,7 @@ def test_high_rate_asymptote_rows_are_right_or_a_typed_error(b, eta):
     returned = raised = 0
     for rp in (100.0, 150.0, 176.0, 178.0, 200.0, 230.0, 240.0, 300.0, 360.0):
         try:
-            (row,) = asymptote_convergence(AsymptoticConfig(1.0, b, eta, eta),
-                                           [rp])
+            (row,) = asymptote_convergence(AsymptoticConfig(b, eta), [rp])
         except InvalidRegimeInput:
             raised += 1
             continue

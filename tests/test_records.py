@@ -52,7 +52,7 @@ def _results() -> list[tuple[str, object]]:
     bound = dr_bound(source, rates, UNCONSTRAINED, 0.45, 0.45)
     adjusted = certify_achievability(source, rates, 0.9, 0.9)
     assert adjusted.adjustment is not None
-    config = AsymptoticConfig(r_prime=2.0, b=1.5, eta=0.0, eta1=0.0)
+    config = AsymptoticConfig(b=1.5, eta=0.0)
     joint = CovarianceMatrix(random_psd_matrix(make_rng(3), 4))
     return [
         ("dr_bound", bound),
@@ -68,7 +68,7 @@ def _results() -> list[tuple[str, object]]:
                                                   FixedChannelConfig(alpha=1.0))),
         ("mdcr_compare", mdcr_compare(source, 0.5, 0.5, 0.3, MdcrSplit(0.5),
                                       0.45, 0.45)),
-        ("high_rate_asymptote", high_rate_asymptote(config)),
+        ("high_rate_asymptote", high_rate_asymptote(config, 2.0, 0.0)),
         ("asymptote_convergence", asymptote_convergence(config, [1.0, 2.0])[0]),
         ("eval_region_bounds", eval_region_bounds(
             random_pmf(make_rng(5), (2, 2, 2, 2, 2)))),
