@@ -114,14 +114,14 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
     scale = math.exp(-2.0 * (rates.r3 + rates.r4))
     numerator = scale * sx2 * s1 * s2
     if sys.float_info.min <= numerator < math.inf:
-        denominator = (sx2 + s1 + s2) * ((s1 / (s1 + s2)) ** 2 * min(d3_prime, d1s)
-                                         + g * s1)
+        d3_hat = d1s if d1s < d3_prime else d3_prime
+        denominator = (sx2 + s1 + s2) * ((s1 / (s1 + s2)) ** 2 * d3_hat + g * s1)
         return numerator / denominator
     # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
     # beyond ~1e102); in units of d1* and of var nothing does.
-    q1, q2 = s1 / d1s, s2 / d1s
+    q1, q2, q3 = s1 / d1s, s2 / d1s, d3_prime / d1s
     return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q1 * q2
-            / ((q1 / (q1 + q2)) ** 2 * min(d3_prime / d1s, 1.0) + g * q1))
+            / ((q1 / (q1 + q2)) ** 2 * (1.0 if 1.0 < q3 else q3) + g * q1))
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:
@@ -139,11 +139,13 @@ def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> floa
     e2 = math.exp(-2.0 * rates.r2)
     pi_special = (1.0 - e2) * (1.0 - d3h / d1s)
     delta_special = e2 * (d3h / d1s - math.exp(-2.0 * rates.r3))
-    scale = max(1.0, result.pi, result.delta)
+    scale = result.pi if result.pi > 1.0 else 1.0
+    scale = result.delta if result.delta > scale else scale
     if abs(pi_special - result.pi) > SPECIALIZATION_RTOL * scale:
         raise InvalidRegimeInput(
             f"pi specialization mismatch: {pi_special} vs {result.pi}")
-    if abs(max(delta_special, 0.0) - result.delta) > SPECIALIZATION_RTOL * scale:
+    delta_clamped = 0.0 if 0.0 > delta_special else delta_special
+    if abs(delta_clamped - result.delta) > SPECIALIZATION_RTOL * scale:
         raise InvalidRegimeInput(
             f"delta specialization mismatch: {delta_special} vs {result.delta}")
     return result.d4_bound
@@ -399,7 +401,7 @@ def asymptote_convergence(config: AsymptoticConfig,
         rates = RateTuple(0.0, rp, rp, 0.0)
         exact = dr_bound(source, rates, 1.0, side, side).d4_bound
         asym = high_rate_asymptote(config, rp, config.eta).d4_asymptote_md
-        if min(exact, asym) < sys.float_info.min:
+        if (asym if asym < exact else exact) < sys.float_info.min:
             raise InvalidRegimeInput(
                 f"at r'={rp} the bound {exact} or its asymptote {asym} is below "
                 f"the normal double range; their ratio cannot be formed"

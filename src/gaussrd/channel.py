@@ -118,7 +118,7 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float,
 
     if math.isinf(t2) or math.isinf(t3):
         # A zero-rate side description leaves the other side's distortion.
-        rel_d4 = min(a, b)
+        rel_d4 = b if b < a else a
     else:
         omega = t2 * t3 * q
         rel_d4 = omega / (omega + t2 + t3 - 2.0 * rho * math.sqrt(t2 * t3))
@@ -201,7 +201,8 @@ def _adjust(rates: RateTuple, d1s: float, d2: float, d3: float
         )
     shrink = d1s / span * c2 * c3
     over = c3 * e2 + x2 / d1s - g3 if g3 <= g2 else c2 * e3 + x3 / d1s - g2
-    cut = max(d1s / span * over, 0.0)
+    cut = d1s / span * over
+    cut = 0.0 if 0.0 > cut else cut
     if shrink <= cut:
         adjustment = DegenerateAdjustment(d1s * e2 + shrink * x2,
                                           d1s * e3 + shrink * x3)

@@ -90,9 +90,12 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _read(kind: str, path: str) -> str:
-    """The text of the ``kind`` file at ``path``."""
+def _read(kind: str, path: str, stdin: bool = False) -> str:
+    """The text of the ``kind`` file at ``path``, or of stdin, decoded
+    strictly as UTF-8."""
     try:
+        if stdin:
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -357,7 +360,7 @@ def cmd_discrete(o: dict) -> dict:
     from .discrete import eval_distortions, eval_region_bounds, load_configuration
 
     unit, path = o["unit"], o["pmf"]
-    text = sys.stdin.read() if path == "-" else _read("pmf", path)
+    text = _read("pmf", path, stdin=path == "-")
     try:
         pmf, decoders = load_configuration(text)
     except json.JSONDecodeError as exc:

@@ -34,6 +34,7 @@ Decoder entries are indices into the columns of ``distortion_matrix``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,16 +50,23 @@ PMF_ATOL = 1e-12
 _VARIABLE_NAMES = ("X", "U1", "U2", "U3", "U4")
 
 
-def _json_array(name: str, value, dtype: type) -> np.ndarray:
-    """Nested JSON lists of ints (dtype int) or numbers (dtype float), not
-    bools, as an array; numpy would truncate 1.9, read ``true`` as 1 and
-    parse ``"0.5"``."""
-    kinds, kind = ((int,), "integers") if dtype is int else ((int, float), "numbers")
+def _typed_array(name: str, value, dtype: type) -> np.ndarray:
+    """Nested lists of ints (dtype int) or numbers (dtype float), not bools,
+    or numpy arrays of such a dtype, as an array; numpy would truncate 1.9,
+    read ``true`` as 1 and parse ``"0.5"``."""
+    if dtype is int:
+        kinds, codes, kind = (int, np.integer), "iu", "integers"
+    else:
+        kinds, codes, kind = (int, float, np.integer, np.floating), "iuf", "numbers"
     stack = [value]
     while stack:
         entry = stack.pop()
-        if isinstance(entry, list):
+        if isinstance(entry, (list, tuple)):
             stack.extend(reversed(entry))
+        elif isinstance(entry, np.ndarray):
+            if entry.dtype.kind not in codes:
+                raise TypeError(f"{name} entries must be {kind}, got an array "
+                                f"of dtype {entry.dtype}")
         elif isinstance(entry, bool) or not isinstance(entry, kinds):
             raise TypeError(f"{name} entries must be {kind}, got {entry!r}")
     return np.array(value, dtype=dtype)
@@ -98,9 +106,9 @@ class JointPmf:
     @classmethod
     def from_dict(cls, payload: dict) -> "JointPmf":
         try:
-            sizes = tuple(map(int, _json_array("alphabet_sizes",
-                                               payload["alphabet_sizes"], int)))
-            flat = _json_array("probabilities", payload["probabilities"], float)
+            sizes = tuple(map(int, _typed_array("alphabet_sizes",
+                                                payload["alphabet_sizes"], int)))
+            flat = _typed_array("probabilities", payload["probabilities"], float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidPmf(f"malformed pmf payload: {exc}") from exc
         if len(sizes) != 5:
@@ -132,7 +140,11 @@ class RateRegionBounds:
 
 @dataclass(frozen=True)
 class DecoderMaps:
-    """Lookup decoders plus the per-letter distortion matrix."""
+    """Lookup decoders plus the per-letter distortion matrix.
+
+    The decoders hold integer indices and the matrix numbers, as lists or
+    numpy arrays; a float or bool index is refused, not truncated.
+    """
 
     g1: np.ndarray
     g2: np.ndarray
@@ -142,9 +154,8 @@ class DecoderMaps:
 
     def __post_init__(self) -> None:
         for name in ("g1", "g2", "g3", "g4"):
-            arr = np.array(getattr(self, name), dtype=int)
-            object.__setattr__(self, name, arr)
-        dm = np.array(self.distortion_matrix, dtype=float)
+            object.__setattr__(self, name, _typed_array(name, getattr(self, name), int))
+        dm = _typed_array("distortion_matrix", self.distortion_matrix, float)
         if dm.ndim != 2:
             raise DimensionMismatch("distortion_matrix must be 2-dimensional")
         if not np.all(np.isfinite(dm)) or np.any(dm < 0.0):
@@ -179,11 +190,11 @@ class DecoderMaps:
         _, n1, n2, n3, n4 = (int(n) for n in sizes)
         try:
             dec = payload["decoders"]
-            g1 = _json_array("g1", dec["g1"], int).reshape(n1)
-            g2 = _json_array("g2", dec["g2"], int).reshape(n1, n2)
-            g3 = _json_array("g3", dec["g3"], int).reshape(n1, n3)
-            g4 = _json_array("g4", dec["g4"], int).reshape(n1, n2, n3, n4)
-            dm = _json_array("distortion_matrix", payload["distortion_matrix"], float)
+            g1 = _typed_array("g1", dec["g1"], int).reshape(n1)
+            g2 = _typed_array("g2", dec["g2"], int).reshape(n1, n2)
+            g3 = _typed_array("g3", dec["g3"], int).reshape(n1, n3)
+            g4 = _typed_array("g4", dec["g4"], int).reshape(n1, n2, n3, n4)
+            dm = _typed_array("distortion_matrix", payload["distortion_matrix"], float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidPmf(f"malformed decoder payload: {exc}") from exc
         return cls(g1, g2, g3, g4, dm)
@@ -241,8 +252,14 @@ def eval_region_bounds(pmf: JointPmf) -> RateRegionBounds:
     Each is a plain sum over the tensor; see the module docstring for the
     expressions.  All five are nonnegative, and the chain
     ``b1 <= b12 <= b123`` holds along with ``b123 <= b1234``.
+
+    The tensor is first divided by its correctly rounded sum: a pmf admitted
+    ``PMF_ATOL`` away from 1 would otherwise shift each bound by about its
+    distance from 1, negative at an independent pmf that sums above 1.  A
+    pmf whose sum rounds to 1.0 keeps its bits.
     """
     p = pmf.probabilities
+    p = p / math.fsum(p.ravel().tolist())
     p_x_u1 = p.sum(axis=(2, 3, 4))
     p_x_u12 = p.sum(axis=(3, 4))
     p_x_u13 = p.sum(axis=(2, 4))

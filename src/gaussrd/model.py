@@ -177,7 +177,11 @@ def _floor_margins(d1_star: float, rates: RateTuple, d1: float | Unconstrained,
 def _require_floors(names: str, targets: tuple, margins: tuple[float, ...]) -> None:
     """The one floor test: a target whose margin over its floor is below
     ``-FEASIBILITY_RTOL`` raises :class:`InfeasibleDistortion`."""
-    if min(margins) < -FEASIBILITY_RTOL:
+    # min(margins), folded as the builtin folds it (a NaN first entry stays).
+    low = margins[0]
+    for m in margins:
+        low = m if m < low else low
+    if low < -FEASIBILITY_RTOL:
         raise InfeasibleDistortion(
             f"a target lies below its floor: ({names}) = "
             f"({', '.join(map(repr, targets))}), relative margins "

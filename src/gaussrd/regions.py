@@ -107,11 +107,15 @@ def _side_ratios(d1_star: float, d2: float, d3: float) -> tuple[float, float]:
             f"first-layer floor d1_star={d1_star} underflows; the side-target "
             f"ratios d2/d1_star and d3/d1_star are undefined"
         )
-    return min(d2, d1_star) / d1_star, min(d3, d1_star) / d1_star
+    return ((d1_star if d1_star < d2 else d2) / d1_star,
+            (d1_star if d1_star < d3 else d3) / d1_star)
 
 
-#: The array namespace's operations on doubles.
-_MATH = SimpleNamespace(sqrt=math.sqrt, abs=abs, maximum=max,
+#: The array namespace's operations on doubles.  ``maximum`` makes the
+#: builtin ``max``'s comparison and returns the same object, without its
+#: argument parsing.
+_MATH = SimpleNamespace(sqrt=math.sqrt, abs=abs,
+                        maximum=lambda x, y: y if y > x else x,
                         where=lambda c, x, y: x if c else y)
 
 
@@ -133,7 +137,8 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
 
     Degenerate means ``pi < delta`` beyond the tolerance of :func:`_delta`.
     """
-    pi = max((1.0 - a) * (1.0 - b), 0.0)
+    pi = (1.0 - a) * (1.0 - b)
+    pi = 0.0 if 0.0 > pi else pi
     ab = a * b
     if ab < sys.float_info.min:
         # Then ab and s <= ab carry no relative precision, and sqrt(delta)
@@ -195,7 +200,8 @@ def _exp_quotient(scale: float, exponent: float, den: float) -> float:
     and so is ``exp(r)``.
     """
     (ms, es), (md, ed) = math.frexp(scale), math.frexp(den)
-    n = round(max(exponent / LN2, -4000.0))
+    q = exponent / LN2
+    n = round(-4000.0 if -4000.0 > q else q)
     r = (exponent - n * _LN2_HI) - n * _LN2_LO
     return math.ldexp(ms * math.exp(r) / md, es - ed + n)
 
@@ -224,8 +230,8 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
         # The numerator has left the normal range, though the quotient (den
         # ~ exp(-2 r') at high side rates r') need not have.
         d4_bound = _exp_quotient(source.variance, exponent, den)
-    return DrBoundResult(d1s, min(d2, d1s), min(d3, d1s), pi, delta, d4_bound,
-                         regime)
+    return DrBoundResult(d1s, d1s if d1s < d2 else d2, d1s if d1s < d3 else d3,
+                         pi, delta, d4_bound, regime)
 
 
 def t_of_epsilon(epsilon: float, d1_star: float, d2: float, d3: float,
@@ -294,7 +300,8 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
         return t_of_epsilon(var * math.exp(x), d1s, d2, d3, rate_sum)
 
     lo, hi = math.log(EPS_LO), math.log(EPS_HI)
-    xtol = MAXIMIZER_RTOL * max(1.0, abs(lo), abs(hi))
+    span = abs(lo) if abs(lo) > 1.0 else 1.0
+    xtol = MAXIMIZER_RTOL * (abs(hi) if abs(hi) > span else span)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
@@ -330,7 +337,8 @@ def _excess_term(a: float, b: float, z: float) -> float:
     """
     if z >= 1.0:
         return 0.0
-    return max(-0.5 * math.log(_penalty_den(*_excess_args(_MATH, a, b, z))), 0.0)
+    excess = -0.5 * math.log(_penalty_den(*_excess_args(_MATH, a, b, z)))
+    return 0.0 if 0.0 > excess else excess
 
 
 def _rd_branches(xp, a, b, z):
@@ -412,8 +420,10 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
         # At the harmonic corner the excess branch lands exactly on the sum of
         # the individual bounds, so the constraint it would add is redundant.
         if at_corner:
-            corner = rate_to_reach(z) + _excess_term(a, b, min(z, harmonic_thr))
-            if abs(corner - (r2_bound + r3_bound)) > BOUNDARY_RTOL * max(1.0, corner):
+            z_corner = harmonic_thr if harmonic_thr < z else z
+            corner = rate_to_reach(z) + _excess_term(a, b, z_corner)
+            if (abs(corner - (r2_bound + r3_bound))
+                    > BOUNDARY_RTOL * (corner if corner > 1.0 else 1.0)):
                 raise InvalidRegimeInput(
                     f"branch disagreement at the harmonic corner: {corner} vs "
                     f"{r2_bound + r3_bound}"

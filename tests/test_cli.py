@@ -253,6 +253,36 @@ def test_discrete_reads_stdin():
     assert payload["bounds"]["b1"] == pytest.approx(math.log(2.0), abs=1e-14)
 
 
+def test_discrete_decodes_stdin_strictly_as_utf8(monkeypatch, capsys):
+    # Under the C locale stdin replaces undecodable bytes by surrogates; the
+    # same bytes in a file are refused.
+    raw = b'{"alphabet_sizes": [2, 1, 1, 1, 1], "probabilities": [0.5, 0.5], "x": "\xe9"}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(raw), encoding="utf-8", errors="surrogateescape"))
+    code = cli.main(["discrete", "--pmf", "-"])
+    captured = capsys.readouterr()
+    with pytest.raises(UnicodeDecodeError) as undecodable:
+        raw.decode("utf-8")
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "UsageError", "message": f"cannot read pmf file -: {undecodable.value}"}
+
+
+def test_discrete_bounds_of_a_pmf_summing_above_one_are_not_negative(tmp_path):
+    # X independent of U1, summing to 1 + 8e-13: summed without normalising,
+    # every bound printed as -8.004708007547379e-13.
+    pmf_file = tmp_path / "independent.json"
+    pmf_file.write_text(json.dumps({
+        "alphabet_sizes": [2, 2, 1, 1, 1],
+        "probabilities": [0.1250000000001, 0.1250000000001,
+                          0.3750000000003, 0.3750000000003]}))
+    proc = run_cli("discrete", "--pmf", str(pmf_file))
+    assert proc.returncode == 0, proc.stderr
+    bounds = json.loads(proc.stdout)["bounds"]
+    assert bounds == dict.fromkeys(("b1", "b12", "b13", "b123", "b1234"), 0.0)
+    assert all(math.copysign(1.0, v) == 1.0 for v in bounds.values())
+
+
 def test_discrete_rejects_malformed_json(tmp_path):
     pmf_file = tmp_path / "broken.json"
     pmf_file.write_text("{not json")
@@ -764,7 +794,7 @@ def _run_in_process(argv: list[str], stdin: str = ""):
     """``cli.main(argv)``'s exit code, stdout and stderr; a warning goes to
     stderr, as a launched interpreter would print it."""
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
     try:
         with redirect_stdout(out), redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +123,15 @@ def test_bounds_vanish_for_independent_auxiliaries():
     bounds = eval_region_bounds(JointPmf(joint))
     for value in (bounds.b1, bounds.b12, bounds.b13, bounds.b123, bounds.b1234):
         assert abs(value) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0 - 9e-13, 1.0 - 4e-13, 1.0 + 4e-13, 1.0 + 9e-13])
+def test_bounds_of_a_pmf_summing_off_one_are_those_of_its_normalisation(scale):
+    # Summed as given, an independent pmf's bounds would be about 1 - scale.
+    joint = np.multiply.outer(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+    bounds = eval_region_bounds(JointPmf(scale * joint.reshape(2, 2, 1, 1, 1)))
+    for value in (bounds.b1, bounds.b12, bounds.b13, bounds.b123, bounds.b1234):
+        assert abs(value) <= 2.0 * sys.float_info.epsilon
 
 
 def test_bounds_for_noiseless_copy_description():
@@ -263,6 +273,36 @@ def test_decoder_shape_and_range_validation():
             g1=dec.g1, g2=dec.g2, g3=dec.g3, g4=dec.g4,
             distortion_matrix=np.array([[0.0, -1.0], [1.0, 0.0]]),
         )
+
+
+_DIRECT = dict(g2=[[0], [1]], g3=[[0], [1]], g4=[[[[0]]], [[[1]]]],
+               distortion_matrix=[[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("g1", [0.7, 1.9], "g1 entries must be integers, got 0.7"),
+    ("g1", np.array([0.0, 1.0]), "g1 entries must be integers, got an array of dtype float64"),
+    ("g1", np.array([False, True]), "g1 entries must be integers, got an array of dtype bool"),
+    ("g4", [[[[0]]], [[[True]]]], "g4 entries must be integers, got True"),
+    ("g2", [np.array([0]), [1.0]], "g2 entries must be integers, got 1.0"),
+    ("distortion_matrix", [[0, True], [1, 0]],
+     "distortion_matrix entries must be numbers, got True"),
+], ids=["float-list", "float-array", "bool-array", "bool-in-ints", "float-after-array",
+        "matrix-bool"])
+def test_decoders_built_directly_refuse_what_json_refuses(field, value, message):
+    # numpy would store [0.7, 1.9] as [0, 1] and True as 1.
+    with pytest.raises(TypeError) as caught:
+        DecoderMaps(**{"g1": [0, 1], **_DIRECT, field: value})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("g1", [[0, 1], (0, 1), np.array([0, 1], dtype=np.int32),
+                                [np.int64(0), 1], np.array([0, 1], dtype=np.uint8)],
+                         ids=["list", "tuple", "int32-array", "numpy-int", "uint8-array"])
+def test_decoders_built_directly_take_integer_lists_and_arrays(g1):
+    dec = DecoderMaps(g1=g1, **_DIRECT)
+    assert dec.g1.tolist() == [0, 1] and dec.g1.dtype == np.dtype(int)
+    assert dec.distortion_matrix.dtype == np.dtype(float)
 
 
 def _nan_pmf():

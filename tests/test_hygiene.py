@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from gaussrd import cli
+from gaussrd import cli, regions
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gaussrd"
@@ -225,6 +225,19 @@ DECIDED_ELSEWHERE = {
     ("analysis", "mdcr_compare"): {"float_info"},
 }
 
+#: The per-call scalar path clamps by comparison, ``y if y < x else x`` for
+#: ``min(x, y)``: the builtins ``min`` and ``max`` parse their arguments on
+#: every call, at several times the cost of the comparison they make.
+CLAMP_BY_COMPARISON = {
+    ("model", "_require_floors"),
+    ("regions", "_side_ratios"), ("regions", "_pi_delta"), ("regions", "dr_bound"),
+    ("regions", "_excess_term"), ("regions", "rd_bound"), ("regions", "_exp_quotient"),
+    ("regions", "maximize_t_numeric"), ("regions", "converse_witness"),
+    ("channel", "_channel"), ("channel", "_adjust"), ("channel", "certify_achievability"),
+    ("analysis", "wz_region"), ("analysis", "md_region_slice"),
+    ("analysis", "asymptote_convergence"),
+}
+
 #: The functions that refuse a target against the first-layer floor, and the
 #: one test in model.py that each must call to do so.
 MODEL_TESTS = {
@@ -246,6 +259,17 @@ def test_each_guard_is_decided_once(name, function):
     body = _function(name, function)
     repeated = sorted(DECIDED_ELSEWHERE[(name, function)] & set(_references(body)))
     assert not repeated, f"{name}.{function} names {repeated}"
+
+
+@pytest.mark.parametrize("name, function", sorted(CLAMP_BY_COMPARISON))
+def test_the_scalar_path_clamps_by_comparison(name, function):
+    names = {node.id for node in ast.walk(_function(name, function))
+             if isinstance(node, ast.Name)}
+    assert not names & {"min", "max"}, f"{name}.{function} calls builtin min or max"
+
+
+def test_the_double_namespace_clamps_by_comparison():
+    assert regions._MATH.maximum is not max
 
 
 @pytest.mark.parametrize("name, function", sorted(MODEL_TESTS))

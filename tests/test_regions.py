@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import struct
 import sys
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussrd import (
     DistortionTuple,
@@ -34,7 +36,7 @@ from gaussrd import (
 )
 from gaussrd import regions
 from gaussrd.errors import NegativeDelta
-from gaussrd.model import FEASIBILITY_RTOL, _floor_margins
+from gaussrd.model import FEASIBILITY_RTOL, _floor_margins, _require_floors
 from gaussrd.regions import (BOUNDARY_RTOL, EquivalenceReport, GridSpec,
                              rate_to_reach)
 
@@ -1164,3 +1166,93 @@ def test_region_guards_raise_their_message(monkeypatch, call, error, message):
     with pytest.raises(error) as raised:
         call(monkeypatch)
     assert str(raised.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The scalar path's clamps compare as builtin min and max do
+# ---------------------------------------------------------------------------
+
+_SPECIAL = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+            sys.float_info.min, 1.0, -1.0]
+#: Any double: NaN, both zeros, both infinities, subnormals and the rest.
+ANY_DOUBLE = st.one_of(st.sampled_from(_SPECIAL),
+                       st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True))
+CLAMPS = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+#: The array namespace on doubles with the builtin clamp.
+_BUILTIN = types.SimpleNamespace(**{**vars(regions._MATH), "maximum": max})
+
+
+def _word(value):
+    """The bits of a double, so that 0.0 and -0.0 (or two NaNs) differ."""
+    return struct.pack("<d", value)
+
+
+def _outcome(call, *args):
+    """The bits of what ``call`` returns, or the type and message it raises."""
+    try:
+        result = call(*args)
+    except (InvalidRegimeInput, NegativeDelta, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [_word(v) for v in (result if isinstance(result, tuple) else (result,))]
+
+
+@CLAMPS
+@given(ANY_DOUBLE, ANY_DOUBLE)
+def test_math_maximum_returns_the_object_builtin_max_returns(x, y):
+    assert regions._MATH.maximum(x, y) is max(x, y)
+
+
+@CLAMPS
+@given(ANY_DOUBLE, ANY_DOUBLE, ANY_DOUBLE)
+def test_side_ratios_clamp_as_builtin_min(d1_star, d2, d3):
+    if not d1_star > 0.0:
+        with pytest.raises(InvalidRegimeInput):
+            regions._side_ratios(d1_star, d2, d3)
+        return
+    assert (_outcome(regions._side_ratios, d1_star, d2, d3)
+            == [_word(min(d2, d1_star) / d1_star), _word(min(d3, d1_star) / d1_star)])
+
+
+@CLAMPS
+@given(ANY_DOUBLE, ANY_DOUBLE, ANY_DOUBLE)
+def test_pi_clamps_as_builtin_max(a, b, s):
+    try:
+        pi = regions._pi_delta(a, b, s)[0]
+    except (InvalidRegimeInput, NegativeDelta):
+        return  # the refusals read a b and delta, not pi
+    assert _word(pi) == _word(max((1.0 - a) * (1.0 - b), 0.0))
+
+
+@CLAMPS
+@given(ANY_DOUBLE, ANY_DOUBLE)
+def test_delta_clamps_as_builtin_max(ab, s):
+    assert (_outcome(regions._delta, regions._MATH, ab, s)
+            == _outcome(regions._delta, _BUILTIN, ab, s))
+
+
+@CLAMPS
+@given(ANY_DOUBLE, ANY_DOUBLE, ANY_DOUBLE)
+def test_excess_term_clamps_as_builtin_max(a, b, z):
+    def builtin(a, b, z):
+        if z >= 1.0:
+            return 0.0
+        den = regions._penalty_den(*regions._excess_args(_BUILTIN, a, b, z))
+        return max(-0.5 * math.log(den), 0.0)
+
+    assert _outcome(regions._excess_term, a, b, z) == _outcome(builtin, a, b, z)
+
+
+@CLAMPS
+@given(st.lists(ANY_DOUBLE, min_size=1, max_size=3))
+@example([math.nan, -1.0])
+@example([0.0, math.nan, -1.0])
+def test_floor_test_raises_as_builtin_min_decides(margins):
+    margins = tuple(margins)
+    try:
+        _require_floors("d", (1.0,) * len(margins), margins)
+    except InfeasibleDistortion:
+        raised = True
+    else:
+        raised = False
+    assert raised == (min(margins) < -FEASIBILITY_RTOL)
