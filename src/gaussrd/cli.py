@@ -223,37 +223,44 @@ class _Opt(NamedTuple):
     convert: object
     default: object
     help: str | None = None
+    metavar: str | None = None
 
 
-_UNIT = _Opt("unit", _as_unit, "nats", "unit for rate inputs and outputs (default nats)")
+_UNIT = _Opt("unit", _as_unit, "nats", "unit for rate inputs and outputs (default nats)",
+             "{nats,bits}")
 _GRID_HELP = "start:stop:count or comma list"
 
 #: (name, help, aliases, echo the inputs in the JSON output, options).  Every
-#: subcommand also accepts ``--scenario`` and ``--unit``; the options are
-#: resolved, and echoed, in this order, and the unit last.
+#: subcommand also accepts ``--scenario``, and each that reads rates lists
+#: ``--unit`` last; the options are resolved, and echoed, in this order.
 _COMMANDS = (
     ("dr-bound", "central-distortion bound at fixed rates", (), True, (
         _Opt("var", _as_float, 1.0, "source variance (default 1)"),
         _Opt("rates", _as_floats(4), None, "r1,r2,r3,r4"),
         _Opt("d", _as_floats(3, unconstrained_first=True), None,
-             "d1,d2,d3 (d1 may be 'inf' for unconstrained)"))),
+             "d1,d2,d3 (d1 may be 'inf' for unconstrained)"),
+        _UNIT)),
     ("rd-bound", "rate requirements at fixed distortions", (), True, (
         _Opt("var", _as_float, 1.0),
         _Opt("r1", _as_float, None),
         _Opt("r4", _as_float, None),
         _Opt("d", _as_floats(4, unconstrained_first=True), None,
-             "d1,d2,d3,d4 (d1 may be 'inf')"))),
+             "d1,d2,d3,d4 (d1 may be 'inf')"),
+        _UNIT)),
     ("channel", "forward construction and certification", (), True, (
         _Opt("var", _as_float, 1.0),
         _Opt("rates", _as_floats(4), None, "r1,r2,r3,r4"),
-        _Opt("d", _as_floats(2), None, "d2,d3"))),
+        _Opt("d", _as_floats(2), None, "d2,d3"),
+        _UNIT)),
     ("discrete", "finite-alphabet bounds from a pmf file", (), True, (
-        _Opt("pmf", _as_path, None, "path to the JSON configuration, or - for stdin"),)),
+        _Opt("pmf", _as_path, None, "path to the JSON configuration, or - for stdin"),
+        _UNIT)),
     ("loss", "fixed-channel distortion penalty sweep", (), False, (
         _Opt("var", _as_float, 1.0),
         _Opt("alpha", _as_float, 1.0),
         _Opt("r3", _as_float, None),
-        _Opt("r1-grid", _as_grid, None, _GRID_HELP))),
+        _Opt("r1-grid", _as_grid, None, _GRID_HELP),
+        _UNIT)),
     ("mdcr", "conditional-refinement vs re-budgeted comparison", (), False, (
         _Opt("var", _as_float, 1.0),
         _Opt("r2", _as_float, None),
@@ -261,11 +268,13 @@ _COMMANDS = (
         _Opt("beta", _as_float, 0.5),
         _Opt("d2", _as_float, None),
         _Opt("d3", _as_float, None),
-        _Opt("r4-grid", _as_grid, None, _GRID_HELP))),
+        _Opt("r4-grid", _as_grid, None, _GRID_HELP),
+        _UNIT)),
     ("asymptote", "high-rate asymptote convergence table", (), False, (
         _Opt("b", _as_float, 1.0),
         _Opt("eta", _as_float, 0.0),
-        _Opt("r-grid", _as_grid, None, _GRID_HELP))),
+        _Opt("r-grid", _as_grid, None, _GRID_HELP),
+        _UNIT)),
     ("sweep-wz-md",
      "sweep the second user's target: binning vs plain two-description",
      ("sweep-fig3",), False, (
@@ -274,7 +283,8 @@ _COMMANDS = (
          _Opt("r2", _as_float, 0.5),
          _Opt("r3", _as_float, 1.0),
          _Opt("r4", _as_float, 0.5),
-         _Opt("points", _as_int, 200))),
+         _Opt("points", _as_int, 200),
+         _UNIT)),
     ("verify", "seeded end-to-end self-verification", (), False, (
         _Opt("var", _as_float, 1.0),
         _Opt("seed", _as_int, lambda: _env_int("GAUSSRD_SEED", DEFAULT_SEED),
@@ -443,13 +453,12 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_, aliases=list(aliases))
         p.add_argument("--scenario", help="JSON file of option defaults")
         # Every value reaches _resolve as a string; its converter checks it.
-        p.add_argument("--unit", metavar="{nats,bits}", help=_UNIT.help)
         for opt in opts:
-            p.add_argument(f"--{opt.flag}", help=opt.help)
+            p.add_argument(f"--{opt.flag}", help=opt.help, metavar=opt.metavar)
         # The command function is looked up here, not when the table is
         # built, so a replaced module attribute takes effect.
         p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")],
-                       command=(name, echo, (*opts, _UNIT)))
+                       command=(name, echo, opts))
     return parser
 
 

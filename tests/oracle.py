@@ -226,6 +226,36 @@ def mp_channel_distortions(var, channel):
                 1 / (info1 + info23 + 1 / s4))
 
 
+def mp_region_bounds(probabilities, dps=DPS):
+    """``(b1, b12, b13, b123, b1234)`` of the pmf tensor over ``(X, U1, U2,
+    U3, U4)`` divided by its sum, each information term written as the
+    entropy combination ``I(A; B | C) = H(AC) + H(BC) - H(C) - H(ABC)``.
+
+    The entropies are at most ``log(8^5)``, about 10.4 nats, so the
+    combination loses no digit that matters at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        q = np.array([mpmath.mpf(float(v)) for v in np.ravel(probabilities)],
+                     dtype=object)
+        q = (q / mpmath.fsum(q)).reshape(np.shape(probabilities))
+        entropies = {(): mpmath.mpf(0)}
+
+        def h(axes):
+            if axes not in entropies:
+                drop = tuple(i for i in range(5) if i not in axes)
+                m = q.sum(axis=drop) if drop else q
+                entropies[axes] = -mpmath.fsum(v * mpmath.log(v)
+                                               for v in m.ravel() if v > 0)
+            return entropies[axes]
+
+        def info(a, b, c=()):
+            return (h(tuple(sorted(a + c))) + h(tuple(sorted(b + c)))
+                    - h(c) - h(tuple(sorted(a + b + c))))
+
+        cond = info((2,), (3,), (1,))
+        return (info((0,), (1,)), info((0,), (1, 2)), info((0,), (1, 3)),
+                info((0,), (1, 2, 3)) + cond, info((0,), (1, 2, 3, 4)) + cond)
+
+
 def ld_channel_distortions(sx2, channel):
     """``gaussrd.mmse._msr_distortions``'s chain of ``v s / (v + s)``
     updates, each double converted by ``numpy.longdouble(x)`` and each

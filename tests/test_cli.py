@@ -584,7 +584,9 @@ def test_asymptote_refuses_a_grid_rate_by_its_own_rule(capsys, grid, message):
     ["dr-bound", "--var"],
     [],
     ["asymptote", "--eta1", "0.1", "--r-grid", "1,2"],
-], ids=["unknown-option", "missing-value", "no-subcommand", "asymptote-eta1"])
+    ["verify", "--unit", "bits"],
+], ids=["unknown-option", "missing-value", "no-subcommand", "asymptote-eta1",
+        "verify-unit"])
 def test_argparse_refusal_is_a_json_usage_error(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
