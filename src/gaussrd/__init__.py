@@ -21,8 +21,7 @@ _EXPORTS = {name: module for module, names in (
                   "mdcr_compare", "wz_channel_from_rates", "wz_md_sweep",
                   "wz_region")),
     ("channel", ("CertificationRecord", "DegenerateAdjustment", "TestChannel",
-                 "certify_achievability", "construct_channel",
-                 "degenerate_adjust")),
+                 "certify_achievability")),
     ("discrete", ("DecoderMaps", "JointPmf", "RateRegionBounds",
                   "eval_distortions", "eval_region_bounds",
                   "load_configuration", "random_pmf", "timeshare")),

@@ -17,11 +17,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
-                     OutOfRegime)
+from .errors import InvalidChannel, InvalidRegimeInput
 from .mmse import _msr_distortions
 from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
-                    Regime, _over_ceiling)
+                    Regime)
 from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
@@ -82,25 +81,14 @@ class CertificationRecord:
     adjustment: DegenerateAdjustment | None
 
 
-def _checked_bound(source: GaussianSource, rates: RateTuple,
-                   d2: float, d3: float) -> DrBoundResult:
-    """:func:`~gaussrd.regions.dr_bound` at ``d1`` unconstrained, after which
-    a side target above ``d1_star`` by :func:`~gaussrd.model._over_ceiling`
-    raises :class:`InfeasibleDistortion`: the channel builders take clamped
-    targets."""
-    bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
-    for name, d in (("d2", d2), ("d3", d3)):
-        if _over_ceiling(d, bound.d1_star):
-            raise InfeasibleDistortion(f"{name}={d} exceeds the first-layer floor "
-                                       f"{bound.d1_star}; clamp it first")
-    return bound
-
-
 def _channel(rates: RateTuple, d1s: float, a: float, b: float,
              a_gap: float, b_gap: float) -> TestChannel:
-    """The channel of :func:`construct_channel` at ``d1_star = d1s``, the
-    side ratios ``a``, ``b`` and their gaps ``1 - a``, ``1 - b``,
-    unchecked."""
+    """Noise variances and correlation that meet ``(d1_star, a d1s, b d1s)``
+    exactly at ``d1_star = d1s``, the side ratios ``a``, ``b`` and their gaps
+    ``1 - a``, ``1 - b``, for ``pi >= delta``, unchecked.  ``rho = -sqrt(1 -
+    s/(a b))``, ``s = exp(-2 (r2+r3))``, is zero exactly where ``delta`` is;
+    all is formed relative to ``d1s``, so no product such as ``d2 d3``
+    underflows at high ``r1``."""
     # d1_star / (1 - exp(-2 r1)) = d1_star var / (var - d1_star), free of
     # the product that over- or underflows at extreme variances.
     sigma1_sq = math.inf if rates.r1 == 0.0 else d1s / -math.expm1(-2.0 * rates.r1)
@@ -138,29 +126,6 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float,
     return TestChannel(sigma1_sq, sigma2_sq, sigma3_sq, sigma4_sq, rho, d4_star, q)
 
 
-def construct_channel(source: GaussianSource, rates: RateTuple,
-                      d2: float, d3: float) -> TestChannel:
-    """Noise variances and correlation that meet ``(d1_star, d2, d3)`` exactly.
-
-    Requires the non-degenerate regime (``pi >= delta`` up to rounding); in
-    the degenerate one call :func:`degenerate_adjust` first.  The refinement
-    correlation is ``rho = -sqrt(1 - d1_star^2 exp(-2 (r2+r3)) / (d2 d3))``,
-    which is zero exactly when ``delta = 0`` (both targets at their floors).
-    The noise variances and ``d4_star`` are computed relative to
-    ``d1_star``, so products like ``d2 d3`` never underflow at high ``r1``.
-    """
-    bound = _checked_bound(source, rates, d2, d3)
-    # The adjusted boundary case lands at pi == delta up to rounding.
-    if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
-        raise OutOfRegime(
-            f"pi={bound.pi} < delta={bound.delta}: degenerate regime, adjust the "
-            f"targets first"
-        )
-    d1s = bound.d1_star
-    a, b = bound.d2_hat / d1s, bound.d3_hat / d1s
-    return _channel(rates, d1s, a, b, 1.0 - a, 1.0 - b)
-
-
 def _over_floor(d1s: float, d: float, e: float, c: float) -> float:
     """``d - d1s e``, the excess of a side target over its floor ``d1s e``,
     ``e = exp(-2 r) = 1 - c``.  Near a zero rate (``e > 1/2``) it is formed
@@ -172,8 +137,10 @@ def _over_floor(d1s: float, d: float, e: float, c: float) -> float:
 
 def _adjust(rates: RateTuple, d1s: float, d2: float, d3: float
             ) -> tuple[DegenerateAdjustment, float, float]:
-    """The targets of :func:`degenerate_adjust` at ``d1_star = d1s``,
-    unchecked, with their gaps ``1 - d2'/d1s`` and ``1 - d3'/d1s``.
+    """Side targets ``d2``, ``d3`` with ``pi < delta`` shrunk onto the
+    boundary ``pi = delta`` at ``d1_star = d1s``, unchecked, with their gaps
+    ``1 - d2'/d1s`` and ``1 - d3'/d1s``.  Each lands between its floor and
+    its request.
 
     With ``e_i = exp(-2 r_i) = 1 - c_i`` and the excesses ``x_i`` of the
     targets over their floors ``d1s e_i``, the boundary
@@ -211,43 +178,17 @@ def _adjust(rates: RateTuple, d1s: float, d2: float, d3: float
     return adjustment, g2 + cut * x2 / d1s, g3 + cut * x3 / d1s
 
 
-def degenerate_adjust(source: GaussianSource, rates: RateTuple,
-                      d2: float, d3: float) -> DegenerateAdjustment:
-    """Shrink over-generous side targets onto the degeneracy boundary.
-
-    In the degenerate regime (``pi < delta`` beyond rounding) the
-    construction can afford to beat the requested side targets; both are
-    reduced proportionally (relative to their floors) until
-    ``d2' + d3' = d1_star (1 + exp(-2 (r2+r3)))``, which restores
-    ``pi = delta`` exactly and leaves each target between its floor and its
-    requested value.  The boundary case, ``pi == delta`` up to rounding,
-    raises, since there is nothing to adjust.
-    """
-    bound = _checked_bound(source, rates, d2, d3)
-    if bound.regime is not Regime.DEGENERATE_PI_LESS_DELTA:
-        raise OutOfRegime(
-            f"adjustment needs pi < delta beyond rounding, got pi={bound.pi}, "
-            f"delta={bound.delta}"
-        )
-    return _adjust(rates, bound.d1_star, d2, d3)[0]
-
-
 def certify_achievability(source: GaussianSource, rates: RateTuple,
                           d2: float, d3: float) -> CertificationRecord:
     """Build the forward channel and verify it meets the converse bound.
 
     One pass: :func:`~gaussrd.regions.dr_bound` validates the inputs once,
     and its ``d1_star``, clamped side targets and ratios feed the channel
-    arithmetic of :func:`construct_channel` directly.  Side targets above
-    ``d1_star`` are clamped (a zero-rate description already achieves
-    ``d1_star``); degenerate inputs are first tightened as
-    :func:`degenerate_adjust` does.  Those targets lie on ``pi = delta`` by
-    construction, so the channel is built from them, and from their gaps
-    ``1 - d'/d1_star`` as the adjustment forms them, without
-    :func:`construct_channel`'s regime test.  That test could fail there
-    only on rounding: of ``pi = (1-a)(1-b)`` when ``b`` is near 1, or of a
-    target moved within rounding of ``d1_star``.  The cross-check and
-    ``matches_bound`` below still judge the result.  A bound below the
+    arithmetic directly.  Side targets above ``d1_star`` are clamped (a
+    zero-rate description already achieves ``d1_star``); degenerate inputs
+    (``pi < delta``) are first tightened onto ``pi = delta``, and the
+    channel is built from those targets and from their gaps
+    ``1 - d'/d1_star`` as the adjustment forms them.  A bound below the
     normal double range raises :class:`InvalidRegimeInput`: there a double
     keeps fewer than 53 bits, too few for the verdict's 1e-9 relative
     tolerances.  The four achieved distortions come from one chain of

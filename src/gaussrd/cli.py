@@ -296,8 +296,14 @@ _COMMANDS = (
 
 def _resolve(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
     """Each option's value from its flag, else the scenario, else its
-    default, converted."""
+    default, converted.  A scenario key that names none of the options is
+    refused, not dropped."""
     scenario = _load_scenario(args.scenario)
+    flags = {opt.flag for opt in opts}
+    unknown = [key for key in scenario if key not in flags]
+    if unknown:
+        raise UsageError(f"scenario file {args.scenario} sets unknown options: "
+                         f"{', '.join(map(repr, unknown))}")
     values: dict = {}
     for opt in opts:
         value = getattr(args, opt.flag.replace("-", "_"))

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .channel import certify_achievability, construct_channel
+from .channel import certify_achievability
 from .mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_U4, IDX_X,
                    assemble_msr_covariance, conditional_mmse, mc_estimate_mse)
 from .model import (DEFAULT_GRID_DENSITY, DEFAULT_SEED, UNCONSTRAINED,
@@ -146,7 +146,7 @@ def run_verification(variance: float = 1.0, seed: int = DEFAULT_SEED,
     trials = []
     for _ in range(n_channels):
         rates, d2, d3 = _nondegenerate_instance(rng, source)
-        channel = construct_channel(source, rates, d2, d3)
+        channel = certify_achievability(source, rates, d2, d3).channel
         cov = assemble_msr_covariance(source, channel)
         for observed in observed_cycles:
             analytic = conditional_mmse(cov, IDX_X, observed).error_variance

@@ -32,7 +32,6 @@ from gaussrd import (
     assemble_msr_covariance,
     certify_achievability,
     conditional_mmse,
-    construct_channel,
     converse_witness,
     default_grid,
     dr_bound,
@@ -236,7 +235,7 @@ def test_criterion_08_monte_carlo_confirms_analytic_distortions():
         if dr_bound(source, rates, UNCONSTRAINED, d2, d3).regime \
                 is not Regime.NON_DEGENERATE:
             continue
-        channel = construct_channel(source, rates, d2, d3)
+        channel = certify_achievability(source, rates, d2, d3).channel
         cov = assemble_msr_covariance(source, channel)
         target, observed = observation_cycle[built % len(observation_cycle)]
         analytic = conditional_mmse(cov, target, observed).error_variance

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,33 +15,27 @@ from gaussrd import (
     InfeasibleDistortion,
     InvalidChannel,
     InvalidRegimeInput,
-    OutOfRegime,
     RateTuple,
     Regime,
     UNCONSTRAINED,
     certify_achievability,
-    construct_channel,
-    degenerate_adjust,
     dr_bound,
 )
 
 import gaussrd.channel as channel_module
 from gaussrd.channel import TestChannel as ForwardChannel
-from gaussrd.selfcheck import sample_feasible_instance
 
 from conftest import GOLDEN_RHO, make_rng
-
-EPS = sys.float_info.epsilon
 
 
 def _golden_channel():
     source = GaussianSource(variance=1.0)
     rates = RateTuple(0.0, 0.5, 0.5, 0.0)
-    return source, rates, construct_channel(source, rates, 0.45, 0.45)
+    return source, rates, certify_achievability(source, rates, 0.45, 0.45).channel
 
 
 # ---------------------------------------------------------------------------
-# construct_channel
+# The forward channel
 # ---------------------------------------------------------------------------
 
 def test_channel_frozen_reference_correlation():
@@ -70,10 +62,10 @@ def test_channel_side_decoders_hit_targets_exactly():
         d1s = math.exp(-2.0 * rates.r1)
         d2 = d1s * math.exp(-2.0 * rates.r2 * rng.uniform(0.3, 0.98))
         d3 = d1s * math.exp(-2.0 * rates.r3 * rng.uniform(0.3, 0.98))
-        try:
-            channel = construct_channel(source, rates, d2, d3)
-        except OutOfRegime:
+        record = certify_achievability(source, rates, d2, d3)
+        if record.adjustment is not None:
             continue
+        channel = record.channel
         for target, sigma_sq in ((d2, channel.sigma2_sq), (d3, channel.sigma3_sq)):
             implied = d1s * sigma_sq / (d1s + sigma_sq)
             assert implied == pytest.approx(target, rel=1e-12)
@@ -86,15 +78,9 @@ def test_channel_correlation_snaps_to_zero_on_the_floor_corner():
     for r1, r2, r3 in ((0.0, 2.9, 2.9), (0.5, 3.0, 3.0), (1.5, 0.7, 1.1)):
         rates = RateTuple(r1, r2, r3, 1.0)
         d1s = math.exp(-2.0 * r1)
-        channel = construct_channel(
-            source, rates, d1s * math.exp(-2.0 * r2), d1s * math.exp(-2.0 * r3))
+        channel = certify_achievability(
+            source, rates, d1s * math.exp(-2.0 * r2), d1s * math.exp(-2.0 * r3)).channel
         assert channel.rho == 0.0
-
-
-def test_channel_rejects_degenerate_inputs():
-    source = GaussianSource(variance=1.0)
-    with pytest.raises(OutOfRegime):
-        construct_channel(source, RateTuple(0.0, 1.5, 1.5, 0.0), 0.9, 0.9)
 
 
 #: Noise parameters that TestChannel accepts; each case below spoils one.
@@ -123,18 +109,14 @@ def test_channel_rejects_infeasible_targets():
     source = GaussianSource(variance=1.0)
     rates = RateTuple(0.0, 0.5, 0.5, 0.0)
     with pytest.raises(InfeasibleDistortion):
-        construct_channel(source, rates, math.exp(-1.0) * 0.9, 0.45)
+        certify_achievability(source, rates, math.exp(-1.0) * 0.9, 0.45)
     with pytest.raises(InfeasibleDistortion):
-        construct_channel(source, rates, 1.2, 0.45)  # above d1_star, unclamped
-    with pytest.raises(InfeasibleDistortion):
-        construct_channel(source, rates, 0.0, 0.45)
+        certify_achievability(source, rates, 0.0, 0.45)
 
 
-@pytest.mark.parametrize("build", [construct_channel, degenerate_adjust,
-                                   certify_achievability],
-                         ids=["construct", "adjust", "certify"])
+@pytest.mark.parametrize("build", [certify_achievability], ids=["certify"])
 def test_channel_builders_name_an_underflowed_first_layer_floor(build):
-    # d1_star = exp(-800) underflows to 0: every builder validates through
+    # d1_star = exp(-800) underflows to 0: certification validates through
     # dr_bound, which names the underflow, rather than reading 0.5 as above a
     # first-layer floor of 0.0.
     with pytest.raises(InvalidRegimeInput, match="d1_star=0.0 underflows"):
@@ -148,7 +130,7 @@ def test_channel_central_residual_interpolates_single_description():
     source = GaussianSource(variance=1.0)
     rates = RateTuple(0.0, 0.0, 0.5, 0.0)
     d3 = math.exp(-1.0)
-    channel = construct_channel(source, rates, 1.0, d3)
+    channel = certify_achievability(source, rates, 1.0, d3).channel
     assert math.isinf(channel.sigma2_sq)
     assert channel.rho == 0.0
     expected = channel.sigma3_sq / (1.0 + channel.sigma3_sq)
@@ -158,7 +140,8 @@ def test_channel_central_residual_interpolates_single_description():
 
 def test_channel_zero_rate_everything():
     source = GaussianSource(variance=2.0)
-    channel = construct_channel(source, RateTuple(0.0, 0.0, 0.0, 0.0), 2.0, 2.0)
+    channel = certify_achievability(source, RateTuple(0.0, 0.0, 0.0, 0.0), 2.0,
+                                    2.0).channel
     assert math.isinf(channel.sigma1_sq)
     assert math.isinf(channel.sigma2_sq)
     assert math.isinf(channel.sigma3_sq)
@@ -168,14 +151,14 @@ def test_channel_zero_rate_everything():
 
 
 # ---------------------------------------------------------------------------
-# degenerate_adjust
+# The degenerate adjustment
 # ---------------------------------------------------------------------------
 
 def test_degenerate_adjust_symmetric_reference():
     # Symmetric over-generous targets shrink to (1 + exp(-2(r2+r3))) d1*/2.
     source = GaussianSource(variance=1.0)
     rates = RateTuple(0.0, 0.5, 0.5, 0.0)
-    adj = degenerate_adjust(source, rates, 0.9, 0.9)
+    adj = certify_achievability(source, rates, 0.9, 0.9).adjustment
     expected = 0.5 * (1.0 + math.exp(-2.0))
     assert adj.d2_prime == pytest.approx(expected, rel=1e-14)
     assert adj.d3_prime == pytest.approx(expected, rel=1e-14)
@@ -193,8 +176,10 @@ def test_degenerate_adjust_lands_on_the_boundary():
         d2 = d1s * rng.uniform(0.5, 1.0)
         d3 = d1s * rng.uniform(0.5, 1.0)
         try:
-            adj = degenerate_adjust(source, rates, d2, d3)
-        except (OutOfRegime, InfeasibleDistortion):
+            adj = certify_achievability(source, rates, d2, d3).adjustment
+        except InfeasibleDistortion:
+            continue
+        if adj is None:
             continue
         s = math.exp(-2.0 * (rates.r2 + rates.r3))
         # On the boundary: d2' + d3' = d1*(1+s), equivalently pi = delta.
@@ -204,13 +189,6 @@ def test_degenerate_adjust_lands_on_the_boundary():
         assert d1s * math.exp(-2.0 * rates.r2) * (1.0 - 1e-12) <= adj.d2_prime <= d2
         assert d1s * math.exp(-2.0 * rates.r3) * (1.0 - 1e-12) <= adj.d3_prime <= d3
         adjusted += 1
-
-
-def test_degenerate_adjust_rejects_non_degenerate_inputs():
-    source = GaussianSource(variance=1.0)
-    rates = RateTuple(0.0, 0.5, 0.5, 0.0)
-    with pytest.raises(OutOfRegime):
-        degenerate_adjust(source, rates, 0.45, 0.45)
 
 
 def test_degenerate_adjustment_choice_does_not_change_central_distortion():
@@ -226,7 +204,7 @@ def test_degenerate_adjustment_choice_does_not_change_central_distortion():
     for d2p in (0.55, 0.62, target_sum / 2.0, 0.75):
         d3p = target_sum - d2p
         assert d2p >= floor2 and d3p >= floor2
-        channel = construct_channel(source, rates, d2p, d3p)
+        channel = certify_achievability(source, rates, d2p, d3p).channel
         achieved.append(math.exp(-2.0 * rates.r4) * channel.d4_star)
     expected = math.exp(-2.0 * rates.total())
     for value in achieved:
@@ -326,43 +304,6 @@ def test_certified_distortion_agrees_with_dr_bound_closed_form():
     assert record.achieved.d4 == pytest.approx(bound.d4_bound, rel=1e-10)
 
 
-def test_certified_channel_is_the_public_construction():
-    # Certification builds its channel from dr_bound's own d1_star, clamped
-    # targets and ratios.  Off the degenerate regime that is the channel
-    # construct_channel gives, bit for bit.  In it, the adjustment is
-    # degenerate_adjust's, and the channel is construct_channel's on those
-    # targets up to the rounding of the gaps 1 - d'/d1_star, which
-    # certification forms without subtracting from 1.
-    rng = make_rng(1409)
-    paths = {False: 0, True: 0}
-    for i in range(3000):
-        rates, d2, d3 = sample_feasible_instance(rng, max_rate=(3.0, 10.0, 40.0)[i % 3])
-        variance = 10.0 ** rng.uniform(-200.0, 200.0)
-        source = GaussianSource(variance)
-        try:
-            record = certify_achievability(source, rates, d2 * variance, d3 * variance)
-        except GaussRdError:
-            continue
-        d2c, d3c = record.bound.d2_hat, record.bound.d3_hat
-        if record.adjustment is None:
-            assert record.channel == construct_channel(source, rates, d2c, d3c)
-        else:
-            adjustment = degenerate_adjust(source, rates, d2c, d3c)
-            assert record.adjustment == adjustment
-            d2p, d3p = adjustment.d2_prime, adjustment.d3_prime
-            try:
-                expected = construct_channel(source, rates, d2p, d3p)
-            except OutOfRegime:
-                continue
-            d1s = record.bound.d1_star
-            rtol = 4.0 * EPS / min(1.0 - d2p / d1s, 1.0 - d3p / d1s)
-            for name, value in asdict(expected).items():
-                assert getattr(record.channel, name) == pytest.approx(
-                    value, rel=rtol), name
-        paths[record.adjustment is not None] += 1
-    assert min(paths.values()) > 200
-
-
 #: Sampled points (``sample_feasible_instance``, seeds 401, 405, 407 and 410)
 #: whose degenerate adjustment lands at ``pi < 1e-4``, where ``pi`` and
 #: ``delta`` agree only to about eps in absolute terms; a regime test scaled
@@ -407,7 +348,7 @@ def test_certification_accepts_small_pi_adjusted_points(r, d2, d3):
     (5.81970269236372e+198, (0.0, 27.0, 27.653481411109652, 0.0),
      2.055884801275804e+175, 5.81970269236372e+198),
     # b = 1 - 1.3e-4: pi = (1-a)(1-b) carries rounding of eps/(1-b)
-    # relative, and construct_channel's regime re-test refused the point.
+    # relative, and a regime re-test of the adjusted targets refused it.
     (1.0493554174245998e-43, (5.143979738162221, 8.240567075045707,
                               5.6952894000872334e-05, 7.674316418315996),
      2.0099118019517234e-49, 3.571962216736635e-48),
@@ -425,10 +366,14 @@ def test_certification_meets_the_bound_where_an_adjusted_target_nears_d1_star(
 def test_degenerate_adjust_names_targets_without_excess():
     # d1_star = 6e-313 is subnormal: the floors keep no digits, and the
     # excess over them rounds to 0 (a bare ZeroDivisionError before).
+    # Certification refuses the point earlier, for its subnormal bound, so
+    # only a direct call reaches this guard.
     source = GaussianSource(2.27674076911379e-298)
     rates = RateTuple(16.76382027343233, 12.932615815208477, 0.0, 0.0)
+    d2, d3 = 5e-324, 6.25812601136e-313
+    d1s = dr_bound(source, rates, UNCONSTRAINED, d2, d3).d1_star
     with pytest.raises(InvalidRegimeInput, match="no excess"):
-        degenerate_adjust(source, rates, 5e-324, 6.25812601136e-313)
+        channel_module._adjust(rates, d1s, d2, d3)
 
 
 @pytest.mark.parametrize("variance, rates, d2, d3", [

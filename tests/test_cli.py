@@ -640,9 +640,15 @@ def _unreadable(path) -> str:
      "cannot read scenario file {latin1}: {undecodable}"),
     (["discrete", "--pmf", "{latin1}"], None,
      "cannot read pmf file {latin1}: {undecodable}"),
+    # A key that names no option of the command was dropped without a word.
+    (["dr-bound", "--rates", "0,0.5,0.5,0", "--d", "inf,0.45,0.45"], {"vra": 5},
+     "scenario file {scenario} sets unknown options: 'vra'"),
+    (["verify"], {"unit": "bits", "seed": 1, "scenario": "x.json"},
+     "scenario file {scenario} sets unknown options: 'unit', 'scenario'"),
 ], ids=["grid-two-pieces", "grid-count-text", "grid-count-one", "scenario-list",
         "scenario-rates-number", "scenario-unreadable", "pmf-unreadable",
-        "scenario-not-utf8", "pmf-not-utf8"])
+        "scenario-not-utf8", "pmf-not-utf8", "scenario-unknown-key",
+        "scenario-key-of-another-command"])
 def test_refused_option_is_a_usage_error(tmp_path, capsys, argv, scenario, message):
     missing, latin1 = tmp_path / "missing.json", tmp_path / "latin1.json"
     latin1.write_bytes('{"var": "\u00e9"}'.encode("latin-1"))

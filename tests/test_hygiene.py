@@ -1,8 +1,9 @@
 """Static hygiene of the package sources: no module imports a name it never
 uses, and no private helper outlives its last caller; every cross-reference
-in the documentation names something that exists; every CLI option is named
-by the command that takes it; every record is frozen or slotted by one rule;
-and the benchmark's imports load every module its tracer wraps."""
+in the docstrings and every backticked name in the README names something
+that exists; every CLI option is named by the command that takes it; every
+record is frozen or slotted by one rule; and the benchmark's imports load
+every module its tracer wraps."""
 
 from __future__ import annotations
 
@@ -145,6 +146,48 @@ def test_every_documented_cross_reference_resolves():
     assert not dangling, f"cross-references to nothing (module, role, target): {dangling}"
 
 
+#: A backticked ``module.name`` in the README, ``gaussrd.`` optional, and a
+#: backticked identifier; only identifiers with an underscore are checked.
+README_ATTRIBUTE = re.compile(r"`(?:gaussrd\.)?(\w+)\.(\w+)`")
+README_IDENTIFIER = re.compile(r"`([A-Za-z_]\w*)`")
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name a module binds anywhere, as a def, class, assignment,
+    dataclass field or parameter, and every string constant in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_readme_reference_resolves():
+    # ``module.name`` must be defined in that module of the package or of
+    # the tests; a file name such as ``model.py`` is skipped.  A snake_case
+    # name must be named somewhere in the package.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = {p: ast.parse(p.read_text(encoding="utf-8"))
+               for p in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]}
+    defined = {p.stem: _defined(tree) for p, tree in sources.items()}
+    package = set().union(*(_named(tree) for p, tree in sources.items()
+                            if p.parent == SRC))
+    attributes = [(module, name) for module, name in README_ATTRIBUTE.findall(readme)
+                  if module in defined and name != "py"]
+    identifiers = [name for name in README_IDENTIFIER.findall(readme) if "_" in name]
+    assert attributes and identifiers
+    dangling = ([f"{module}.{name}" for module, name in attributes
+                 if name not in defined[module]]
+                + [name for name in identifiers if name not in package])
+    assert not dangling, f"README names what does not exist: {dangling}"
+
+
 #: The modules on the scalar command-line path, which must load without numpy.
 NUMPY_FREE = ("__init__", "cli", "model", "regions", "analysis", "errors")
 
@@ -243,7 +286,6 @@ CLAMP_BY_COMPARISON = {
 MODEL_TESTS = {
     ("regions", "rd_bound"): "_require_floors",
     ("regions", "converse_witness"): "_over_ceiling",
-    ("channel", "_checked_bound"): "_over_ceiling",
 }
 
 

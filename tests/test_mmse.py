@@ -14,13 +14,11 @@ from gaussrd import (
     DimensionMismatch,
     GaussianSource,
     GaussRdError,
-    OutOfRegime,
     RateTuple,
     SingularObservation,
     assemble_msr_covariance,
     conditional_mmse,
     certify_achievability,
-    construct_channel,
     mc_estimate_mse,
 )
 from gaussrd.channel import TestChannel as ForwardChannel
@@ -146,7 +144,7 @@ def _hand_built_channel():
     """Unit source, all rates 0.5, side targets in the non-degenerate regime."""
     source = GaussianSource(variance=1.0)
     rates = RateTuple(0.5, 0.5, 0.5, 0.5)
-    channel = construct_channel(source, rates, 0.16, 0.16)
+    channel = certify_achievability(source, rates, 0.16, 0.16).channel
     return source, rates, channel
 
 
@@ -201,7 +199,8 @@ def test_assembled_covariance_replaces_infinite_branches():
     # Zero refinement rate: sigma4^2 = inf; the U4 row becomes a unit-variance
     # placeholder independent of everything else.
     source = GaussianSource(variance=1.0)
-    channel = construct_channel(source, RateTuple(0.5, 0.5, 0.5, 0.0), 0.16, 0.16)
+    channel = certify_achievability(source, RateTuple(0.5, 0.5, 0.5, 0.0), 0.16,
+                                    0.16).channel
     assert math.isinf(channel.sigma4_sq)
     cov = assemble_msr_covariance(source, channel).entries
     assert cov[IDX_U4, IDX_U4] == 1.0
@@ -228,10 +227,10 @@ def test_scalar_chain_matches_conditional_mmse_on_the_assembled_covariance():
         d1s = math.exp(-2.0 * rates.r1)
         d2 = d1s * math.exp(-2.0 * rates.r2 * rng.uniform(0.2, 0.95))
         d3 = d1s * math.exp(-2.0 * rates.r3 * rng.uniform(0.2, 0.95))
-        try:
-            channel = construct_channel(source, rates, d2, d3)
-        except OutOfRegime:  # degenerate draws have no forward channel
+        record = certify_achievability(source, rates, d2, d3)
+        if record.adjustment is not None:  # keep to non-degenerate draws
             continue
+        channel = record.channel
         cov = assemble_msr_covariance(source, channel)
         chain = _msr_distortions(source.variance, channel)
         for value, obs in zip(chain, observed):
@@ -296,7 +295,7 @@ def test_mc_estimate_empty_observation_recovers_prior():
 def test_mc_estimate_matches_layered_channel_distortion():
     source = GaussianSource(variance=1.0)
     rates = RateTuple(0.5, 0.5, 0.5, 0.5)
-    channel = construct_channel(source, rates, 0.16, 0.16)
+    channel = certify_achievability(source, rates, 0.16, 0.16).channel
     cov = assemble_msr_covariance(source, channel)
     analytic = conditional_mmse(
         cov, IDX_XPRIME, (IDX_U2, IDX_U3, IDX_U4)).error_variance
@@ -315,18 +314,16 @@ def test_mc_estimate_rejects_non_integer_sample_counts():
 
 
 def _channel_covariance(variance: float, seed: int) -> CovarianceMatrix:
-    """Covariance of the first sampled instance whose channel exists; zero
-    rates (pure-noise rows) are drawn too."""
+    """Covariance of the first sampled instance off the degenerate regime;
+    zero rates (pure-noise rows) are drawn too."""
     source = GaussianSource(variance)
     rng = make_rng(seed)
     while True:
         rates, d2, d3 = sample_feasible_instance(rng, max_rate=2.0)
-        try:
-            channel = construct_channel(source, rates, d2 * variance,
-                                        d3 * variance)
-        except OutOfRegime:
-            continue
-        return assemble_msr_covariance(source, channel)
+        record = certify_achievability(source, rates, d2 * variance,
+                                       d3 * variance)
+        if record.adjustment is None:
+            return assemble_msr_covariance(source, record.channel)
 
 
 @st.composite

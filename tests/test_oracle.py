@@ -267,7 +267,7 @@ def test_rearrangements_equal_their_textbook_forms():
     assert zero(a * b - (1 - a) * (1 - b) - (a + b - 1))
     assert zero(a * b / (a + b - a * b) - 1 / (1 / a + 1 / b - 1))
 
-    # construct_channel in side ratios a = d2/d1, b = d3/d1, t_i = sigma_i/d1.
+    # channel._channel in side ratios a = d2/d1, b = d3/d1, t_i = sigma_i/d1.
     d1, d2, d3, rho = sympy.symbols("d1 d2 d3 rho")
     S2, S3 = sympy.symbols("S2 S3", positive=True)  # sqrt(sigma2), sqrt(sigma3)
     ra, rb = d2 / d1, d3 / d1

@@ -24,7 +24,6 @@ from gaussrd import (
     Regime,
     UNCONSTRAINED,
     certify_achievability,
-    construct_channel,
     converse_witness,
     default_grid,
     dr_bound,
@@ -36,7 +35,8 @@ from gaussrd import (
 )
 from gaussrd import regions
 from gaussrd.errors import NegativeDelta
-from gaussrd.model import FEASIBILITY_RTOL, _floor_margins, _require_floors
+from gaussrd.model import (FEASIBILITY_RTOL, _floor_margins, _over_ceiling,
+                           _require_floors)
 from gaussrd.regions import (BOUNDARY_RTOL, EquivalenceReport, GridSpec,
                              rate_to_reach)
 
@@ -335,9 +335,9 @@ def test_both_characterizations_refuse_the_same_first_layer_targets():
 
 def test_witness_and_channel_share_the_side_target_ceiling():
     # d2 up to 2.5e-12 above d1* at r2 = 0, d3 on its floor, so pi = delta =
-    # 0 and the channel is buildable: the witness's OutOfRegime and the
-    # channel's "clamp it first" come from one ceiling test, so they fire
-    # together.
+    # 0: the witness's OutOfRegime comes from model._over_ceiling, the one
+    # ceiling test, so it fires exactly where that test flags d2 (the channel
+    # clamps d2 to d1* instead).
     rng = make_rng(2102)
     refused = 0
     for _ in range(2000):
@@ -347,14 +347,9 @@ def test_witness_and_channel_share_the_side_target_ceiling():
         d2, d3 = d1s * (1.0 + rng.uniform(0.0, 2.5e-12)), d1s * math.exp(-1.0)
         out = _refuses(OutOfRegime, converse_witness, source, rates, UNCONSTRAINED,
                        d2, d3)
-        try:
-            construct_channel(source, rates, d2, d3)
-            clamp = False
-        except InfeasibleDistortion as exc:
-            assert "clamp it first" in str(exc)
-            clamp = True
-        assert out is clamp
-        refused += clamp
+        over = _over_ceiling(d2, dr_bound(source, rates, UNCONSTRAINED, d2, d3).d1_star)
+        assert out is over
+        refused += over
     assert 0 < refused < 2000
 
 
