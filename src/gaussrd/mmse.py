@@ -210,7 +210,9 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     mean and standard deviation run over all residuals at once, the latter in
     place but with numpy's own operation sequence, so the result is bit for
     bit that of drawing every sample in one array.  ``samples`` must be an
-    int of at least 1000 (:class:`ValueError` otherwise).
+    int of at least 1000 (:class:`ValueError` otherwise).  An estimate or
+    error bar that leaves the double range is returned as it comes out, inf
+    or NaN; the caller decides what a non-finite one means.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"samples must be an int, got {samples!r}")
@@ -230,11 +232,14 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
         draws = z @ factor.T
         predicted = draws[:, observed] @ est.coefficients if observed else 0.0
         sq[start:start + len(z)] = (draws[:, target_index] - predicted) ** 2
-    mean = sq.mean()
-    # ``sq.std(ddof=1)``'s own steps, run in place of its full-size temporary.
-    sq -= mean
-    sq *= sq
-    std_error = math.sqrt(sq.sum() / (samples - 1)) / math.sqrt(samples)
+    # Past a variance of about 1e154 the squared deviations overflow; the
+    # error bar is then returned as inf, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = sq.mean()
+        # ``sq.std(ddof=1)``'s own steps, run in place of its full-size temporary.
+        sq -= mean
+        sq *= sq
+        std_error = math.sqrt(sq.sum() / (samples - 1)) / math.sqrt(samples)
     return float(mean), std_error
 
 

@@ -12,6 +12,15 @@ math.inf`` for a rate).  Only a value it does not admit goes through the
 ``_require_*`` chain, which refuses it with its exception and message, or
 accepts it (an ``int``, say).  The first test admits nothing the chain would
 refuse, so it changes no outcome.
+
+The floor and ceiling tests are accept-first too.  :func:`_checked_d1_star`
+admits a target that is :data:`UNCONSTRAINED` or a ``float`` at or above a
+positive floor, the floors formed as :func:`_floor_margins` forms them;
+:func:`_require_d1_floor` does the same for ``d1`` alone, and
+:func:`_over_ceiling` answers ``False`` at once for a ``float`` at or below
+``d1_star``.  Anything else, NaN, zero, an ``int`` or a floor that underflowed
+to 0, goes through the margins and :func:`_require_floors`, which keep every
+refusal's exception and message.
 """
 
 from __future__ import annotations
@@ -190,7 +199,15 @@ def _require_floors(names: str, targets: tuple, margins: tuple[float, ...]) -> N
 
 def _over_ceiling(d: float, d1_star: float) -> bool:
     """The one ceiling test: ``(d - d1_star)/d1_star > FEASIBILITY_RTOL``."""
+    if isinstance(d, float) and d <= d1_star:
+        return False
     return _margin(d, d1_star) > FEASIBILITY_RTOL
+
+
+def _require_d1_floor(d1: float | Unconstrained, d1_star: float) -> None:
+    """The floor test of ``d1`` alone, over ``d1_star``."""
+    if not (d1 is UNCONSTRAINED or isinstance(d1, float) and 0.0 < d1_star <= d1):
+        _require_floors("d1", (d1,), (_margin(d1, d1_star),))
 
 
 def _checked_d1_star(source: GaussianSource, rates: RateTuple,
@@ -198,6 +215,14 @@ def _checked_d1_star(source: GaussianSource, rates: RateTuple,
                      d3: float | Unconstrained) -> float:
     """``d1_star = var exp(-2 r1)``, once the three targets clear their floors."""
     d1s = source.variance * math.exp(-2.0 * rates.r1)
+    # Each floor is formed as _floor_margins forms it, and in its order, so
+    # an exp that raises raises here as it would there.
+    if d1 is UNCONSTRAINED or isinstance(d1, float) and 0.0 < d1s <= d1:
+        f2 = d1s * math.exp(-2.0 * rates.r2)
+        if d2 is UNCONSTRAINED or isinstance(d2, float) and 0.0 < f2 <= d2:
+            f3 = d1s * math.exp(-2.0 * rates.r3)
+            if d3 is UNCONSTRAINED or isinstance(d3, float) and 0.0 < f3 <= d3:
+                return d1s
     _require_floors("d1, d2, d3", (d1, d2, d3), _floor_margins(d1s, rates, d1, d2, d3))
     return d1s
 

@@ -33,7 +33,7 @@ from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
 from .model import (FEASIBILITY_RTOL, LN2, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, Unconstrained,
-                    _checked_d1_star, _margin, _over_ceiling, _require_floors,
+                    _checked_d1_star, _margin, _over_ceiling, _require_d1_floor,
                     _require_rate)
 
 #: Relative half-width of the band around regime boundaries inside which the
@@ -291,13 +291,24 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
     Numeric counterpart of :func:`converse_witness`; the two are compared in
     the self-verification suite.  Returns ``(eps, t(eps))`` at the maximizer
     inside ``var * [EPS_LO, EPS_HI]``.
+
+    ``t(eps)`` is a ratio of products of two distortions each, so it is
+    evaluated on ``var``, ``d1_star``, ``d2`` and ``d3`` scaled once by the
+    power of two ``2**-k`` that brings ``var`` into ``[0.5, 1)``.  The scaling
+    is exact: wherever the unscaled products stay in the double range, every
+    ``t`` is the same double, and at any variance they stay in range as they
+    do at unit variance.  Unscaled, ``(d2 + eps)(d3 + eps)`` overflows above a
+    variance of about 1e153 and loses digits to underflow below about 1e-150.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
     rate_sum = rates.r2 + rates.r3
     var = source.variance
+    k = -math.frexp(var)[1]
+    var_k, d1s_k, d2_k, d3_k = (math.ldexp(var, k), math.ldexp(d1s, k),
+                                math.ldexp(d2, k), math.ldexp(d3, k))
 
     def f(x: float) -> float:
-        return t_of_epsilon(var * math.exp(x), d1s, d2, d3, rate_sum)
+        return t_of_epsilon(var_k * math.exp(x), d1s_k, d2_k, d3_k, rate_sum)
 
     lo, hi = math.log(EPS_LO), math.log(EPS_HI)
     span = abs(lo) if abs(lo) > 1.0 else 1.0
@@ -368,6 +379,19 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _require_rd_inputs(r1: float, r4: float, dist) -> None:
+    """:func:`rd_bound`'s input checks: nonnegative finite rates, positive
+    targets (``d1`` may be :data:`UNCONSTRAINED`)."""
+    _require_rate("r1", r1)
+    _require_rate("r4", r4)
+    d1 = dist.d1
+    if d1 is not UNCONSTRAINED and not d1 > 0:
+        raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
+    for name, value in (("d2", dist.d2), ("d3", dist.d3), ("d4", dist.d4)):
+        if not value > 0:
+            raise InfeasibleDistortion(f"{name} must be positive, got {value}")
+
+
 def rd_bound(source: GaussianSource, r1: float, r4: float,
              dist) -> RdBoundResult:
     """Rate requirements on (r2, r3) for the targets in ``dist``.
@@ -388,17 +412,17 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     distortion-side characterization of :func:`dr_bound`.
     """
     sx2 = source.variance
-    _require_rate("r1", r1)
-    _require_rate("r4", r4)
-    d1 = dist.d1
-    if d1 is not UNCONSTRAINED and not d1 > 0:
-        raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
-    for name, value in (("d2", dist.d2), ("d3", dist.d3), ("d4", dist.d4)):
-        if not value > 0:
-            raise InfeasibleDistortion(f"{name} must be positive, got {value}")
+    # Accept-first: float rates in range, then the chain's own comparisons of
+    # the targets, in its order.
+    if not (isinstance(r1, float) and 0.0 <= r1 < math.inf
+            and isinstance(r4, float) and 0.0 <= r4 < math.inf
+            and ((d1 := dist.d1) is UNCONSTRAINED or d1 > 0)
+            and dist.d2 > 0 and dist.d3 > 0 and dist.d4 > 0):
+        _require_rd_inputs(r1, r4, dist)
+        d1 = dist.d1
     r1_star = rate_to_reach(1.0 if d1 is UNCONSTRAINED else d1 / sx2, "d1/var")
     d1s = sx2 * math.exp(-2.0 * r1)
-    _require_floors("d1", (d1,), (_margin(d1, d1s),))
+    _require_d1_floor(d1, d1s)
     a, b = _side_ratios(d1s, dist.d2, dist.d3)
     r2_bound = rate_to_reach(a, "a = d2_hat/d1_star")
     r3_bound = rate_to_reach(b, "b = d3_hat/d1_star")

@@ -19,6 +19,7 @@ import os
 import numpy as np
 
 from .channel import certify_achievability
+from .errors import InvalidRegimeInput
 from .mmse import (IDX_U1, IDX_U2, IDX_U3, IDX_U4, IDX_X,
                    assemble_msr_covariance, conditional_mmse, mc_estimate_mse)
 from .model import (DEFAULT_GRID_DENSITY, DEFAULT_SEED, UNCONSTRAINED,
@@ -174,6 +175,12 @@ def run_verification(variance: float = 1.0, seed: int = DEFAULT_SEED,
             helper.result()
     worst = 0.0
     for (analytic, *_), (estimate, std_error) in zip(trials, results):
+        if not (math.isfinite(estimate) and math.isfinite(std_error)):
+            # An infinite error bar would pass any estimate.
+            raise InvalidRegimeInput(
+                f"Monte Carlo estimate {estimate} with standard error {std_error} "
+                f"is not finite at variance {variance}; the squared residuals "
+                f"leave the double range")
         if std_error > 0:
             z = abs(estimate - analytic) / std_error
         else:

@@ -1,0 +1,233 @@
+"""The accept-first checks on the per-call scalar path change no outcome.
+
+Each site first admits, with one comparison chain, inputs that its check
+chain admits with certainty; any other input takes the chain.  These tests
+pit each site against its chain alone, on the returned value or on the
+exception's type and message, over seeded draws of targets placed around
+their floors (a few ulps either side, and around the ``FEASIBILITY_RTOL``
+band), non-positive, NaN, infinite, ``int`` and :data:`UNCONSTRAINED`
+values, at variances from subnormal to 1e300.  A counted guard then checks
+that an interior point never enters the floor helpers.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+import sys
+from collections import Counter
+from types import SimpleNamespace
+
+from gaussrd import channel, regions
+from gaussrd.channel import TestChannel as ForwardChannel
+from gaussrd.errors import GaussRdError
+from gaussrd.model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
+                           GaussianSource, RateTuple, _checked_d1_star,
+                           _floor_margins, _margin, _over_ceiling,
+                           _require_d1_floor, _require_floors)
+
+from conftest import make_rng
+
+EPS = sys.float_info.epsilon
+VARIANCES = (5e-324, 1e-310, 1e-300, 1e-154, 1e-9, 1.0, 3.7, 1e9, 1e154, 1e300)
+#: Rates, a few of them ints, up to where d1_star underflows at unit variance.
+RATES = (0.0, 1e-300, 1e-12, 0.25, 0.5, 1.5, 3.0, 20.0, 372.0, 400.0, 0, 2)
+#: Targets with no floor to sit around.
+SPECIAL = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1, 0, -3,
+           10 ** 400, UNCONSTRAINED)
+#: Relative offsets below a floor: inside and outside the 1e-12 band.
+BAND = (0.5, 0.99, 1.01, 1.5, 2.0, 3.0)
+
+DRAWS = 4000
+
+
+def _word(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _outcome(call, *args):
+    """``(None, bits)`` of what ``call`` returns, or the type and message of
+    what it raises."""
+    try:
+        result = call(*args)
+    except Exception as exc:  # noqa: BLE001 - every refusal is compared
+        return type(exc), str(exc)
+    return None, _word(result)
+
+
+def _around(floor: float) -> list:
+    """Targets a few ulps either side of ``floor``, across the 1e-12 band
+    below it, and the values with no floor to sit around."""
+    near = [floor * (1.0 + k * EPS) for k in range(-4, 5)]
+    band = [floor * (1.0 - m * FEASIBILITY_RTOL) for m in BAND]
+    return near + band + [math.nextafter(floor, 0.0), math.nextafter(floor, math.inf),
+                          2.0 * floor] + list(SPECIAL)
+
+
+def _pick(rng, values):
+    return values[int(rng.integers(len(values)))]
+
+
+def _instances(seed: int):
+    """Seeded ``(source, rates, d1_star, f2, f3)``, the floors formed as the
+    floor test forms them."""
+    rng = make_rng(seed)
+    for _ in range(DRAWS):
+        source = GaussianSource(_pick(rng, VARIANCES))
+        rates = RateTuple(*(_pick(rng, RATES) for _ in range(4)))
+        d1s = source.variance * math.exp(-2.0 * rates.r1)
+        yield (rng, source, rates, d1s, d1s * math.exp(-2.0 * rates.r2),
+               d1s * math.exp(-2.0 * rates.r3))
+
+
+def _chain_d1_star(source, rates, d1, d2, d3):
+    d1s = source.variance * math.exp(-2.0 * rates.r1)
+    _require_floors("d1, d2, d3", (d1, d2, d3), _floor_margins(d1s, rates, d1, d2, d3))
+    return d1s
+
+
+def test_floor_test_decides_as_its_chain():
+    u = UNCONSTRAINED
+    for rng, source, rates, d1s, f2, f3 in _instances(29):
+        d1, d2, d3 = _pick(rng, _around(d1s)), _pick(rng, _around(f2)), _pick(rng, _around(f3))
+        # All three drawn, then each alone with the other two unconstrained.
+        for targets in ((d1, d2, d3), (d1, u, u), (u, d2, u), (u, u, d3)):
+            assert (_outcome(_checked_d1_star, source, rates, *targets)
+                    == _outcome(_chain_d1_star, source, rates, *targets)), (source, rates, targets)
+
+
+def test_floor_test_admits_each_target_at_and_above_its_floor():
+    # The accept chain must not leave these to the chain by accident: the
+    # counted guard below reads the calls, this reads the values.
+    source, rates = GaussianSource(3.7), RateTuple(0.3, 0.5, 1.25, 0.0)
+    d1s = 3.7 * math.exp(-0.6)
+    for d2 in (d1s * math.exp(-1.0), math.nextafter(d1s * math.exp(-1.0), math.inf), d1s):
+        assert _checked_d1_star(source, rates, d1s, d2, UNCONSTRAINED) == d1s
+
+
+def test_d1_floor_test_decides_as_its_chain():
+    def chain(d1, d1s):
+        _require_floors("d1", (d1,), (_margin(d1, d1s),))
+
+    for rng, _, _, d1s, _, _ in _instances(30):
+        d1 = _pick(rng, _around(d1s))
+        assert _outcome(_require_d1_floor, d1, d1s) == _outcome(chain, d1, d1s), (d1, d1s)
+
+
+def test_ceiling_test_decides_as_its_chain():
+    for rng, _, _, d1s, _, _ in _instances(31):
+        ceiling = [d1s * (1.0 + k * EPS) for k in range(-4, 5)]
+        ceiling += [d1s * (1.0 + m * FEASIBILITY_RTOL) for m in BAND]
+        d = _pick(rng, ceiling + list(SPECIAL))
+        assert (_outcome(_over_ceiling, d, d1s)
+                == _outcome(lambda: _margin(d, d1s) > FEASIBILITY_RTOL)), (d, d1s)
+
+
+#: Rates rd_bound refuses or admits only through its chain.
+BAD_RATES = (-1.0, -0.0, math.nan, math.inf, -math.inf, True, 10 ** 400, "0.5", 3)
+
+
+def _chain_rd_bound(source, r1, r4, dist):
+    """rd_bound's checks alone, in its order, up to its floor test of d1."""
+    regions._require_rd_inputs(r1, r4, dist)
+    d1 = dist.d1
+    regions.rate_to_reach(1.0 if d1 is UNCONSTRAINED else d1 / source.variance, "d1/var")
+    d1s = source.variance * math.exp(-2.0 * r1)
+    _require_floors("d1", (d1,), (_margin(d1, d1s),))
+
+
+def test_rd_bound_checks_decide_as_their_chain():
+    rng = make_rng(32)
+    for _ in range(DRAWS):
+        source = GaussianSource(_pick(rng, VARIANCES))
+        r1, r4 = (_pick(rng, RATES + BAD_RATES) for _ in range(2))
+        try:
+            d1s = source.variance * math.exp(-2.0 * r1)
+        except (TypeError, OverflowError):
+            d1s = 1.0
+        # Not 10**400: both routes admit it, and the bound then overflows.
+        targets = [1e-3, 0.5, 2.0, 1e300] + [v for v in SPECIAL[:-1] if v != 10 ** 400]
+        dist = SimpleNamespace(d1=_pick(rng, _around(d1s)), d2=_pick(rng, targets),
+                               d3=_pick(rng, targets), d4=_pick(rng, targets))
+        chain = _outcome(_chain_rd_bound, source, r1, r4, dist)
+        site = _outcome(regions.rd_bound, source, r1, r4, dist)
+        if chain[0] is not None:
+            assert site == chain, (source, r1, r4, dist)
+        else:
+            # Past its checks rd_bound refuses only as a GaussRdError.
+            assert site[0] is None or issubclass(site[0], GaussRdError), (
+                source, r1, r4, dist, site)
+
+
+#: Values for each TestChannel field: admissible ones first, then others.
+CHANNEL_FIELDS = {
+    "sigma1_sq": ((1.0, math.inf, 5e-324, 1e308, 2), (0.0, -0.0, -1.0, math.nan, -math.inf, "1")),
+    "sigma2_sq": ((2.0, math.inf, 5e-324, 1e308, 10 ** 400), (0.0, -1.0, math.nan, None)),
+    "sigma3_sq": ((3.0, math.inf, 5e-324, 1), (0.0, -0.0, math.nan, -math.inf)),
+    "sigma4_sq": ((math.inf, 0.5, 5e-324), (0.0, -1.0, math.nan)),
+    "rho": ((-0.5, -1.0, 0.0, -0.0, -1, 0, -5e-324),
+            (math.nextafter(-1.0, -2.0), 5e-324, 1.0, math.nan, -math.inf, "0")),
+    "d4_star": ((0.1, 5e-324, 1e308, 3), (0.0, -0.0, math.inf, math.nan, -1.0, 10 ** 400)),
+    "q": ((0.75, 1.0, 5e-324, 1), (0.0, math.nextafter(1.0, 2.0), math.nan, math.inf, -0.5)),
+}
+
+
+def _build_channel(fields: dict) -> None:
+    ForwardChannel(**fields)
+
+
+def test_channel_record_decides_as_its_chain():
+    rng = make_rng(33)
+    for _ in range(DRAWS):
+        fields = {name: _pick(rng, good if rng.random() < 0.85 else bad)
+                  for name, (good, bad) in CHANNEL_FIELDS.items()}
+        assert (_outcome(_build_channel, fields)
+                == _outcome(channel._require_channel, SimpleNamespace(**fields))), fields
+
+
+def _floor_helper_calls(call) -> Counter:
+    """Calls of the model's floor helpers made by ``call()``."""
+    calls = Counter()
+    names = {"_margin", "_floor_margins", "_require_floors"}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in names:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_an_interior_point_makes_no_floor_helper_call():
+    # A bench ``point`` op; with the chains alone it made 12 _margin, 3
+    # _floor_margins and 4 _require_floors calls.
+    rates, d2, d3, variance = RateTuple(0.3, 0.5, 1.25, 0.4), 2.0, 1.2, 3.7
+    source = GaussianSource(variance)
+    d1s = variance * math.exp(-2.0 * rates.r1)
+
+    def op():
+        bound = regions.dr_bound(source, rates, d1s, d2, d3)
+        regions.rd_bound(source, rates.r1, rates.r4,
+                         DistortionTuple(d1s, d2, d3, bound.d4_bound))
+        regions.converse_witness(source, rates, d1s, d2, d3)
+        channel.certify_achievability(source, rates, d2, d3)
+
+    op()
+    assert _floor_helper_calls(op) == Counter()
+
+
+def test_a_target_one_ulp_below_its_floor_reaches_the_floor_test():
+    rates, variance = RateTuple(0.3, 0.5, 1.25, 0.4), 3.7
+    source = GaussianSource(variance)
+    d1s = variance * math.exp(-2.0 * rates.r1)
+    d2 = math.nextafter(d1s * math.exp(-2.0 * rates.r2), 0.0)
+    calls = _floor_helper_calls(lambda: regions.dr_bound(source, rates, d1s, d2, 1.2))
+    assert calls["_require_floors"] == 1 and calls["_floor_margins"] == 1
+    calls = _floor_helper_calls(lambda: regions.rd_bound(
+        source, rates.r1, rates.r4,
+        DistortionTuple(math.nextafter(d1s, 0.0), 2.0, 1.2, 0.5)))
+    assert calls["_require_floors"] == 1

@@ -284,7 +284,7 @@ CLAMP_BY_COMPARISON = {
 #: The functions that refuse a target against the first-layer floor, and the
 #: one test in model.py that each must call to do so.
 MODEL_TESTS = {
-    ("regions", "rd_bound"): "_require_floors",
+    ("regions", "rd_bound"): "_require_d1_floor",
     ("regions", "converse_witness"): "_over_ceiling",
 }
 

@@ -39,6 +39,7 @@ from gaussrd.model import (FEASIBILITY_RTOL, _floor_margins, _over_ceiling,
                            _require_floors)
 from gaussrd.regions import (BOUNDARY_RTOL, EquivalenceReport, GridSpec,
                              rate_to_reach)
+from gaussrd.selfcheck import sample_witness_instance
 
 from conftest import (
     GOLDEN_D2,
@@ -263,6 +264,35 @@ def test_witness_agrees_with_numeric_maximizer():
         # The closed form can never be beaten by the numeric search.
         assert t_num <= wit.t_bound * (1.0 + 1e-9)
         checked += 1
+
+
+@pytest.mark.parametrize("variance", [1e-300, 1e-154, 1e154, 1e300])
+def test_numeric_maximizer_meets_the_witness_at_extreme_variances(variance):
+    # Unscaled, (d2 + eps)(d3 + eps) overflows or underflows here: 1e154
+    # read residual 1.0, and the other three raised InvalidRegimeInput.
+    rng = make_rng(154)
+    source = GaussianSource(variance)
+    for _ in range(40):
+        rates, d2, d3 = sample_witness_instance(rng)
+        d2, d3 = d2 * variance, d3 * variance
+        wit = converse_witness(source, rates, UNCONSTRAINED, d2, d3)
+        eps, t_num = maximize_t_numeric(source, rates, UNCONSTRAINED, d2, d3)
+        assert abs(wit.t_bound - t_num) <= 1e-6 * wit.t_bound
+        assert regions.EPS_LO * variance <= eps <= regions.EPS_HI * variance
+
+
+@pytest.mark.parametrize("power", [-900, -512, 512, 900])
+def test_numeric_maximizer_is_exact_under_a_power_of_two_variance(power):
+    # A power-of-two variance scales every length exactly, so the maximizer
+    # returns the unit-variance t and a scaled eps, bit for bit.
+    rng = make_rng(155)
+    scale = 2.0 ** power
+    for _ in range(10):
+        rates, d2, d3 = sample_witness_instance(rng)
+        eps, t_num = maximize_t_numeric(GaussianSource(1.0), rates, UNCONSTRAINED, d2, d3)
+        assert (maximize_t_numeric(GaussianSource(scale), rates, UNCONSTRAINED,
+                                   d2 * scale, d3 * scale)
+                == (math.ldexp(eps, power), t_num))
 
 
 def test_t_of_epsilon_evaluates_the_witness_point():

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import threading
+import warnings
 
 import pytest
 
@@ -18,7 +19,7 @@ from gaussrd import (
     selfcheck,
 )
 import gaussrd.cli as cli
-from gaussrd.errors import SingularObservation
+from gaussrd.errors import InvalidRegimeInput, SingularObservation
 from gaussrd.mmse import IDX_U1, IDX_U3, conditional_mmse
 from gaussrd.model import DistortionTuple, UNCONSTRAINED
 from gaussrd.selfcheck import (
@@ -197,3 +198,16 @@ def test_achievability_fails_on_a_record_that_misses_its_bound(monkeypatch,
                              "worst_residual": 1.0, "count": 25 * grid_density,
                              "passed": False}
     assert not report["all_passed"]
+
+
+def test_a_non_finite_monte_carlo_error_bar_is_refused(capsys):
+    # At 1e154 the squared deviations overflow, the error bar is inf and
+    # every estimate scored z = 0: the check passed without a word.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidRegimeInput, match=r"not finite at variance 1e\+154"):
+            run_verification(variance=1e154, grid_density=2)
+        assert cli.main(["verify", "--grid-density", "2", "--var", "1e154"]) == cli.EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "InvalidRegimeInput"
