@@ -21,7 +21,8 @@ from .errors import InvalidChannel, InvalidRegimeInput
 from .mmse import _msr_distortions
 from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
                     Regime)
-from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
+from .regions import (_MATH, DrBoundResult, _delta, _exp_quotient, _side_ratios,
+                      dr_bound)
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
 CROSSCHECK_RTOL = 1e-10
@@ -122,8 +123,15 @@ def _channel(rates: RateTuple, d1s: float, a: float, b: float,
         omega = t2 * t3 * q
         rel_d4 = omega / (omega + t2 + t3 - 2.0 * rho * math.sqrt(t2 * t3))
     d4_star = d1s * rel_d4
-    sigma4_sq = (math.inf if rates.r4 == 0.0
-                 else d4_star / math.expm1(2.0 * rates.r4))
+    if rates.r4 == 0.0:
+        sigma4_sq = math.inf
+    else:
+        try:
+            sigma4_sq = d4_star / math.expm1(2.0 * rates.r4)
+        except OverflowError:
+            # Past exp(2 r4) = inf, d4_star exp(-2 r4) is the quotient to
+            # rounding.
+            sigma4_sq = _exp_quotient(d4_star, -2.0 * rates.r4, 1.0)
     sigma2_sq, sigma3_sq = d1s * t2, d1s * t3
     # An infinite noise variance means a zero rate; near the top of the
     # double range a small positive rate overflows to one.
@@ -227,7 +235,11 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     channel = _channel(rates, d1s, a, b, a_gap, b_gap)
     achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
     ach_d1, ach_d4 = achieved.d1, achieved.d4
-    closed_d4 = math.exp(-2.0 * rates.r4) * channel.d4_star
+    e4 = math.exp(-2.0 * rates.r4)
+    # A subnormal exp(-2 r4) has lost digits; the quotient formed as m 2^k
+    # keeps them.
+    closed_d4 = (e4 * channel.d4_star if e4 >= sys.float_info.min
+                 else _exp_quotient(channel.d4_star, -2.0 * rates.r4, 1.0))
     if abs(ach_d4 - closed_d4) > CROSSCHECK_RTOL * closed_d4:
         raise InvalidChannel(
             f"internal cross-check failed: MMSE d4={ach_d4} vs closed form {closed_d4}"

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from typing import NamedTuple
@@ -40,7 +39,7 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_INTERNAL = 4
 
-_UNCONSTRAINED_TOKENS = {"inf", "unconstrained", "unc", "none"}
+_UNCONSTRAINED_TOKENS = {"inf", "unconstrained"}
 
 
 class UsageError(Exception):
@@ -125,24 +124,22 @@ def _as_float(key: str, value) -> float:
     raise UsageError(f"option --{key} expects a number, got {value!r}")
 
 
-def _as_int(key: str, value) -> int:
-    # int() would truncate a scenario's 2.7 and read true (a bool) as 1.
-    if isinstance(value, str) or type(value) is int:
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise UsageError(f"option --{key} expects an integer, got {value!r}")
-
-
-def _env_int(name: str, default: int) -> int:
-    """The integer in environment variable ``name``, else ``default``."""
-    value = os.environ.get(name, default)
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise UsageError(f"environment variable {name} expects an integer, "
-                         f"got {value!r}") from exc
+def _at_least(low: int):
+    """Converter for an integer no smaller than ``low``."""
+    def convert(key: str, value) -> int:
+        # int() would truncate a scenario's 2.7 and read true (a bool) as 1.
+        if isinstance(value, str) or type(value) is int:
+            try:
+                number = int(value)
+            except ValueError:
+                pass
+            else:
+                if number < low:
+                    raise UsageError(f"option --{key} must be at least {low}, "
+                                     f"got {number}")
+                return number
+        raise UsageError(f"option --{key} expects an integer, got {value!r}")
+    return convert
 
 
 def _as_path(key: str, value) -> str:
@@ -215,8 +212,7 @@ class _Opt(NamedTuple):
 
     ``convert(flag, value)`` is the one check and conversion of the value,
     whether it comes from the flag (a string), a scenario file or the
-    default.  A ``None`` default makes the option required; a callable one
-    is called, with no argument, only when the option is left unset.
+    default.  A ``None`` default makes the option required.
     """
 
     flag: str
@@ -230,38 +226,38 @@ _UNIT = _Opt("unit", _as_unit, "nats", "unit for rate inputs and outputs (defaul
              "{nats,bits}")
 _GRID_HELP = "start:stop:count or comma list"
 
-#: (name, help, aliases, echo the inputs in the JSON output, options).  Every
+#: (name, help, echo the inputs in the JSON output, options).  Every
 #: subcommand also accepts ``--scenario``, and each that reads rates lists
 #: ``--unit`` last; the options are resolved, and echoed, in this order.
 _COMMANDS = (
-    ("dr-bound", "central-distortion bound at fixed rates", (), True, (
+    ("dr-bound", "central-distortion bound at fixed rates", True, (
         _Opt("var", _as_float, 1.0, "source variance (default 1)"),
         _Opt("rates", _as_floats(4), None, "r1,r2,r3,r4"),
         _Opt("d", _as_floats(3, unconstrained_first=True), None,
              "d1,d2,d3 (d1 may be 'inf' for unconstrained)"),
         _UNIT)),
-    ("rd-bound", "rate requirements at fixed distortions", (), True, (
+    ("rd-bound", "rate requirements at fixed distortions", True, (
         _Opt("var", _as_float, 1.0),
         _Opt("r1", _as_float, None),
         _Opt("r4", _as_float, None),
         _Opt("d", _as_floats(4, unconstrained_first=True), None,
              "d1,d2,d3,d4 (d1 may be 'inf')"),
         _UNIT)),
-    ("channel", "forward construction and certification", (), True, (
+    ("channel", "forward construction and certification", True, (
         _Opt("var", _as_float, 1.0),
         _Opt("rates", _as_floats(4), None, "r1,r2,r3,r4"),
         _Opt("d", _as_floats(2), None, "d2,d3"),
         _UNIT)),
-    ("discrete", "finite-alphabet bounds from a pmf file", (), True, (
+    ("discrete", "finite-alphabet bounds from a pmf file", True, (
         _Opt("pmf", _as_path, None, "path to the JSON configuration, or - for stdin"),
         _UNIT)),
-    ("loss", "fixed-channel distortion penalty sweep", (), False, (
+    ("loss", "fixed-channel distortion penalty sweep", False, (
         _Opt("var", _as_float, 1.0),
         _Opt("alpha", _as_float, 1.0),
         _Opt("r3", _as_float, None),
         _Opt("r1-grid", _as_grid, None, _GRID_HELP),
         _UNIT)),
-    ("mdcr", "conditional-refinement vs re-budgeted comparison", (), False, (
+    ("mdcr", "conditional-refinement vs re-budgeted comparison", False, (
         _Opt("var", _as_float, 1.0),
         _Opt("r2", _as_float, None),
         _Opt("r3", _as_float, None),
@@ -270,26 +266,25 @@ _COMMANDS = (
         _Opt("d3", _as_float, None),
         _Opt("r4-grid", _as_grid, None, _GRID_HELP),
         _UNIT)),
-    ("asymptote", "high-rate asymptote convergence table", (), False, (
+    ("asymptote", "high-rate asymptote convergence table", False, (
         _Opt("b", _as_float, 1.0),
         _Opt("eta", _as_float, 0.0),
         _Opt("r-grid", _as_grid, None, _GRID_HELP),
         _UNIT)),
     ("sweep-wz-md",
-     "sweep the second user's target: binning vs plain two-description",
-     ("sweep-fig3",), False, (
+     "sweep the second user's target: binning vs plain two-description", False, (
          _Opt("var", _as_float, 1.0),
          _Opt("r1", _as_float, 1.0),
          _Opt("r2", _as_float, 0.5),
          _Opt("r3", _as_float, 1.0),
          _Opt("r4", _as_float, 0.5),
-         _Opt("points", _as_int, 200),
+         _Opt("points", _at_least(2), 200),
          _UNIT)),
-    ("verify", "seeded end-to-end self-verification", (), False, (
+    ("verify", "seeded end-to-end self-verification", False, (
         _Opt("var", _as_float, 1.0),
-        _Opt("seed", _as_int, lambda: _env_int("GAUSSRD_SEED", DEFAULT_SEED),
-             "defaults to $GAUSSRD_SEED, then 12345"),
-        _Opt("grid-density", _as_int, DEFAULT_GRID_DENSITY,
+        # numpy's SeedSequence takes no negative seed.
+        _Opt("seed", _at_least(0), DEFAULT_SEED, "random seed (default 12345)"),
+        _Opt("grid-density", _at_least(2), DEFAULT_GRID_DENSITY,
              "points per swept grid axis (default 6)"))),
 )
 
@@ -313,7 +308,7 @@ def _resolve(args: argparse.Namespace, opts: tuple[_Opt, ...]) -> dict:
             elif opt.default is None:
                 raise UsageError(f"missing required option --{opt.flag}")
             else:
-                value = opt.default() if callable(opt.default) else opt.default
+                value = opt.default
         values[opt.flag] = opt.convert(opt.flag, value)
     return values
 
@@ -438,14 +433,8 @@ def cmd_sweep_wz_md(o: dict) -> tuple:
 def cmd_verify(o: dict) -> dict:
     from . import selfcheck
 
-    density, seed = o["grid-density"], o["seed"]
-    if density < 2:
-        raise UsageError(f"grid density must be at least 2, got {density}")
-    # numpy's SeedSequence takes no negative seed.
-    if seed < 0:
-        raise UsageError(f"option --seed must be nonnegative, got {seed}")
-    return selfcheck.run_verification(variance=o["var"], seed=seed,
-                                      grid_density=density)
+    return selfcheck.run_verification(variance=o["var"], seed=o["seed"],
+                                      grid_density=o["grid-density"])
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +444,8 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
-    for name, help_, aliases, echo, opts in _COMMANDS:
-        p = sub.add_parser(name, help=help_, aliases=list(aliases))
+    for name, help_, echo, opts in _COMMANDS:
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--scenario", help="JSON file of option defaults")
         # Every value reaches _resolve as a string; its converter checks it.
         for opt in opts:

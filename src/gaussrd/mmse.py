@@ -74,11 +74,14 @@ class CovarianceMatrix:
         trace = float(np.trace(arr))
         if trace < 0:
             raise ValueError("covariance trace is negative")
-        eigs = np.linalg.eigvalsh(arr)
-        if eigs.min() < -PSD_RTOL * max(trace, 1e-300):
+        # The eigenvalues are taken of a copy scaled by a power of two to a
+        # trace in [0.5, 1), where the solver neither under- nor overflows.
+        e = math.frexp(trace)[1]
+        low = math.ldexp(float(np.linalg.eigvalsh(np.ldexp(arr, -e)).min()), e)
+        if low < -PSD_RTOL * max(trace, 1e-300):
             raise ValueError(
                 f"covariance is not positive semidefinite "
-                f"(min eigenvalue {eigs.min():.3e}, trace {trace:.3e})"
+                f"(min eigenvalue {low:.3e}, trace {trace:.3e})"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
@@ -222,6 +225,11 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     w, v = np.linalg.eigh(joint.entries)
     w = np.clip(w, 0.0, None)
     factor = v * np.sqrt(w)
+    # The draws come out in units of 2^e, near the target's standard
+    # deviation, so their squares stay in the double range at any variance;
+    # the mean and its error bar are scaled back by 4^e.
+    e = math.frexp(joint.entries[target_index, target_index])[1] // 2
+    factor = np.ldexp(factor, -e)
     observed = list(est.observed_indices)
     rng = np.random.default_rng(seed)
     block = np.empty((MC_CHUNK, joint.dim))
@@ -232,15 +240,14 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
         draws = z @ factor.T
         predicted = draws[:, observed] @ est.coefficients if observed else 0.0
         sq[start:start + len(z)] = (draws[:, target_index] - predicted) ** 2
-    # Past a variance of about 1e154 the squared deviations overflow; the
-    # error bar is then returned as inf, without a warning.
+    # An estimate past the double range is returned as inf, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = sq.mean()
         # ``sq.std(ddof=1)``'s own steps, run in place of its full-size temporary.
         sq -= mean
         sq *= sq
         std_error = math.sqrt(sq.sum() / (samples - 1)) / math.sqrt(samples)
-    return float(mean), std_error
+        return float(np.ldexp(mean, 2 * e)), float(np.ldexp(std_error, 2 * e))
 
 
 def assemble_msr_covariance(source: "GaussianSource",
@@ -254,30 +261,40 @@ def assemble_msr_covariance(source: "GaussianSource",
     pure-noise variable so the matrix stays 6x6 and every conditional MMSE is
     unaffected.  The noise parameters are not re-checked here:
     :class:`TestChannel` validates them on construction.
+
+    The entries are formed in units of ``2^k``, ``k = frexp(var)[1]``, so no
+    product in them under- or overflows, and scaled back once.
     """
-    sx2 = source.variance
-    s1 = channel.sigma1_sq
+    k = math.frexp(source.variance)[1]
+    sx2 = math.ldexp(source.variance, -k)
+    try:
+        s1, s2, s3, s4 = (math.ldexp(s, -k) for s in (
+            channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq, channel.sigma4_sq))
+    except OverflowError as exc:
+        raise ValueError("covariance entries must be finite: a noise variance "
+                         "exceeds the source variance by over 2^1023") from exc
     d1 = _residual_variance(sx2, s1, s1)
 
-    refinements = ((IDX_U2, channel.sigma2_sq), (IDX_U3, channel.sigma3_sq),
-                   (IDX_U4, channel.sigma4_sq))
+    refinements = ((IDX_U2, s2), (IDX_U3, s3), (IDX_U4, s4))
     # X' and every finite-noise description share var(X'), and only N2 and N3
-    # correlate; a zero-rate row is unit-variance pure noise.
+    # correlate.
     shared = [IDX_XPRIME] + [row for row, s in refinements if not math.isinf(s)]
     m = np.zeros((6, 6))
     m[np.ix_(shared, shared)] = d1
     for row, s in refinements:
-        m[row, row] = 1.0 if math.isinf(s) else d1 + s
-    s2, s3 = channel.sigma2_sq, channel.sigma3_sq
+        m[row, row] = d1 + s
     if not (math.isinf(s2) or math.isinf(s3)):
         m[IDX_U2, IDX_U3] = m[IDX_U3, IDX_U2] = d1 + channel.rho * math.sqrt(s2 * s3)
     # X = X' + E[X|U1] shares the residual's covariance with every refinement
     # description; cov(X', U1) = 0 by orthogonality of the residual.
     m[IDX_X, IDX_XPRIME:] = m[IDX_XPRIME:, IDX_X] = m[IDX_XPRIME, IDX_XPRIME:]
     m[IDX_X, IDX_X] = sx2
-    if math.isinf(s1):
-        m[IDX_U1, IDX_U1] = 1.0
-    else:
-        m[IDX_U1, IDX_U1] = sx2 + s1
+    m[IDX_U1, IDX_U1] = sx2 + s1
+    if not math.isinf(s1):
         m[IDX_X, IDX_U1] = m[IDX_U1, IDX_X] = sx2
+    m = np.ldexp(m, k)
+    # A zero-rate row is unit-variance pure noise.
+    for row, s in ((IDX_U1, s1), *refinements):
+        if math.isinf(s):
+            m[row, row] = 1.0
     return CovarianceMatrix(m)

@@ -222,13 +222,14 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
     regime = (Regime.DEGENERATE_PI_LESS_DELTA if degenerate
               else Regime.NON_DEGENERATE)
     exponent = -2.0 * rates.total()
-    numerator = source.variance * math.exp(exponent)
+    factor = math.exp(exponent)
+    numerator = source.variance * factor
     den = _penalty_den(a, b, delta)
-    if numerator >= sys.float_info.min:
+    if factor >= sys.float_info.min and numerator >= sys.float_info.min:
         d4_bound = numerator / den
     else:
-        # The numerator has left the normal range, though the quotient (den
-        # ~ exp(-2 r') at high side rates r') need not have.
+        # The factor or the numerator has left the normal range, though the
+        # quotient (den ~ exp(-2 r') at high side rates r') need not have.
         d4_bound = _exp_quotient(source.variance, exponent, den)
     return DrBoundResult(d1s, d1s if d1s < d2 else d2, d1s if d1s < d3 else d3,
                          pi, delta, d4_bound, regime)
@@ -299,8 +300,13 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
     ``t`` is the same double, and at any variance they stay in range as they
     do at unit variance.  Unscaled, ``(d2 + eps)(d3 + eps)`` overflows above a
     variance of about 1e153 and loses digits to underflow below about 1e-150.
+    Like the witness, it refuses side targets above ``d1_star`` with
+    :class:`OutOfRegime`.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
+    if _over_ceiling(d2, d1s) or _over_ceiling(d3, d1s):
+        raise OutOfRegime(
+            f"maximizer needs d2, d3 <= d1_star={d1s}, got d2={d2}, d3={d3}")
     rate_sum = rates.r2 + rates.r3
     var = source.variance
     k = -math.frexp(var)[1]
@@ -626,14 +632,15 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     ``rd_bound``'s sum bound and regime for every (block x side-target pair
     x d4) entry, which is all ``rd_bound`` reads.  The fallback takes,
     at the position where a per-point loop meets it, each flagged point (a
-    refusal the kernel hints at, or a numerator below the normal range,
-    whose quotient ``dr_bound`` forms by :func:`_exp_quotient`) through
+    refusal the kernel hints at, or an ``exp(-2 total)`` or numerator below
+    the normal range, whose quotient ``dr_bound`` forms by
+    :func:`_exp_quotient`) through
     ``dr_bound``, which raises, returns 0 (then the scan raises
     :class:`InvalidRegimeInput`: the margin has no value) or gives the bound,
     and each row ``_rd_block`` refuses through ``rd_bound``, after the
     ``dr_bound`` call at its pair's first feasible ``(r2, r3)``.  So the
-    errors and the first raise are a per-point loop's, and the regime keys
-    are ordered by where such a loop first meets them.  Verdicts are taken
+    errors and the first raise are a per-point loop's.  The regime counts
+    are keyed in the order low, slack, excess.  Verdicts are taken
     one ``d4`` column at a time over all blocks, so a temporary holds
     ``total_points / len(d4_values)`` doubles (16,384 at ``default_grid``
     k=8).  numpy is imported here, not when the module loads.
@@ -702,14 +709,17 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
         if not n_feasible:
             return report
 
-        numerators = np.array([sx2 * math.exp(-2.0 * (r1 + r2 + r3 + r4))
-                               for r1, r4, _ in blocks for r2, r3 in rate_pairs])
+        factors = np.array([math.exp(-2.0 * (r1 + r2 + r3 + r4))
+                            for r1, r4, _ in blocks for r2, r3 in rate_pairs])
+        numerators = sx2 * factors
         bound = numerators.reshape(n1, per_r1, n_pairs, 1) / den[:, None]
         # An infeasible point's bound is NaN, which no verdict decides.
         bound = np.where(feasible, bound.reshape(stacked), math.nan)
-        # dr_bound decides the points it may refuse, and those whose numerator
-        # lies below the normal range: it forms their quotient as m 2^k.
-        subnormal = (numerators < sys.float_info.min).reshape(n_blocks, n_pairs, 1)
+        # dr_bound decides the points it may refuse, and those whose factor
+        # or numerator lies below the normal range: it forms their quotient
+        # as m 2^k.
+        subnormal = ((factors < sys.float_info.min) | (numerators < sys.float_info.min)
+                     ).reshape(n_blocks, n_pairs, 1)
         flagged = feasible & (np.repeat(refusal, per_r1, axis=0) | subnormal)
         sums, codes, rd_refused = _rd_block(
             np, blocks, grid, *(np.repeat(t, per_r1, axis=0) for t in (d1s, a, b)))
@@ -742,15 +752,11 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
                     sums[blk, k, j] = rd.sum_bound
                     codes[blk, k, j] = _RD_REGIMES.index(rd.regime.value)
 
-        # Each regime's count, keyed in the order a per-point loop meets the
-        # regimes: a row's entries at its first use, in d4 order.
+        # Each regime's count, keyed in _RD_REGIMES order: a row's entries
+        # count once per use.
         counts = np.bincount(codes.ravel(), np.repeat(uses.ravel(), n4),
                              len(_RD_REGIMES)).tolist()
-        never = feasible.size * n4
-        meets = np.where(uses[:, :, None] > 0, met[:, :, None] * n4 + np.arange(n4), never)
-        for _, c in sorted((meets.min(where=codes == c, initial=never), c)
-                           for c, n in enumerate(counts) if n):
-            report.regime_counts[_RD_REGIMES[c]] = int(counts[c])
+        report.regime_counts = {key: int(n) for key, n in zip(_RD_REGIMES, counts) if n}
 
         # Verdicts one d4 column at a time over every block, into buffers
         # that every column reuses: fresh temporaries of this size cost more

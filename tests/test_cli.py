@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,7 +30,6 @@ CSV_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 def run_python(*argv: str, stdin: str | None = None, env: dict | None = None):
     """``python argv...`` in a fresh interpreter that imports this package."""
     full_env = dict(os.environ)
-    full_env.pop("GAUSSRD_SEED", None)
     paths = [str(Path(cli.__file__).resolve().parents[1]),
              full_env.get("PYTHONPATH", "")]
     full_env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
@@ -329,12 +329,10 @@ def test_asymptote_sweep_converges():
     assert abs(rows[-1][3] - 1.0) <= 0.05
 
 
-def test_sweep_endpoints_close_and_alias_identical():
-    main_run = run_cli("sweep-wz-md", "--points", "21")
-    alias_run = run_cli("sweep-fig3", "--points", "21")
-    assert main_run.returncode == alias_run.returncode == 0
-    assert main_run.stdout == alias_run.stdout
-    header, rows = parse_csv(main_run.stdout)
+def test_sweep_endpoints_close():
+    proc = run_cli("sweep-wz-md", "--points", "21")
+    assert proc.returncode == 0
+    header, rows = parse_csv(proc.stdout)
     assert header == ["d3", "d4_wz", "d4_md", "gap"]
     assert len(rows) == 21
     assert abs(rows[0][3]) <= 1e-9 * rows[0][2]
@@ -397,15 +395,6 @@ def test_verify_passes_and_is_deterministic():
         assert check["passed"] is True
 
 
-def test_verify_seed_env_variable_equals_flag():
-    via_env = run_cli("verify", "--grid-density", "2",
-                      env={"GAUSSRD_SEED": "777"})
-    via_flag = run_cli("verify", "--grid-density", "2", "--seed", "777")
-    assert via_env.returncode == via_flag.returncode == 0
-    assert via_env.stdout == via_flag.stdout
-    assert json.loads(via_env.stdout)["seed"] == 777
-
-
 def test_verify_output_does_not_depend_on_blas_threads():
     pinned = run_cli("verify", "--seed", "7",
                      env={"OPENBLAS_NUM_THREADS": "1"})
@@ -430,6 +419,17 @@ def test_verify_failure_maps_to_exit_code_three(monkeypatch, capsys):
     code = cli.main(["verify", "--grid-density", "2"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_verify_seed_comes_from_its_flag_else_a_constant(monkeypatch, capsys):
+    # No environment variable sets it.
+    seeds = []
+    monkeypatch.setenv("GAUSSRD_SEED", "777")
+    monkeypatch.setattr("gaussrd.selfcheck.run_verification",
+                        lambda **kwargs: seeds.append(kwargs["seed"]) or {})
+    assert cli.main(["verify"]) == cli.main(["verify", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert seeds == [12345, 7]
 
 
 def test_verify_rejects_tiny_grid_density():
@@ -512,44 +512,39 @@ def test_malformed_rate_list_is_a_usage_error():
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("argv, scenario, env, message", [
-    (["sweep-wz-md"], {"points": "abc"}, {},
-     "option --points expects an integer, got 'abc'"),
-    (["verify"], {"seed": "abc"}, {}, "option --seed expects an integer, got 'abc'"),
-    (["verify"], {"grid-density": "abc"}, {},
+@pytest.mark.parametrize("argv, scenario, message", [
+    (["sweep-wz-md"], {"points": "abc"}, "option --points expects an integer, got 'abc'"),
+    (["verify"], {"seed": "abc"}, "option --seed expects an integer, got 'abc'"),
+    (["verify"], {"grid-density": "abc"},
      "option --grid-density expects an integer, got 'abc'"),
-    (["verify"], None, {"GAUSSRD_SEED": "abc"},
-     "environment variable GAUSSRD_SEED expects an integer, got 'abc'"),
-    (["sweep-wz-md", "--points", "abc"], None, {},
+    (["sweep-wz-md", "--points", "abc"], None,
      "option --points expects an integer, got 'abc'"),
-    (["verify", "--seed", "abc"], None, {}, "option --seed expects an integer, got 'abc'"),
-    (["dr-bound", "--var", "abc", *SCALAR_ARGVS["dr-bound"]], None, {},
+    (["verify", "--seed", "abc"], None, "option --seed expects an integer, got 'abc'"),
+    (["dr-bound", "--var", "abc", *SCALAR_ARGVS["dr-bound"]], None,
      "option --var expects a number, got 'abc'"),
-    (["dr-bound", "--unit", "furlongs", *SCALAR_ARGVS["dr-bound"]], None, {},
+    (["dr-bound", "--unit", "furlongs", *SCALAR_ARGVS["dr-bound"]], None,
      "unknown unit 'furlongs'; use nats or bits"),
     # A JSON float or bool is refused as its flag's spelling is, not
     # truncated or read as 1.
-    (["sweep-wz-md"], {"points": 2.7}, {},
-     "option --points expects an integer, got 2.7"),
-    (["verify"], {"seed": True}, {}, "option --seed expects an integer, got True"),
-    (["dr-bound", *SCALAR_ARGVS["dr-bound"]], {"var": True}, {},
+    (["sweep-wz-md"], {"points": 2.7}, "option --points expects an integer, got 2.7"),
+    (["verify"], {"seed": True}, "option --seed expects an integer, got True"),
+    (["dr-bound", *SCALAR_ARGVS["dr-bound"]], {"var": True},
      "option --var expects a number, got True"),
     # numpy refuses a negative seed; the CLI refuses it first, from any source.
-    (["verify", "--seed", "-1"], None, {}, "option --seed must be nonnegative, got -1"),
-    (["verify"], {"seed": -2}, {}, "option --seed must be nonnegative, got -2"),
-    (["verify"], None, {"GAUSSRD_SEED": "-3"},
-     "option --seed must be nonnegative, got -3"),
-], ids=["scenario-points", "scenario-seed", "scenario-grid-density", "env-seed",
+    (["verify", "--seed", "-1"], None, "option --seed must be at least 0, got -1"),
+    (["verify"], {"seed": -2}, "option --seed must be at least 0, got -2"),
+    # Each bounded integer is checked by its converter, not by the command.
+    (["verify", "--grid-density", "1"], None,
+     "option --grid-density must be at least 2, got 1"),
+    (["sweep-wz-md", "--points", "1"], None, "option --points must be at least 2, got 1"),
+], ids=["scenario-points", "scenario-seed", "scenario-grid-density",
         "flag-points", "flag-seed", "flag-var", "flag-unit", "scenario-points-float",
         "scenario-seed-bool", "scenario-var-bool", "flag-seed-negative",
-        "scenario-seed-negative", "env-seed-negative"])
-def test_malformed_integer_option_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                                   argv, scenario, env, message):
+        "scenario-seed-negative", "flag-grid-density-low", "flag-points-low"])
+def test_malformed_integer_option_is_a_usage_error(tmp_path, capsys, argv, scenario,
+                                                   message):
     # A flag's value meets the same converter as a scenario value, so both
     # leave a JSON error rather than argparse's plain-text usage message.
-    monkeypatch.delenv("GAUSSRD_SEED", raising=False)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     if scenario is not None:
         scenario_file = tmp_path / "scenario.json"
         scenario_file.write_text(json.dumps(scenario))
@@ -585,8 +580,9 @@ def test_asymptote_refuses_a_grid_rate_by_its_own_rule(capsys, grid, message):
     [],
     ["asymptote", "--eta1", "0.1", "--r-grid", "1,2"],
     ["verify", "--unit", "bits"],
+    ["sweep-fig3", "--points", "3"],
 ], ids=["unknown-option", "missing-value", "no-subcommand", "asymptote-eta1",
-        "verify-unit"])
+        "verify-unit", "sweep-fig3"])
 def test_argparse_refusal_is_a_json_usage_error(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -645,10 +641,15 @@ def _unreadable(path) -> str:
      "scenario file {scenario} sets unknown options: 'vra'"),
     (["verify"], {"unit": "bits", "seed": 1, "scenario": "x.json"},
      "scenario file {scenario} sets unknown options: 'unit', 'scenario'"),
+    # An unconstrained d1 is spelled 'inf' or 'unconstrained', nothing else.
+    (["dr-bound", "--rates", "0,0.5,0.5,0", "--d", "unc,0.45,0.45"], None,
+     "option --d expects a number, got 'unc'"),
+    (["rd-bound", "--r1", "0", "--r4", "0"], {"d": ["none", 0.45, 0.45, 0.1]},
+     "option --d expects a number, got 'none'"),
 ], ids=["grid-two-pieces", "grid-count-text", "grid-count-one", "scenario-list",
         "scenario-rates-number", "scenario-unreadable", "pmf-unreadable",
         "scenario-not-utf8", "pmf-not-utf8", "scenario-unknown-key",
-        "scenario-key-of-another-command"])
+        "scenario-key-of-another-command", "d1-unc", "d1-none"])
 def test_refused_option_is_a_usage_error(tmp_path, capsys, argv, scenario, message):
     missing, latin1 = tmp_path / "missing.json", tmp_path / "latin1.json"
     latin1.write_bytes('{"var": "\u00e9"}'.encode("latin-1"))
@@ -858,6 +859,49 @@ def _assert_contract(argv: list[str], code: int, stdout: str, stderr: str) -> No
     lambda name: _ARGVS[name].map(lambda tail: [name, *tail])))
 def test_every_subcommand_keeps_the_exit_and_output_contract(argv):
     _assert_contract(argv, *_run_in_process(argv))
+
+
+#: Numeric tokens at the edges of the domain: zero, the smallest subnormal,
+#: the top of the double range, NaN, inf, a negative value and rates on both
+#: sides of exp(2 r) = inf (r ~ 354.9), with a few moderate values.
+_EXTREME_TOKENS = ("0", "5e-324", "1e-300", "0.5", "1", "2", "1e308", "inf", "nan",
+                   "-1", "355", "400")
+#: Each numeric subcommand's numeric options and the count of values each takes.
+_NUMERIC_OPTIONS = {
+    "dr-bound": {"var": 1, "rates": 4, "d": 3},
+    "rd-bound": {"var": 1, "r1": 1, "r4": 1, "d": 4},
+    "channel": {"var": 1, "rates": 4, "d": 2},
+    "loss": {"var": 1, "alpha": 1, "r3": 1, "r1-grid": 2},
+    "mdcr": {"var": 1, "r2": 1, "r3": 1, "beta": 1, "d2": 1, "d3": 1, "r4-grid": 2},
+    "asymptote": {"b": 1, "eta": 1, "r-grid": 2},
+    "sweep-wz-md": {"var": 1, "r1": 1, "r2": 1, "r3": 1, "r4": 1, "points": 1},
+}
+
+
+def _extreme_argvs(seed: int, count: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(sorted(_NUMERIC_OPTIONS))
+        argvs.append([name] + [
+            token for flag, n in _NUMERIC_OPTIONS[name].items()
+            for token in (f"--{flag}", ",".join(rng.choice(_EXTREME_TOKENS)
+                                                for _ in range(n)))])
+    return argvs
+
+
+def test_no_extreme_numeric_argv_is_an_internal_error():
+    # exp(2 r4) overflowed in the channel's sigma4_sq past r4 ~ 354.9 nats,
+    # though the bound 4.48e-308 is a normal double.
+    fixed = [["channel", "--var", "10", "--rates", "0,0,0,355", "--d", "10,10"],
+             ["channel", "--var", "1e300", "--rates", "0,1,1,600", "--d", "inf,inf"]]
+    for argv in fixed:
+        code, stdout, stderr = _run_in_process(argv)
+        assert code == 0, (argv, stderr)
+        assert json.loads(stdout)["matches_bound"] is True
+    for argv in _extreme_argvs(seed=30, count=1000):
+        code, _, stderr = _run_in_process(argv)
+        assert code != cli.EXIT_INTERNAL, (argv, stderr)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

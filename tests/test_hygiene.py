@@ -286,6 +286,7 @@ CLAMP_BY_COMPARISON = {
 MODEL_TESTS = {
     ("regions", "rd_bound"): "_require_d1_floor",
     ("regions", "converse_witness"): "_over_ceiling",
+    ("regions", "maximize_t_numeric"): "_over_ceiling",
 }
 
 

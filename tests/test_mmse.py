@@ -208,6 +208,14 @@ def test_assembled_covariance_replaces_infinite_branches():
     assert np.all(off_diag == 0.0)
 
 
+def test_assembled_covariance_refuses_a_noise_variance_past_the_double_range():
+    # In units of the source variance 1e-300, a noise variance of 1e300 is
+    # past the double range.
+    channel = ForwardChannel(1e300, 1e300, 1e300, 1e300, 0.0, 1e-300, 1.0)
+    with pytest.raises(ValueError, match="covariance entries must be finite"):
+        assemble_msr_covariance(GaussianSource(1e-300), channel)
+
+
 # ---------------------------------------------------------------------------
 # The two conditioning routes agree
 # ---------------------------------------------------------------------------
@@ -358,6 +366,18 @@ def test_mc_estimate_streams_the_unchunked_draws_bit_for_bit(problem, samples,
     assert (mc_estimate_mse(joint, target, observed, samples, seed)
             == oracle.mc_estimate_mse_unchunked(joint, target, observed,
                                                 samples, seed))
+
+
+@pytest.mark.parametrize("variance", [1e-300, 1e-200, 1e200, 1e300])
+def test_mc_estimate_keeps_its_error_bar_at_extreme_variances(variance):
+    # Unscaled, the squared residuals underflow to a zero error bar at
+    # 1e-200 and the covariance itself overflows at 1e300.
+    joint = _channel_covariance(variance, 11)
+    observed = (IDX_U1, IDX_U2, IDX_U3, IDX_U4)
+    analytic = conditional_mmse(joint, IDX_X, observed).error_variance
+    estimate, std_error = mc_estimate_mse(joint, IDX_X, observed, 20_000, 5)
+    assert 0.0 < std_error < math.inf
+    assert abs(estimate - analytic) <= 4.0 * std_error
 
 
 def test_mc_estimate_peak_memory_stays_near_the_residual_array():

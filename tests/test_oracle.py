@@ -143,6 +143,16 @@ def test_dr_bound_survives_an_underflowing_numerator(var, rates, d2, d3):
     assert_close(d4, float(exact), rtol=_penalty_rtol(var, rates, d2, d3))
 
 
+def test_dr_bound_keeps_its_digits_past_a_subnormal_factor():
+    # exp(-723) is subnormal, so it carries only about 9 digits, though the
+    # numerator 1e308 exp(-723) and the bound are normal.
+    var, rates = 1e308, (0.5, 1.0, 1.0, 360.0)
+    assert 0.0 < math.exp(-2.0 * sum(rates)) < sys.float_info.min
+    d4 = _dr(var, rates, 1e307, 1e307)
+    exact = oracle.mp_dr_bound(var, rates, 1e307, 1e307, dps=HIGH_RATE_DPS)
+    assert_close(d4, float(exact), rtol=2 * EPS)
+
+
 @pytest.mark.parametrize("b, eta", [(1.0, 0.0), (3.0, 0.0), (1.0, 0.5),
                                     (2.0, 0.3)])
 def test_high_rate_asymptote_rows_are_right_or_a_typed_error(b, eta):

@@ -237,6 +237,15 @@ def test_witness_requires_targets_below_first_layer():
         converse_witness(source, rates, UNCONSTRAINED, d1s * 1.5, d1s * 0.8)
 
 
+@pytest.mark.parametrize("variance, d2, d3", [
+    (1.0, 1.5 * math.exp(-1.0), 0.8 * math.exp(-1.0)), (1e-300, 1e9, 1e9)])
+def test_numeric_maximizer_requires_targets_below_first_layer(variance, d2, d3):
+    # At 1e-300 the targets scaled by 2^996 overflowed.
+    with pytest.raises(OutOfRegime):
+        maximize_t_numeric(GaussianSource(variance), RateTuple(0.5, 0.5, 0.5, 0.0),
+                           UNCONSTRAINED, d2, d3)
+
+
 def test_witness_degenerate_supremum_is_trivial():
     # pi* < delta*: the bound degrades to t = 1 approached only as eps -> inf.
     source = GaussianSource(variance=1.0)
@@ -1027,6 +1036,22 @@ def test_equivalence_scan_refuses_an_underflowed_d4_bound():
     assert empty == EquivalenceReport()
 
 
+def test_equivalence_scan_sends_a_subnormal_factor_to_dr_bound():
+    # exp(-726) is subnormal, with about 8 significant digits; the numerator
+    # 1e308 exp(-726) is normal but carries that error, so the scan must
+    # take dr_bound's exact quotient to classify targets within 1e-8 of it.
+    source = GaussianSource(variance=1e308)
+    rates = RateTuple(0.0, 181.5, 181.5, 0.0)
+    assert 0.0 < math.exp(-2.0 * rates.total()) < sys.float_info.min
+    d4_bound = dr_bound(source, rates, UNCONSTRAINED, 1e300, 1e300).d4_bound
+    grid = GridSpec(
+        r1_values=(0.0,), r4_values=(0.0,), d1_values=(UNCONSTRAINED,),
+        d2_values=(1e300,), d3_values=(1e300,), r2_values=(181.5,),
+        r3_values=(181.5,),
+        d4_values=tuple(d4_bound * (1.0 + k * 1e-9) for k in range(-12, 13)))
+    assert equivalence_scan(source, grid) == _reference_scan(source, grid)
+
+
 def test_equivalence_scan_pins_the_k10_report_and_its_types():
     source = GaussianSource(variance=1.0)
     report = equivalence_scan(source, default_grid(source, 10))
@@ -1034,7 +1059,7 @@ def test_equivalence_scan_pins_the_k10_report_and_its_types():
             report.in_both, report.out_both, report.mismatch_count) \
         == (239_620, 160_380, 0, 198_919, 40_701, 0)
     assert list(report.regime_counts.items()) == [
-        ("rd-low", 112_719), ("rd-excess", 33_364), ("rd-slack", 93_537)]
+        ("rd-low", 112_719), ("rd-slack", 93_537), ("rd-excess", 33_364)]
     counts = [report.evaluated, report.skipped_infeasible, report.boundary,
               report.in_both, report.out_both, *report.regime_counts.values()]
     assert all(type(n) is int for n in counts)

@@ -200,14 +200,28 @@ def test_achievability_fails_on_a_record_that_misses_its_bound(monkeypatch,
     assert not report["all_passed"]
 
 
-def test_a_non_finite_monte_carlo_error_bar_is_refused(capsys):
-    # At 1e154 the squared deviations overflow, the error bar is inf and
-    # every estimate scored z = 0: the check passed without a word.
+@pytest.mark.parametrize("variance, grid_density", [
+    (1e-200, 2), (1e-158, 6), (1e300, 2)])
+def test_verify_passes_at_extreme_variances(variance, grid_density):
+    # Unscaled, the Monte Carlo squares underflow to a zero error bar at
+    # 1e-200, the covariance fails its eigenvalue test at 1e-158 and its
+    # entries overflow at 1e300.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidRegimeInput, match=r"not finite at variance 1e\+154"):
-            run_verification(variance=1e154, grid_density=2)
-        assert cli.main(["verify", "--grid-density", "2", "--var", "1e154"]) == cli.EXIT_INFEASIBLE
+        report = run_verification(variance=variance, grid_density=grid_density)
+    assert report["all_passed"], report
+
+
+def test_a_non_finite_monte_carlo_error_bar_is_refused(monkeypatch, capsys):
+    # An infinite error bar would score every estimate z = 0, so the check
+    # would pass without a word.
+    monkeypatch.setattr(selfcheck, "mc_estimate_mse",
+                        lambda joint, target, observed, samples, seed: (
+                            conditional_mmse(joint, target, observed).error_variance,
+                            math.inf))
+    with pytest.raises(InvalidRegimeInput, match=r"not finite at variance 1\.0"):
+        run_verification(grid_density=2)
+    assert cli.main(["verify", "--grid-density", "2"]) == cli.EXIT_INFEASIBLE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "InvalidRegimeInput"
