@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
 from .model import (UNCONSTRAINED, GaussianSource, RateTuple, Regime,
-                    _checked_d1_star, _require_rate)
-from .regions import _exp_quotient, _penalty_den, dr_bound
+                    _checked_d1_star, _distortion_floor, _exp_quotient,
+                    _require_rate)
+from .regions import _penalty_den, dr_bound
 
 #: Tolerance for the internal consistency checks between specialized
 #: closed forms and the general region evaluation.
@@ -133,7 +134,7 @@ def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> floa
     ``delta = exp(-2 r2)(d3_hat/d1* - exp(-2 r3))`` against the general ones,
     raising :class:`InvalidRegimeInput` on a mismatch.
     """
-    d2s = source.variance * math.exp(-2.0 * (rates.r1 + rates.r2))
+    d2s = _distortion_floor(source.variance, rates.r1 + rates.r2)
     result = dr_bound(source, rates, UNCONSTRAINED, d2s, d3)
     d1s, d3h = result.d1_star, result.d3_hat
     e2 = math.exp(-2.0 * rates.r2)
@@ -171,8 +172,8 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
     sx2 = source.variance
-    lo = sx2 * math.exp(-2.0 * (rates.r1 + rates.r3))
-    hi = sx2 * math.exp(-2.0 * rates.r1)
+    lo = _distortion_floor(sx2, rates.r1 + rates.r3)
+    hi = _distortion_floor(sx2, rates.r1)
     span, rows = hi - lo, []
     for i in range(points):
         step = span * i
@@ -229,7 +230,7 @@ def fixed_channel_loss(source: GaussianSource, r1: float, r3: float,
     _require_rate("r1", r1)
     _require_rate("r3", r3)
     a = config.alpha
-    d1s = source.variance * math.exp(-2.0 * r1)
+    d1s = _distortion_floor(source.variance, r1)
     c3 = -math.expm1(-2.0 * r3)
     try:
         growth = math.exp(2.0 * a * r1)

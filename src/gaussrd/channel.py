@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from .errors import InvalidChannel, InvalidRegimeInput
 from .mmse import _msr_distortions
 from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
-                    Regime)
-from .regions import (_MATH, DrBoundResult, _delta, _exp_quotient, _side_ratios,
-                      dr_bound)
+                    Regime, _exp_quotient)
+from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
 CROSSCHECK_RTOL = 1e-10
@@ -51,27 +50,21 @@ class TestChannel:
     q: float
 
     def __post_init__(self) -> None:
-        # Accept-first: the checks' own comparisons, in their order.
-        if (self.sigma1_sq > 0.0 and self.sigma2_sq > 0.0 and self.sigma3_sq > 0.0
-                and self.sigma4_sq > 0.0 and -1.0 <= self.rho <= 0.0
-                and self.d4_star > 0.0 and math.isfinite(self.d4_star)
-                and 0.0 < self.q <= 1.0):
-            return
-        _require_channel(self)
-
-
-def _require_channel(ch: TestChannel) -> None:
-    """:class:`TestChannel`'s field checks, each refusal an :class:`InvalidChannel`."""
-    for name in ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"):
-        value = getattr(ch, name)
-        if not value > 0.0:  # math.inf is admissible
-            raise InvalidChannel(f"{name} must be positive, got {value}")
-    if not -1.0 <= ch.rho <= 0.0:
-        raise InvalidChannel(f"rho must lie in [-1, 0], got {ch.rho}")
-    if not (ch.d4_star > 0.0 and math.isfinite(ch.d4_star)):
-        raise InvalidChannel(f"d4_star must be positive finite, got {ch.d4_star}")
-    if not 0.0 < ch.q <= 1.0:
-        raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {ch.q}")
+        # A noise variance may be math.inf.
+        if not self.sigma1_sq > 0.0:
+            raise InvalidChannel(f"sigma1_sq must be positive, got {self.sigma1_sq}")
+        if not self.sigma2_sq > 0.0:
+            raise InvalidChannel(f"sigma2_sq must be positive, got {self.sigma2_sq}")
+        if not self.sigma3_sq > 0.0:
+            raise InvalidChannel(f"sigma3_sq must be positive, got {self.sigma3_sq}")
+        if not self.sigma4_sq > 0.0:
+            raise InvalidChannel(f"sigma4_sq must be positive, got {self.sigma4_sq}")
+        if not -1.0 <= self.rho <= 0.0:
+            raise InvalidChannel(f"rho must lie in [-1, 0], got {self.rho}")
+        if not (self.d4_star > 0.0 and math.isfinite(self.d4_star)):
+            raise InvalidChannel(f"d4_star must be positive finite, got {self.d4_star}")
+        if not 0.0 < self.q <= 1.0:
+            raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {self.q}")
 
 
 @dataclass(slots=True)

@@ -13,20 +13,22 @@ math.inf`` for a rate).  Only a value it does not admit goes through the
 accepts it (an ``int``, say).  The first test admits nothing the chain would
 refuse, so it changes no outcome.
 
-The floor and ceiling tests are accept-first too.  :func:`_checked_d1_star`
-admits a target that is :data:`UNCONSTRAINED` or a ``float`` at or above a
-positive floor, the floors formed as :func:`_floor_margins` forms them;
-:func:`_require_d1_floor` does the same for ``d1`` alone, and
-:func:`_over_ceiling` answers ``False`` at once for a ``float`` at or below
-``d1_star``.  Anything else, NaN, zero, an ``int`` or a floor that underflowed
-to 0, goes through the margins and :func:`_require_floors`, which keep every
-refusal's exception and message.
+Every Gaussian floor ``var exp(-2 r)`` comes from :func:`_distortion_floor`.
+:func:`_checked_d1_star` forms its three floors once and admits, with one
+comparison chain, targets that are :data:`UNCONSTRAINED` or a ``float`` at or
+above a positive floor; anything else, NaN, zero, an ``int`` or a floor that
+underflowed to 0, passes those floors' margins to :func:`_require_floors`,
+which refuses with its exception and message or accepts.
+:func:`_require_d1_floor` and :func:`_over_ceiling` admit first as the value
+types do, since their slow path decides the ``FEASIBILITY_RTOL`` band around
+the floor or ceiling, not the same predicate again.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InfeasibleDistortion
@@ -174,13 +176,37 @@ def _margin(d: float | Unconstrained, floor: float) -> float:
     return (d - floor) / floor if floor > 0.0 else math.inf
 
 
-def _floor_margins(d1_star: float, rates: RateTuple, d1: float | Unconstrained,
-                   d2: float | Unconstrained, d3: float | Unconstrained
-                   ) -> tuple[float, float, float]:
-    """Margins ``(d - f)/f`` over the floors ``d1_star``, ``d1_star exp(-2 r_i)``."""
-    return (_margin(d1, d1_star),
-            _margin(d2, d1_star * math.exp(-2.0 * rates.r2)),
-            _margin(d3, d1_star * math.exp(-2.0 * rates.r3)))
+#: ln 2 split so that ``n * _LN2_HI`` is exact for ``|n| < 2**21``.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def _exp_quotient(scale: float, exponent: float, den: float) -> float:
+    """``scale * exp(exponent) / den`` for positive ``scale`` and ``den``
+    and ``exponent <= 0``, formed as ``m 2^k`` so that no intermediate leaves
+    the double range.
+
+    ``exponent = n ln 2 + r`` with ``|r| <= ln 2 / 2``, so ``exp(r)`` and the
+    mantissa quotient stay near 1; only the final ``ldexp`` rounds into the
+    subnormal range, when the quotient itself lies there.  Below
+    ``-4000 ln 2`` the quotient is 0.0 for any double ``scale`` and ``den``,
+    and so is ``exp(r)``.
+    """
+    (ms, es), (md, ed) = math.frexp(scale), math.frexp(den)
+    q = exponent / LN2
+    n = round(-4000.0 if -4000.0 > q else q)
+    r = (exponent - n * _LN2_HI) - n * _LN2_LO
+    return math.ldexp(ms * math.exp(r) / md, es - ed + n)
+
+
+def _distortion_floor(var: float, r: float) -> float:
+    """The Gaussian floor ``var exp(-2 r)``: the plain product while
+    ``exp(-2 r)`` is a normal double, else :func:`_exp_quotient`'s scaled
+    form, so a subnormal factor (``r`` past about 354 nats) costs a normal
+    floor no digits."""
+    factor = math.exp(-2.0 * r)
+    if factor >= sys.float_info.min:
+        return var * factor
+    return _exp_quotient(var, -2.0 * r, 1.0)
 
 
 def _require_floors(names: str, targets: tuple, margins: tuple[float, ...]) -> None:
@@ -213,17 +239,17 @@ def _require_d1_floor(d1: float | Unconstrained, d1_star: float) -> None:
 def _checked_d1_star(source: GaussianSource, rates: RateTuple,
                      d1: float | Unconstrained, d2: float | Unconstrained,
                      d3: float | Unconstrained) -> float:
-    """``d1_star = var exp(-2 r1)``, once the three targets clear their floors."""
-    d1s = source.variance * math.exp(-2.0 * rates.r1)
-    # Each floor is formed as _floor_margins forms it, and in its order, so
-    # an exp that raises raises here as it would there.
-    if d1 is UNCONSTRAINED or isinstance(d1, float) and 0.0 < d1s <= d1:
-        f2 = d1s * math.exp(-2.0 * rates.r2)
-        if d2 is UNCONSTRAINED or isinstance(d2, float) and 0.0 < f2 <= d2:
-            f3 = d1s * math.exp(-2.0 * rates.r3)
-            if d3 is UNCONSTRAINED or isinstance(d3, float) and 0.0 < f3 <= d3:
-                return d1s
-    _require_floors("d1, d2, d3", (d1, d2, d3), _floor_margins(d1s, rates, d1, d2, d3))
+    """``d1_star = var exp(-2 r1)``, once ``d1``, ``d2``, ``d3`` clear their
+    floors ``d1_star`` and ``d1_star exp(-2 r_i)``."""
+    d1s = _distortion_floor(source.variance, rates.r1)
+    f2 = d1s * math.exp(-2.0 * rates.r2)
+    f3 = d1s * math.exp(-2.0 * rates.r3)
+    if ((d1 is UNCONSTRAINED or isinstance(d1, float) and 0.0 < d1s <= d1)
+            and (d2 is UNCONSTRAINED or isinstance(d2, float) and 0.0 < f2 <= d2)
+            and (d3 is UNCONSTRAINED or isinstance(d3, float) and 0.0 < f3 <= d3)):
+        return d1s
+    _require_floors("d1, d2, d3", (d1, d2, d3),
+                    (_margin(d1, d1s), _margin(d2, f2), _margin(d3, f3)))
     return d1s
 
 

@@ -31,10 +31,10 @@ from types import SimpleNamespace
 
 from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
-from .model import (FEASIBILITY_RTOL, LN2, UNCONSTRAINED, DistortionTuple,
+from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                     GaussianSource, RateTuple, Regime, Unconstrained,
-                    _checked_d1_star, _margin, _over_ceiling, _require_d1_floor,
-                    _require_rate)
+                    _checked_d1_star, _distortion_floor, _exp_quotient, _margin,
+                    _over_ceiling, _require_d1_floor, _require_rate)
 
 #: Relative half-width of the band around regime boundaries inside which the
 #: adjacent branches are reconciled instead of trusted blindly.
@@ -182,28 +182,6 @@ def _penalty_den(a: float, b: float, delta: float) -> float:
             f"penalty denominator {den} not positive (a={a}, b={b}, delta={delta})"
         )
     return den
-
-
-#: ln 2 split so that ``n * _LN2_HI`` is exact for ``|n| < 2**21``.
-_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-
-
-def _exp_quotient(scale: float, exponent: float, den: float) -> float:
-    """``scale * exp(exponent) / den`` for positive ``scale`` and ``den``
-    and ``exponent <= 0``, formed as ``m 2^k`` so that no intermediate leaves
-    the double range.
-
-    ``exponent = n ln 2 + r`` with ``|r| <= ln 2 / 2``, so ``exp(r)`` and the
-    mantissa quotient stay near 1; only the final ``ldexp`` rounds into the
-    subnormal range, when the quotient itself lies there.  Below
-    ``-4000 ln 2`` the quotient is 0.0 for any double ``scale`` and ``den``,
-    and so is ``exp(r)``.
-    """
-    (ms, es), (md, ed) = math.frexp(scale), math.frexp(den)
-    q = exponent / LN2
-    n = round(-4000.0 if -4000.0 > q else q)
-    r = (exponent - n * _LN2_HI) - n * _LN2_LO
-    return math.ldexp(ms * math.exp(r) / md, es - ed + n)
 
 
 def dr_bound(source: GaussianSource, rates: RateTuple,
@@ -385,19 +363,6 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _require_rd_inputs(r1: float, r4: float, dist) -> None:
-    """:func:`rd_bound`'s input checks: nonnegative finite rates, positive
-    targets (``d1`` may be :data:`UNCONSTRAINED`)."""
-    _require_rate("r1", r1)
-    _require_rate("r4", r4)
-    d1 = dist.d1
-    if d1 is not UNCONSTRAINED and not d1 > 0:
-        raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
-    for name, value in (("d2", dist.d2), ("d3", dist.d3), ("d4", dist.d4)):
-        if not value > 0:
-            raise InfeasibleDistortion(f"{name} must be positive, got {value}")
-
-
 def rd_bound(source: GaussianSource, r1: float, r4: float,
              dist) -> RdBoundResult:
     """Rate requirements on (r2, r3) for the targets in ``dist``.
@@ -418,16 +383,20 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
     distortion-side characterization of :func:`dr_bound`.
     """
     sx2 = source.variance
-    # Accept-first: float rates in range, then the chain's own comparisons of
-    # the targets, in its order.
-    if not (isinstance(r1, float) and 0.0 <= r1 < math.inf
-            and isinstance(r4, float) and 0.0 <= r4 < math.inf
-            and ((d1 := dist.d1) is UNCONSTRAINED or d1 > 0)
-            and dist.d2 > 0 and dist.d3 > 0 and dist.d4 > 0):
-        _require_rd_inputs(r1, r4, dist)
-        d1 = dist.d1
+    # Nonnegative finite rates, then positive targets (d1 may be UNCONSTRAINED).
+    _require_rate("r1", r1)
+    _require_rate("r4", r4)
+    d1 = dist.d1
+    if d1 is not UNCONSTRAINED and not d1 > 0:
+        raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
+    if not dist.d2 > 0:
+        raise InfeasibleDistortion(f"d2 must be positive, got {dist.d2}")
+    if not dist.d3 > 0:
+        raise InfeasibleDistortion(f"d3 must be positive, got {dist.d3}")
+    if not dist.d4 > 0:
+        raise InfeasibleDistortion(f"d4 must be positive, got {dist.d4}")
     r1_star = rate_to_reach(1.0 if d1 is UNCONSTRAINED else d1 / sx2, "d1/var")
-    d1s = sx2 * math.exp(-2.0 * r1)
+    d1s = _distortion_floor(sx2, r1)
     _require_d1_floor(d1, d1s)
     a, b = _side_ratios(d1s, dist.d2, dist.d3)
     r2_bound = rate_to_reach(a, "a = d2_hat/d1_star")
@@ -664,7 +633,7 @@ def equivalence_scan(source: GaussianSource, grid: GridSpec) -> EquivalenceRepor
     n1 = len(grid.r1_values)
     per_r1 = n_blocks // n1
     stacked = (n_blocks, n_pairs, n_sides)
-    d1s_of = [sx2 * math.exp(-2.0 * r1) for r1 in grid.r1_values]
+    d1s_of = [_distortion_floor(sx2, r1) for r1 in grid.r1_values]
     s = [math.exp(-2.0 * rs) for rs in rate_sums]
     # Entries off the feasible mask may divide by 0 or overflow; none is read.
     with np.errstate(all="ignore"):

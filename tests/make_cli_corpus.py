@@ -1,0 +1,121 @@
+"""Regenerate ``tests/data/cli_corpus.json``, the CLI output corpus.
+
+Run from anywhere with ``PYTHONPATH=src python tests/make_cli_corpus.py``.
+Each entry holds an argv, the exit code, and the stdout and stderr of
+``gaussrd.cli.main`` run in-process from the repository root with
+``COLUMNS=80``.  ``tests/test_cli_corpus.py`` checks that the tree still
+reproduces every entry; it never regenerates.
+
+The argvs are:
+
+* the 72 ``cli`` workload argvs of ``bench/workloads.py`` at seeds 1-3, their
+  pmf files written to fixed paths under ``tests/data/``;
+* ``tests/test_cli.py``'s ``ECHO_ARGVS``;
+* the argvs of :data:`EDGE_ARGVS`, at rates past the double range's edges;
+* ``verify`` at seeds 12345, 1 and 7 by variances 1, 1e-9 and 1e9, and at
+  variances 1e300 and 1e-200 with grid density 2;
+* ``--help`` of the program and of each subcommand.
+
+``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
+the entries whose argv starts with a prefix and keeps the rest as committed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = Path("tests") / "data"
+CORPUS = ROOT / DATA / "cli_corpus.json"
+
+#: Single points at the edges of the double range.
+EDGE_ARGVS = [
+    ["channel", "--var", "10", "--rates", "0,0,0,355", "--d", "10,10"],
+    ["dr-bound", "--var", "1e308", "--rates", "360,0,0,0", "--d", "inf,1.0,1.0"],
+    ["sweep-wz-md", "--var", "1e308", "--r1", "360", "--points", "3"],
+]
+
+VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
+                 for seed in (12345, 1, 7) for var in ("1", "1e-9", "1e9")]
+                + [["verify", "--var", var, "--grid-density", "2"]
+                   for var in ("1e300", "1e-200")])
+
+
+def run(argv: list[str]) -> dict:
+    """One in-process run; the caller has set the directory and COLUMNS."""
+    from gaussrd import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def bench_argvs(state_dir: Path) -> list[list[str]]:
+    """The ``cli`` workload's argvs at seeds 1-3, with each pmf file copied to
+    ``tests/data/cli-pmf-<seed>-<variant>.json``."""
+    sys.path.insert(0, str(ROOT))
+    from bench.workloads import Cli
+
+    class Argvs(Cli):
+        def __init__(self, seed: int) -> None:
+            self.seed = seed
+            super().__init__(seed, state_dir)
+
+        def warm_up(self, ops: int) -> None:
+            pass
+
+        def _pmf_file(self, rng, variant: int) -> Path:
+            made = super()._pmf_file(rng, variant)
+            fixed = DATA / f"cli-pmf-{self.seed}-{variant}.json"
+            shutil.copyfile(made, ROOT / fixed)
+            return fixed
+
+    return [argv for seed in (1, 2, 3) for argv in Argvs(seed).argvs]
+
+
+def echo_argvs() -> list[list[str]]:
+    """``ECHO_ARGVS``, the discrete pmf at ``tests/data/cli-pmf-copy.json``."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_cli import ECHO_ARGVS, _copy_configuration
+
+    pmf = DATA / "cli-pmf-copy.json"
+    (ROOT / pmf).write_text(json.dumps(_copy_configuration()), encoding="utf-8")
+    return [[a.format(pmf=pmf) for a in argv] for argv in ECHO_ARGVS]
+
+
+def help_argvs() -> list[list[str]]:
+    from gaussrd import cli
+
+    return [["--help"]] + [[row[0], "--help"] for row in cli._COMMANDS]
+
+
+def main(only: list[list[str]]) -> None:
+    os.chdir(ROOT)
+    os.environ["COLUMNS"] = "80"
+    (ROOT / DATA).mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as state_dir:
+        argvs = (bench_argvs(Path(state_dir)) + echo_argvs() + EDGE_ARGVS
+                 + VERIFY_ARGVS + help_argvs())
+    old = ({tuple(e["argv"]): e for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
+           if only else {})
+    entries = [run(argv) if not only or any(argv[:len(p)] == p for p in only)
+               else old[tuple(argv)] for argv in argvs]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(entries)} entries, {CORPUS.stat().st_size} bytes -> {CORPUS}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", action="append", default=[], metavar="PREFIX",
+                        help="rerun only the argvs that start with PREFIX")
+    main([prefix.split() for prefix in parser.parse_args().only])

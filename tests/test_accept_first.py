@@ -1,13 +1,16 @@
-"""The accept-first checks on the per-call scalar path change no outcome.
+"""The checks on the per-call scalar path decide as their refusal chains.
 
-Each site first admits, with one comparison chain, inputs that its check
-chain admits with certainty; any other input takes the chain.  These tests
-pit each site against its chain alone, on the returned value or on the
-exception's type and message, over seeded draws of targets placed around
-their floors (a few ulps either side, and around the ``FEASIBILITY_RTOL``
-band), non-positive, NaN, infinite, ``int`` and :data:`UNCONSTRAINED`
-values, at variances from subnormal to 1e300.  A counted guard then checks
-that an interior point never enters the floor helpers.
+The floor test and the ``TestChannel`` and ``rd_bound`` input checks each make
+their comparisons once, in one chain; ``_require_d1_floor`` and
+``_over_ceiling`` admit first and leave the rest to the margin test.  These
+tests pit each site against a reference chain kept here (the floor, channel
+and ``rd_bound`` ones are the separate refusal chains the sites once replayed
+after an accept-first test), on the returned value or on the exception's type
+and message, over seeded draws of targets placed around their floors (a few
+ulps either side, and around the ``FEASIBILITY_RTOL`` band), non-positive,
+NaN, infinite, ``int`` and :data:`UNCONSTRAINED` values, at variances from
+subnormal to 1e300.  A counted guard then checks that an interior point never
+enters the floor helpers.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from types import SimpleNamespace
 
 from gaussrd import channel, regions
 from gaussrd.channel import TestChannel as ForwardChannel
-from gaussrd.errors import GaussRdError
+from gaussrd.errors import GaussRdError, InfeasibleDistortion, InvalidChannel
 from gaussrd.model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                            GaussianSource, RateTuple, _checked_d1_star,
-                           _floor_margins, _margin, _over_ceiling,
-                           _require_d1_floor, _require_floors)
+                           _distortion_floor, _margin, _over_ceiling,
+                           _require_d1_floor, _require_floors, _require_rate)
 
 from conftest import make_rng
 
@@ -75,13 +78,20 @@ def _instances(seed: int):
     for _ in range(DRAWS):
         source = GaussianSource(_pick(rng, VARIANCES))
         rates = RateTuple(*(_pick(rng, RATES) for _ in range(4)))
-        d1s = source.variance * math.exp(-2.0 * rates.r1)
+        d1s = _distortion_floor(source.variance, rates.r1)
         yield (rng, source, rates, d1s, d1s * math.exp(-2.0 * rates.r2),
                d1s * math.exp(-2.0 * rates.r3))
 
 
+def _floor_margins(d1_star, rates, d1, d2, d3):
+    """Margins ``(d - f)/f`` over the floors ``d1_star``, ``d1_star exp(-2 r_i)``."""
+    return (_margin(d1, d1_star),
+            _margin(d2, d1_star * math.exp(-2.0 * rates.r2)),
+            _margin(d3, d1_star * math.exp(-2.0 * rates.r3)))
+
+
 def _chain_d1_star(source, rates, d1, d2, d3):
-    d1s = source.variance * math.exp(-2.0 * rates.r1)
+    d1s = _distortion_floor(source.variance, rates.r1)
     _require_floors("d1, d2, d3", (d1, d2, d3), _floor_margins(d1s, rates, d1, d2, d3))
     return d1s
 
@@ -127,12 +137,25 @@ def test_ceiling_test_decides_as_its_chain():
 BAD_RATES = (-1.0, -0.0, math.nan, math.inf, -math.inf, True, 10 ** 400, "0.5", 3)
 
 
+def _require_rd_inputs(r1, r4, dist):
+    """rd_bound's input checks: nonnegative finite rates, positive targets
+    (``d1`` may be UNCONSTRAINED)."""
+    _require_rate("r1", r1)
+    _require_rate("r4", r4)
+    d1 = dist.d1
+    if d1 is not UNCONSTRAINED and not d1 > 0:
+        raise InfeasibleDistortion(f"d1 must be positive, got {d1}")
+    for name, value in (("d2", dist.d2), ("d3", dist.d3), ("d4", dist.d4)):
+        if not value > 0:
+            raise InfeasibleDistortion(f"{name} must be positive, got {value}")
+
+
 def _chain_rd_bound(source, r1, r4, dist):
     """rd_bound's checks alone, in its order, up to its floor test of d1."""
-    regions._require_rd_inputs(r1, r4, dist)
+    _require_rd_inputs(r1, r4, dist)
     d1 = dist.d1
     regions.rate_to_reach(1.0 if d1 is UNCONSTRAINED else d1 / source.variance, "d1/var")
-    d1s = source.variance * math.exp(-2.0 * r1)
+    d1s = _distortion_floor(source.variance, r1)
     _require_floors("d1", (d1,), (_margin(d1, d1s),))
 
 
@@ -142,8 +165,8 @@ def test_rd_bound_checks_decide_as_their_chain():
         source = GaussianSource(_pick(rng, VARIANCES))
         r1, r4 = (_pick(rng, RATES + BAD_RATES) for _ in range(2))
         try:
-            d1s = source.variance * math.exp(-2.0 * r1)
-        except (TypeError, OverflowError):
+            d1s = _distortion_floor(source.variance, r1)
+        except (TypeError, ValueError, OverflowError):
             d1s = 1.0
         # Not 10**400: both routes admit it, and the bound then overflows.
         targets = [1e-3, 0.5, 2.0, 1e300] + [v for v in SPECIAL[:-1] if v != 10 ** 400]
@@ -176,19 +199,33 @@ def _build_channel(fields: dict) -> None:
     ForwardChannel(**fields)
 
 
+def _require_channel(ch) -> None:
+    """TestChannel's field checks, each refusal an InvalidChannel."""
+    for name in ("sigma1_sq", "sigma2_sq", "sigma3_sq", "sigma4_sq"):
+        value = getattr(ch, name)
+        if not value > 0.0:  # math.inf is admissible
+            raise InvalidChannel(f"{name} must be positive, got {value}")
+    if not -1.0 <= ch.rho <= 0.0:
+        raise InvalidChannel(f"rho must lie in [-1, 0], got {ch.rho}")
+    if not (ch.d4_star > 0.0 and math.isfinite(ch.d4_star)):
+        raise InvalidChannel(f"d4_star must be positive finite, got {ch.d4_star}")
+    if not 0.0 < ch.q <= 1.0:
+        raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {ch.q}")
+
+
 def test_channel_record_decides_as_its_chain():
     rng = make_rng(33)
     for _ in range(DRAWS):
         fields = {name: _pick(rng, good if rng.random() < 0.85 else bad)
                   for name, (good, bad) in CHANNEL_FIELDS.items()}
         assert (_outcome(_build_channel, fields)
-                == _outcome(channel._require_channel, SimpleNamespace(**fields))), fields
+                == _outcome(_require_channel, SimpleNamespace(**fields))), fields
 
 
 def _floor_helper_calls(call) -> Counter:
     """Calls of the model's floor helpers made by ``call()``."""
     calls = Counter()
-    names = {"_margin", "_floor_margins", "_require_floors"}
+    names = {"_margin", "_require_floors"}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name in names:
@@ -203,8 +240,8 @@ def _floor_helper_calls(call) -> Counter:
 
 
 def test_an_interior_point_makes_no_floor_helper_call():
-    # A bench ``point`` op; with the chains alone it made 12 _margin, 3
-    # _floor_margins and 4 _require_floors calls.
+    # A bench ``point`` op; with the refusal chains alone it made 12 _margin
+    # and 4 _require_floors calls.
     rates, d2, d3, variance = RateTuple(0.3, 0.5, 1.25, 0.4), 2.0, 1.2, 3.7
     source = GaussianSource(variance)
     d1s = variance * math.exp(-2.0 * rates.r1)
@@ -226,7 +263,7 @@ def test_a_target_one_ulp_below_its_floor_reaches_the_floor_test():
     d1s = variance * math.exp(-2.0 * rates.r1)
     d2 = math.nextafter(d1s * math.exp(-2.0 * rates.r2), 0.0)
     calls = _floor_helper_calls(lambda: regions.dr_bound(source, rates, d1s, d2, 1.2))
-    assert calls["_require_floors"] == 1 and calls["_floor_margins"] == 1
+    assert calls["_require_floors"] == 1 and calls["_margin"] == 3
     calls = _floor_helper_calls(lambda: regions.rd_bound(
         source, rates.r1, rates.r4,
         DistortionTuple(math.nextafter(d1s, 0.0), 2.0, 1.2, 0.5)))

@@ -218,6 +218,20 @@ def test_wz_md_sweep_matches_the_oracle():
     assert rounded > 0
 
 
+def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor():
+    # sweep-wz-md --var 1e308 --r1 360 --points 3: exp(-720) is subnormal
+    # though the floors are not.  Formed as plain products, the low row's
+    # d3 sat 3e-12 off its floor and d4_md was 5.8e8 eps off.
+    var, rates = 1e308, RateTuple(360.0, 0.5, 1.0, 0.5)
+    rows = wz_md_sweep(GaussianSource(var), rates, 3)
+    exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
+    with mpmath.workdps(oracle.DPS):
+        d2s = float(mpmath.mpf(var) * mpmath.exp(-2 * (mpmath.mpf(360.0) + mpmath.mpf(0.5))))
+    for row, (_, md, _) in zip(rows, exact):
+        kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
+        assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
+
+
 def test_wz_md_sweep_validates_point_count():
     with pytest.raises(ValueError):
         wz_md_sweep(GaussianSource(variance=1.0), SWEEP_RATES, points=1)

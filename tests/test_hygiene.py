@@ -263,8 +263,7 @@ DECIDED_ELSEWHERE = {
     ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den",
                                       "_exp_quotient"},
     ("channel", "_channel"): {"FEASIBILITY_RTOL"},
-    ("regions", "_rd_block"): {"_require_floors", "_margin", "_checked_d1_star",
-                               "_floor_margins"},
+    ("regions", "_rd_block"): {"_require_floors", "_margin", "_checked_d1_star"},
     ("analysis", "mdcr_compare"): {"float_info"},
 }
 
@@ -274,7 +273,7 @@ DECIDED_ELSEWHERE = {
 CLAMP_BY_COMPARISON = {
     ("model", "_require_floors"),
     ("regions", "_side_ratios"), ("regions", "_pi_delta"), ("regions", "dr_bound"),
-    ("regions", "_excess_term"), ("regions", "rd_bound"), ("regions", "_exp_quotient"),
+    ("regions", "_excess_term"), ("regions", "rd_bound"), ("model", "_exp_quotient"),
     ("regions", "maximize_t_numeric"), ("regions", "converse_witness"),
     ("channel", "_channel"), ("channel", "_adjust"), ("channel", "certify_achievability"),
     ("analysis", "wz_region"), ("analysis", "md_region_slice"),
@@ -287,6 +286,19 @@ MODEL_TESTS = {
     ("regions", "rd_bound"): "_require_d1_floor",
     ("regions", "converse_witness"): "_over_ceiling",
     ("regions", "maximize_t_numeric"): "_over_ceiling",
+}
+
+
+#: The functions that form a Gaussian floor ``var exp(-2 r)`` for a floor test,
+#: and how many they form: each goes through model._distortion_floor, so that a
+#: subnormal ``exp(-2 r)`` costs no digits and every floor test agrees.
+FLOOR_FORMS = {
+    ("model", "_checked_d1_star"): 1,
+    ("regions", "rd_bound"): 1,
+    ("regions", "equivalence_scan"): 1,
+    ("analysis", "md_region_slice"): 1,
+    ("analysis", "wz_md_sweep"): 2,
+    ("analysis", "fixed_channel_loss"): 1,
 }
 
 
@@ -320,6 +332,14 @@ def test_floor_and_ceiling_are_tested_in_model(name, function):
     test = MODEL_TESTS[(name, function)]
     refs = _references(_function(name, function))
     assert refs[test], f"{name}.{function} skips {test}"
+
+
+@pytest.mark.parametrize("name, function", sorted(FLOOR_FORMS))
+def test_each_floor_is_formed_by_the_one_helper(name, function):
+    refs = _references(_function(name, function))
+    assert refs["_distortion_floor"] == FLOOR_FORMS[(name, function)], (
+        f"{name}.{function} forms {refs['_distortion_floor']} floors by "
+        f"_distortion_floor")
 
 
 @pytest.mark.parametrize("command", cli._COMMANDS, ids=lambda command: command[0])

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -151,6 +152,17 @@ def test_dr_bound_keeps_its_digits_past_a_subnormal_factor():
     d4 = _dr(var, rates, 1e307, 1e307)
     exact = oracle.mp_dr_bound(var, rates, 1e307, 1e307, dps=HIGH_RATE_DPS)
     assert_close(d4, float(exact), rtol=2 * EPS)
+
+
+def test_d1_star_keeps_its_digits_past_a_subnormal_factor():
+    # exp(-720) is subnormal, though d1* = 1e308 exp(-720) is normal; as a
+    # plain product it was 13,149 eps off.
+    assert 0.0 < math.exp(-720.0) < sys.float_info.min
+    d1s = dr_bound(GaussianSource(1e308), RateTuple(360.0, 0.0, 0.0, 0.0),
+                   UNCONSTRAINED, 1.0, 1.0).d1_star
+    with mpmath.workdps(oracle.DPS):
+        exact = mpmath.mpf(1e308) * mpmath.exp(-720)
+        assert abs(mpmath.mpf(d1s) - exact) <= EPS * exact
 
 
 @pytest.mark.parametrize("b, eta", [(1.0, 0.0), (3.0, 0.0), (1.0, 0.5),

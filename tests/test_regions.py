@@ -10,6 +10,7 @@ import sys
 import types
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,8 +36,7 @@ from gaussrd import (
 )
 from gaussrd import regions
 from gaussrd.errors import NegativeDelta
-from gaussrd.model import (FEASIBILITY_RTOL, _floor_margins, _over_ceiling,
-                           _require_floors)
+from gaussrd.model import FEASIBILITY_RTOL, _over_ceiling, _require_floors
 from gaussrd.regions import (BOUNDARY_RTOL, EquivalenceReport, GridSpec,
                              rate_to_reach)
 from gaussrd.selfcheck import sample_witness_instance
@@ -566,6 +566,26 @@ def test_equivalence_scan_counts_infeasible_points():
     assert report.evaluated == 0
 
 
+def _reference_d1_star(var: float, r1: float) -> float:
+    """``var e^{-2 r1}``: the double product while ``e^{-2 r1}`` is normal,
+    else the 50-digit value rounded once."""
+    factor = math.exp(-2.0 * r1)
+    if factor >= sys.float_info.min:
+        return var * factor
+    with mpmath.workdps(50):
+        return float(mpmath.mpf(var) * mpmath.exp(-2 * mpmath.mpf(r1)))
+
+
+def _reference_margin(d, floor: float) -> float:
+    """``(d - floor)/floor``: inf for an unconstrained target or a floor that
+    underflowed, -inf for a target that is not positive."""
+    if d is UNCONSTRAINED:
+        return math.inf
+    if not d > 0.0:
+        return -math.inf
+    return (d - floor) / floor if floor > 0.0 else math.inf
+
+
 def _reference_scan(source, grid) -> EquivalenceReport:
     """The scan as a plain loop: ``dr_bound`` and ``rd_bound`` are called for
     every grid point, through the module so that a patched bound reaches
@@ -578,8 +598,10 @@ def _reference_scan(source, grid) -> EquivalenceReport:
             grid.r1_values, grid.r4_values, grid.d1_values, grid.r2_values,
             grid.r3_values, grid.d2_values, grid.d3_values, grid.d4_values):
         rates = RateTuple(r1, r2, r3, r4)
-        d1s = source.variance * math.exp(-2.0 * r1)
-        base = min(_floor_margins(d1s, rates, d1, d2, d3))
+        d1s = _reference_d1_star(source.variance, r1)
+        base = min(_reference_margin(d1, d1s),
+                   _reference_margin(d2, d1s * math.exp(-2.0 * r2)),
+                   _reference_margin(d3, d1s * math.exp(-2.0 * r3)))
         if base < -tol:
             report.skipped_infeasible += 1
             continue
@@ -678,6 +700,21 @@ def _high_rate_grid():
     return source, grid
 
 
+def _subnormal_first_layer_grid():
+    # exp(-720) is subnormal, though d1* = 1e308 exp(-720) ~ 2e-5 is normal;
+    # d1 and the first side targets sit on their floors.
+    source = GaussianSource(1e308)
+    d1s = _reference_d1_star(1e308, 360.0)
+    grid = GridSpec(
+        r1_values=(360.0,), r4_values=(0.0, 0.25), d1_values=(UNCONSTRAINED, d1s),
+        d2_values=(d1s * math.exp(-0.6), d1s * math.exp(-1.2), 0.5 * d1s, 0.8 * d1s),
+        d3_values=(d1s * math.exp(-0.8), d1s * math.exp(-1.6), 0.45 * d1s, 0.7 * d1s),
+        r2_values=(0.3, 0.6), r3_values=(0.4, 0.8),
+        d4_values=tuple(d1s * c for c in (0.03, 0.08, 0.2, 0.5)),
+    )
+    return source, grid
+
+
 def _extreme_variance_grid(variance: float):
     source = GaussianSource(variance)
     return source, default_grid(source, 3)
@@ -760,11 +797,11 @@ def _first_layer_rate_grid():
     lambda: _extreme_variance_grid(1e-300),
     lambda: _extreme_variance_grid(1e300), _degenerate_grid,
     _harmonic_corner_grid, _harmonic_band_grid, _low_band_grid,
-    _z_at_least_one_grid, _first_layer_rate_grid,
+    _z_at_least_one_grid, _first_layer_rate_grid, _subnormal_first_layer_grid,
 ], ids=["jittered-11", "jittered-12", "jittered-13", "float-d1",
         "duplicated-axes", "floor-band", "high-rate", "variance-1e-300",
         "variance-1e300", "degenerate", "harmonic-corner", "harmonic-band",
-        "low-band", "z-at-least-one", "r1-at-r1-star"])
+        "low-band", "z-at-least-one", "r1-at-r1-star", "r1-past-354"])
 def test_equivalence_scan_matches_a_per_point_reference(make_grid):
     source, grid = make_grid()
     report = equivalence_scan(source, grid)
@@ -775,6 +812,16 @@ def test_equivalence_scan_matches_a_per_point_reference(make_grid):
             == grid.total_points())
     assert (report.evaluated + report.skipped_infeasible + report.floor_band
             == grid.total_points())
+
+
+def test_the_scan_and_the_floor_test_agree_past_a_subnormal_first_layer_factor():
+    # The scan puts the targets on their floors in its floor band; dr_bound's
+    # floor test admits them, its d1* within an ulp of the 50-digit one.
+    source, grid = _subnormal_first_layer_grid()
+    assert equivalence_scan(source, grid).floor_band > 0
+    d1s, (f2, *_), (f3, *_) = grid.d1_values[1], grid.d2_values, grid.d3_values
+    bound = dr_bound(source, RateTuple(360.0, 0.3, 0.4, 0.0), d1s, f2, f3)
+    assert abs(bound.d1_star - d1s) <= math.ulp(d1s)
 
 
 def test_equivalence_scan_counts_partition_the_grid_with_a_verdict_in_the_band():
