@@ -14,7 +14,9 @@ The argvs are:
 * the argvs of :data:`EDGE_ARGVS`, at rates past the double range's edges;
 * ``verify`` at seeds 12345, 1 and 7 by variances 1, 1e-9 and 1e9, and at
   variances 1e300 and 1e-200 with grid density 2;
-* ``--help`` of the program and of each subcommand.
+* ``--help`` of the program and of each subcommand;
+* the argvs of :data:`CHANNEL_ARGVS`, one per branch of the forward
+  construction, last so that the entries before them keep their indices.
 
 ``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
 the entries whose argv starts with a prefix and keeps the rest as committed.
@@ -41,6 +43,24 @@ EDGE_ARGVS = [
     ["channel", "--var", "10", "--rates", "0,0,0,355", "--d", "10,10"],
     ["dr-bound", "--var", "1e308", "--rates", "360,0,0,0", "--d", "inf,1.0,1.0"],
     ["sweep-wz-md", "--var", "1e308", "--r1", "360", "--points", "3"],
+]
+
+#: ``channel`` at each branch of the forward construction: a degenerate
+#: adjustment; zero ``r1`` and ``r4``; a side target at ``d1_star``, with the
+#: other on its floor at ``r2 = 0`` (an infinite ``sigma2_sq`` and ``rho = 0``)
+#: and then adjusted; both targets on their floors (``rho = 0``); and
+#: variances 1e-300 and 1e300.
+CHANNEL_ARGVS = [
+    ["channel", "--var", "1", "--rates", "0.5,0.5,0.5,0.5", "--d", "0.3,0.3"],
+    ["channel", "--var", "1", "--rates", "0,0.5,0.5,0", "--d", "0.5,0.6"],
+    ["channel", "--var", "2", "--rates", "0.5,0,1.5,0.25",
+     "--d", "0.7357588823428847,0.036631277777468364"],
+    ["channel", "--var", "2", "--rates", "0.5,0.75,1.5,0.25",
+     "--d", "0.7357588823428847,0.1"],
+    ["channel", "--var", "2", "--rates", "0.5,0.75,1.5,0.25",
+     "--d", "0.1641699972477976,0.036631277777468364"],
+    ["channel", "--var", "1e-300", "--rates", "0.5,0.75,1.5,0.25", "--d", "2e-301,1e-301"],
+    ["channel", "--var", "1e300", "--rates", "0.5,0.75,1.5,0.25", "--d", "2e299,1e299"],
 ]
 
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
@@ -105,7 +125,7 @@ def main(only: list[list[str]]) -> None:
     (ROOT / DATA).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as state_dir:
         argvs = (bench_argvs(Path(state_dir)) + echo_argvs() + EDGE_ARGVS
-                 + VERIFY_ARGVS + help_argvs())
+                 + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS)
     old = ({tuple(e["argv"]): e for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
            if only else {})
     entries = [run(argv) if not only or any(argv[:len(p)] == p for p in only)
