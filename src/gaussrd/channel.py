@@ -14,13 +14,12 @@ An infinite noise variance encodes a zero-rate description (``sigma1_sq`` at
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import InvalidChannel, InvalidRegimeInput
 from .mmse import _msr_distortions
-from .model import (UNCONSTRAINED, DistortionTuple, GaussianSource, RateTuple,
-                    Regime, _exp_quotient)
+from .model import (_DEGENERATE, _NORMAL_MIN, UNCONSTRAINED, DistortionTuple,
+                    GaussianSource, RateTuple, _exp_quotient, _setattr)
 from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
@@ -29,7 +28,7 @@ CROSSCHECK_RTOL = 1e-10
 CERTIFY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TestChannel:
     """Noise parameters of the two-layer forward scheme.
 
@@ -49,22 +48,30 @@ class TestChannel:
     d4_star: float
     q: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, sigma1_sq: float, sigma2_sq: float, sigma3_sq: float,
+                 sigma4_sq: float, rho: float, d4_star: float, q: float) -> None:
         # A noise variance may be math.inf.
-        if not self.sigma1_sq > 0.0:
-            raise InvalidChannel(f"sigma1_sq must be positive, got {self.sigma1_sq}")
-        if not self.sigma2_sq > 0.0:
-            raise InvalidChannel(f"sigma2_sq must be positive, got {self.sigma2_sq}")
-        if not self.sigma3_sq > 0.0:
-            raise InvalidChannel(f"sigma3_sq must be positive, got {self.sigma3_sq}")
-        if not self.sigma4_sq > 0.0:
-            raise InvalidChannel(f"sigma4_sq must be positive, got {self.sigma4_sq}")
-        if not -1.0 <= self.rho <= 0.0:
-            raise InvalidChannel(f"rho must lie in [-1, 0], got {self.rho}")
-        if not (self.d4_star > 0.0 and math.isfinite(self.d4_star)):
-            raise InvalidChannel(f"d4_star must be positive finite, got {self.d4_star}")
-        if not 0.0 < self.q <= 1.0:
-            raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {self.q}")
+        if not sigma1_sq > 0.0:
+            raise InvalidChannel(f"sigma1_sq must be positive, got {sigma1_sq}")
+        if not sigma2_sq > 0.0:
+            raise InvalidChannel(f"sigma2_sq must be positive, got {sigma2_sq}")
+        if not sigma3_sq > 0.0:
+            raise InvalidChannel(f"sigma3_sq must be positive, got {sigma3_sq}")
+        if not sigma4_sq > 0.0:
+            raise InvalidChannel(f"sigma4_sq must be positive, got {sigma4_sq}")
+        if not -1.0 <= rho <= 0.0:
+            raise InvalidChannel(f"rho must lie in [-1, 0], got {rho}")
+        if not (d4_star > 0.0 and math.isfinite(d4_star)):
+            raise InvalidChannel(f"d4_star must be positive finite, got {d4_star}")
+        if not 0.0 < q <= 1.0:
+            raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {q}")
+        _setattr(self, "sigma1_sq", sigma1_sq)
+        _setattr(self, "sigma2_sq", sigma2_sq)
+        _setattr(self, "sigma3_sq", sigma3_sq)
+        _setattr(self, "sigma4_sq", sigma4_sq)
+        _setattr(self, "rho", rho)
+        _setattr(self, "d4_star", d4_star)
+        _setattr(self, "q", q)
 
 
 @dataclass(slots=True)
@@ -212,13 +219,13 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     whether it meets the distortion-rate bound within 1e-9 relative.
     """
     bound = dr_bound(source, rates, UNCONSTRAINED, d2, d3)
-    if not bound.d4_bound >= sys.float_info.min:
+    if not bound.d4_bound >= _NORMAL_MIN:
         raise InvalidRegimeInput(
             f"d4 bound {bound.d4_bound} underflows below the normal double range "
             f"at rates {tuple(float(r) for r in rates.as_tuple())}; it keeps too "
             f"few digits to certify a channel against")
     d1s, d2c, d3c = bound.d1_star, bound.d2_hat, bound.d3_hat
-    if bound.regime is Regime.DEGENERATE_PI_LESS_DELTA:
+    if bound.regime is _DEGENERATE:
         adjustment, a_gap, b_gap = _adjust(rates, d1s, d2c, d3c)
         a, b = _side_ratios(d1s, adjustment.d2_prime, adjustment.d3_prime)
     else:
@@ -231,7 +238,7 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     e4 = math.exp(-2.0 * rates.r4)
     # A subnormal exp(-2 r4) has lost digits; the quotient formed as m 2^k
     # keeps them.
-    closed_d4 = (e4 * channel.d4_star if e4 >= sys.float_info.min
+    closed_d4 = (e4 * channel.d4_star if e4 >= _NORMAL_MIN
                  else _exp_quotient(channel.d4_star, -2.0 * rates.r4, 1.0))
     if abs(ach_d4 - closed_d4) > CROSSCHECK_RTOL * closed_d4:
         raise InvalidChannel(

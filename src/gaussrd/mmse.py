@@ -36,8 +36,8 @@ SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 #: Invertibility threshold for observed sub-blocks, relative to their trace.
 OBSERVATION_RTOL = 1e-12
-#: ``_LD_ZERO + x`` is ``numpy.longdouble(x)`` for every positive or infinite
-#: double ``x``, at a tenth of the scalar constructor's cost.
+#: ``_LD_ZERO + x`` is ``numpy.longdouble(x)`` for every positive double
+#: ``x``, at a tenth of the scalar constructor's cost.
 _LD_ZERO = np.longdouble(0.0)
 #: Rows of the block the Monte Carlo draws stream through (8192 x 6 doubles
 #: is 393 KB, inside a core's L2 cache).
@@ -161,38 +161,45 @@ def _msr_distortions(sx2: float, channel: "TestChannel"
     """``var(X|U1)``, ``var(X|U1, U2)``, ``var(X|U1, U3)`` and
     ``var(X|U1, U2, U3, U4)`` under a forward channel for ``var(X) = sx2``.
 
-    One chain of :func:`_residual_variance` updates carried in
-    ``numpy.longdouble``, whose exponent range holds every product of two
-    doubles.  ``U1`` is independent of ``(X', U2, U3, U4)``, so the chain
+    One chain of updates ``v x / (v + x)``, the variance ``v`` left after
+    observing through noise of variance ``x``, carried in ``numpy.longdouble``,
+    whose exponent range holds every product of two doubles; unlike the Schur
+    complement the update keeps its digits when the result is far below
+    ``v``.  ``U1`` is independent of ``(X', U2, U3, U4)``, so the chain
     conditions the residual ``X'``; ``U3`` enters through its innovation
     ``U3 - c U2``, ``c = rho sqrt(s3/s2)``, which observes ``(1 - c) X'``
     through noise of variance ``s3 q`` independent of ``U2``, with the
     channel's own ``q = 1 - rho^2``.  With ``rho <= 0`` every step adds and
     multiplies positive terms, so nothing cancels however far the central
-    distortion sits below ``var(X')``.  An infinite noise variance leaves
-    its update out.  No matrix is built.
+    distortion sits below ``var(X')``.  An infinite noise variance, a
+    zero-rate description, leaves its update out: each is tested once, on
+    the double, and only a finite one is converted.  No matrix is built.
     """
+    inf = math.inf
     s1, s2, s3, s4 = (channel.sigma1_sq, channel.sigma2_sq, channel.sigma3_sq,
                       channel.sigma4_sq)
-    x1, x2, x3, x4 = (_LD_ZERO + s1, _LD_ZERO + s2, _LD_ZERO + s3, _LD_ZERO + s4)
-    d1 = _residual_variance(_LD_ZERO + sx2, x1, s1)
-    if math.isinf(s2) or math.isinf(s3):
+    d1 = _LD_ZERO + sx2
+    if s1 < inf:
+        x1 = _LD_ZERO + s1
+        d1 = d1 * x1 / (d1 + x1)
+    d2 = d1
+    finite2 = s2 < inf
+    if finite2:
+        x2 = _LD_ZERO + s2
+        d2 = d1 * x2 / (d1 + x2)
+    d3, d4 = d1, d2
+    if s3 < inf:
+        x3 = _LD_ZERO + s3
+        d3 = d1 * x3 / (d1 + x3)
         innovation = x3
-    else:
-        gain = 1 - (_LD_ZERO + channel.rho) * np.sqrt(x3 / x2)
-        innovation = x3 * (_LD_ZERO + channel.q) / (gain * gain)
-    v2 = _residual_variance(d1, x2, s2)
-    d4 = _residual_variance(_residual_variance(v2, innovation, s3), x4, s4)
-    return (float(d1), float(v2), float(_residual_variance(d1, x3, s3)), float(d4))
-
-
-def _residual_variance(v, x, s: float):
-    """``v x / (v + x)``, the variance ``v`` left after observing through
-    noise of variance ``x``; unlike the Schur complement it keeps its digits
-    when the result is far below ``v``.  ``s`` is ``x`` as a double (``x``
-    may be its ``longdouble``), and an infinite ``s``, a zero-rate
-    description, leaves ``v``."""
-    return v if math.isinf(s) else v * x / (v + x)
+        if finite2:
+            gain = 1 - (_LD_ZERO + channel.rho) * np.sqrt(x3 / x2)
+            innovation = x3 * (_LD_ZERO + channel.q) / (gain * gain)
+        d4 = d2 * innovation / (d2 + innovation)
+    if s4 < inf:
+        x4 = _LD_ZERO + s4
+        d4 = d4 * x4 / (d4 + x4)
+    return float(d1), float(d2), float(d3), float(d4)
 
 
 def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
@@ -273,7 +280,8 @@ def assemble_msr_covariance(source: "GaussianSource",
     except OverflowError as exc:
         raise ValueError("covariance entries must be finite: a noise variance "
                          "exceeds the source variance by over 2^1023") from exc
-    d1 = _residual_variance(sx2, s1, s1)
+    # var(X') = var(X|U1); an infinite s1, a zero-rate U1, leaves var(X).
+    d1 = sx2 if math.isinf(s1) else sx2 * s1 / (sx2 + s1)
 
     refinements = ((IDX_U2, s2), (IDX_U3, s3), (IDX_U4, s4))
     # X' and every finite-noise description share var(X'), and only N2 and N3

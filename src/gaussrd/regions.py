@@ -31,10 +31,12 @@ from types import SimpleNamespace
 
 from .errors import (InfeasibleDistortion, InvalidRegimeInput, NegativeDelta,
                      OutOfRegime)
-from .model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
-                    GaussianSource, RateTuple, Regime, Unconstrained,
-                    _checked_d1_star, _distortion_floor, _exp_quotient, _margin,
-                    _over_ceiling, _require_d1_floor, _require_rate)
+from .model import (_DEGENERATE, _NON_DEGENERATE, _NORMAL_MIN, _RD_EXCESS,
+                    _RD_LOW, _RD_SLACK, FEASIBILITY_RTOL, UNCONSTRAINED,
+                    DistortionTuple, GaussianSource, RateTuple, Regime,
+                    Unconstrained, _checked_d1_star, _distortion_floor,
+                    _exp_quotient, _margin, _over_ceiling, _require_d1_floor,
+                    _require_rate)
 
 #: Relative half-width of the band around regime boundaries inside which the
 #: adjacent branches are reconciled instead of trusted blindly.
@@ -140,7 +142,7 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
     pi = (1.0 - a) * (1.0 - b)
     pi = 0.0 if 0.0 > pi else pi
     ab = a * b
-    if ab < sys.float_info.min:
+    if ab < _NORMAL_MIN:
         # Then ab and s <= ab carry no relative precision, and sqrt(delta)
         # is as large as the rest of the penalty's 1 - sqrt(pi).
         raise InvalidRegimeInput(
@@ -197,13 +199,12 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
     a, b = _side_ratios(d1s, d2, d3)
     pi, delta, degenerate = _pi_delta(a, b, math.exp(-2.0 * (rates.r2 + rates.r3)))
-    regime = (Regime.DEGENERATE_PI_LESS_DELTA if degenerate
-              else Regime.NON_DEGENERATE)
+    regime = _DEGENERATE if degenerate else _NON_DEGENERATE
     exponent = -2.0 * rates.total()
     factor = math.exp(exponent)
     numerator = source.variance * factor
     den = _penalty_den(a, b, delta)
-    if factor >= sys.float_info.min and numerator >= sys.float_info.min:
+    if factor >= _NORMAL_MIN and numerator >= _NORMAL_MIN:
         d4_bound = numerator / den
     else:
         # The factor or the numerator has left the normal range, though the
@@ -427,13 +428,13 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
                     f"branch disagreement at the harmonic corner: {corner} vs "
                     f"{r2_bound + r3_bound}"
                 )
-        regime, sum_bound = Regime.RD_SLACK, 0.0
+        regime, sum_bound = _RD_SLACK, 0.0
     elif low_band:
         # Both branches are continuous across the low threshold and the
         # excess term is nonnegative, so inside its band R(z) is the weaker.
-        regime, sum_bound = Regime.RD_LOW, rate_to_reach(z, _Z_NAME)
+        regime, sum_bound = _RD_LOW, rate_to_reach(z, _Z_NAME)
     else:
-        regime = Regime.RD_EXCESS
+        regime = _RD_EXCESS
         excess = _excess_term(a, b, z)
         sum_bound = rate_to_reach(z, _Z_NAME) + excess
     return RdBoundResult(r1_star, r2_bound, r3_bound, d4_hat, sum_bound,

@@ -5,21 +5,26 @@ their comparisons once, in one chain; ``_require_d1_floor`` and
 ``_over_ceiling`` admit first and leave the rest to the margin test.  These
 tests pit each site against a reference chain kept here (the floor, channel
 and ``rd_bound`` ones are the separate refusal chains the sites once replayed
-after an accept-first test), on the returned value or on the exception's type
-and message, over seeded draws of targets placed around their floors (a few
-ulps either side, and around the ``FEASIBILITY_RTOL`` band), non-positive,
-NaN, infinite, ``int`` and :data:`UNCONSTRAINED` values, at variances from
-subnormal to 1e300.  A counted guard then checks that an interior point never
-enters the floor helpers.
+after an accept-first test; the value types' are the ``__post_init__`` bodies
+their one-step ``__init__`` replaced), on the returned value or stored fields
+or on the exception's type and message, over seeded draws of targets placed
+around their floors (a few ulps either side, and around the
+``FEASIBILITY_RTOL`` band), non-positive, NaN, infinite, ``int``, ``bool``
+and :data:`UNCONSTRAINED` values, at variances from subnormal to 1e300.
+Counted guards then check that an interior point never enters the floor
+helpers and makes no ``__post_init__`` call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 import sys
 from collections import Counter
 from types import SimpleNamespace
+
+import pytest
 
 from gaussrd import channel, regions
 from gaussrd.channel import TestChannel as ForwardChannel
@@ -27,7 +32,8 @@ from gaussrd.errors import GaussRdError, InfeasibleDistortion, InvalidChannel
 from gaussrd.model import (FEASIBILITY_RTOL, UNCONSTRAINED, DistortionTuple,
                            GaussianSource, RateTuple, _checked_d1_star,
                            _distortion_floor, _margin, _over_ceiling,
-                           _require_d1_floor, _require_floors, _require_rate)
+                           _require_d1_floor, _require_finite_number,
+                           _require_floors, _require_rate)
 
 from conftest import make_rng
 
@@ -195,8 +201,16 @@ CHANNEL_FIELDS = {
 }
 
 
-def _build_channel(fields: dict) -> None:
-    ForwardChannel(**fields)
+def _stored(cls, *args, **kwargs) -> tuple:
+    """The fields of ``cls(*args, **kwargs)``, each as :func:`_word` gives it."""
+    record = cls(*args, **kwargs)
+    return tuple(_word(getattr(record, f.name)) for f in dataclasses.fields(cls))
+
+
+def _admitted(chain, *values) -> tuple:
+    """``values``, as :func:`_word` gives them, once ``chain`` admits them."""
+    chain(*values)
+    return tuple(_word(v) for v in values)
 
 
 def _require_channel(ch) -> None:
@@ -213,23 +227,93 @@ def _require_channel(ch) -> None:
         raise InvalidChannel(f"q = 1 - rho^2 must lie in (0, 1], got {ch.q}")
 
 
+def _chain_channel(*values) -> None:
+    _require_channel(SimpleNamespace(**dict(zip(CHANNEL_FIELDS, values))))
+
+
 def test_channel_record_decides_as_its_chain():
     rng = make_rng(33)
     for _ in range(DRAWS):
         fields = {name: _pick(rng, good if rng.random() < 0.85 else bad)
                   for name, (good, bad) in CHANNEL_FIELDS.items()}
-        assert (_outcome(_build_channel, fields)
-                == _outcome(_require_channel, SimpleNamespace(**fields))), fields
+        values = tuple(fields.values())
+        assert (_outcome(_stored, ForwardChannel, *values)
+                == _outcome(_admitted, _chain_channel, *values)), fields
 
 
-def _floor_helper_calls(call) -> Counter:
-    """Calls of the model's floor helpers made by ``call()``."""
+def _chain_source(variance) -> None:
+    """GaussianSource's checks, as its ``__post_init__`` made them."""
+    v = variance
+    if isinstance(v, float) and 0.0 < v < math.inf:
+        return
+    _require_finite_number("variance", v)
+    if v <= 0.0:
+        raise ValueError(f"variance must be positive, got {v}")
+
+
+def _chain_rates(r1, r2, r3, r4) -> None:
+    """RateTuple's checks, as its ``__post_init__`` made them."""
+    if (isinstance(r1, float) and 0.0 <= r1 < math.inf
+            and isinstance(r2, float) and 0.0 <= r2 < math.inf
+            and isinstance(r3, float) and 0.0 <= r3 < math.inf
+            and isinstance(r4, float) and 0.0 <= r4 < math.inf):
+        return
+    for name, value in zip(("r1", "r2", "r3", "r4"), (r1, r2, r3, r4)):
+        _require_rate(name, value)
+
+
+def _chain_distortions(d1, d2, d3, d4) -> None:
+    """DistortionTuple's checks, as its ``__post_init__`` made them."""
+    if ((d1 is UNCONSTRAINED or isinstance(d1, float) and 0.0 <= d1 < math.inf)
+            and isinstance(d2, float) and 0.0 <= d2 < math.inf
+            and isinstance(d3, float) and 0.0 <= d3 < math.inf
+            and isinstance(d4, float) and 0.0 <= d4 < math.inf):
+        return
+    if d1 is not UNCONSTRAINED:
+        _require_rate("d1", d1)
+    for name, value in (("d2", d2), ("d3", d3), ("d4", d4)):
+        _require_rate(name, value)
+
+
+#: Admissible values, then :data:`SPECIAL` (``UNCONSTRAINED`` among them) and
+#: the bools, which every slot of every value type refuses.
+FIELD_VALUES = (0.5, 2.0, 1e300, 5e-324, 2) + SPECIAL + (True, False)
+
+
+def test_value_types_decide_and_store_as_their_chains():
+    rng = make_rng(34)
+    for cls, chain in ((GaussianSource, _chain_source), (RateTuple, _chain_rates),
+                       (DistortionTuple, _chain_distortions)):
+        width = len(dataclasses.fields(cls))
+        # Each value in each slot, the others admissible, then seeded draws.
+        cases = [tuple(value if i == slot else 0.5 for i in range(width))
+                 for slot in range(width) for value in FIELD_VALUES]
+        cases += [tuple(_pick(rng, FIELD_VALUES) for _ in range(width))
+                  for _ in range(DRAWS)]
+        for values in cases:
+            assert (_outcome(_stored, cls, *values)
+                    == _outcome(_admitted, chain, *values)), (cls, values)
+
+
+def test_value_types_refuse_assignment_to_every_field():
+    records = (GaussianSource(3.7), RateTuple(0.3, 0.5, 1.25, 0.0),
+               DistortionTuple(UNCONSTRAINED, 0.5, 0.25, 0.1),
+               ForwardChannel(1.0, math.inf, 3.0, 0.5, -0.5, 0.1, 0.75))
+    for record in records:
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, 0.25)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+
+
+def _calls(call) -> Counter:
+    """Python function calls made by ``call()``, by qualified name."""
     calls = Counter()
-    names = {"_margin", "_require_floors"}
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name in names:
-            calls[frame.f_code.co_name] += 1
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
 
     sys.setprofile(profile)
     try:
@@ -239,22 +323,35 @@ def _floor_helper_calls(call) -> Counter:
     return calls
 
 
-def test_an_interior_point_makes_no_floor_helper_call():
-    # A bench ``point`` op; with the refusal chains alone it made 12 _margin
-    # and 4 _require_floors calls.
+def _interior_op():
+    """A bench ``point`` op at an interior point."""
     rates, d2, d3, variance = RateTuple(0.3, 0.5, 1.25, 0.4), 2.0, 1.2, 3.7
     source = GaussianSource(variance)
     d1s = variance * math.exp(-2.0 * rates.r1)
+    bound = regions.dr_bound(source, rates, d1s, d2, d3)
+    regions.rd_bound(source, rates.r1, rates.r4,
+                     DistortionTuple(d1s, d2, d3, bound.d4_bound))
+    regions.converse_witness(source, rates, d1s, d2, d3)
+    channel.certify_achievability(source, rates, d2, d3)
 
-    def op():
-        bound = regions.dr_bound(source, rates, d1s, d2, d3)
-        regions.rd_bound(source, rates.r1, rates.r4,
-                         DistortionTuple(d1s, d2, d3, bound.d4_bound))
-        regions.converse_witness(source, rates, d1s, d2, d3)
-        channel.certify_achievability(source, rates, d2, d3)
 
-    op()
-    assert _floor_helper_calls(op) == Counter()
+def test_an_interior_point_makes_no_floor_helper_call():
+    # With the refusal chains alone it made 12 _margin and 4 _require_floors
+    # calls.
+    _interior_op()
+    calls = _calls(_interior_op)
+    assert calls["_margin"] == calls["_require_floors"] == 0, calls
+
+
+def test_an_interior_point_builds_its_records_in_one_step():
+    # A generated frozen __init__ stored each field through
+    # object.__setattr__ and then called __post_init__: one call per record.
+    _interior_op()
+    calls = _calls(_interior_op)
+    built = {name: calls[f"{name}.__init__"]
+             for name in ("GaussianSource", "DistortionTuple", "TestChannel")}
+    assert built == {"GaussianSource": 1, "DistortionTuple": 2, "TestChannel": 1}, calls
+    assert not [name for name in calls if name.endswith(".__post_init__")], calls
 
 
 def test_a_target_one_ulp_below_its_floor_reaches_the_floor_test():
@@ -262,9 +359,9 @@ def test_a_target_one_ulp_below_its_floor_reaches_the_floor_test():
     source = GaussianSource(variance)
     d1s = variance * math.exp(-2.0 * rates.r1)
     d2 = math.nextafter(d1s * math.exp(-2.0 * rates.r2), 0.0)
-    calls = _floor_helper_calls(lambda: regions.dr_bound(source, rates, d1s, d2, 1.2))
+    calls = _calls(lambda: regions.dr_bound(source, rates, d1s, d2, 1.2))
     assert calls["_require_floors"] == 1 and calls["_margin"] == 3
-    calls = _floor_helper_calls(lambda: regions.rd_bound(
+    calls = _calls(lambda: regions.rd_bound(
         source, rates.r1, rates.r4,
         DistortionTuple(math.nextafter(d1s, 0.0), 2.0, 1.2, 0.5)))
     assert calls["_require_floors"] == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -251,7 +252,18 @@ def test_scalar_chain_matches_conditional_mmse_on_the_assembled_covariance():
 def test_chain_equals_the_longdouble_constructor_form_bit_for_bit():
     # The chain converts each double by adding it to a longdouble zero; over
     # certified channels up to 40 nats and across the double range that
-    # must give exactly the numpy.longdouble(x) form.
+    # must give exactly the numpy.longdouble(x) form.  The hand-built
+    # channels reach every branch: each of the 16 sets of infinite noise
+    # variances (certified draws almost never give sigma2_sq = inf), rho = 0
+    # with q = 1, and q near 1e-300.
+    for variance in (1e-300, 1.0, 1e300):
+        for infinite in itertools.product((False, True), repeat=4):
+            sigmas = [math.inf if inf else scale * variance
+                      for inf, scale in zip(infinite, (0.7, 1.3, 0.4, 2.5))]
+            for rho, q in ((-0.6, 0.64), (0.0, 1.0), (-1.0, 1e-300), (-1.0, 3e-301)):
+                channel = ForwardChannel(*sigmas, rho, 0.1 * variance, q)
+                assert (_msr_distortions(variance, channel)
+                        == oracle.ld_channel_distortions(variance, channel)), channel
     rng = np.random.default_rng(1407)
     channels = 0
     while channels < 10_000:

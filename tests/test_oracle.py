@@ -318,7 +318,7 @@ def test_rearrangements_equal_their_textbook_forms():
     # oracle.mp_channel_distortions.
     D1, S4 = sympy.symbols("D1 S4", positive=True)
 
-    def update(v, noise):  # mmse._residual_variance
+    def update(v, noise):  # each step of mmse._msr_distortions
         return v * noise / (v + noise)
 
     c = rho * S3 / S2

@@ -19,6 +19,7 @@ import pytest
 
 from gaussrd import (
     UNCONSTRAINED,
+    InvalidChannel,
     AsymptoticConfig,
     CovarianceMatrix,
     DistortionTuple,
@@ -42,6 +43,7 @@ from gaussrd import (
     rd_bound,
     wz_md_sweep,
 )
+from gaussrd.channel import TestChannel as ForwardChannel
 
 from conftest import make_rng, random_psd_matrix
 
@@ -99,6 +101,25 @@ def test_result_round_trips_through_the_standard_copies(record):
         assert record == other
     assert dataclasses.asdict(pickle.loads(pickle.dumps(record))).keys() \
         == {f.name for f in dataclasses.fields(record)}
+
+
+VALUE_TYPES = [GaussianSource(2.5), RateTuple(0.3, 0.5, 1.25, 0.0),
+               DistortionTuple(UNCONSTRAINED, 0.5, 0.25, 0.1),
+               ForwardChannel(1.0, float("inf"), 3.0, 0.5, -0.5, 0.1, 0.75)]
+
+
+@pytest.mark.parametrize("record", VALUE_TYPES, ids=lambda r: type(r).__name__)
+def test_value_types_round_trip_hash_and_check_on_replace(record):
+    for other in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                  _rebuilt(record), dataclasses.replace(record)):
+        assert other is not record
+        assert other == record and hash(other) == hash(record)
+    assert dataclasses.asdict(record) == {f.name: getattr(record, f.name)
+                                          for f in dataclasses.fields(record)}
+    # replace builds through the same checks.
+    name = dataclasses.fields(record)[-1].name
+    with pytest.raises((ValueError, InvalidChannel)):
+        dataclasses.replace(record, **{name: -1.0})
 
 
 def test_mmse_result_compares_its_coefficients_elementwise():
