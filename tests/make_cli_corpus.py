@@ -16,7 +16,12 @@ The argvs are:
   variances 1e300 and 1e-200 with grid density 2;
 * ``--help`` of the program and of each subcommand;
 * the argvs of :data:`CHANNEL_ARGVS`, one per branch of the forward
-  construction, last so that the entries before them keep their indices.
+  construction;
+* the argvs of :data:`AIM3_EDGE_ARGVS`, the edge cases ``tests/test_cli.py``
+  pins by exit code alone.
+
+Each later group is appended after the ones before it, so that every earlier
+entry keeps its index.
 
 ``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
 the entries whose argv starts with a prefix and keeps the rest as committed.
@@ -61,6 +66,32 @@ CHANNEL_ARGVS = [
      "--d", "0.1641699972477976,0.036631277777468364"],
     ["channel", "--var", "1e-300", "--rates", "0.5,0.75,1.5,0.25", "--d", "2e-301,1e-301"],
     ["channel", "--var", "1e300", "--rates", "0.5,0.75,1.5,0.25", "--d", "2e299,1e299"],
+]
+
+#: The edges ``tests/test_cli.py`` pins by exit code alone, here with their
+#: output: rates of 400 nats in ``dr-bound`` and at each end of ``rd-bound``;
+#: ``loss`` past the overflow of its growth factor; the last ``mdcr`` row's
+#: underflowing bounds; the ``asymptote`` grid on each side of its ceiling
+#: (exit 0, then 2); ``sweep-wz-md`` at r1 = 300 and at r1 or r2 = 1e-17; the
+#: ``channel`` whose d4 bound underflows at variance 1e-200; and ``verify``
+#: at variance 1e-300, which certification refuses before the Monte Carlo
+#: check.
+AIM3_EDGE_ARGVS = [
+    ["dr-bound", "--rates", "400,0,0,0", "--d", "inf,0.5,0.5"],
+    ["rd-bound", "--r1", "400", "--r4", "0", "--d", "inf,0.5,0.5,0.1"],
+    ["rd-bound", "--r1", "0", "--r4", "400", "--d", "inf,0.5,0.5,0.1"],
+    ["loss", "--var", "1e300", "--alpha", "360", "--r3", "0", "--r1-grid", "1"],
+    ["mdcr", "--r2", "1", "--r3", "1", "--d2", "0.3", "--d3", "0.3",
+     "--r4-grid", "0:400:3"],
+    ["asymptote", "--r-grid", "1,176"],
+    ["asymptote", "--r-grid", "1,200"],
+    ["sweep-wz-md", "--r1", "300", "--points", "3"],
+    ["sweep-wz-md", "--r1", "1e-17", "--points", "3"],
+    ["sweep-wz-md", "--r2", "1e-17", "--points", "3"],
+    ["channel", "--var", "1e-200", "--rates",
+     "38.94321942583643,34.18371773174844,39.68471326127271,35.247697372811615",
+     "--d", "3.415362060029526e-246,2.5985620784733553e-237"],
+    ["verify", "--var", "1e-300"],
 ]
 
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
@@ -125,7 +156,7 @@ def main(only: list[list[str]]) -> None:
     (ROOT / DATA).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as state_dir:
         argvs = (bench_argvs(Path(state_dir)) + echo_argvs() + EDGE_ARGVS
-                 + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS)
+                 + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS + AIM3_EDGE_ARGVS)
     old = ({tuple(e["argv"]): e for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
            if only else {})
     entries = [run(argv) if not only or any(argv[:len(p)] == p for p in only)
