@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
                      OutOfRegime)
-from .model import (UNCONSTRAINED, GaussianSource, RateTuple, Regime,
-                    _checked_d1_star, _distortion_floor, _exp_quotient,
+from .model import (_NORMAL_MIN, UNCONSTRAINED, GaussianSource, RateTuple,
+                    Regime, _checked_d1_star, _distortion_floor, _exp_quotient,
                     _require_rate)
 from .regions import _penalty_den, dr_bound
 
@@ -62,7 +62,10 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     ``sigma1 = d1* c(r2)/(c(r1) c(r1+r2))``, each ``c`` from ``expm1``, so
     nothing cancels at small rates.  They are solved in units of ``2^k``, the
     variance's binary order (``var = m 2^k``, ``1/2 <= m < 1``), so no
-    intermediate over- or underflows where the result would not.
+    intermediate over- or underflows where the result would not.  Where
+    ``d2*`` in those units is subnormal (``r1 + r2`` past about 354 nats) it
+    would lose digits, so there ``k = 0`` and both floors come whole from
+    :func:`_distortion_floor`.
     """
     if not r1 > 0.0 or not r2 > 0.0:
         raise InvalidChannel(
@@ -72,7 +75,11 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     m, k = math.frexp(source.variance)
     d1s = m * math.exp(-2.0 * r1)
     d2s = m * math.exp(-2.0 * (r1 + r2))
-    if math.ldexp(d2s, k) < sys.float_info.min:
+    if d2s < _NORMAL_MIN:
+        k = 0
+        d1s = _distortion_floor(source.variance, r1)
+        d2s = _distortion_floor(source.variance, r1 + r2)
+    if math.ldexp(d2s, k) < _NORMAL_MIN:
         raise InvalidRegimeInput(
             f"stage floor d2* = var exp(-2 (r1+r2)) = {math.ldexp(d2s, k)} is "
             f"below the normal double range; the noise variances cannot be solved"
@@ -82,6 +89,8 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     sigma1_sq = d1s * (c2 / c12) / c1  # c1 c12 underflows below rates of ~1e-162
     gamma = sigma2_sq / (sigma1_sq + sigma2_sq)
     try:
+        if sigma1_sq == math.inf:  # only at k = 0, where ldexp cannot overflow
+            raise OverflowError
         return WzChannel(math.ldexp(sigma1_sq, k), math.ldexp(sigma2_sq, k), gamma)
     except OverflowError:
         raise InvalidRegimeInput(

@@ -236,7 +236,9 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     # deviation, so their squares stay in the double range at any variance;
     # the mean and its error bar are scaled back by 4^e.
     e = math.frexp(joint.entries[target_index, target_index])[1] // 2
-    factor = np.ldexp(factor, -e)
+    # ``factor.T`` as a C-contiguous copy: OpenBLAS takes a slower operand
+    # path through the transposed view, for the same bits.
+    factor_t = np.ldexp(factor, -e).T.copy()
     observed = list(est.observed_indices)
     rng = np.random.default_rng(seed)
     block = np.empty((MC_CHUNK, joint.dim))
@@ -244,9 +246,11 @@ def mc_estimate_mse(joint: CovarianceMatrix, target_index: int,
     for start in range(0, samples, MC_CHUNK):
         z = block[:samples - start]
         rng.standard_normal(out=z)
-        draws = z @ factor.T
+        draws = z @ factor_t
         predicted = draws[:, observed] @ est.coefficients if observed else 0.0
-        sq[start:start + len(z)] = (draws[:, target_index] - predicted) ** 2
+        residual = sq[start:start + len(z)]
+        np.subtract(draws[:, target_index], predicted, out=residual)
+        np.square(residual, out=residual)
     # An estimate past the double range is returned as inf, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         mean = sq.mean()

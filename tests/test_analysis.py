@@ -232,6 +232,18 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
         assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
 
 
+def test_wz_md_sweep_solves_the_channel_from_whole_floors_past_354_nats():
+    # sweep-wz-md --var 1e308 --r1 360 --points 3: in units of 2^k the floor
+    # m exp(-2 (r1+r2)) is subnormal.  Solved there, d4_wz was 7.4e4-9.9e4
+    # eps off and the end rows' gaps read -1.35e-17 and -8.2e-18, not 0.
+    var, rates = 1e308, RateTuple(360.0, 0.5, 1.0, 0.5)
+    rows = wz_md_sweep(GaussianSource(var), rates, 3)
+    exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
+    for row, (wz, _, _) in zip(rows, exact):
+        assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
+    assert [row.gap for row in rows][::2] == [0.0, 0.0]
+
+
 def test_wz_md_sweep_validates_point_count():
     with pytest.raises(ValueError):
         wz_md_sweep(GaussianSource(variance=1.0), SWEEP_RATES, points=1)

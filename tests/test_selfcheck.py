@@ -119,6 +119,27 @@ def test_run_verification_report_equals_the_unchunked_estimator(monkeypatch):
             == json.dumps(unchunked, sort_keys=True))
 
 
+@pytest.mark.parametrize("variance", [1.0, 1e-9, 1e9])
+@pytest.mark.parametrize("seed", [12345, 7])
+def test_every_monte_carlo_trial_equals_the_unchunked_estimator(monkeypatch,
+                                                               seed, variance):
+    # The report keeps only the worst z-score of the eight trials, so each
+    # trial's (estimate, std_error) is compared here, bit for bit.
+    streamed = selfcheck.mc_estimate_mse
+    compared = []
+
+    def estimator(joint, target, observed, samples, mc_seed):
+        result = streamed(joint, target, observed, samples, mc_seed)
+        assert result == oracle.mc_estimate_mse_unchunked(
+            joint, target, observed, samples, mc_seed)
+        compared.append(result)
+        return result
+
+    monkeypatch.setattr(selfcheck, "mc_estimate_mse", estimator)
+    run_verification(variance=variance, seed=seed, grid_density=6)
+    assert len(compared) == 8
+
+
 @pytest.mark.parametrize("offset, worst, passed",
                          [(0.0, 0.0, True), (1e-3, math.inf, False)])
 def test_monte_carlo_zero_error_bar_passes_only_an_exact_estimate(
