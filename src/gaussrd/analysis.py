@@ -89,8 +89,6 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     sigma1_sq = d1s * (c2 / c12) / c1  # c1 c12 underflows below rates of ~1e-162
     gamma = sigma2_sq / (sigma1_sq + sigma2_sq)
     try:
-        if sigma1_sq == math.inf:  # only at k = 0, where ldexp cannot overflow
-            raise OverflowError
         return WzChannel(math.ldexp(sigma1_sq, k), math.ldexp(sigma2_sq, k), gamma)
     except OverflowError:
         raise InvalidRegimeInput(

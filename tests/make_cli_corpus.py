@@ -17,11 +17,11 @@ The argvs are:
 * ``--help`` of the program and of each subcommand;
 * the argvs of :data:`CHANNEL_ARGVS`, one per branch of the forward
   construction;
-* the argvs of :data:`AIM3_EDGE_ARGVS`, the edge cases ``tests/test_cli.py``
-  pins by exit code alone.
+* the argvs of :data:`AIM3_EDGE_ARGVS`, edge cases whose output
+  ``tests/test_cli.py`` does not pin in full.
 
-Each later group is appended after the ones before it, so that every earlier
-entry keeps its index.
+The last two groups come after the rest in the order they were added, so
+that every earlier entry keeps its index.
 
 ``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
 the entries whose argv starts with a prefix and keeps the rest as committed.
@@ -68,14 +68,14 @@ CHANNEL_ARGVS = [
     ["channel", "--var", "1e300", "--rates", "0.5,0.75,1.5,0.25", "--d", "2e299,1e299"],
 ]
 
-#: The edges ``tests/test_cli.py`` pins by exit code alone, here with their
-#: output: rates of 400 nats in ``dr-bound`` and at each end of ``rd-bound``;
-#: ``loss`` past the overflow of its growth factor; the last ``mdcr`` row's
-#: underflowing bounds; the ``asymptote`` grid on each side of its ceiling
-#: (exit 0, then 2); ``sweep-wz-md`` at r1 = 300 and at r1 or r2 = 1e-17; the
-#: ``channel`` whose d4 bound underflows at variance 1e-200; and ``verify``
-#: at variance 1e-300, which certification refuses before the Monte Carlo
-#: check.
+#: Edges ``tests/test_cli.py`` pins by exit code or a finiteness check alone,
+#: here with their full output: rates of 400 nats in ``dr-bound`` and at each
+#: end of ``rd-bound``; ``loss`` past the overflow of its growth factor; the
+#: last ``mdcr`` row's underflowing bounds; the ``asymptote`` grid on each
+#: side of its ceiling (exit 0, then 2); ``sweep-wz-md`` at r1 = 300 and at
+#: r1 or r2 = 1e-17; the ``channel`` whose d4 bound underflows at variance
+#: 1e-200; and ``verify`` at variance 1e-300, which certification refuses
+#: before the Monte Carlo check.
 AIM3_EDGE_ARGVS = [
     ["dr-bound", "--rates", "400,0,0,0", "--d", "inf,0.5,0.5"],
     ["rd-bound", "--r1", "400", "--r4", "0", "--d", "inf,0.5,0.5,0.1"],

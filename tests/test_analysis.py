@@ -221,25 +221,18 @@ def test_wz_md_sweep_matches_the_oracle():
 def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor():
     # sweep-wz-md --var 1e308 --r1 360 --points 3: exp(-720) is subnormal
     # though the floors are not.  Formed as plain products, the low row's
-    # d3 sat 3e-12 off its floor and d4_md was 5.8e8 eps off.
+    # d3 sat 3e-12 off its floor and d4_md was 5.8e8 eps off.  With the
+    # binning channel solved in units of 2^k, where m exp(-2 (r1+r2)) is
+    # subnormal too, d4_wz was 7.4e4-9.9e4 eps off and the end rows' gaps
+    # read -1.35e-17 and -8.2e-18, not 0.
     var, rates = 1e308, RateTuple(360.0, 0.5, 1.0, 0.5)
     rows = wz_md_sweep(GaussianSource(var), rates, 3)
     exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
     with mpmath.workdps(oracle.DPS):
         d2s = float(mpmath.mpf(var) * mpmath.exp(-2 * (mpmath.mpf(360.0) + mpmath.mpf(0.5))))
-    for row, (_, md, _) in zip(rows, exact):
+    for row, (wz, md, _) in zip(rows, exact):
         kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
         assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
-
-
-def test_wz_md_sweep_solves_the_channel_from_whole_floors_past_354_nats():
-    # sweep-wz-md --var 1e308 --r1 360 --points 3: in units of 2^k the floor
-    # m exp(-2 (r1+r2)) is subnormal.  Solved there, d4_wz was 7.4e4-9.9e4
-    # eps off and the end rows' gaps read -1.35e-17 and -8.2e-18, not 0.
-    var, rates = 1e308, RateTuple(360.0, 0.5, 1.0, 0.5)
-    rows = wz_md_sweep(GaussianSource(var), rates, 3)
-    exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
-    for row, (wz, _, _) in zip(rows, exact):
         assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
     assert [row.gap for row in rows][::2] == [0.0, 0.0]
 
