@@ -18,9 +18,11 @@ The argvs are:
 * the argvs of :data:`CHANNEL_ARGVS`, one per branch of the forward
   construction;
 * the argvs of :data:`AIM3_EDGE_ARGVS`, edge cases whose output
-  ``tests/test_cli.py`` does not pin in full.
+  ``tests/test_cli.py`` does not pin in full;
+* the argvs of :data:`WZ_EDGE_ARGVS`, the binning channel's noise variances
+  at the edges of the double range.
 
-The last two groups come after the rest in the order they were added, so
+The last three groups come after the rest in the order they were added, so
 that every earlier entry keeps its index.
 
 ``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
@@ -94,6 +96,15 @@ AIM3_EDGE_ARGVS = [
     ["verify", "--var", "1e-300"],
 ]
 
+#: ``sweep-wz-md`` where the binning channel's noise variances leave the
+#: double range: ``sigma1_sq`` past the top at r1 = 1e-310 and at variance
+#: 1e308 with r2 = 360, and a subnormal ``1 - exp(-2 r2)`` at r2 = 1e-320.
+WZ_EDGE_ARGVS = [
+    ["sweep-wz-md", "--r1", "1e-310", "--points", "3"],
+    ["sweep-wz-md", "--var", "1e308", "--r1", "0.1", "--r2", "360", "--points", "3"],
+    ["sweep-wz-md", "--r2", "1e-320", "--points", "3"],
+]
+
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
                  for seed in (12345, 1, 7) for var in ("1", "1e-9", "1e9")]
                 + [["verify", "--var", var, "--grid-density", "2"]
@@ -156,7 +167,8 @@ def main(only: list[list[str]]) -> None:
     (ROOT / DATA).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as state_dir:
         argvs = (bench_argvs(Path(state_dir)) + echo_argvs() + EDGE_ARGVS
-                 + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS + AIM3_EDGE_ARGVS)
+                 + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS + AIM3_EDGE_ARGVS
+                 + WZ_EDGE_ARGVS)
     old = ({tuple(e["argv"]): e for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
            if only else {})
     entries = [run(argv) if not only or any(argv[:len(p)] == p for p in only)
