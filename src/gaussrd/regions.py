@@ -113,10 +113,10 @@ def _side_ratios(d1_star: float, d2: float, d3: float) -> tuple[float, float]:
             (d1_star if d1_star < d3 else d3) / d1_star)
 
 
-#: The array namespace's operations on doubles.  ``maximum`` makes the
-#: builtin ``max``'s comparison and returns the same object, without its
-#: argument parsing.
-_MATH = SimpleNamespace(sqrt=math.sqrt, abs=abs,
+#: The array namespace's operations on doubles, those whose double and array
+#: spellings differ.  ``maximum`` makes the builtin ``max``'s comparison and
+#: returns the same object, without its argument parsing.
+_MATH = SimpleNamespace(sqrt=math.sqrt,
                         maximum=lambda x, y: y if y > x else x,
                         where=lambda c, x, y: x if c else y)
 
@@ -124,13 +124,13 @@ _MATH = SimpleNamespace(sqrt=math.sqrt, abs=abs,
 def _delta(xp, ab, s):
     """``delta = a b - s``, its tolerance ``FEASIBILITY_RTOL max(a b, s)``
     (the scale on which the subtraction loses its digits), and ``delta``
-    snapped to 0 within it and clamped at 0: ``sqrt(delta)`` has unbounded
+    kept only above that tolerance, else 0: ``sqrt(delta)`` has unbounded
     sensitivity at zero, so input rounding treated as an excess would put
     noise of order ``sqrt(eps)`` into the bound at targets on their floors.
     """
     delta = ab - s
     tol = FEASIBILITY_RTOL * xp.maximum(ab, s)
-    return delta, tol, xp.maximum(xp.where(xp.abs(delta) <= tol, 0.0, delta), 0.0)
+    return delta, tol, xp.where(delta > tol, delta, 0.0)
 
 
 def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
@@ -345,11 +345,10 @@ def _rd_branches(xp, a, b, z):
     """
     ab = a * b
     low, harm = ab - (1.0 - a) * (1.0 - b), ab / (a + b - ab)
-    to_harm = xp.abs(z - harm)
+    to_harm = abs(z - harm)
     slack = ((harm > 0.0) & (to_harm <= BOUNDARY_RTOL * xp.maximum(z, harm))) | (z > harm)
     corner = slack & (to_harm <= 1e-12 * harm) & (low < z)
-    low_band = (low > 0.0) & ((xp.abs(z - low) <= BOUNDARY_RTOL * xp.maximum(z, low))
-                              | (z < low))
+    low_band = (low > 0.0) & (z - low <= BOUNDARY_RTOL * xp.maximum(z, low))
     return low, harm, slack, corner, low_band
 
 

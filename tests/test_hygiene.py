@@ -343,6 +343,17 @@ def test_the_double_namespace_clamps_by_comparison():
     assert regions._MATH.maximum is not max
 
 
+def test_the_double_namespace_holds_only_what_needs_a_second_spelling():
+    # Each member is read as xp.<member> by a shared form, and none is a
+    # builtin such as abs, which serves doubles and arrays alike.
+    tree = ast.parse((SRC / "regions.py").read_text(encoding="utf-8"))
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "xp"}
+    members = set(vars(regions._MATH))
+    assert members <= read, f"_MATH members never read as xp.<member>: {members - read}"
+    assert not {m for m in members if hasattr(builtins, m)}, "_MATH holds a builtin"
+
+
 @pytest.mark.parametrize("name, function", sorted(MODEL_TESTS))
 def test_floor_and_ceiling_are_tested_in_model(name, function):
     test = MODEL_TESTS[(name, function)]

@@ -1067,6 +1067,19 @@ def test_equivalence_scan_on_malformed_grids(make_grid, raises):
             == grid.total_points())
 
 
+@pytest.mark.parametrize("variance, r1_values", [(1.0, (0.35, 400.0)),
+                                                 (1e-300, (0.35, 30.0))])
+def test_equivalence_scan_refuses_an_underflowed_d1_floor_after_a_normal_one(
+        variance, r1_values):
+    # The second r1's d1* underflows to 0, so its side ratios, delta and
+    # penalty denominator are NaN; dr_bound refuses the first such point.
+    source, grid = _malformed(variance, r1_values=r1_values)()
+    with pytest.raises(InvalidRegimeInput) as raised:
+        equivalence_scan(source, grid)
+    assert str(raised.value) == ("first-layer floor d1_star=0.0 underflows; the "
+                                 "side-target ratios d2/d1_star and d3/d1_star are undefined")
+
+
 def test_equivalence_scan_refuses_an_underflowed_d4_bound():
     # var exp(-2 (r1+r2+r3+r4)) = exp(-762) / den lies below the subnormal
     # range, so d4_bound is 0 and the margin (d4 - d4_bound)/d4_bound has
@@ -1353,3 +1366,100 @@ def test_floor_test_raises_as_builtin_min_decides(margins):
     else:
         raised = False
     assert raised == (min(margins) < -FEASIBILITY_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# The one-comparison band tests decide as their two-rule forms
+# ---------------------------------------------------------------------------
+
+#: The double namespace with the ``abs`` that the two-rule forms read.
+_MATH_WITH_ABS = types.SimpleNamespace(**{**vars(regions._MATH), "abs": abs})
+_NONNEGATIVE = st.one_of(st.sampled_from([0.0, 5e-324, sys.float_info.min, 1.0, math.inf]),
+                         st.floats(0.0, allow_infinity=True, allow_subnormal=True))
+
+
+def _snapped_then_clamped(xp, ab, s):
+    """``_delta``'s kept ``delta`` as two rules: snapped to 0 within its
+    tolerance, then clamped at 0."""
+    delta = ab - s
+    tol = FEASIBILITY_RTOL * xp.maximum(ab, s)
+    return xp.maximum(xp.where(xp.abs(delta) <= tol, 0.0, delta), 0.0)
+
+
+def _band_or_below(xp, z, low):
+    """``_rd_branches``' low band as two tests: within the band around a
+    positive ``low``, or below it."""
+    return (low > 0.0) & ((xp.abs(z - low) <= BOUNDARY_RTOL * xp.maximum(z, low))
+                          | (z < low))
+
+
+def _ulps_from(draw, x):
+    """``x`` moved by up to 4 ulps either way."""
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def _delta_edges(draw):
+    # s anywhere, or a few ulps from ab or from ab less its tolerance, so
+    # that delta falls on either side of its snap.
+    ab = draw(_NONNEGATIVE)
+    edge = draw(st.sampled_from([ab, ab * (1.0 - FEASIBILITY_RTOL)]))
+    return ab, draw(st.one_of(_NONNEGATIVE, st.just(max(_ulps_from(draw, edge), 0.0))))
+
+
+@CLAMPS
+@given(st.lists(_delta_edges(), min_size=1, max_size=16))
+@example([(math.inf, math.inf), (0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)])
+def test_delta_keeps_what_snap_then_clamp_keeps(rows):
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    with np.errstate(all="ignore"):
+        arrays = regions._delta(np, *columns)[2], _snapped_then_clamped(np, *columns)
+    for i, (ab, s) in enumerate(rows):
+        kept = [regions._delta(regions._MATH, ab, s)[2], float(arrays[0][i])]
+        two_rules = [_snapped_then_clamped(_MATH_WITH_ABS, ab, s), float(arrays[1][i])]
+        if ab == s == math.inf:
+            # delta = inf - inf is NaN, which the two rules keep and the one
+            # comparison drops; no caller passes it.
+            assert [v.hex() for v in kept + two_rules] == ["0x0.0p+0"] * 2 + ["nan"] * 2
+        else:
+            assert {v.hex() for v in kept + two_rules} == {two_rules[0].hex()}, (ab, s)
+
+
+def _sides_of(low):
+    """Side ratios ``(a, b)`` whose low threshold ``ab - (1-a)(1-b)`` is
+    ``low`` or near it, and whose ``a + b - ab`` is not 0 on doubles."""
+    if math.isinf(low):
+        return low, 0.5
+    return (1.0 if abs(low) < 2.0 ** 52 else 0.5), low
+
+
+@st.composite
+def _band_edges(draw):
+    # z anywhere, or a few ulps from low or from its band's upper edge
+    # low / (1 - BOUNDARY_RTOL), or within 3 band widths of low.
+    low = draw(ANY_DOUBLE)
+    edge = draw(st.sampled_from([low, low / (1.0 - BOUNDARY_RTOL)]))
+    z = st.one_of(ANY_DOUBLE, st.just(_ulps_from(draw, edge)),
+                  NEAR.map(lambda k: low * (1.0 + k * BOUNDARY_RTOL)))
+    return low, draw(z)
+
+
+@CLAMPS
+@given(st.lists(_band_edges(), min_size=1, max_size=16))
+@example([(1.0, math.nan), (math.nan, 1.0), (math.inf, math.inf), (math.inf, 1.0),
+          (-math.inf, -math.inf), (0.0, -1.0), (-1.0, -2.0), (5e-324, 0.0)])
+def test_low_band_decides_as_band_or_below(rows):
+    sides = [_sides_of(low) for low, _ in rows]
+    a, b = (np.array(column, dtype=float) for column in zip(*sides))
+    z = np.array([z for _, z in rows], dtype=float)
+    with np.errstate(all="ignore"):
+        low, *_, band = regions._rd_branches(np, a, b, z)
+        arrays = band, _band_or_below(np, z, low)
+    for i, ((a_i, b_i), (_, z_i)) in enumerate(zip(sides, rows)):
+        low_i, *_, band_i = regions._rd_branches(regions._MATH, a_i, b_i, z_i)
+        decided = [band_i, arrays[0][i], _band_or_below(_MATH_WITH_ABS, z_i, low_i),
+                   arrays[1][i]]
+        assert len({bool(v) for v in decided}) == 1, (low_i, z_i, decided)
