@@ -65,7 +65,9 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     intermediate over- or underflows where the result would not.  Where
     ``d2*`` in those units is subnormal (``r1 + r2`` past about 354 nats) it
     would lose digits, so there ``k = 0`` and both floors come whole from
-    :func:`_distortion_floor`.
+    :func:`_distortion_floor`.  A noise variance that is not a normal double,
+    or a ``gamma`` that underflows, is refused with
+    :class:`InvalidRegimeInput`: the channel exists but cannot be represented.
     """
     if not r1 > 0.0 or not r2 > 0.0:
         raise InvalidChannel(
@@ -86,15 +88,25 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
         )
     c1, c2, c12 = (-math.expm1(-2.0 * r) for r in (r1, r2, r1 + r2))
     sigma2_sq = d2s / c12
-    sigma1_sq = d1s * (c2 / c12) / c1  # c1 c12 underflows below rates of ~1e-162
-    gamma = sigma2_sq / (sigma1_sq + sigma2_sq)
+    # sigma1_sq = d1s (c2/c12)/c1 on the factors' mantissas, their binary
+    # orders summed into e, so that no intermediate is subnormal where a
+    # factor is (c2 at r2 below about 1.1e-308) and c1 c12, which underflows
+    # below rates of ~1e-162, is never formed.
+    (n1, f1), (n2, f2), (n12, f12), (nd, fd) = map(math.frexp, (c1, c2, c12, d1s))
+    sigma1_sq, e = nd * (n2 / n12) / n1, fd + f2 - f12 - f1
     try:
-        return WzChannel(math.ldexp(sigma1_sq, k), math.ldexp(sigma2_sq, k), gamma)
+        s1, s2 = math.ldexp(sigma1_sq, k + e), math.ldexp(sigma2_sq, k)
+        gamma = sigma2_sq / (math.ldexp(sigma1_sq, e) + sigma2_sq)
     except OverflowError:
+        s1 = s2 = gamma = math.inf
+    if not (_NORMAL_MIN <= s1 < math.inf and _NORMAL_MIN <= s2 < math.inf
+            and gamma > 0.0):
         raise InvalidRegimeInput(
-            f"the noise variances {sigma1_sq} and {sigma2_sq} times 2^{k} "
-            f"overflow; the channel cannot be represented"
-        ) from None
+            f"the noise variances {sigma1_sq} times 2^{k + e} and {sigma2_sq} "
+            f"times 2^{k} are not both normal doubles, or their weight gamma "
+            f"underflows; the channel cannot be represented"
+        )
+    return WzChannel(s1, s2, gamma)
 
 
 def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> float:
@@ -126,10 +138,11 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
         denominator = (sx2 + s1 + s2) * ((s1 / (s1 + s2)) ** 2 * d3_hat + g * s1)
         return numerator / denominator
     # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
-    # beyond ~1e102); in units of d1* and of var nothing does.
+    # beyond ~1e102); in units of d1* and of var nothing does.  q1 is divided
+    # out: it is subnormal where r2 is below about 1e-308.
     q1, q2, q3 = s1 / d1s, s2 / d1s, d3_prime / d1s
-    return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q1 * q2
-            / ((q1 / (q1 + q2)) ** 2 * (1.0 if 1.0 < q3 else q3) + g * q1))
+    return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q2
+            / (q1 / (q1 + q2) ** 2 * (1.0 if 1.0 < q3 else q3) + g))
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:

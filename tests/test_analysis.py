@@ -237,6 +237,39 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
     assert [row.gap for row in rows][::2] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("variance, r1, r2", [
+    # sigma1_sq = d1* c(r2)/(c(r1) c(r1+r2)) is about 1.4e309 at r1 = 1e-310
+    # and 4.5e308 at variance 1e308, r1 = 0.1; it is 3.62e-321 at r2 = 1e-320.
+    (1.0, 1e-310, 1.0), (1e308, 0.1, 360.0), (1.0, 1.0, 1e-320)])
+def test_wz_channel_refuses_noise_variances_off_the_normal_range(variance, r1, r2):
+    with pytest.raises(InvalidRegimeInput, match="the channel cannot be represented"):
+        wz_channel_from_rates(GaussianSource(variance), r1, r2)
+
+
+@pytest.mark.parametrize("variance", [1.0, 1e300])
+def test_wz_channel_at_a_subnormal_second_stage_factor_matches_the_oracle(variance):
+    # c(r2) = 1 - exp(-2 r2) is subnormal at r2 = 1e-320.  Formed from it
+    # directly, sigma1_sq read 3.626e-321 at variance 1 (1.7e-3 off), and the
+    # sweep's d4_wz 1.24% off with end gaps of 8.4e-5; at variance 1e300 it
+    # read 3.619742360532049e-21 (1.45e-4 off).
+    rates = RateTuple(1.0, 1e-320, 1.0, 0.5)
+    with mpmath.workdps(oracle.DPS):
+        r1, r2 = mpmath.mpf(rates.r1), mpmath.mpf(rates.r2)
+        c = [-mpmath.expm1(-2 * r) for r in (r1, r2, r1 + r2)]
+        sigma1_sq = float(variance * mpmath.exp(-2 * r1) * c[1] / (c[0] * c[2]))
+    if sigma1_sq < sys.float_info.min:
+        with pytest.raises(InvalidRegimeInput):
+            wz_channel_from_rates(GaussianSource(variance), rates.r1, rates.r2)
+        return
+    ch = wz_channel_from_rates(GaussianSource(variance), rates.r1, rates.r2)
+    assert abs(ch.sigma1_sq - sigma1_sq) <= 2.0 * EPS * sigma1_sq
+    rows = wz_md_sweep(GaussianSource(variance), rates, 3)
+    exact = oracle.mp_wz_md_sweep(variance, rates.as_tuple(), [row.d3 for row in rows])
+    for row, (wz, _, _) in zip(rows, exact):
+        assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
+    assert [row.gap for row in rows] == [0.0, 0.0, 0.0]
+
+
 def test_wz_md_sweep_validates_point_count():
     with pytest.raises(ValueError):
         wz_md_sweep(GaussianSource(variance=1.0), SWEEP_RATES, points=1)
@@ -588,8 +621,9 @@ def _md_slice_with(monkeypatch, field):
     # sigma1 = d1* c(r2)/(c(r1) c(r1+r2)) is about 2.8e9 at r1 = 1e-10, and
     # the variance's order 2^1024 takes it past the double range.
     (lambda mp: wz_channel_from_rates(GaussianSource(1e308), 1e-10, 1.0),
-     "the noise variances 2781342322.7688017 and 0.08706582879922392 times "
-     "2^1024 overflow; the channel cannot be represented"),
+     "the noise variances 0.6475817232320089 times 2^1056 and "
+     "0.08706582879922392 times 2^1024 are not both normal doubles, or their "
+     "weight gamma underflows; the channel cannot be represented"),
     (lambda mp: _md_slice_with(mp, "pi"),
      "pi specialization mismatch: 0.10160731479311585 vs 0.35160731479311585"),
     (lambda mp: _md_slice_with(mp, "delta"),
