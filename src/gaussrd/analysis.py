@@ -98,7 +98,7 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
         s1, s2 = math.ldexp(sigma1_sq, k + e), math.ldexp(sigma2_sq, k)
         gamma = sigma2_sq / (math.ldexp(sigma1_sq, e) + sigma2_sq)
     except OverflowError:
-        s1 = s2 = gamma = math.inf
+        s1 = s2 = gamma = math.inf  # refused below
     if not (_NORMAL_MIN <= s1 < math.inf and _NORMAL_MIN <= s2 < math.inf
             and gamma > 0.0):
         raise InvalidRegimeInput(

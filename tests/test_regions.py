@@ -1023,6 +1023,10 @@ def _grid_values(field: str, *extra: float):
     (_malformed(d4_values=()), None),
     # d1* = exp(-800) underflows to 0, so the side ratios are undefined.
     (_malformed(r1_values=(400.0,)), InvalidRegimeInput),
+    # The same after a normal first r1, whose points come first; the second
+    # r1's side ratios, delta and penalty denominator are NaN in the scan.
+    (_malformed(r1_values=(0.35, 400.0)), InvalidRegimeInput),
+    (_malformed(variance=1e-300, r1_values=(0.35, 30.0)), InvalidRegimeInput),
     # Subnormal side targets clear floors that have underflowed, but
     # a b = d2 d3 / d1*^2 lies below the normal range.
     (_malformed(d2_values=(1e-300,), d3_values=(1e-300,),
@@ -1048,7 +1052,8 @@ def _grid_values(field: str, *extra: float):
                 d3_values=(0.5, 1e-160), d4_values=(1.0,)), InvalidRegimeInput),
 ], ids=["negative-r1", "negative-r3", "negative-r4", "negative-d4", "nan-d4", "inf-d4",
         "nan-d2", "zero-d3", "empty-d1", "empty-r2", "empty-d4",
-        "underflowed-d1-floor", "underflowed-side-product", "zero-d4",
+        "underflowed-d1-floor", "underflowed-second-d1-floor",
+        "underflowed-second-d1-floor-at-1e-300", "underflowed-side-product", "zero-d4",
         "inf-d1", "inf-d2", "underflowed-z", "overflowing-exp-2r4",
         "zero-bound-before-zero-d4", "zero-bound-before-side-product"])
 def test_equivalence_scan_on_malformed_grids(make_grid, raises):
@@ -1065,19 +1070,6 @@ def test_equivalence_scan_on_malformed_grids(make_grid, raises):
     assert report == _reference_scan(source, grid)
     assert (report.evaluated + report.skipped_infeasible + report.boundary
             == grid.total_points())
-
-
-@pytest.mark.parametrize("variance, r1_values", [(1.0, (0.35, 400.0)),
-                                                 (1e-300, (0.35, 30.0))])
-def test_equivalence_scan_refuses_an_underflowed_d1_floor_after_a_normal_one(
-        variance, r1_values):
-    # The second r1's d1* underflows to 0, so its side ratios, delta and
-    # penalty denominator are NaN; dr_bound refuses the first such point.
-    source, grid = _malformed(variance, r1_values=r1_values)()
-    with pytest.raises(InvalidRegimeInput) as raised:
-        equivalence_scan(source, grid)
-    assert str(raised.value) == ("first-layer floor d1_star=0.0 underflows; the "
-                                 "side-target ratios d2/d1_star and d3/d1_star are undefined")
 
 
 def test_equivalence_scan_refuses_an_underflowed_d4_bound():
