@@ -1402,7 +1402,7 @@ def _delta_edges(draw):
     return ab, draw(st.one_of(_NONNEGATIVE, st.just(max(_ulps_from(draw, edge), 0.0))))
 
 
-@CLAMPS
+@SHARED
 @given(st.lists(_delta_edges(), min_size=1, max_size=16))
 @example([(math.inf, math.inf), (0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)])
 def test_delta_keeps_what_snap_then_clamp_keeps(rows):
@@ -1439,7 +1439,7 @@ def _band_edges(draw):
     return low, draw(z)
 
 
-@CLAMPS
+@SHARED
 @given(st.lists(_band_edges(), min_size=1, max_size=16))
 @example([(1.0, math.nan), (math.nan, 1.0), (math.inf, math.inf), (math.inf, 1.0),
           (-math.inf, -math.inf), (0.0, -1.0), (-1.0, -2.0), (5e-324, 0.0)])
