@@ -68,6 +68,10 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
     :func:`_distortion_floor`.  A noise variance that is not a normal double,
     or a ``gamma`` that underflows, is refused with
     :class:`InvalidRegimeInput`: the channel exists but cannot be represented.
+    So is a ``sigma1_sq`` that overflows in units of ``2^k`` only (``k < 0``
+    and ``r1`` below about 2.8e-309): ``s1/d1*`` then overflows too, and
+    :func:`wz_region`'s rescaled branch, which works in units of ``d1*``,
+    cannot evaluate it.
     """
     if not r1 > 0.0 or not r2 > 0.0:
         raise InvalidChannel(
@@ -99,12 +103,13 @@ def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzCha
         gamma = sigma2_sq / (math.ldexp(sigma1_sq, e) + sigma2_sq)
     except OverflowError:
         s1 = s2 = gamma = math.inf  # refused below
-    if not (_NORMAL_MIN <= s1 < math.inf and _NORMAL_MIN <= s2 < math.inf
-            and gamma > 0.0):
+    # s2 = 2^k d2s/c12 is at least 2^k d2s, refused above if subnormal.
+    if not (_NORMAL_MIN <= s1 < math.inf and s2 < math.inf and gamma > 0.0):
         raise InvalidRegimeInput(
             f"the noise variances {sigma1_sq} times 2^{k + e} and {sigma2_sq} "
-            f"times 2^{k} are not both normal doubles, or their weight gamma "
-            f"underflows; the channel cannot be represented"
+            f"times 2^{k} are not both normal doubles, or the first overflows "
+            f"in units of 2^{k}, or their weight gamma underflows; the channel "
+            f"cannot be represented"
         )
     return WzChannel(s1, s2, gamma)
 
@@ -139,10 +144,11 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
         return numerator / denominator
     # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
     # beyond ~1e102); in units of d1* and of var nothing does.  q1 is divided
-    # out: it is subnormal where r2 is below about 1e-308.
+    # out: it is subnormal where r2 is below about 1e-308.  (q1 + q2)^2 is
+    # not formed: it overflows once r1 is below about 3.7e-155.
     q1, q2, q3 = s1 / d1s, s2 / d1s, d3_prime / d1s
     return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q2
-            / (q1 / (q1 + q2) ** 2 * (1.0 if 1.0 < q3 else q3) + g))
+            / (q1 / (q1 + q2) / (q1 + q2) * (1.0 if 1.0 < q3 else q3) + g))
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:

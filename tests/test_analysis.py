@@ -239,11 +239,25 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
 
 @pytest.mark.parametrize("variance, r1, r2", [
     # sigma1_sq = d1* c(r2)/(c(r1) c(r1+r2)) is about 1.4e309 at r1 = 1e-310
-    # and 4.5e308 at variance 1e308, r1 = 0.1.
-    (1.0, 1e-310, 1.0), (1e308, 0.1, 360.0)])
+    # and 4.5e308 at variance 1e308, r1 = 0.1.  At variance 1e-300 it is about
+    # 5e9, but 5e309 in units of the variance's order 2^-996.
+    (1.0, 1e-310, 1.0), (1e308, 0.1, 360.0), (1e-300, 1e-310, 1e-200)])
 def test_wz_channel_refuses_noise_variances_off_the_normal_range(variance, r1, r2):
     with pytest.raises(InvalidRegimeInput, match="the channel cannot be represented"):
         wz_channel_from_rates(GaussianSource(variance), r1, r2)
+
+
+@pytest.mark.parametrize("variance, rates", [
+    # q1 + q2 = (s1 + s2)/d1* = 1/c(r1) is about 5e199 and 5e159: its square
+    # overflows, which raised OverflowError out of the rescaled branch.  At
+    # r4 = 400 the scale exp(-2 (r3+r4)) underflows to 0.
+    (1e100, RateTuple(1e-200, 0.5, 1.0, 0.5)),
+    (1.0, RateTuple(1e-160, 0.5, 1.0, 400.0))])
+def test_wz_md_sweep_rescaled_branch_at_a_tiny_first_rate_matches_the_oracle(variance, rates):
+    rows = wz_md_sweep(GaussianSource(variance), rates, 3)
+    exact = oracle.mp_wz_md_sweep(variance, rates.as_tuple(), [row.d3 for row in rows])
+    for row, (wz, _, _) in zip(rows, exact):
+        assert abs(row.d4_wz - float(wz)) <= 16.0 * EPS * float(wz)
 
 
 @pytest.mark.parametrize("variance", [1.0, 1e300])
@@ -622,8 +636,9 @@ def _md_slice_with(monkeypatch, field):
     # the variance's order 2^1024 takes it past the double range.
     (lambda mp: wz_channel_from_rates(GaussianSource(1e308), 1e-10, 1.0),
      "the noise variances 0.6475817232320089 times 2^1056 and "
-     "0.08706582879922392 times 2^1024 are not both normal doubles, or their "
-     "weight gamma underflows; the channel cannot be represented"),
+     "0.08706582879922392 times 2^1024 are not both normal doubles, or the "
+     "first overflows in units of 2^1024, or their weight gamma underflows; "
+     "the channel cannot be represented"),
     (lambda mp: _md_slice_with(mp, "pi"),
      "pi specialization mismatch: 0.10160731479311585 vs 0.35160731479311585"),
     (lambda mp: _md_slice_with(mp, "delta"),
