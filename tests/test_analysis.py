@@ -191,7 +191,9 @@ def test_wz_md_sweep_matches_the_oracle():
     # rounding model 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap
     # within the sum of the two.  Every fourth r2 lies 1e-20 to 1e-16.5 of
     # r1, where gamma = s2/(s1 + s2) rounds to 1 once s1/s2 ~ r2/r1 < eps/2;
-    # the last case puts r2 300 decades below r1.
+    # the last cases put r2 300 decades below r1, and r1 at 1e-160 and
+    # 1e-200 with the variance at 1e100, where the bound's rescaled branch
+    # sees q1 + q2 = 1/c(r1) past 1.3e154, so (q1 + q2)^2 overflows.
     rng = make_rng(9)
     cases = []
     for i in range(40):
@@ -201,7 +203,9 @@ def test_wz_md_sweep_matches_the_oracle():
         if i % 4 == 1:
             r2 = r1 * 10.0 ** rng.uniform(-20.0, -16.5)
         cases.append((var, RateTuple(r1, r2, *rng.uniform(0.01, 2.0, size=2))))
-    cases.append((1.0, RateTuple(1.0, 1e-300, 1.0, 0.5)))
+    cases += [(1.0, RateTuple(1.0, 1e-300, 1.0, 0.5)),
+              (1e100, RateTuple(1e-160, 0.5, 1.0, 0.5)),
+              (1e100, RateTuple(1e-200, 0.5, 1.0, 0.5))]
     rounded = 0
     for var, rates in cases:
         rounded += wz_channel_from_rates(GaussianSource(var), rates.r1, rates.r2).gamma == 1.0
@@ -245,19 +249,6 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
 def test_wz_channel_refuses_noise_variances_off_the_normal_range(variance, r1, r2):
     with pytest.raises(InvalidRegimeInput, match="the channel cannot be represented"):
         wz_channel_from_rates(GaussianSource(variance), r1, r2)
-
-
-@pytest.mark.parametrize("variance, rates", [
-    # q1 + q2 = (s1 + s2)/d1* = 1/c(r1) is about 5e199 and 5e159: its square
-    # overflows, which raised OverflowError out of the rescaled branch.  At
-    # r4 = 400 the scale exp(-2 (r3+r4)) underflows to 0.
-    (1e100, RateTuple(1e-200, 0.5, 1.0, 0.5)),
-    (1.0, RateTuple(1e-160, 0.5, 1.0, 400.0))])
-def test_wz_md_sweep_rescaled_branch_at_a_tiny_first_rate_matches_the_oracle(variance, rates):
-    rows = wz_md_sweep(GaussianSource(variance), rates, 3)
-    exact = oracle.mp_wz_md_sweep(variance, rates.as_tuple(), [row.d3 for row in rows])
-    for row, (wz, _, _) in zip(rows, exact):
-        assert abs(row.d4_wz - float(wz)) <= 16.0 * EPS * float(wz)
 
 
 @pytest.mark.parametrize("variance", [1.0, 1e300])
