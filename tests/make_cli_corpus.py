@@ -19,8 +19,8 @@ The argvs are:
   construction;
 * the argvs of :data:`AIM3_EDGE_ARGVS`, edge cases whose output
   ``tests/test_cli.py`` does not pin in full;
-* the argvs of :data:`WZ_EDGE_ARGVS`, the binning channel's noise variances
-  at the edges of the double range.
+* the argvs of :data:`WZ_EDGE_ARGVS`, the binning sweep at the edges of its
+  stage rates.
 
 The last three groups come after the rest in the order they were added, so
 that every earlier entry keeps its index.
@@ -96,13 +96,20 @@ AIM3_EDGE_ARGVS = [
     ["verify", "--var", "1e-300"],
 ]
 
-#: ``sweep-wz-md`` where the binning channel's noise variances leave the
-#: double range: ``sigma1_sq`` past the top at r1 = 1e-310 and at variance
-#: 1e308 with r2 = 360, and a subnormal ``1 - exp(-2 r2)`` at r2 = 1e-320.
+#: ``sweep-wz-md`` at the edges of its stage rates: near-zero or subnormal
+#: ``r1`` and ``r2`` (1e-310, 1e-320, and a variance of 3.96e-259 at
+#: r1 = 1.3e-158), ``r1`` and ``r2`` at exactly 0, and variance 1e308 with
+#: r2 = 360, where the plain slice's ``a = exp(-720)`` is subnormal and the
+#: sweep is refused.
 WZ_EDGE_ARGVS = [
     ["sweep-wz-md", "--r1", "1e-310", "--points", "3"],
     ["sweep-wz-md", "--var", "1e308", "--r1", "0.1", "--r2", "360", "--points", "3"],
     ["sweep-wz-md", "--r2", "1e-320", "--points", "3"],
+    ["sweep-wz-md", "--var", "3.9568226551624325e-259", "--r1", "1.342632853490674e-158",
+     "--r2", "0.0020019260325903035", "--r3", "1.0092188134423132",
+     "--r4", "0.6386335256137914", "--points", "3"],
+    ["sweep-wz-md", "--r1", "0", "--points", "3"],
+    ["sweep-wz-md", "--r2", "0", "--points", "3"],
 ]
 
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
