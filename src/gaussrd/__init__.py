@@ -16,10 +16,9 @@ from importlib import import_module
 _EXPORTS = {name: module for module, names in (
     ("analysis", ("AsymptoticConfig", "ConvergenceRow", "FixedChannelConfig",
                   "FixedChannelLoss", "HighRateAsymptotes", "MdcrComparison",
-                  "MdcrSplit", "SweepRow", "WzChannel", "asymptote_convergence",
+                  "MdcrSplit", "SweepRow", "asymptote_convergence",
                   "fixed_channel_loss", "high_rate_asymptote", "md_region_slice",
-                  "mdcr_compare", "wz_channel_from_rates", "wz_md_sweep",
-                  "wz_region")),
+                  "mdcr_compare", "wz_md_sweep", "wz_region")),
     ("channel", ("CertificationRecord", "DegenerateAdjustment", "TestChannel",
                  "certify_achievability")),
     ("discrete", ("DecoderMaps", "JointPmf", "RateRegionBounds",

@@ -19,136 +19,53 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (InfeasibleDistortion, InvalidChannel, InvalidRegimeInput,
-                     OutOfRegime)
+from .errors import InfeasibleDistortion, InvalidRegimeInput, OutOfRegime
 from .model import (_NORMAL_MIN, UNCONSTRAINED, GaussianSource, RateTuple,
                     Regime, _checked_d1_star, _distortion_floor, _exp_quotient,
                     _require_rate)
-from .regions import _penalty_den, dr_bound
+from .regions import _penalty_den, _side_ratios, dr_bound
 
 #: Tolerance for the internal consistency checks between specialized
 #: closed forms and the general region evaluation.
 SPECIALIZATION_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WzChannel:
-    """Two-stage forward channel whose refinement is decoded by binning.
-
-    ``U1 = X + N1 + N2`` is the coarse description, ``U2 = X + N2`` refines
-    it, and ``gamma = sigma2_sq / (sigma1_sq + sigma2_sq)`` is the combining
-    weight the second user applies when only the coarse estimate is at hand.
-    """
-
-    sigma1_sq: float
-    sigma2_sq: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        for name in ("sigma1_sq", "sigma2_sq"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise InvalidChannel(f"{name} must be positive finite, got {value}")
-        # gamma rounds to 1 once sigma1_sq < eps/2 sigma2_sq; see wz_region.
-        if not 0.0 < self.gamma <= 1.0:
-            raise InvalidChannel(f"gamma must lie in (0, 1], got {self.gamma}")
-
-
-def wz_channel_from_rates(source: GaussianSource, r1: float, r2: float) -> WzChannel:
-    """Solve the two noise variances so the coarse and refined estimates hit
-    ``d1* = var exp(-2 r1)`` and ``d2* = var exp(-2 (r1+r2))`` exactly.
-
-    With ``c(r) = 1 - exp(-2 r)``, ``sigma2 = d2*/c(r1+r2)`` and
-    ``sigma1 = d1* c(r2)/(c(r1) c(r1+r2))``, each ``c`` from ``expm1``, so
-    nothing cancels at small rates.  They are solved in units of ``2^k``, the
-    variance's binary order (``var = m 2^k``, ``1/2 <= m < 1``), so no
-    intermediate over- or underflows where the result would not.  Where
-    ``d2*`` in those units is subnormal (``r1 + r2`` past about 354 nats) it
-    would lose digits, so there ``k = 0`` and both floors come whole from
-    :func:`_distortion_floor`.  A noise variance that is not a normal double,
-    or a ``gamma`` that underflows, is refused with
-    :class:`InvalidRegimeInput`: the channel exists but cannot be represented.
-    So is a ``sigma1_sq`` that overflows in units of ``2^k`` only (``k < 0``
-    and ``r1`` below about 2.8e-309): ``s1/d1*`` then overflows too, and
-    :func:`wz_region`'s rescaled branch, which works in units of ``d1*``,
-    cannot evaluate it.
-    """
-    if not r1 > 0.0 or not r2 > 0.0:
-        raise InvalidChannel(
-            f"both stage rates must be positive to invert the channel, "
-            f"got r1={r1}, r2={r2}"
-        )
-    m, k = math.frexp(source.variance)
-    d1s = m * math.exp(-2.0 * r1)
-    d2s = m * math.exp(-2.0 * (r1 + r2))
-    if d2s < _NORMAL_MIN:
-        k = 0
-        d1s = _distortion_floor(source.variance, r1)
-        d2s = _distortion_floor(source.variance, r1 + r2)
-    if math.ldexp(d2s, k) < _NORMAL_MIN:
-        raise InvalidRegimeInput(
-            f"stage floor d2* = var exp(-2 (r1+r2)) = {math.ldexp(d2s, k)} is "
-            f"below the normal double range; the noise variances cannot be solved"
-        )
-    c1, c2, c12 = (-math.expm1(-2.0 * r) for r in (r1, r2, r1 + r2))
-    sigma2_sq = d2s / c12
-    # sigma1_sq = d1s (c2/c12)/c1 on the factors' mantissas, their binary
-    # orders summed into e, so that no intermediate is subnormal where a
-    # factor is (c2 at r2 below about 1.1e-308) and c1 c12, which underflows
-    # below rates of ~1e-162, is never formed.
-    (n1, f1), (n2, f2), (n12, f12), (nd, fd) = map(math.frexp, (c1, c2, c12, d1s))
-    sigma1_sq, e = nd * (n2 / n12) / n1, fd + f2 - f12 - f1
-    try:
-        s1, s2 = math.ldexp(sigma1_sq, k + e), math.ldexp(sigma2_sq, k)
-        gamma = sigma2_sq / (math.ldexp(sigma1_sq, e) + sigma2_sq)
-    except OverflowError:
-        s1 = s2 = gamma = math.inf  # refused below
-    # s2 = 2^k d2s/c12 is at least 2^k d2s, refused above if subnormal.
-    if not (_NORMAL_MIN <= s1 < math.inf and s2 < math.inf and gamma > 0.0):
-        raise InvalidRegimeInput(
-            f"the noise variances {sigma1_sq} times 2^{k + e} and {sigma2_sq} "
-            f"times 2^{k} are not both normal doubles, or the first overflows "
-            f"in units of 2^{k}, or their weight gamma underflows; the channel "
-            f"cannot be represented"
-        )
-    return WzChannel(s1, s2, gamma)
-
-
 def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> float:
     """Central-distortion bound of the binning alternative.
 
-    The first two stages are pinned at ``(d1*, d2*)`` by
-    :func:`wz_channel_from_rates`; ``d3_prime`` is the second user's target
+    The first two stages sit on their floors ``d1* = var exp(-2 r1)`` and
+    ``d2* = d1* exp(-2 r2)``; ``d3_prime`` is the second user's target
     (feasible when at least ``var exp(-2 (r1+r3))``) and the returned value is
-    the least central distortion reachable with the remaining rates::
+    the least central distortion reachable with the remaining rates.  The
+    binning channel ``U1 = X + N1 + N2``, ``U2 = X + N2`` that pins the floors
+    has ``1/var + 1/(s1 + s2) = 1/d1*``, so its bound is::
 
-        exp(-2 (r3+r4)) var s1 s2
-        -------------------------------------------------
-        (var + s1 + s2) ((1-gamma)^2 min(d3', d1*) + gamma s1)
+        var exp(-2 (r1+r2+r3+r4)) / (1 - pi),  pi = (1 - a)(1 - b),
 
-    ``1 - gamma`` is formed as ``s1/(s1 + s2)``: ``gamma`` rounds to 1 once
-    ``s1 < eps s2 / 2`` (``r2`` below about ``1e-16 r1``).  It coincides
-    with the plain two-description slice at both ends of the feasible range
-    of ``d3_prime`` and is strictly worse in between.
+    at ``a = exp(-2 r2)`` and ``b = min(d3', d1*)/d1*``: the bound of
+    :func:`~gaussrd.regions.dr_bound` at ``(d2*, d3')`` without the
+    ``sqrt(delta)`` term of its penalty, which is what binning loses.  So it
+    coincides with the plain two-description slice where ``delta = 0`` (the
+    floor of ``d3_prime``) or ``pi = 0`` (``d3_prime`` at ``d1*``, or
+    ``r2 = 0``), and is strictly worse in between.  ``1 - pi`` is formed as
+    ``exp(-2 r2) + (1 - exp(-2 r2)) b``, two nonnegative terms, so nothing
+    cancels; only ``r3 + r4`` is summed.  Raises :class:`InvalidRegimeInput`
+    where ``d1*`` underflows to 0 or ``1 - pi`` lies below the normal double
+    range (``r2`` and ``r3`` both past about 354 nats).
     """
-    sx2 = source.variance
-    ch = wz_channel_from_rates(source, rates.r1, rates.r2)
-    # The channel pins d1 and d2 at their floors; only d3' is free.
     d1s = _checked_d1_star(source, rates, UNCONSTRAINED, UNCONSTRAINED, d3_prime)
-    s1, s2, g = ch.sigma1_sq, ch.sigma2_sq, ch.gamma
-    scale = math.exp(-2.0 * (rates.r3 + rates.r4))
-    numerator = scale * sx2 * s1 * s2
-    if sys.float_info.min <= numerator < math.inf:
-        d3_hat = d1s if d1s < d3_prime else d3_prime
-        denominator = (sx2 + s1 + s2) * ((s1 / (s1 + s2)) ** 2 * d3_hat + g * s1)
-        return numerator / denominator
-    # s1 s2 ~ d1*^2 leaves the double range (d1* below ~1e-154, or a variance
-    # beyond ~1e102); in units of d1* and of var nothing does.  q1 is divided
-    # out: it is subnormal where r2 is below about 1e-308.  (q1 + q2)^2 is
-    # not formed: it overflows once r1 is below about 3.7e-155.
-    q1, q2, q3 = s1 / d1s, s2 / d1s, d3_prime / d1s
-    return (scale * d1s / (1.0 + s1 / sx2 + s2 / sx2) * q2
-            / (q1 / (q1 + q2) / (q1 + q2) * (1.0 if 1.0 < q3 else q3) + g))
+    # a = d2*/d1* is exp(-2 r2) itself; _side_ratios clamps d3' to d1* and
+    # refuses an underflowed d1*.
+    _, b = _side_ratios(d1s, d1s, d3_prime)
+    den = math.exp(-2.0 * rates.r2) - math.expm1(-2.0 * rates.r2) * b
+    if den < _NORMAL_MIN:
+        raise InvalidRegimeInput(
+            f"1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = {den} is below the "
+            f"normal double range (r2={rates.r2}, b={b})")
+    # d1* exp(-2 r2) / den as m 2^k, then times exp(-2 (r3+r4)) by the
+    # floor's route, which goes through m 2^k where that factor is subnormal.
+    return _distortion_floor(_exp_quotient(d1s, -2.0 * rates.r2, den),
+                             rates.r3 + rates.r4)
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:
@@ -191,15 +108,22 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
     """Sweep the second user's target across its feasible range.
 
     Rows run from the floor ``var exp(-2 (r1+r3))`` up to ``d1*`` inclusive;
-    ``gap = d4_wz - d4_md`` is zero at both ends and positive inside.  A gap
-    within :data:`SPECIALIZATION_RTOL` of ``d4_md`` is rounding at an end
-    row and is returned as 0.0.
+    ``gap = d4_wz - d4_md`` is what the ``sqrt(delta)`` term of the plain
+    penalty gains (see :func:`wz_region`): zero at both ends, positive
+    inside, and zero on every row at ``r2 = 0``.  A gap within
+    :data:`SPECIALIZATION_RTOL` of ``d4_md`` is rounding at an end row and
+    is returned as 0.0.  Where ``d1*`` underflows to 0 there is no target to
+    sweep, and :class:`InvalidRegimeInput` is raised before any floor test.
     """
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
     sx2 = source.variance
     lo = _distortion_floor(sx2, rates.r1 + rates.r3)
     hi = _distortion_floor(sx2, rates.r1)
+    if not hi > 0.0:
+        raise InvalidRegimeInput(
+            f"first-layer floor d1* = var exp(-2 r1) = {hi} underflows at "
+            f"r1 = {rates.r1}; the second user's targets cannot be swept")
     span, rows = hi - lo, []
     for i in range(points):
         step = span * i

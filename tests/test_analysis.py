@@ -19,19 +19,16 @@ from gaussrd import (
     GaussianSource,
     GaussRdError,
     InfeasibleDistortion,
-    InvalidChannel,
     InvalidRegimeInput,
     MdcrSplit,
     OutOfRegime,
     RateTuple,
-    WzChannel,
     asymptote_convergence,
     dr_bound,
     fixed_channel_loss,
     high_rate_asymptote,
     md_region_slice,
     mdcr_compare,
-    wz_channel_from_rates,
     wz_md_sweep,
     wz_region,
 )
@@ -47,40 +44,6 @@ SWEEP_RATES = RateTuple(1.0, 0.5, 1.0, 0.5)
 # ---------------------------------------------------------------------------
 # Binning alternative for the second user
 # ---------------------------------------------------------------------------
-
-def test_wz_channel_reproduces_stage_distortions():
-    source = GaussianSource(variance=1.0)
-    r1, r2 = 0.8, 0.6
-    ch = wz_channel_from_rates(source, r1, r2)
-    assert 0.0 < ch.gamma < 1.0
-    stack = ch.sigma1_sq + ch.sigma2_sq
-    coarse = stack / (1.0 + stack)
-    refined = ch.sigma2_sq / (1.0 + ch.sigma2_sq)
-    assert coarse == pytest.approx(math.exp(-2.0 * r1), rel=1e-12)
-    assert refined == pytest.approx(math.exp(-2.0 * (r1 + r2)), rel=1e-12)
-
-
-def test_wz_channel_requires_positive_stage_rates():
-    source = GaussianSource(variance=1.0)
-    with pytest.raises(InvalidChannel):
-        wz_channel_from_rates(source, 0.0, 0.5)
-    with pytest.raises(InvalidChannel):
-        wz_channel_from_rates(source, 0.5, 0.0)
-
-
-@pytest.mark.parametrize("fields, message", [
-    ((0.0, 1.0, 0.5), "sigma1_sq must be positive finite, got 0.0"),
-    ((1.0, math.inf, 0.5), "sigma2_sq must be positive finite, got inf"),
-    ((1.0, math.nan, 0.5), "sigma2_sq must be positive finite, got nan"),
-    ((1.0, 1.0, 0.0), "gamma must lie in (0, 1], got 0.0"),
-    ((1.0, 1.0, 1.5), "gamma must lie in (0, 1], got 1.5"),
-])
-def test_wz_channel_refuses_each_invalid_field(fields, message):
-    WzChannel(1.0, 1.0, 1.0)
-    with pytest.raises(InvalidChannel) as caught:
-        WzChannel(*fields)
-    assert str(caught.value) == message
-
 
 def test_wz_matches_plain_coding_at_both_sweep_ends():
     source = GaussianSource(variance=1.0)
@@ -142,46 +105,17 @@ def test_wz_md_sweep_gaps_are_nonnegative_and_exactly_zero_at_the_ends():
     (1.0, 1.0), (1.0, 200.0), (1.0, 300.0), (1e-120, 1.0), (1e120, 1.0),
     (1e-200, 1.0), (1e200, 1.0), (1.7e308, 1.0)])
 def test_wz_region_matches_a_50_digit_evaluation(variance, r1):
-    # s1 s2 ~ d1*^2 underflows once d1* < ~1e-154 (r1 past ~177 nats at unit
-    # variance) and overflows at variances past ~1e102; d4_wz must not, nor
-    # var + s1 + s2 near the top of the double range.
+    # The channel's s1 s2 ~ d1*^2 underflows once d1* < ~1e-154 (r1 past ~177
+    # nats at unit variance) and overflows at variances past ~1e102, and
+    # var + s1 + s2 nears the top of the double range; d4_wz must not.
     source = GaussianSource(variance)
     rates = dataclasses.replace(SWEEP_RATES, r1=r1)
-    ch = wz_channel_from_rates(source, rates.r1, rates.r2)
     rows = wz_md_sweep(source, rates, 5)
-    with mpmath.workdps(oracle.DPS):
-        var, s1, s2, g = map(mpmath.mpf, (variance, ch.sigma1_sq, ch.sigma2_sq,
-                                          ch.gamma))
-        d1s = var * mpmath.exp(-2 * mpmath.mpf(r1))
-        scale = mpmath.exp(-2 * (mpmath.mpf(rates.r3) + mpmath.mpf(rates.r4)))
-        for row in rows:
-            exact = (scale * var * s1 * s2 / ((var + s1 + s2)
-                     * ((1 - g) ** 2 * min(mpmath.mpf(row.d3), d1s) + g * s1)))
-            assert row.d4_wz == pytest.approx(float(exact), rel=1e-13)
+    exact = oracle.mp_wz_md_sweep(variance, rates.as_tuple(), [row.d3 for row in rows])
+    for row, (wz, _, _) in zip(rows, exact):
+        assert row.d4_wz == pytest.approx(float(wz), rel=1e-13)
     assert rows[0].gap == rows[-1].gap == 0.0
     assert min(row.gap for row in rows[1:-1]) > 0.0
-
-
-@pytest.mark.parametrize("variance", [1e-300, 1e-200, 1.0, 3.7, 1e200, 1e300])
-def test_wz_channel_meets_its_stage_floors_at_any_variance(variance):
-    # var d2* overflows past ~1e154 and underflows below ~1e-154; in units of
-    # the variance's binary order nothing does.
-    r1, r2 = 0.8, 0.6
-    ch = wz_channel_from_rates(GaussianSource(variance), r1, r2)
-    with mpmath.workdps(oracle.DPS):
-        var, s1, s2 = map(mpmath.mpf, (variance, ch.sigma1_sq, ch.sigma2_sq))
-        coarse = 1 / (1 / var + 1 / (s1 + s2))
-        refined = 1 / (1 / var + 1 / s2)
-        assert float(coarse / var) == pytest.approx(math.exp(-2.0 * r1), rel=1e-14)
-        assert float(refined / var) == pytest.approx(math.exp(-2.0 * (r1 + r2)),
-                                                     rel=1e-14)
-        assert ch.gamma == pytest.approx(float(s2 / (s1 + s2)), rel=1e-15)
-
-
-def test_wz_channel_rejects_stage_floors_below_the_normal_range():
-    # d2* = exp(-2 (r1 + r2)) is subnormal at r1 + r2 = 356 nats.
-    with pytest.raises(InvalidRegimeInput):
-        wz_channel_from_rates(GaussianSource(1.0), 355.5, 0.5)
 
 
 def test_wz_md_sweep_matches_the_oracle():
@@ -190,10 +124,11 @@ def test_wz_md_sweep_matches_the_oracle():
     # 10^U[-100, 100].  d4_wz is within 16 eps, d4_md within dr_bound's
     # rounding model 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap
     # within the sum of the two.  Every fourth r2 lies 1e-20 to 1e-16.5 of
-    # r1, where gamma = s2/(s1 + s2) rounds to 1 once s1/s2 ~ r2/r1 < eps/2;
-    # the last cases put r2 300 decades below r1, and r1 at 1e-160 and
-    # 1e-200 with the variance at 1e100, where the bound's rescaled branch
-    # sees q1 + q2 = 1/c(r1) past 1.3e154, so (q1 + q2)^2 overflows.
+    # r1.  The fixed cases are where a form through the binning channel's
+    # noise variances s1, s2 and weight s2/(s1 + s2) loses its digits or its
+    # range: r2 300 decades below r1; r1 at 1e-160 and 1e-200 at variance
+    # 1e100; variance 3.96e-259 at r1 = 1.3e-158; r2 = 1e-320; r1 = 1e-310;
+    # and variances 1e-300 and 0.5 at subnormal stage rates.
     rng = make_rng(9)
     cases = []
     for i in range(40):
@@ -205,10 +140,16 @@ def test_wz_md_sweep_matches_the_oracle():
         cases.append((var, RateTuple(r1, r2, *rng.uniform(0.01, 2.0, size=2))))
     cases += [(1.0, RateTuple(1.0, 1e-300, 1.0, 0.5)),
               (1e100, RateTuple(1e-160, 0.5, 1.0, 0.5)),
-              (1e100, RateTuple(1e-200, 0.5, 1.0, 0.5))]
-    rounded = 0
+              (1e100, RateTuple(1e-200, 0.5, 1.0, 0.5)),
+              (3.9568226551624325e-259,
+               RateTuple(1.342632853490674e-158, 0.0020019260325903035,
+                         1.0092188134423132, 0.6386335256137914)),
+              (1.0, RateTuple(1.0, 1e-320, 1.0, 0.5)),
+              (1e300, RateTuple(1.0, 1e-320, 1.0, 0.5)),
+              (1.0, RateTuple(1e-310, 0.5, 1.0, 0.5)),
+              (1e-300, RateTuple(1e-310, 1e-200, 1.0, 0.5)),
+              (0.5, RateTuple(1e-309, 1e-309, 1.0, 0.5))]
     for var, rates in cases:
-        rounded += wz_channel_from_rates(GaussianSource(var), rates.r1, rates.r2).gamma == 1.0
         rows = wz_md_sweep(GaussianSource(var), rates, 9)
         exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
         d2s = var * math.exp(-2.0 * (rates.r1 + rates.r2))
@@ -219,7 +160,6 @@ def test_wz_md_sweep_matches_the_oracle():
             assert abs(row.d4_wz - wz) <= wz_err
             assert abs(row.d4_md - md) <= md_err
             assert abs(row.gap - gap) <= wz_err + md_err
-    assert rounded > 0
 
 
 def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor():
@@ -241,38 +181,39 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
     assert [row.gap for row in rows][::2] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("variance, r1, r2", [
-    # sigma1_sq = d1* c(r2)/(c(r1) c(r1+r2)) is about 1.4e309 at r1 = 1e-310
-    # and 4.5e308 at variance 1e308, r1 = 0.1.  At variance 1e-300 it is about
-    # 5e9, but 5e309 in units of the variance's order 2^-996.
-    (1.0, 1e-310, 1.0), (1e308, 0.1, 360.0), (1e-300, 1e-310, 1e-200)])
-def test_wz_channel_refuses_noise_variances_off_the_normal_range(variance, r1, r2):
-    with pytest.raises(InvalidRegimeInput, match="the channel cannot be represented"):
-        wz_channel_from_rates(GaussianSource(variance), r1, r2)
+def test_wz_region_matches_the_oracle_where_the_plain_slice_is_refused():
+    # At variance 1e308, r1 = 0.1 and r2 = 360 the channel's s1 is past the
+    # top of the double range and the plain slice's a = exp(-720) is
+    # subnormal, so the sweep is refused; the binning bound alone is not.
+    var, rates = 1e308, RateTuple(0.1, 360.0, 1.0, 0.5)
+    source = GaussianSource(var)
+    with pytest.raises(InvalidRegimeInput, match="below the normal double range"):
+        wz_md_sweep(source, rates, 3)
+    lo, hi = var * math.exp(-2.2), var * math.exp(-0.2)
+    targets = [lo, 0.5 * (lo + hi), hi]
+    exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), targets)
+    for d3, (wz, _, _) in zip(targets, exact):
+        assert abs(wz_region(source, rates, d3) - wz) <= 16.0 * EPS * wz
 
 
-@pytest.mark.parametrize("variance", [1.0, 1e300])
-def test_wz_channel_at_a_subnormal_second_stage_factor_matches_the_oracle(variance):
-    # c(r2) = 1 - exp(-2 r2) is subnormal at r2 = 1e-320.  Formed from it
-    # directly, sigma1_sq read 3.626e-321 at variance 1 (1.7e-3 off), and the
-    # sweep's d4_wz 1.24% off with end gaps of 8.4e-5; at variance 1e300 it
-    # read 3.619742360532049e-21 (1.45e-4 off).
-    rates = RateTuple(1.0, 1e-320, 1.0, 0.5)
-    with mpmath.workdps(oracle.DPS):
-        r1, r2 = mpmath.mpf(rates.r1), mpmath.mpf(rates.r2)
-        c = [-mpmath.expm1(-2 * r) for r in (r1, r2, r1 + r2)]
-        sigma1_sq = float(variance * mpmath.exp(-2 * r1) * c[1] / (c[0] * c[2]))
-    if sigma1_sq < sys.float_info.min:
-        with pytest.raises(InvalidRegimeInput):
-            wz_channel_from_rates(GaussianSource(variance), rates.r1, rates.r2)
-        return
-    ch = wz_channel_from_rates(GaussianSource(variance), rates.r1, rates.r2)
-    assert abs(ch.sigma1_sq - sigma1_sq) <= 2.0 * EPS * sigma1_sq
-    rows = wz_md_sweep(GaussianSource(variance), rates, 3)
-    exact = oracle.mp_wz_md_sweep(variance, rates.as_tuple(), [row.d3 for row in rows])
+@pytest.mark.parametrize("field", ["r1", "r2"])
+def test_wz_md_sweep_answers_at_a_zero_stage_rate(field):
+    # At r1 = 0 or r2 = 0 the channel has no noise variances (1 - exp(-2 r)
+    # is 0), but the bound has a value: the oracle's at the least positive
+    # rate, 5e-324, to within 16 eps.  At r2 = 0, pi = 0 and binning loses
+    # nothing on any row; at r1 = 0 it meets the plain slice at both ends
+    # and is worse inside.
+    rates = dataclasses.replace(SWEEP_RATES, **{field: 0.0})
+    rows = wz_md_sweep(GaussianSource(1.0), rates, 9)
+    least = dataclasses.replace(SWEEP_RATES, **{field: 5e-324})
+    exact = oracle.mp_wz_md_sweep(1.0, least.as_tuple(), [row.d3 for row in rows])
     for row, (wz, _, _) in zip(rows, exact):
         assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
-    assert [row.gap for row in rows] == [0.0, 0.0, 0.0]
+    gaps = [row.gap for row in rows]
+    if field == "r2":
+        assert gaps == [0.0] * 9
+    else:
+        assert gaps[0] == gaps[-1] == 0.0 and min(gaps[1:-1]) > 0.0
 
 
 def test_wz_md_sweep_validates_point_count():
@@ -623,18 +564,19 @@ def _md_slice_with(monkeypatch, field):
 
 
 @pytest.mark.parametrize("call, message", [
-    # sigma1 = d1* c(r2)/(c(r1) c(r1+r2)) is about 2.8e9 at r1 = 1e-10, and
-    # the variance's order 2^1024 takes it past the double range.
-    (lambda mp: wz_channel_from_rates(GaussianSource(1e308), 1e-10, 1.0),
-     "the noise variances 0.6475817232320089 times 2^1056 and "
-     "0.08706582879922392 times 2^1024 are not both normal doubles, or the "
-     "first overflows in units of 2^1024, or their weight gamma underflows; "
-     "the channel cannot be represented"),
+    # exp(-800) underflows: d1* at r1 = 400, and 1 - pi = exp(-2 r2) +
+    # (1 - exp(-2 r2)) b at r2 = 400 with b = 1e-320.
+    (lambda mp: wz_md_sweep(GaussianSource(1.0), RateTuple(400.0, 0.5, 1.0, 0.5), 3),
+     "first-layer floor d1* = var exp(-2 r1) = 0.0 underflows at r1 = 400.0; "
+     "the second user's targets cannot be swept"),
+    (lambda mp: wz_region(GaussianSource(1.0), RateTuple(0.0, 400.0, 400.0, 0.0), 1e-320),
+     "1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = 1e-320 is below the normal "
+     "double range (r2=400.0, b=1e-320)"),
     (lambda mp: _md_slice_with(mp, "pi"),
      "pi specialization mismatch: 0.10160731479311585 vs 0.35160731479311585"),
     (lambda mp: _md_slice_with(mp, "delta"),
      "delta specialization mismatch: 0.2310855442114382 vs 0.4810855442114382"),
-], ids=["wz-overflow", "md-slice-pi", "md-slice-delta"])
+], ids=["wz-sweep-d1", "wz-den", "md-slice-pi", "md-slice-delta"])
 def test_analysis_guards_raise_their_message(monkeypatch, call, message):
     with pytest.raises(InvalidRegimeInput) as raised:
         call(monkeypatch)

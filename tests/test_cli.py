@@ -712,10 +712,10 @@ def test_underflowing_first_layer_floor_is_a_typed_error(capsys, argv):
 ], ids=["mdcr", "sweep-wz-md", "sweep-wz-md-small-r1", "sweep-wz-md-small-r2"])
 def test_large_rate_sweeps_print_finite_values(capsys, argv, column):
     # The last mdcr row's bounds underflow to 0.0, but their ratio does not;
-    # at r1 = 300 nats s1 s2 ~ d1*^2 underflows, but d4_wz does not; at
-    # r1 = 1e-17 var exp(-2 r1) rounds to var, but the channel does not
-    # divide by their difference; at r2 = 1e-17 gamma rounds to 1, but
-    # 1 - gamma does not.
+    # at r1 = 300 nats the binning channel's s1 s2 ~ d1*^2 underflows, at
+    # r1 = 1e-17 var exp(-2 r1) rounds to var, and at r2 = 1e-17 the
+    # channel's weight rounds to 1, but d4_wz, formed without the channel,
+    # does not.
     assert cli.main(argv) == 0
     header, rows = parse_csv(capsys.readouterr().out)
     values = [row[header.index(column)] for row in rows]

@@ -387,7 +387,7 @@ def test_every_cli_option_is_read_by_its_command(command):
 #: returns: slotted, not frozen, since a generated frozen ``__init__`` stores
 #: each field through ``object.__setattr__``.
 PASSED_IN = {"model.GaussianSource", "model.RateTuple", "model.DistortionTuple",
-             "channel.TestChannel", "regions.GridSpec", "analysis.WzChannel",
+             "channel.TestChannel", "regions.GridSpec",
              "analysis.FixedChannelConfig", "analysis.MdcrSplit",
              "analysis.AsymptoticConfig", "discrete.JointPmf",
              "discrete.DecoderMaps", "mmse.CovarianceMatrix"}
