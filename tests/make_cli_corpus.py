@@ -110,6 +110,8 @@ WZ_EDGE_ARGVS = [
      "--r4", "0.6386335256137914", "--points", "3"],
     ["sweep-wz-md", "--r1", "0", "--points", "3"],
     ["sweep-wz-md", "--r2", "0", "--points", "3"],
+    ["sweep-wz-md", "--r3", "1e-9", "--points", "5"],
+    ["sweep-wz-md", "--points", "2"],
 ]
 
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
