@@ -23,11 +23,7 @@ from .errors import InfeasibleDistortion, InvalidRegimeInput, OutOfRegime
 from .model import (_NORMAL_MIN, UNCONSTRAINED, GaussianSource, RateTuple,
                     Regime, _checked_d1_star, _distortion_floor, _exp_quotient,
                     _require_rate)
-from .regions import _penalty_den, _side_ratios, dr_bound
-
-#: Tolerance for the internal consistency checks between specialized
-#: closed forms and the general region evaluation.
-SPECIALIZATION_RTOL = 1e-12
+from .regions import _MATH, _delta, _penalty_den, _side_ratios, dr_bound
 
 
 def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> float:
@@ -69,30 +65,11 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
 
 
 def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:
-    """Two-description slice with the first two stages pinned at their floors.
-
-    Evaluates the general bound at ``d2 = var exp(-2 (r1+r2))`` and the given
-    ``d3``, and checks the specialized closed forms
-    ``pi = (1 - exp(-2 r2))(1 - d3_hat/d1*)`` and
-    ``delta = exp(-2 r2)(d3_hat/d1* - exp(-2 r3))`` against the general ones,
-    raising :class:`InvalidRegimeInput` on a mismatch.
-    """
+    """The plain two-description slice: :func:`~gaussrd.regions.dr_bound`'s
+    bound at ``d2* = var exp(-2 (r1+r2))`` and ``d3``, where ``pi = (1 -
+    exp(-2 r2))(1 - b)`` and ``delta = exp(-2 r2)(b - exp(-2 r3))``."""
     d2s = _distortion_floor(source.variance, rates.r1 + rates.r2)
-    result = dr_bound(source, rates, UNCONSTRAINED, d2s, d3)
-    d1s, d3h = result.d1_star, result.d3_hat
-    e2 = math.exp(-2.0 * rates.r2)
-    pi_special = (1.0 - e2) * (1.0 - d3h / d1s)
-    delta_special = e2 * (d3h / d1s - math.exp(-2.0 * rates.r3))
-    scale = result.pi if result.pi > 1.0 else 1.0
-    scale = result.delta if result.delta > scale else scale
-    if abs(pi_special - result.pi) > SPECIALIZATION_RTOL * scale:
-        raise InvalidRegimeInput(
-            f"pi specialization mismatch: {pi_special} vs {result.pi}")
-    delta_clamped = 0.0 if 0.0 > delta_special else delta_special
-    if abs(delta_clamped - result.delta) > SPECIALIZATION_RTOL * scale:
-        raise InvalidRegimeInput(
-            f"delta specialization mismatch: {delta_special} vs {result.delta}")
-    return result.d4_bound
+    return dr_bound(source, rates, UNCONSTRAINED, d2s, d3).d4_bound
 
 
 @dataclass(slots=True)
@@ -107,13 +84,19 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
                 points: int = 200) -> list[SweepRow]:
     """Sweep the second user's target across its feasible range.
 
-    Rows run from the floor ``var exp(-2 (r1+r3))`` up to ``d1*`` inclusive;
+    Rows run from the floor ``var exp(-2 (r1+r3))`` up to ``d1*`` inclusive.
     ``gap = d4_wz - d4_md`` is what the ``sqrt(delta)`` term of the plain
-    penalty gains (see :func:`wz_region`): zero at both ends, positive
-    inside, and zero on every row at ``r2 = 0``.  A gap within
-    :data:`SPECIALIZATION_RTOL` of ``d4_md`` is rounding at an end row and
-    is returned as 0.0.  Where ``d1*`` underflows to 0 there is no target to
-    sweep, and :class:`InvalidRegimeInput` is raised before any floor test.
+    penalty gains (see :func:`wz_region`).  As ``d4_wz = N/(1 - pi)`` and
+    ``d4_md = N/(1 - g^2)``, ``g = sqrt(pi) - sqrt(delta)``, it is formed
+    with no difference, as ``d4_wz sqrt(delta) (2 sqrt(pi) - sqrt(delta)) /
+    (1 - g^2)`` where ``sqrt(delta) < sqrt(pi)``, else ``d4_wz pi``, from the
+    slice's ``pi = (1 - exp(-2 r2))(1 - b)`` and ``delta = exp(-2 r2)(b -
+    exp(-2 r3))``, ``delta`` snapped as :func:`~gaussrd.regions.dr_bound`
+    snaps it.  So it is exactly 0 at both ends (``delta = 0`` at the floor,
+    ``pi = 0`` at ``d1*``) and on every row at ``r2 = 0``, positive inside,
+    and within about ``eps (ab/delta + b/(1 - b) + 1 + r3 + r4)`` relative.
+    Where ``d1*`` underflows to 0 there is no target to sweep, and
+    :class:`InvalidRegimeInput` is raised before any floor test.
     """
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
@@ -124,17 +107,29 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
         raise InvalidRegimeInput(
             f"first-layer floor d1* = var exp(-2 r1) = {hi} underflows at "
             f"r1 = {rates.r1}; the second user's targets cannot be swept")
+    e2, c2 = math.exp(-2.0 * rates.r2), -math.expm1(-2.0 * rates.r2)
+    e3 = math.exp(-2.0 * rates.r3)
     span, rows = hi - lo, []
     for i in range(points):
         step = span * i
         # Near the top of the double range span i overflows, though the
-        # fraction i/(points - 1) of the span does not.
-        d3 = lo + (step / (points - 1) if step < math.inf else span * (i / (points - 1)))
+        # fraction i/(points - 1) of the span does not.  lo + span need not
+        # round to d1*, so the last row is d1* itself.
+        d3 = (hi if i == points - 1 else
+              lo + (step / (points - 1) if step < math.inf else span * (i / (points - 1))))
         wz = wz_region(source, rates, d3)
         md = md_region_slice(source, rates, d3)
-        gap = wz - md
-        rows.append(SweepRow(d3, wz, md,
-                             0.0 if abs(gap) <= SPECIALIZATION_RTOL * md else gap))
+        # No row lies above d1*, so this is wz_region's b = min(d3, d1*)/d1*.
+        b = d3 / hi
+        pi, delta = c2 * (1.0 - b), e2 * _delta(_MATH, b, e3)[2]
+        sqrt_pi, sqrt_delta = math.sqrt(pi), math.sqrt(delta)
+        if sqrt_delta < sqrt_pi:
+            gap = wz * (sqrt_delta * (2.0 * sqrt_pi - sqrt_delta) / _penalty_den(e2, b, delta))
+        else:
+            # wz pi, with wz c2 first: pi is subnormal at r2 below about
+            # 1e-308 though the gap need not be.
+            gap = wz * c2 * (1.0 - b)
+        rows.append(SweepRow(d3, wz, md, gap))
     return rows
 
 

@@ -28,7 +28,6 @@ import math
 import mpmath
 import numpy as np
 
-from gaussrd.analysis import SPECIALIZATION_RTOL
 from gaussrd.errors import InfeasibleDistortion
 from gaussrd.mmse import conditional_mmse
 from gaussrd.model import FEASIBILITY_RTOL
@@ -130,6 +129,13 @@ def mp_asymptote_convergence(b, eta, r_grid, dps=DPS):
         return rows
 
 
+def _gap_dps(r2):
+    """:data:`DPS` plus the ``-log10(r2)`` digits that ``pi <= 1 - e^{-2 r2}``
+    and the sweep's gap lose to cancellation."""
+    r2 = mpmath.mpf(r2)
+    return DPS + (int(-mpmath.log10(r2)) if 0 < r2 < 1 else 0)
+
+
 def mp_wz_md_sweep(var, rates, d3_values):
     """``(d4_wz, d4_md, gap)`` of each ``d3`` in ``d3_values``, with the
     first two stages at their floors ``d1* = var e^{-2 r1}`` and
@@ -140,10 +146,13 @@ def mp_wz_md_sweep(var, rates, d3_values):
     d1*/c(r1)`` with ``c(r) = 1 - e^{-2 r}``, and ``gamma = s2/(s1 + s2)``.
     The difference is formed as ``s1 = d1* c(r2)/(c(r1) c(r1+r2))``, which
     does not cancel at ``r2`` far below ``r1``;
-    ``d4_md`` is :func:`mp_dr_bound` at ``(d2*, d3)``.  ``gap = d4_wz - d4_md``
-    is 0 within ``SPECIALIZATION_RTOL d4_md``, the library's convention.
+    ``d4_md`` is :func:`mp_dr_bound` at ``(d2*, d3)``, and ``gap = d4_wz -
+    d4_md`` is their difference, with no snap.  The gap is at most ``d4_wz
+    (1 - e^{-2 r2})``, so the three are formed with ``-log10(r2)`` digits
+    beyond :data:`DPS`, which the subtraction cancels.
     """
-    with mpmath.workdps(DPS):
+    dps = _gap_dps(rates[1])
+    with mpmath.workdps(dps):
         var = mpmath.mpf(var)
         r1, r2, r3, r4 = (mpmath.mpf(r) for r in rates)
         d1s, d2s = var * mpmath.exp(-2 * r1), var * mpmath.exp(-2 * (r1 + r2))
@@ -156,10 +165,28 @@ def mp_wz_md_sweep(var, rates, d3_values):
         for d3 in d3_values:
             wz = (scale * var * s1 * s2 / ((var + s1 + s2)
                   * ((1 - g) ** 2 * min(mpmath.mpf(d3), d1s) + g * s1)))
-            md = mp_dr_bound(var, rates, d2s, d3)
-            gap = wz - md
-            rows.append((wz, md, 0 if abs(gap) <= SPECIALIZATION_RTOL * md else gap))
+            md = mp_dr_bound(var, rates, d2s, d3, dps=dps)
+            rows.append((wz, md, wz - md))
         return rows
+
+
+def mp_gap_conditioning(var, rates, d3) -> float:
+    """``ab/delta + b/(1 - b)`` of the sweep's row at ``d3``, at the exact
+    inputs, with ``a = e^{-2 r2}`` and ``b = min(d3, d1*)/d1*``; ``inf`` where
+    the exact gap is 0, that is where ``delta`` snaps or ``pi = 0``.
+
+    The gap is about ``d4_wz 2 sqrt(pi delta)``: a rounding of ``eps`` in
+    ``b`` or ``e^{-2 r3}`` moves ``sqrt(delta)`` by ``eps ab/delta`` relative
+    near the floor of ``d3``, and ``sqrt(pi)`` by ``eps b/(1 - b)`` near
+    ``d1*``.
+    """
+    with mpmath.workdps(_gap_dps(rates[1])):
+        r1, r2, r3, _ = rates
+        _, a, b = _ratios(var, r1, var * mpmath.exp(-2 * (mpmath.mpf(r1) + mpmath.mpf(r2))), d3)
+        pi, delta = _pi_delta(a, b, r2, r3)
+        if not (pi > 0 and delta > 0):
+            return math.inf
+        return float(a * b / delta + b / (1 - b))
 
 
 def _rate(x):

@@ -10,14 +10,13 @@ import sys
 import mpmath
 import pytest
 
-import gaussrd.analysis as analysis
 import gaussrd.cli as cli
 import oracle
 from gaussrd import (
+    UNCONSTRAINED,
     AsymptoticConfig,
     FixedChannelConfig,
     GaussianSource,
-    GaussRdError,
     InfeasibleDistortion,
     InvalidRegimeInput,
     MdcrSplit,
@@ -91,7 +90,10 @@ def test_wz_md_sweep_shape_and_signs():
 
 def test_wz_md_sweep_gaps_are_nonnegative_and_exactly_zero_at_the_ends():
     # Sweeps shaped like the CLI's: variance 10^U[-3, 3], rates U[0.2, 1.5].
-    # Unsnapped, rounding leaves end gaps of either sign near 1e-15 relative.
+    # The gap is formed from pi and delta, not as d4_wz - d4_md: delta snaps
+    # to 0 at the floor row and pi is 0 at d1*, so the end gaps are 0 with no
+    # snap of their own (as a difference, rounding left them of either sign
+    # near 1e-15 relative).
     rng = make_rng(5)
     for _ in range(50):
         source = GaussianSource(10.0 ** rng.uniform(-3.0, 3.0))
@@ -118,12 +120,36 @@ def test_wz_region_matches_a_50_digit_evaluation(variance, r1):
     assert min(row.gap for row in rows[1:-1]) > 0.0
 
 
+def _assert_sweep_matches_the_oracle(var, rates, rows):
+    # d4_wz within 16 eps, d4_md within dr_bound's rounding model
+    # 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap within its own
+    # model 2 eps (ab/delta + b/(1 - b) + 1 + r3 + r4) relative, plus one
+    # subnormal spacing; 0 where the exact gap is 0.
+    exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
+    d2s = _d2_star(var, rates)
+    for row, (wz, md, gap) in zip(rows, exact):
+        kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
+        assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
+        assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
+        model = oracle.mp_gap_conditioning(var, rates.as_tuple(), row.d3)
+        if model == math.inf:
+            assert row.gap == 0.0
+        else:
+            model += 1.0 + rates.r3 + rates.r4
+            assert abs(row.gap - gap) <= 2.0 * EPS * model * gap + 5e-324, (var, rates, row)
+
+
+def _d2_star(var, rates):
+    """``var exp(-2 (r1+r2))`` rounded once from 50 digits."""
+    with mpmath.workdps(oracle.DPS):
+        return float(mpmath.mpf(var) * mpmath.exp(-2 * (mpmath.mpf(rates.r1)
+                                                        + mpmath.mpf(rates.r2))))
+
+
 def test_wz_md_sweep_matches_the_oracle():
     # Stage rates from 1e-18 nats, where var exp(-2 r1) rounds to var and
     # the textbook var d1*/(var - d1*) divides by 0, to 3; variances
-    # 10^U[-100, 100].  d4_wz is within 16 eps, d4_md within dr_bound's
-    # rounding model 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap
-    # within the sum of the two.  Every fourth r2 lies 1e-20 to 1e-16.5 of
+    # 10^U[-100, 100].  Every fourth r2 lies 1e-20 to 1e-16.5 of
     # r1.  The fixed cases are where a form through the binning channel's
     # noise variances s1, s2 and weight s2/(s1 + s2) loses its digits or its
     # range: r2 300 decades below r1; r1 at 1e-160 and 1e-200 at variance
@@ -150,16 +176,49 @@ def test_wz_md_sweep_matches_the_oracle():
               (1e-300, RateTuple(1e-310, 1e-200, 1.0, 0.5)),
               (0.5, RateTuple(1e-309, 1e-309, 1.0, 0.5))]
     for var, rates in cases:
-        rows = wz_md_sweep(GaussianSource(var), rates, 9)
-        exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
-        d2s = var * math.exp(-2.0 * (rates.r1 + rates.r2))
-        for row, (wz, md, gap) in zip(rows, exact):
-            kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
-            wz_err = 16.0 * EPS * wz
-            md_err = 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
-            assert abs(row.d4_wz - wz) <= wz_err
-            assert abs(row.d4_md - md) <= md_err
-            assert abs(row.gap - gap) <= wz_err + md_err
+        _assert_sweep_matches_the_oracle(var, rates, wz_md_sweep(GaussianSource(var), rates, 9))
+
+
+@pytest.mark.parametrize("crowd", ["small-r2", "floor"])
+def test_wz_md_sweep_gap_meets_its_own_relative_model(crowd):
+    # Variances 10^U[-100, 100], rates up to 3 nats, and either r2 =
+    # 10^U[-15, -6], where a = d2*/d1* carries the rounding of r1 + r2 and a
+    # gap formed from dr_bound's pi and delta was 4.6e9 eps off, or r3 =
+    # 10^U[-10.5, -10], which crowds every d3 to within 1e-10 relative of its
+    # floor, where ab/delta is about 1e10.
+    rng = make_rng(36 if crowd == "floor" else 35)
+    for _ in range(12):
+        var = 10.0 ** rng.uniform(-100.0, 100.0)
+        r1, r2, r3, r4 = rng.uniform(0.0, 3.0, size=4)
+        if crowd == "floor":
+            r3 = 10.0 ** rng.uniform(-10.5, -10.0)
+        else:
+            r2 = 10.0 ** rng.uniform(-15.0, -6.0)
+        rates = RateTuple(r1, r2, r3, r4)
+        _assert_sweep_matches_the_oracle(var, rates, wz_md_sweep(GaussianSource(var), rates, 9))
+
+
+def test_wz_md_sweep_of_two_points_is_its_two_ends():
+    source = GaussianSource(1.0)
+    lo, hi = source.variance * math.exp(-4.0), source.variance * math.exp(-2.0)
+    rows = wz_md_sweep(source, SWEEP_RATES, 2)
+    assert [row.d3 for row in rows] == [lo, hi]
+    assert [row.gap for row in rows] == [0.0, 0.0]
+    assert [row.d4_md for row in rows] == [md_region_slice(source, SWEEP_RATES, d3)
+                                           for d3 in (lo, hi)]
+
+
+def test_wz_md_sweep_spaces_its_rows_where_span_i_overflows():
+    # At variance 1.7e308 the span d1* - floor is 2.0e307: span * 9 is
+    # 1.79e308, and span * 10 overflows, so rows 10 on are spaced as
+    # span (i/(points - 1)).
+    var, rates = 1.7e308, SWEEP_RATES
+    rows = wz_md_sweep(GaussianSource(var), rates, 200)
+    span = rows[-1].d3 - rows[0].d3
+    assert span * 9 < math.inf and span * 10 == math.inf
+    assert all(later.d3 > earlier.d3 for earlier, later in zip(rows, rows[1:]))
+    assert rows[-1].d3 == var * math.exp(-2.0 * rates.r1)
+    _assert_sweep_matches_the_oracle(var, rates, rows)
 
 
 def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor():
@@ -172,8 +231,7 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
     var, rates = 1e308, RateTuple(360.0, 0.5, 1.0, 0.5)
     rows = wz_md_sweep(GaussianSource(var), rates, 3)
     exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
-    with mpmath.workdps(oracle.DPS):
-        d2s = float(mpmath.mpf(var) * mpmath.exp(-2 * (mpmath.mpf(360.0) + mpmath.mpf(0.5))))
+    d2s = _d2_star(var, rates)
     for row, (wz, md, _) in zip(rows, exact):
         kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
         assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
@@ -222,30 +280,19 @@ def test_wz_md_sweep_validates_point_count():
 
 
 def test_md_slice_specialization_holds_across_the_range():
-    # The slice's internal closed-form consistency assertions must stay quiet
-    # over the whole feasible range, including both exact endpoints.
+    # The slice is dr_bound's bound at d2* over the whole feasible range,
+    # both exact endpoints included; its closed forms of pi and delta are
+    # checked symbolically in test_oracle.
     source = GaussianSource(variance=1.0)
     rng = make_rng(401)
     lo = math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r3))
     hi = math.exp(-2.0 * SWEEP_RATES.r1)
     values = [lo, hi] + list(rng.uniform(lo, hi, size=50))
+    d2s = math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r2))
     for d3 in values:
         bound = md_region_slice(source, SWEEP_RATES, float(d3))
+        assert bound == dr_bound(source, SWEEP_RATES, UNCONSTRAINED, d2s, float(d3)).d4_bound
         assert bound > 0.0
-
-
-def test_md_slice_specialization_mismatch_raises_a_domain_error(monkeypatch):
-    # The consistency check must be an explicit raise: an ``assert`` vanishes
-    # under ``python -O`` and would leave the CLI as a bare traceback.
-    def perturbed(*args):
-        result = dr_bound(*args)
-        return dataclasses.replace(result, pi=result.pi + 1e-6)
-
-    monkeypatch.setattr(analysis, "dr_bound", perturbed)
-    mid = 0.5 * (math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r3))
-                 + math.exp(-2.0 * SWEEP_RATES.r1))
-    with pytest.raises(GaussRdError):
-        md_region_slice(GaussianSource(variance=1.0), SWEEP_RATES, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -550,34 +597,17 @@ def test_asymptote_convergence_validates_grid():
         asymptote_convergence(config, [2.0, 2.0])
 
 
-def _md_slice_with(monkeypatch, field):
-    # md_region_slice with dr_bound's pi or delta moved by 0.25, so that its
-    # specialized closed form no longer matches.
-    bound = analysis.dr_bound
-
-    def moved(*args):
-        result = bound(*args)
-        return dataclasses.replace(result, **{field: getattr(result, field) + 0.25})
-
-    monkeypatch.setattr(analysis, "dr_bound", moved)
-    return md_region_slice(GaussianSource(1.0), RateTuple(0.5, 0.4, 0.6, 0.0), 0.3)
-
-
 @pytest.mark.parametrize("call, message", [
     # exp(-800) underflows: d1* at r1 = 400, and 1 - pi = exp(-2 r2) +
     # (1 - exp(-2 r2)) b at r2 = 400 with b = 1e-320.
-    (lambda mp: wz_md_sweep(GaussianSource(1.0), RateTuple(400.0, 0.5, 1.0, 0.5), 3),
+    (lambda: wz_md_sweep(GaussianSource(1.0), RateTuple(400.0, 0.5, 1.0, 0.5), 3),
      "first-layer floor d1* = var exp(-2 r1) = 0.0 underflows at r1 = 400.0; "
      "the second user's targets cannot be swept"),
-    (lambda mp: wz_region(GaussianSource(1.0), RateTuple(0.0, 400.0, 400.0, 0.0), 1e-320),
+    (lambda: wz_region(GaussianSource(1.0), RateTuple(0.0, 400.0, 400.0, 0.0), 1e-320),
      "1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = 1e-320 is below the normal "
      "double range (r2=400.0, b=1e-320)"),
-    (lambda mp: _md_slice_with(mp, "pi"),
-     "pi specialization mismatch: 0.10160731479311585 vs 0.35160731479311585"),
-    (lambda mp: _md_slice_with(mp, "delta"),
-     "delta specialization mismatch: 0.2310855442114382 vs 0.4810855442114382"),
-], ids=["wz-sweep-d1", "wz-den", "md-slice-pi", "md-slice-delta"])
-def test_analysis_guards_raise_their_message(monkeypatch, call, message):
+], ids=["wz-sweep-d1", "wz-den"])
+def test_analysis_guards_raise_their_message(call, message):
     with pytest.raises(InvalidRegimeInput) as raised:
-        call(monkeypatch)
+        call()
     assert str(raised.value) == message

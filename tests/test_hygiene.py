@@ -354,6 +354,27 @@ def test_the_double_namespace_holds_only_what_needs_a_second_spelling():
     assert not {m for m in members if hasattr(builtins, m)}, "_MATH holds a builtin"
 
 
+def test_every_tolerance_is_read():
+    # A module-level *_RTOL constant that nothing reads is a tolerance whose
+    # check was deleted.  Every module is parsed, none imported.
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id.endswith("_RTOL"):
+                            defined[name.id] = path.name
+        read |= {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert defined, "no *_RTOL constant found"
+    unread = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in read)
+    assert not unread, f"tolerances never read: {unread}"
+
+
 @pytest.mark.parametrize("name, function", sorted(MODEL_TESTS))
 def test_floor_and_ceiling_are_tested_in_model(name, function):
     test = MODEL_TESTS[(name, function)]

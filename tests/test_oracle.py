@@ -285,6 +285,25 @@ def test_rearrangements_equal_their_textbook_forms():
     excess_den = kernel(ap, bp, P / m, W / m).subs(b, 1 - P ** 2 / (1 - a))
     assert zero(excess_den * m ** 2 - (m ** 2 - (P - W) ** 2))
 
+    # The two-description slice of analysis.md_region_slice: at d2* =
+    # var e^{-2 (r1+r2)}, a = e^{-2 r2}, so pi = (1 - e2)(1 - b) and
+    # delta = ab - e^{-2 (r2+r3)} = e2 (b - e3), with e2 = e^{-2 r2} and
+    # e3 = e^{-2 r3}.
+    var, r1, r2, r3 = sympy.symbols("var r1 r2 r3", positive=True)
+    a_slice = var * sympy.exp(-2 * (r1 + r2)) / (var * sympy.exp(-2 * r1))
+    e2, e3 = sympy.exp(-2 * r2), sympy.exp(-2 * r3)
+    assert zero(a_slice - e2)
+    assert zero((1 - a_slice) * (1 - b) - (1 - e2) * (1 - b))
+    assert zero(a_slice * b - sympy.exp(-2 * (r2 + r3)) - e2 * (b - e3))
+    # analysis.wz_md_sweep's gap: with N the shared numerator, d4_wz =
+    # N/(1 - pi) and d4_md = N/(1 - g^2), g = sqrt(pi) - sqrt(delta), their
+    # difference is d4_wz sqrt(delta) (2 sqrt(pi) - sqrt(delta))/(1 - g^2);
+    # where g <= 0, d4_md = N and it is d4_wz pi.
+    N = sympy.symbols("N", positive=True)
+    wz, g = N / (1 - P ** 2), P - D
+    assert zero(wz - N / (1 - g ** 2) - wz * D * (2 * P - D) / (1 - g ** 2))
+    assert zero(wz - N - wz * P ** 2)
+
     # rd_bound's thresholds: ab - pi = a + b - 1, ab/(a + b - ab) is harmonic.
     assert zero(a * b - (1 - a) * (1 - b) - (a + b - 1))
     assert zero(a * b / (a + b - a * b) - 1 / (1 / a + 1 / b - 1))
