@@ -20,9 +20,10 @@ The argvs are:
 * the argvs of :data:`AIM3_EDGE_ARGVS`, edge cases whose output
   ``tests/test_cli.py`` does not pin in full;
 * the argvs of :data:`WZ_EDGE_ARGVS`, the binning sweep at the edges of its
-  stage rates.
+  stage rates;
+* the argvs of :data:`RD_CORNER_ARGVS`, ``rd-bound`` at the harmonic corner.
 
-The last three groups come after the rest in the order they were added, so
+The last four groups come after the rest in the order they were added, so
 that every earlier entry keeps its index.
 
 ``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
@@ -98,9 +99,10 @@ AIM3_EDGE_ARGVS = [
 
 #: ``sweep-wz-md`` at the edges of its stage rates: near-zero or subnormal
 #: ``r1`` and ``r2`` (1e-310, 1e-320, and a variance of 3.96e-259 at
-#: r1 = 1.3e-158), ``r1`` and ``r2`` at exactly 0, and variance 1e308 with
+#: r1 = 1.3e-158), ``r1`` and ``r2`` at exactly 0, variance 1e308 with
 #: r2 = 360, where the plain slice's ``a = exp(-720)`` is subnormal and the
-#: sweep is refused.
+#: sweep is refused, and a variance of 1.6e-299 whose floor
+#: ``var exp(-2 (r1+r3))`` underflows to 0.
 WZ_EDGE_ARGVS = [
     ["sweep-wz-md", "--r1", "1e-310", "--points", "3"],
     ["sweep-wz-md", "--var", "1e308", "--r1", "0.1", "--r2", "360", "--points", "3"],
@@ -112,6 +114,19 @@ WZ_EDGE_ARGVS = [
     ["sweep-wz-md", "--r2", "0", "--points", "3"],
     ["sweep-wz-md", "--r3", "1e-9", "--points", "5"],
     ["sweep-wz-md", "--points", "2"],
+    ["sweep-wz-md", "--var", "1.5974314580337194e-299", "--r1", "13.589228078166446",
+     "--r2", "13.421131440349214", "--r3", "17.677044304869707",
+     "--r4", "15.64955354255503", "--points", "12"],
+]
+
+#: ``rd-bound`` with ``d2`` and ``d3`` within 1e-11 of ``d1_star`` and ``d4``
+#: at the harmonic threshold ``ab/(a + b - ab)``, where the excess branch
+#: meets the sum of the individual bounds, and one ulp below it.
+RD_CORNER_ARGVS = [
+    ["rd-bound", "--r1", "0", "--r4", "0",
+     "--d", "inf,0.9999999999949605,0.9999999999998695,0.9999999999948301"],
+    ["rd-bound", "--r1", "0", "--r4", "0",
+     "--d", "inf,0.9999999999949605,0.9999999999998695,0.99999999999483"],
 ]
 
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
@@ -177,7 +192,7 @@ def main(only: list[list[str]]) -> None:
     with tempfile.TemporaryDirectory() as state_dir:
         argvs = (bench_argvs(Path(state_dir)) + echo_argvs() + EDGE_ARGVS
                  + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS + AIM3_EDGE_ARGVS
-                 + WZ_EDGE_ARGVS)
+                 + WZ_EDGE_ARGVS + RD_CORNER_ARGVS)
     old = ({tuple(e["argv"]): e for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
            if only else {})
     entries = [run(argv) if not only or any(argv[:len(p)] == p for p in only)
