@@ -95,8 +95,8 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
     snaps it.  So it is exactly 0 at both ends (``delta = 0`` at the floor,
     ``pi = 0`` at ``d1*``) and on every row at ``r2 = 0``, positive inside,
     and within about ``eps (ab/delta + b/(1 - b) + 1 + r3 + r4)`` relative.
-    Where ``d1*`` underflows to 0 there is no target to sweep, and
-    :class:`InvalidRegimeInput` is raised before any floor test.
+    Where ``d1*`` or the floor underflows to 0 there is no range to sweep,
+    and :class:`InvalidRegimeInput` is raised before any floor test.
     """
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
@@ -107,6 +107,10 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
         raise InvalidRegimeInput(
             f"first-layer floor d1* = var exp(-2 r1) = {hi} underflows at "
             f"r1 = {rates.r1}; the second user's targets cannot be swept")
+    if not lo > 0.0:
+        raise InvalidRegimeInput(
+            f"second-user floor var exp(-2 (r1+r3)) = {lo} underflows at "
+            f"r1 + r3 = {rates.r1 + rates.r3}; the second user's targets cannot be swept")
     e2, c2 = math.exp(-2.0 * rates.r2), -math.expm1(-2.0 * rates.r2)
     e3 = math.exp(-2.0 * rates.r3)
     span, rows = hi - lo, []

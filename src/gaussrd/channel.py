@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .errors import InvalidChannel, InvalidRegimeInput
 from .mmse import _msr_distortions
 from .model import (_DEGENERATE, _NORMAL_MIN, UNCONSTRAINED, DistortionTuple,
-                    GaussianSource, RateTuple, _exp_quotient, _setattr)
+                    GaussianSource, RateTuple, _distortion_floor, _exp_quotient,
+                    _setattr)
 from .regions import _MATH, DrBoundResult, _delta, _side_ratios, dr_bound
 
 #: Closed-form and MMSE-computed distortions must agree this tightly.
@@ -235,11 +236,7 @@ def certify_achievability(source: GaussianSource, rates: RateTuple,
     channel = _channel(rates, d1s, a, b, a_gap, b_gap)
     achieved = DistortionTuple(*_msr_distortions(source.variance, channel))
     ach_d1, ach_d4 = achieved.d1, achieved.d4
-    e4 = math.exp(-2.0 * rates.r4)
-    # A subnormal exp(-2 r4) has lost digits; the quotient formed as m 2^k
-    # keeps them.
-    closed_d4 = (e4 * channel.d4_star if e4 >= _NORMAL_MIN
-                 else _exp_quotient(channel.d4_star, -2.0 * rates.r4, 1.0))
+    closed_d4 = _distortion_floor(channel.d4_star, rates.r4)
     if abs(ach_d4 - closed_d4) > CROSSCHECK_RTOL * closed_d4:
         raise InvalidChannel(
             f"internal cross-check failed: MMSE d4={ach_d4} vs closed form {closed_d4}"

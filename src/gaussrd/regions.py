@@ -232,8 +232,10 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
     """Closed-form slack maximizing the converse bound on the d4 penalty.
 
     Only defined when both side targets sit at or below the first-layer floor
-    (``d2, d3 <= d1_star``); otherwise raises :class:`OutOfRegime`.  Uses the
-    unclamped targets: ``pi_star = (1 - d2/d1*)(1 - d3/d1*)`` and
+    (``d2, d3 <= d1_star``, up to the ``FEASIBILITY_RTOL`` ceiling band);
+    otherwise raises :class:`OutOfRegime`.  Uses the targets as given, except
+    that :func:`_side_ratios` clamps one inside the ceiling band to ``d1*``:
+    ``pi_star = (1 - d2/d1*)(1 - d3/d1*)`` and
     ``delta_star = d2 d3 / d1*^2 - exp(-2 (r2+r3))``.  When
     ``pi_star >= delta_star`` the maximizer is
     ``eps* = d1* sqrt(delta*) / (sqrt(pi*) - sqrt(delta*))`` with
@@ -338,18 +340,17 @@ def _excess_term(a: float, b: float, z: float) -> float:
 
 
 def _rd_branches(xp, a, b, z):
-    """:func:`rd_bound`'s low threshold ``ab - pi`` and harmonic threshold
-    ``ab/(a + b - ab)`` (both from ``1 - pi = a + b - ab``, whose terms do not
-    cancel), then its slack, harmonic-corner and low-band tests of ``z``; a
+    """:func:`rd_bound`'s slack and low-band tests of ``z``, against the
+    harmonic threshold ``ab/(a + b - ab)`` and the low threshold ``ab - pi``
+    (both from ``1 - pi = a + b - ab``, whose terms do not cancel); a
     ``BOUNDARY_RTOL`` band around a positive threshold counts as beyond it.
     """
     ab = a * b
     low, harm = ab - (1.0 - a) * (1.0 - b), ab / (a + b - ab)
-    to_harm = abs(z - harm)
-    slack = ((harm > 0.0) & (to_harm <= BOUNDARY_RTOL * xp.maximum(z, harm))) | (z > harm)
-    corner = slack & (to_harm <= 1e-12 * harm) & (low < z)
+    slack = (((harm > 0.0) & (abs(z - harm) <= BOUNDARY_RTOL * xp.maximum(z, harm)))
+             | (z > harm))
     low_band = (low > 0.0) & (z - low <= BOUNDARY_RTOL * xp.maximum(z, low))
-    return low, harm, slack, corner, low_band
+    return slack, low_band
 
 
 _Z_NAME = "z = d4 exp(2 r4)/d1_star"
@@ -409,24 +410,11 @@ def rd_bound(source: GaussianSource, r1: float, r4: float,
             f"d4_hat = d4 exp(2 r4) overflows at d4={dist.d4}, r4={r4}")
     z = d4_hat / d1s
 
-    low_thr, harmonic_thr, slack, at_corner, low_band = _rd_branches(_MATH, a, b, z)
-    if low_thr > harmonic_thr * (1.0 + FEASIBILITY_RTOL):
-        raise InvalidRegimeInput(
-            f"threshold order violated: ab-pi={low_thr} > harmonic {harmonic_thr}"
-        )
+    slack, low_band = _rd_branches(_MATH, a, b, z)
     excess = 0.0
     if slack:
-        # At the harmonic corner the excess branch lands exactly on the sum of
-        # the individual bounds, so the constraint it would add is redundant.
-        if at_corner:
-            z_corner = harmonic_thr if harmonic_thr < z else z
-            corner = rate_to_reach(z) + _excess_term(a, b, z_corner)
-            if (abs(corner - (r2_bound + r3_bound))
-                    > BOUNDARY_RTOL * (corner if corner > 1.0 else 1.0)):
-                raise InvalidRegimeInput(
-                    f"branch disagreement at the harmonic corner: {corner} vs "
-                    f"{r2_bound + r3_bound}"
-                )
+        # At the harmonic threshold the excess branch lands exactly on the sum
+        # of the individual bounds, so the constraint it would add is redundant.
         regime, sum_bound = _RD_SLACK, 0.0
     elif low_band:
         # Both branches are continuous across the low threshold and the
@@ -542,13 +530,11 @@ def _rd_block(np, blocks, grid: GridSpec, d1s, a, b):
     Those are the rows where ``rd_bound`` could raise (a target that is not a
     finite positive float, ``d1`` neither that nor ``UNCONSTRAINED``, a block
     whose ``z = d4 exp(2 r4)/d1_star`` is not finite and positive at every
-    ``d4``, the threshold order violated, an excess denominator not
-    positive) and those in the harmonic corner band, where it cross-checks
-    two branches.  ``d1`` below its floor is not among them: no point of
-    such a block is feasible, so no row of it reaches ``rd_bound``.  Every
-    ``log`` and ``exp`` comes from :mod:`math`: ``exp(2 r4)`` once per
-    block, ``R(z)`` once per block and ``d4``, the excess ``log`` once per
-    entry.
+    ``d4``, an excess denominator not positive).  ``d1`` below its floor is
+    not among them: no point of such a block is feasible, so no row of it
+    reaches ``rd_bound``.  Every ``log`` and ``exp`` comes from :mod:`math`:
+    ``exp(2 r4)`` once per block, ``R(z)`` once per block and ``d4``, the
+    excess ``log`` once per entry.
     """
     d4 = np.array([v if _positive_float(v) else math.nan for v in grid.d4_values])
     # rd_bound's z, (d4 exp(2 r4))/d1_star, over (block, d4).
@@ -559,13 +545,10 @@ def _rd_block(np, blocks, grid: GridSpec, d1s, a, b):
     z[whole] = 1.0
     rz = np.array([[rate_to_reach(v) for v in row] for row in z.tolist()])
 
-    low, harm, slack, corner, low_band = _rd_branches(
-        np, a[:, :, None], b[:, :, None], z[:, None, :])
+    slack, low_band = _rd_branches(np, a[:, :, None], b[:, :, None], z[:, None, :])
     clean = np.logical_and.outer([_positive_float(d2) for d2 in grid.d2_values],
                                  [_positive_float(d3) for d3 in grid.d3_values])
-    refused = (whole[:, None] | ~clean.ravel() | ~(a > 0.0) | ~(b > 0.0)
-               | corner.any(axis=2)
-               | (low[:, :, 0] > harm[:, :, 0] * (1.0 + FEASIBILITY_RTOL)))
+    refused = whole[:, None] | ~clean.ravel() | ~(a > 0.0) | ~(b > 0.0)
     # The codes index _RD_REGIMES (low 0, slack 1, excess 2).
     codes = np.where(slack, 1, np.where(low_band, 0, 2))
     sums = np.where(slack, 0.0, rz[:, None, :])

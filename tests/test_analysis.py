@@ -603,10 +603,14 @@ def test_asymptote_convergence_validates_grid():
     (lambda: wz_md_sweep(GaussianSource(1.0), RateTuple(400.0, 0.5, 1.0, 0.5), 3),
      "first-layer floor d1* = var exp(-2 r1) = 0.0 underflows at r1 = 400.0; "
      "the second user's targets cannot be swept"),
+    # d1* = exp(-600) is normal, the floor exp(-800) is not.
+    (lambda: wz_md_sweep(GaussianSource(1.0), RateTuple(300.0, 0.5, 100.0, 0.5), 3),
+     "second-user floor var exp(-2 (r1+r3)) = 0.0 underflows at r1 + r3 = 400.0; "
+     "the second user's targets cannot be swept"),
     (lambda: wz_region(GaussianSource(1.0), RateTuple(0.0, 400.0, 400.0, 0.0), 1e-320),
      "1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = 1e-320 is below the normal "
      "double range (r2=400.0, b=1e-320)"),
-], ids=["wz-sweep-d1", "wz-den"])
+], ids=["wz-sweep-d1", "wz-sweep-floor", "wz-den"])
 def test_analysis_guards_raise_their_message(call, message):
     with pytest.raises(InvalidRegimeInput) as raised:
         call()

@@ -289,9 +289,10 @@ MODEL_TESTS = {
 }
 
 
-#: The functions that form a Gaussian floor ``var exp(-2 r)`` for a floor test,
-#: and how many they form: each goes through model._distortion_floor, so that a
-#: subnormal ``exp(-2 r)`` costs no digits and every floor test agrees.
+#: The functions that form a Gaussian floor ``var exp(-2 r)``, for a floor test
+#: or certification's closed-form ``d4``, and how many they form: each goes
+#: through model._distortion_floor, so that a subnormal ``exp(-2 r)`` costs no
+#: digits and every floor test agrees.
 FLOOR_FORMS = {
     ("model", "_checked_d1_star"): 1,
     ("regions", "rd_bound"): 1,
@@ -299,6 +300,7 @@ FLOOR_FORMS = {
     ("analysis", "md_region_slice"): 1,
     ("analysis", "wz_md_sweep"): 2,
     ("analysis", "fixed_channel_loss"): 1,
+    ("channel", "certify_achievability"): 1,
 }
 
 

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from conftest import assert_close
@@ -107,6 +107,35 @@ def test_rd_bound_matches_the_oracle(point, central_rate):
     assert_close(r2_bound, float(o2), atol=1e-12)
     assert_close(r3_bound, float(o3), atol=1e-12)
     assert_close(required, float(max(o_sum, o2 + o3)), atol=1e-12)
+
+
+@st.composite
+def harmonic_corners(draw):
+    """``(var, r1, r4, d2, d3, d4)`` with ``z = d4 exp(2 r4)/d1*`` at
+    ``harm (1 + k 1e-13)``, ``k`` in {-9, -1, 0, 1, 9}, where ``harm =
+    ab/(a + b - ab)`` is the harmonic threshold of ``rd_bound``'s ratios;
+    each ratio lies within 10^U(-16, -1) of 1 or anywhere in [1e-6, 1]."""
+    var, r1, r4 = draw(VARIANCE), draw(RATE), draw(RATE)
+    d1s = var * math.exp(-2.0 * r1)
+    ratio = st.one_of(st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+                      st.floats(1e-6, 1.0))
+    d2, d3 = d1s * draw(ratio), d1s * draw(ratio)
+    a, b = min(d2, d1s) / d1s, min(d3, d1s) / d1s
+    harm = a * b / (a + b - a * b)
+    k = draw(st.sampled_from([-9, -1, 0, 1, 9]))
+    return var, r1, r4, d2, d3, harm * (1.0 + k * 1e-13) * d1s / math.exp(2.0 * r4)
+
+
+@SETTINGS
+@given(harmonic_corners())
+# d2 and d3 within 1e-11 of d1* = 1, where the excess term's (a - z)/(1 - z)
+# is ill-conditioned at z = harm.
+@example((1.0, 0.0, 0.0, 0.9999999999949605, 0.9999999999998695, 0.9999999999948301))
+def test_rd_bound_answers_at_the_harmonic_threshold(point):
+    # The excess branch meets the individual bounds' sum at harm, so the
+    # required sum is continuous there and rd_bound answers on either side.
+    o2, o3, o_sum = oracle.mp_rd_bound(*point)
+    assert_close(_rd(*point)[2], float(max(o_sum, o2 + o3)), atol=1e-12)
 
 
 def test_asymptote_ratios_match_the_oracle_at_high_rate(capsys):
@@ -307,6 +336,16 @@ def test_rearrangements_equal_their_textbook_forms():
     # rd_bound's thresholds: ab - pi = a + b - 1, ab/(a + b - ab) is harmonic.
     assert zero(a * b - (1 - a) * (1 - b) - (a + b - 1))
     assert zero(a * b / (a + b - a * b) - 1 / (1 / a + 1 / b - 1))
+    # The harmonic threshold h = ab/(1 - pi) lies above the low one by
+    # (a + b) pi/(1 - pi) >= 0.  There W = ab sqrt(pi)/(1 - pi), so
+    # exp(-2 (R(h) + excess(h))) = h ((1-h)^2 - (sqrt(pi) - W)^2)/(1-h)^2 is
+    # ab: R(h) + excess(h) = R(a) + R(b).
+    pi_ab = (1 - a) * (1 - b)
+    assert zero(a * b / (1 - pi_ab) - (a * b - pi_ab) - (a + b) * pi_ab / (1 - pi_ab))
+    h = (a * b / (1 - pi_ab)).subs(b, b_of_pi)
+    W_h = (a * b * P / (1 - pi_ab)).subs(b, b_of_pi)
+    assert zero((a - h) * (b_of_pi - h) - W_h ** 2)
+    assert zero(h * ((1 - h) ** 2 - (P - W_h) ** 2) / (1 - h) ** 2 - a * b_of_pi)
 
     # channel._channel in side ratios a = d2/d1, b = d3/d1, t_i = sigma_i/d1.
     d1, d2, d3, rho = sympy.symbols("d1 d2 d3 rho")

@@ -756,14 +756,27 @@ def _threshold_grid(threshold: float, *factors: float):
 
 
 def _harmonic_corner_grid():
-    # Within 1e-12 of the harmonic threshold: the corner band, where
-    # rd_bound cross-checks two branches.
+    # Within 1e-12 of the harmonic threshold, where the excess branch meets
+    # the sum of the individual bounds.
     return _threshold_grid(HARMONIC_THR, 1.0 - 5e-13, 1.0, 1.0 + 5e-13)
 
 
+def _near_one_corner_grid():
+    # d2 and d3 within 1e-11 of d1_star = 1 and d4 on their harmonic
+    # threshold, where the excess term's (a - z)/(1 - z) is ill-conditioned.
+    a, b = 0.9999999999949605, 0.9999999999998695
+    source = GaussianSource(variance=1.0)
+    grid = GridSpec(
+        r1_values=(0.0,), r4_values=(0.0,), d1_values=(UNCONSTRAINED,),
+        d2_values=(a,), d3_values=(b,), r2_values=(1.0,), r3_values=(1.0,),
+        d4_values=(a * b / (a + b - a * b),),
+    )
+    return source, grid
+
+
 def _harmonic_band_grid():
-    # Outside the corner band: within the 1e-9 band around the harmonic
-    # threshold, and outside it.
+    # Farther out: within the 1e-9 band around the harmonic threshold, and
+    # outside it.
     return _threshold_grid(HARMONIC_THR, 1.0 - 3e-9, 1.0 - 8e-10, 1.0 + 8e-10,
                            1.0 + 3e-9)
 
@@ -798,10 +811,12 @@ def _first_layer_rate_grid():
     lambda: _extreme_variance_grid(1e300), _degenerate_grid,
     _harmonic_corner_grid, _harmonic_band_grid, _low_band_grid,
     _z_at_least_one_grid, _first_layer_rate_grid, _subnormal_first_layer_grid,
+    _near_one_corner_grid,
 ], ids=["jittered-11", "jittered-12", "jittered-13", "float-d1",
         "duplicated-axes", "floor-band", "high-rate", "variance-1e-300",
         "variance-1e300", "degenerate", "harmonic-corner", "harmonic-band",
-        "low-band", "z-at-least-one", "r1-at-r1-star", "r1-past-354"])
+        "low-band", "z-at-least-one", "r1-at-r1-star", "r1-past-354",
+        "near-one-corner"])
 def test_equivalence_scan_matches_a_per_point_reference(make_grid):
     source, grid = make_grid()
     report = equivalence_scan(source, grid)
@@ -902,16 +917,13 @@ def test_rd_kernel_branches_are_reached(monkeypatch):
     monkeypatch.setattr(regions, "rd_bound", counted)
     monkeypatch.setattr(regions, "_rd_block", captured)
     # Side pairs in product order: (0.5, 0.6), (0.5, 0.8), (0.7, 0.6) and
-    # (0.7, 0.8).  Only the harmonic corner row goes back to rd_bound.
-    grid = scan(_harmonic_corner_grid)
-    # One block, so one row of refusals.
-    assert [refused.tolist() for _, _, refused in outputs] == [
-        [[True, False, False, False]]]
-    assert calls["rd_bound"] == len(grid.d4_values)
-    # Inside the harmonic threshold's band the sum is slack on both sides;
-    # inside the low threshold's band, R(z) alone holds on both sides; at
-    # z >= 1 the sum is slack.
+    # (0.7, 0.8); one block, so one row of refusals.  Inside the harmonic
+    # threshold's band the sum is slack on both sides, within 1e-12 of it
+    # too; inside the low threshold's band, R(z) alone holds on both sides;
+    # at z >= 1 the sum is slack.
     for make_grid, row, regimes in (
+            (_harmonic_corner_grid, 0, ["rd-slack"] * 3),
+            (_near_one_corner_grid, 0, ["rd-slack"]),
             (_harmonic_band_grid, 0, ["rd-excess", "rd-slack", "rd-slack",
                                       "rd-slack"]),
             (_low_band_grid, 3, ["rd-low", "rd-low", "rd-low", "rd-low",
@@ -1243,30 +1255,15 @@ def test_excess_args_are_the_same_on_doubles_and_arrays(rows):
     _same_bits(regions._excess_args, rows)
 
 
-def _rd_bound_with_branches(monkeypatch, branches):
-    # rd_bound's thresholds and tests replaced by fixed ones, to reach the
-    # guards that the closed forms never trip.
-    monkeypatch.setattr(regions, "_rd_branches", lambda xp, a, b, z: branches)
-    return rd_bound(GaussianSource(variance=1.0), 0.0, 0.0,
-                    DistortionTuple(UNCONSTRAINED, 0.5, 0.5, 0.1))
-
-
 @pytest.mark.parametrize("call, error, message", [
-    (lambda mp: regions._pi_delta(0.5, 0.5, 0.3), NegativeDelta,
+    (lambda: regions._pi_delta(0.5, 0.5, 0.3), NegativeDelta,
      "delta=-0.04999999999999999 is negative beyond rounding; inputs are inconsistent"),
-    (lambda mp: regions._penalty_den(2.0, 2.0, 0.0), InvalidRegimeInput,
+    (lambda: regions._penalty_den(2.0, 2.0, 0.0), InvalidRegimeInput,
      "penalty denominator 0.0 not positive (a=2.0, b=2.0, delta=0.0)"),
-    (lambda mp: _rd_bound_with_branches(mp, (0.75, 0.5, False, False, False)),
-     InvalidRegimeInput, "threshold order violated: ab-pi=0.75 > harmonic 0.5"),
-    # At the corner, R(0.1) plus the excess term at min(z, 1/3) is not the
-    # individual bounds' sum 2 R(0.5) = log 2.
-    (lambda mp: _rd_bound_with_branches(mp, (0.0, 1.0 / 3.0, True, True, False)),
-     InvalidRegimeInput, "branch disagreement at the harmonic corner: "
-     "1.1575038064963012 vs 0.6931471805599453"),
-], ids=["negative-delta", "penalty-denominator", "threshold-order", "harmonic-corner"])
-def test_region_guards_raise_their_message(monkeypatch, call, error, message):
+], ids=["negative-delta", "penalty-denominator"])
+def test_region_guards_raise_their_message(call, error, message):
     with pytest.raises(error) as raised:
-        call(monkeypatch)
+        call()
     assert str(raised.value) == message
 
 
@@ -1385,6 +1382,11 @@ def _band_or_below(xp, z, low):
                           | (z < low))
 
 
+def _low_threshold(a, b):
+    """``_rd_branches``' low threshold ``ab - pi``, in its expression."""
+    return a * b - (1.0 - a) * (1.0 - b)
+
+
 def _ulps_from(draw, x):
     """``x`` moved by up to 4 ulps either way."""
     steps = draw(st.integers(-4, 4))
@@ -1448,10 +1450,11 @@ def test_low_band_decides_as_band_or_below(rows):
     a, b = (np.array(column, dtype=float) for column in zip(*sides))
     z = np.array([z for _, z in rows], dtype=float)
     with np.errstate(all="ignore"):
-        low, *_, band = regions._rd_branches(np, a, b, z)
-        arrays = band, _band_or_below(np, z, low)
+        _, band = regions._rd_branches(np, a, b, z)
+        arrays = band, _band_or_below(np, z, _low_threshold(a, b))
     for i, ((a_i, b_i), (_, z_i)) in enumerate(zip(sides, rows)):
-        low_i, *_, band_i = regions._rd_branches(regions._MATH, a_i, b_i, z_i)
+        _, band_i = regions._rd_branches(regions._MATH, a_i, b_i, z_i)
+        low_i = _low_threshold(a_i, b_i)
         decided = [band_i, arrays[0][i], _band_or_below(_MATH_WITH_ABS, z_i, low_i),
                    arrays[1][i]]
         assert len({bool(v) for v in decided}) == 1, (low_i, z_i, decided)
