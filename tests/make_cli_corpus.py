@@ -21,9 +21,11 @@ The argvs are:
   ``tests/test_cli.py`` does not pin in full;
 * the argvs of :data:`WZ_EDGE_ARGVS`, the binning sweep at the edges of its
   stage rates;
-* the argvs of :data:`RD_CORNER_ARGVS`, ``rd-bound`` at the harmonic corner.
+* the argvs of :data:`RD_CORNER_ARGVS`, ``rd-bound`` at the harmonic corner;
+* the argvs of :data:`SWEEP_FLOOR_ARGVS`, the binning sweep with its floor or
+  ``d2*`` below the normal range.
 
-The last four groups come after the rest in the order they were added, so
+The last five groups come after the rest in the order they were added, so
 that every earlier entry keeps its index.
 
 ``--only PREFIX`` (repeatable; ``--only "dr-bound --var 1e308"``) reruns only
@@ -129,6 +131,25 @@ RD_CORNER_ARGVS = [
      "--d", "inf,0.9999999999949605,0.9999999999998695,0.99999999999483"],
 ]
 
+#: ``sweep-wz-md`` whose floor ``var exp(-2 (r1+r3))`` is subnormal (3.7e-296
+#: and 2.6e-309 variances), whose ``d2* = var exp(-2 (r1+r2))`` lies below the
+#: normal range though its floor and ``d1*`` are normal (8.7e-288), and a
+#: normal sweep at 1e-195 whose rates total about 93 nats.
+SWEEP_FLOOR_ARGVS = [
+    ["sweep-wz-md", "--var", "3.7363363890468174e-296", "--r1", "12.474541605345038",
+     "--r2", "12.039250517603325", "--r3", "15.553633828232293",
+     "--r4", "9.63575981133824", "--points", "12"],
+    ["sweep-wz-md", "--var", "8.66761212734818e-288", "--r1", "17.310682716202134",
+     "--r2", "30.49120329831768", "--r3", "0.08424213404442771",
+     "--r4", "17.815487762192056", "--points", "12"],
+    ["sweep-wz-md", "--var", "2.551092219016906e-309", "--r1", "3.252969698021632e-10",
+     "--r2", "6.300898613421028e-09", "--r3", "3.350478295898974",
+     "--r4", "0.0004053462856220709", "--points", "12"],
+    ["sweep-wz-md", "--var", "2.3143399906068688e-195", "--r1", "23.41410995172655",
+     "--r2", "20.52473074700325", "--r3", "17.097007106442117",
+     "--r4", "31.77602769150007", "--points", "5"],
+]
+
 VERIFY_ARGVS = ([["verify", "--seed", str(seed), "--var", var]
                  for seed in (12345, 1, 7) for var in ("1", "1e-9", "1e9")]
                 + [["verify", "--var", var, "--grid-density", "2"]
@@ -192,7 +213,7 @@ def main(only: list[list[str]]) -> None:
     with tempfile.TemporaryDirectory() as state_dir:
         argvs = (bench_argvs(Path(state_dir)) + echo_argvs() + EDGE_ARGVS
                  + VERIFY_ARGVS + help_argvs() + CHANNEL_ARGVS + AIM3_EDGE_ARGVS
-                 + WZ_EDGE_ARGVS + RD_CORNER_ARGVS)
+                 + WZ_EDGE_ARGVS + RD_CORNER_ARGVS + SWEEP_FLOOR_ARGVS)
     old = ({tuple(e["argv"]): e for e in json.loads(CORPUS.read_text(encoding="utf-8"))}
            if only else {})
     entries = [run(argv) if not only or any(argv[:len(p)] == p for p in only)
