@@ -17,8 +17,8 @@ _EXPORTS = {name: module for module, names in (
     ("analysis", ("AsymptoticConfig", "ConvergenceRow", "FixedChannelConfig",
                   "FixedChannelLoss", "HighRateAsymptotes", "MdcrComparison",
                   "MdcrSplit", "SweepRow", "asymptote_convergence",
-                  "fixed_channel_loss", "high_rate_asymptote", "md_region_slice",
-                  "mdcr_compare", "wz_md_sweep", "wz_region")),
+                  "fixed_channel_loss", "high_rate_asymptote", "mdcr_compare",
+                  "wz_md_sweep", "wz_region")),
     ("channel", ("CertificationRecord", "DegenerateAdjustment", "TestChannel",
                  "certify_achievability")),
     ("discrete", ("DecoderMaps", "JointPmf", "RateRegionBounds",

@@ -23,7 +23,47 @@ from .errors import InfeasibleDistortion, InvalidRegimeInput, OutOfRegime
 from .model import (_NORMAL_MIN, UNCONSTRAINED, GaussianSource, RateTuple,
                     Regime, _checked_d1_star, _distortion_floor, _exp_quotient,
                     _require_rate)
-from .regions import _MATH, _delta, _penalty_den, _side_ratios, dr_bound
+from .regions import _MATH, _delta, _penalty, _side_ratios, dr_bound
+
+
+def _slice(d1s: float, rates: RateTuple):
+    """The slice's row form at ``d1*``: ``b = d3/d1* -> (d4_wz, d4_md, gap)``.
+
+    Both bounds are ``N/den``, ``N = var exp(-2 (r1+r2+r3+r4))``, formed as
+    ``d1* e2/den`` times ``exp(-2 (r3+r4))`` by the floor's route, at ``e2 =
+    exp(-2 r2)``.  Binning has ``den = 1 - pi = e2 + c2 b``, ``c2 = 1 - e2``
+    by ``expm1``; the plain slice has :func:`~gaussrd.regions.dr_bound`'s
+    penalty denominator at ``a = e2``, ``pi = c2 (1 - b)`` and ``delta =
+    e2 (b - exp(-2 r3))``, snapped as there.  As ``1 - g^2 >= 1 - pi``, one
+    test serves both: a ``1 - pi`` below the normal double range (``r2`` and
+    ``r3`` both past about 354 nats) raises :class:`InvalidRegimeInput`.
+    """
+    r2, r34 = rates.r2, rates.r3 + rates.r4
+    e2, c2, e3 = math.exp(-2.0 * r2), -math.expm1(-2.0 * r2), math.exp(-2.0 * rates.r3)
+
+    def row(b: float) -> tuple[float, float, float]:
+        den = e2 + c2 * b
+        if den < _NORMAL_MIN:
+            raise InvalidRegimeInput(
+                f"1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = {den} is below the "
+                f"normal double range (r2={r2}, b={b})")
+        excess = _delta(_MATH, b, e3)[2]
+        pi, delta = c2 * (1.0 - b), e2 * excess
+        den_md = _penalty(_MATH, e2, b, delta)
+        wz = _distortion_floor(_exp_quotient(d1s, -2.0 * r2, den), r34)
+        md = _distortion_floor(_exp_quotient(d1s, -2.0 * r2, den_md), r34)
+        # Past r2 ~ 354 nats e2 is subnormal and so is delta, whose few
+        # digits the gap would keep; sqrt(delta) is then exp(-r2) sqrt(b - e3).
+        sqrt_pi = math.sqrt(pi)
+        sqrt_delta = (math.sqrt(delta) if e2 >= _NORMAL_MIN
+                      else math.exp(-r2) * math.sqrt(excess))
+        if sqrt_delta < sqrt_pi:
+            return wz, md, wz * (sqrt_delta * (2.0 * sqrt_pi - sqrt_delta) / den_md)
+        # wz pi, with wz c2 first: pi is subnormal at r2 below about 1e-308
+        # though the gap need not be.
+        return wz, md, wz * c2 * (1.0 - b)
+
+    return row
 
 
 def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> float:
@@ -43,33 +83,14 @@ def wz_region(source: GaussianSource, rates: RateTuple, d3_prime: float) -> floa
     ``sqrt(delta)`` term of its penalty, which is what binning loses.  So it
     coincides with the plain two-description slice where ``delta = 0`` (the
     floor of ``d3_prime``) or ``pi = 0`` (``d3_prime`` at ``d1*``, or
-    ``r2 = 0``), and is strictly worse in between.  ``1 - pi`` is formed as
-    ``exp(-2 r2) + (1 - exp(-2 r2)) b``, two nonnegative terms, so nothing
-    cancels; only ``r3 + r4`` is summed.  Raises :class:`InvalidRegimeInput`
-    where ``d1*`` underflows to 0 or ``1 - pi`` lies below the normal double
-    range (``r2`` and ``r3`` both past about 354 nats).
+    ``r2 = 0``), and is strictly worse in between.  :func:`_slice` forms it
+    and raises :class:`InvalidRegimeInput` where ``1 - pi`` lies below the
+    normal double range; so does an underflowed ``d1*``.
     """
     d1s = _checked_d1_star(source, rates, UNCONSTRAINED, UNCONSTRAINED, d3_prime)
-    # a = d2*/d1* is exp(-2 r2) itself; _side_ratios clamps d3' to d1* and
-    # refuses an underflowed d1*.
+    # _side_ratios clamps d3' to d1* and refuses an underflowed d1*.
     _, b = _side_ratios(d1s, d1s, d3_prime)
-    den = math.exp(-2.0 * rates.r2) - math.expm1(-2.0 * rates.r2) * b
-    if den < _NORMAL_MIN:
-        raise InvalidRegimeInput(
-            f"1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = {den} is below the "
-            f"normal double range (r2={rates.r2}, b={b})")
-    # d1* exp(-2 r2) / den as m 2^k, then times exp(-2 (r3+r4)) by the
-    # floor's route, which goes through m 2^k where that factor is subnormal.
-    return _distortion_floor(_exp_quotient(d1s, -2.0 * rates.r2, den),
-                             rates.r3 + rates.r4)
-
-
-def md_region_slice(source: GaussianSource, rates: RateTuple, d3: float) -> float:
-    """The plain two-description slice: :func:`~gaussrd.regions.dr_bound`'s
-    bound at ``d2* = var exp(-2 (r1+r2))`` and ``d3``, where ``pi = (1 -
-    exp(-2 r2))(1 - b)`` and ``delta = exp(-2 r2)(b - exp(-2 r3))``."""
-    d2s = _distortion_floor(source.variance, rates.r1 + rates.r2)
-    return dr_bound(source, rates, UNCONSTRAINED, d2s, d3).d4_bound
+    return _slice(d1s, rates)(b)[0]
 
 
 @dataclass(slots=True)
@@ -84,19 +105,22 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
                 points: int = 200) -> list[SweepRow]:
     """Sweep the second user's target across its feasible range.
 
-    Rows run from the floor ``var exp(-2 (r1+r3))`` up to ``d1*`` inclusive.
-    ``gap = d4_wz - d4_md`` is what the ``sqrt(delta)`` term of the plain
-    penalty gains (see :func:`wz_region`).  As ``d4_wz = N/(1 - pi)`` and
-    ``d4_md = N/(1 - g^2)``, ``g = sqrt(pi) - sqrt(delta)``, it is formed
-    with no difference, as ``d4_wz sqrt(delta) (2 sqrt(pi) - sqrt(delta)) /
-    (1 - g^2)`` where ``sqrt(delta) < sqrt(pi)``, else ``d4_wz pi``, from the
-    slice's ``pi = (1 - exp(-2 r2))(1 - b)`` and ``delta = exp(-2 r2)(b -
-    exp(-2 r3))``, ``delta`` snapped as :func:`~gaussrd.regions.dr_bound`
-    snaps it.  So it is exactly 0 at both ends (``delta = 0`` at the floor,
-    ``pi = 0`` at ``d1*``) and on every row at ``r2 = 0``, positive inside,
-    and within about ``eps (ab/delta + b/(1 - b) + 1 + r3 + r4)`` relative.
-    Where ``d1*`` or the floor underflows to 0 there is no range to sweep,
-    and :class:`InvalidRegimeInput` is raised before any floor test.
+    Rows run from the floor ``var exp(-2 (r1+r3))`` up to ``d1*`` inclusive,
+    each derived once by :func:`_slice` at ``b = d3/d1*``: ``d4_wz`` is
+    :func:`wz_region`'s bound and ``d4_md`` the plain slice,
+    :func:`~gaussrd.regions.dr_bound`'s bound at ``d2* = var exp(-2
+    (r1+r2))`` with ``a = d2*/d1*`` taken as ``exp(-2 r2)``.  ``gap = d4_wz -
+    d4_md`` is what the ``sqrt(delta)`` term of the plain penalty gains.  As
+    ``d4_wz = N/(1 - pi)`` and ``d4_md = N/(1 - g^2)``, ``g = sqrt(pi) -
+    sqrt(delta)``, it is formed with no difference, as ``d4_wz sqrt(delta)
+    (2 sqrt(pi) - sqrt(delta)) / (1 - g^2)`` where ``sqrt(delta) <
+    sqrt(pi)``, else ``d4_wz pi``.  So it is exactly 0 at both ends
+    (``delta = 0`` at the floor, ``pi = 0`` at ``d1*``) and on every row at
+    ``r2 = 0``, positive inside, and within about ``eps (ab/delta + b/(1 -
+    b) + 1 + r3 + r4)`` relative.  Where ``d1*`` underflows to 0 or the
+    floor lies below the normal double range (every bound is then at most
+    the floor, and the floor row's ``b`` keeps too few digits for
+    ``delta``'s snap), :class:`InvalidRegimeInput` is raised up front.
     """
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
@@ -107,12 +131,12 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
         raise InvalidRegimeInput(
             f"first-layer floor d1* = var exp(-2 r1) = {hi} underflows at "
             f"r1 = {rates.r1}; the second user's targets cannot be swept")
-    if not lo > 0.0:
+    if lo < _NORMAL_MIN:
         raise InvalidRegimeInput(
-            f"second-user floor var exp(-2 (r1+r3)) = {lo} underflows at "
-            f"r1 + r3 = {rates.r1 + rates.r3}; the second user's targets cannot be swept")
-    e2, c2 = math.exp(-2.0 * rates.r2), -math.expm1(-2.0 * rates.r2)
-    e3 = math.exp(-2.0 * rates.r3)
+            f"second-user floor var exp(-2 (r1+r3)) = {lo} is below the normal "
+            f"double range at r1 + r3 = {rates.r1 + rates.r3}; the second "
+            f"user's targets cannot be swept")
+    row = _slice(hi, rates)
     span, rows = hi - lo, []
     for i in range(points):
         step = span * i
@@ -121,19 +145,8 @@ def wz_md_sweep(source: GaussianSource, rates: RateTuple,
         # round to d1*, so the last row is d1* itself.
         d3 = (hi if i == points - 1 else
               lo + (step / (points - 1) if step < math.inf else span * (i / (points - 1))))
-        wz = wz_region(source, rates, d3)
-        md = md_region_slice(source, rates, d3)
         # No row lies above d1*, so this is wz_region's b = min(d3, d1*)/d1*.
-        b = d3 / hi
-        pi, delta = c2 * (1.0 - b), e2 * _delta(_MATH, b, e3)[2]
-        sqrt_pi, sqrt_delta = math.sqrt(pi), math.sqrt(delta)
-        if sqrt_delta < sqrt_pi:
-            gap = wz * (sqrt_delta * (2.0 * sqrt_pi - sqrt_delta) / _penalty_den(e2, b, delta))
-        else:
-            # wz pi, with wz c2 first: pi is subnormal at r2 below about
-            # 1e-308 though the gap need not be.
-            gap = wz * c2 * (1.0 - b)
-        rows.append(SweepRow(d3, wz, md, gap))
+        rows.append(SweepRow(d3, *row(d3 / hi)))
     return rows
 
 
@@ -257,7 +270,7 @@ def mdcr_compare(source: GaussianSource, r2: float, r3: float, r4: float,
     bound_mdcr = dr_bound(source, rates_mdcr, sx2, d2, d3)
     # The numerators cancel (d1* = var), also where they have underflowed.
     a, b = bound_md.d2_hat / sx2, bound_md.d3_hat / sx2
-    ratio = _penalty_den(a, b, bound_md.delta) / _penalty_den(a, b, bound_mdcr.delta)
+    ratio = _penalty(_MATH, a, b, bound_md.delta) / _penalty(_MATH, a, b, bound_mdcr.delta)
     return MdcrComparison(bound_mdcr.d4_bound, bound_md.d4_bound, ratio)
 
 

@@ -178,14 +178,10 @@ def _adjust(rates: RateTuple, d1s: float, d2: float, d3: float
     c2, c3 = -math.expm1(-2.0 * rates.r2), -math.expm1(-2.0 * rates.r3)
     g2, g3 = (d1s - d2) / d1s, (d1s - d3) / d1s
     x2, x3 = _over_floor(d1s, d2, e2, c2), _over_floor(d1s, d3, e3, c3)
-    # delta > pi forces d2 + d3 > d1s (1 + s), so span > d1s c2 c3 >= 0,
-    # unless d1s is subnormal and the floors carry no digits.
+    # delta > pi forces d2 + d3 > d1s (1 + s), so span > d1s c2 c3 >= 0;
+    # certification refuses a subnormal d4 bound first, so d1s is normal and
+    # the floors carry their digits.
     span = x2 + x3
-    if not span > 0.0:
-        raise InvalidRegimeInput(
-            f"side targets ({d2}, {d3}) do not exceed their floors at "
-            f"d1_star={d1s}; there is no excess to shrink"
-        )
     shrink = d1s / span * c2 * c3
     over = c3 * e2 + x2 / d1s - g3 if g3 <= g2 else c2 * e3 + x3 / d1s - g2
     cut = d1s / span * over

@@ -139,8 +139,8 @@ def _pi_delta(a: float, b: float, s: float) -> tuple[float, float, bool]:
 
     Degenerate means ``pi < delta`` beyond the tolerance of :func:`_delta`.
     """
+    # a, b <= 1 (from _side_ratios), so pi >= +0.0.
     pi = (1.0 - a) * (1.0 - b)
-    pi = 0.0 if 0.0 > pi else pi
     ab = a * b
     if ab < _NORMAL_MIN:
         # Then ab and s <= ab carry no relative precision, and sqrt(delta)
@@ -167,23 +167,14 @@ def _penalty(xp, a, b, delta):
     (a + b - ab)/(1 + sqrt(pi))``: every term is nonnegative, so nothing
     cancels when ``pi`` tends to 1 at high rate, where ``1 - g^2`` written
     out loses all its digits.  It is 1 where ``sqrt(delta) >= sqrt(pi)``
-    (the penalty vanishes).  Nothing raises; an entry that is not positive
-    is refused by the caller.
+    (the penalty vanishes).  Nothing raises.  At ``a, b <= 1`` with ``a b``
+    normal (as :func:`_pi_delta` admits them) it is at least ``(a + b -
+    ab)/2 >= max(a, b)/2 > 0``.
     """
     sqrt_pi, sqrt_delta = xp.sqrt((1.0 - a) * (1.0 - b)), xp.sqrt(delta)
     one_plus = 1.0 + sqrt_pi
     return xp.where(sqrt_delta >= sqrt_pi, 1.0,
                     ((a + b - a * b) / one_plus + sqrt_delta) * (one_plus - sqrt_delta))
-
-
-def _penalty_den(a: float, b: float, delta: float) -> float:
-    """:func:`_penalty` at doubles; a denominator that is not positive raises."""
-    den = _penalty(_MATH, a, b, delta)
-    if den <= 0.0:
-        raise InvalidRegimeInput(
-            f"penalty denominator {den} not positive (a={a}, b={b}, delta={delta})"
-        )
-    return den
 
 
 def dr_bound(source: GaussianSource, rates: RateTuple,
@@ -203,7 +194,7 @@ def dr_bound(source: GaussianSource, rates: RateTuple,
     exponent = -2.0 * rates.total()
     factor = math.exp(exponent)
     numerator = source.variance * factor
-    den = _penalty_den(a, b, delta)
+    den = _penalty(_MATH, a, b, delta)
     if factor >= _NORMAL_MIN and numerator >= _NORMAL_MIN:
         d4_bound = numerator / den
     else:
@@ -240,8 +231,8 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
     ``pi_star >= delta_star`` the maximizer is
     ``eps* = d1* sqrt(delta*) / (sqrt(pi*) - sqrt(delta*))`` with
     ``t(eps*) = 1 / (1 - (sqrt(pi*) - sqrt(delta*))^2)``, the reciprocal of
-    :func:`_penalty_den`; otherwise the supremum ``t = 1`` is approached only
-    as ``eps -> inf``.
+    :func:`_penalty`; otherwise the supremum ``t = 1`` is approached only
+    as ``eps -> inf``, where that denominator is 1.
     """
     d1s = _checked_d1_star(source, rates, d1, d2, d3)
     if _over_ceiling(d2, d1s) or _over_ceiling(d3, d1s):
@@ -250,13 +241,9 @@ def converse_witness(source: GaussianSource, rates: RateTuple,
     a, b = _side_ratios(d1s, d2, d3)
     pi_star, delta_star, _ = _pi_delta(a, b, math.exp(-2.0 * (rates.r2 + rates.r3)))
     gap = math.sqrt(pi_star) - math.sqrt(delta_star)
-    if gap > 0.0:
-        eps_star = d1s * math.sqrt(delta_star) / gap
-        t_bound = 1.0 / _penalty_den(a, b, delta_star)
-    else:
-        eps_star = math.inf
-        t_bound = 1.0
-    return ConverseWitness(eps_star, pi_star, delta_star, t_bound)
+    eps_star = d1s * math.sqrt(delta_star) / gap if gap > 0.0 else math.inf
+    return ConverseWitness(eps_star, pi_star, delta_star,
+                           1.0 / _penalty(_MATH, a, b, delta_star))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -318,7 +305,9 @@ def maximize_t_numeric(source: GaussianSource, rates: RateTuple,
 
 def _excess_args(xp, a, b, z):
     """``a' = (a-z)/(1-z)``, ``b' = (b-z)/(1-z)`` and ``a' b'`` for ``z < 1``,
-    the arguments at which :func:`_penalty` gives the excess term."""
+    the arguments at which :func:`_penalty` gives the excess term.  In the
+    excess regime ``z`` lies below the harmonic threshold, which is at most
+    ``min(a, b) <= 1``, so ``a - z`` and ``b - z`` are positive."""
     a_rel = xp.maximum(a - z, 0.0) / (1.0 - z)
     b_rel = xp.maximum(b - z, 0.0) / (1.0 - z)
     return a_rel, b_rel, a_rel * b_rel
@@ -331,11 +320,9 @@ def _excess_term(a: float, b: float, z: float) -> float:
     ``w = sqrt((a-z)(b-z))``; algebraically this inverts the d4 bound for the
     implied ``exp(-2 (r2+r3))``, so it is nonnegative wherever defined.  It
     equals ``-0.5 log`` of the penalty denominator at the arguments of
-    :func:`_excess_args`; at ``z >= 1`` (the ``a = b = 1`` corner) it is 0.
+    :func:`_excess_args`.
     """
-    if z >= 1.0:
-        return 0.0
-    excess = -0.5 * math.log(_penalty_den(*_excess_args(_MATH, a, b, z)))
+    excess = -0.5 * math.log(_penalty(_MATH, *_excess_args(_MATH, a, b, z)))
     return 0.0 if 0.0 > excess else excess
 
 
@@ -530,11 +517,10 @@ def _rd_block(np, blocks, grid: GridSpec, d1s, a, b):
     Those are the rows where ``rd_bound`` could raise (a target that is not a
     finite positive float, ``d1`` neither that nor ``UNCONSTRAINED``, a block
     whose ``z = d4 exp(2 r4)/d1_star`` is not finite and positive at every
-    ``d4``, an excess denominator not positive).  ``d1`` below its floor is
-    not among them: no point of such a block is feasible, so no row of it
-    reaches ``rd_bound``.  Every ``log`` and ``exp`` comes from :mod:`math`:
-    ``exp(2 r4)`` once per block, ``R(z)`` once per block and ``d4``, the
-    excess ``log`` once per entry.
+    ``d4``).  ``d1`` below its floor is not among them: no point of such a
+    block is feasible, so no row of it reaches ``rd_bound``.  Every ``log``
+    and ``exp`` comes from :mod:`math`: ``exp(2 r4)`` once per block,
+    ``R(z)`` once per block and ``d4``, the excess ``log`` once per entry.
     """
     d4 = np.array([v if _positive_float(v) else math.nan for v in grid.d4_values])
     # rd_bound's z, (d4 exp(2 r4))/d1_star, over (block, d4).
@@ -553,12 +539,12 @@ def _rd_block(np, blocks, grid: GridSpec, d1s, a, b):
     codes = np.where(slack, 1, np.where(low_band, 0, 2))
     sums = np.where(slack, 0.0, rz[:, None, :])
 
-    # _excess_term over the excess entries with z < 1; at z >= 1 it is 0.
-    blk, rows, cols = np.nonzero(~(slack | low_band) & (z[:, None, :] < 1.0))
+    # _excess_term over the excess entries.  A refused row's NaN or zero
+    # ratios reach this too; its denominator is not positive, and log(1)
+    # stands in for it until rd_bound decides the row.
+    blk, rows, cols = np.nonzero(~(slack | low_band))
     den = _penalty(np, *_excess_args(np, a[blk, rows], b[blk, rows], z[blk, cols]))
-    positive = den > 0.0
-    refused[blk[~positive], rows[~positive]] = True
-    logs = np.array(list(map(math.log, np.where(positive, den, 1.0).tolist())))
+    logs = np.array(list(map(math.log, np.where(den > 0.0, den, 1.0).tolist())))
     sums[blk, rows, cols] = rz[blk, cols] + np.maximum(-0.5 * logs, 0.0)
     return sums, codes, refused
 

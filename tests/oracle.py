@@ -130,10 +130,12 @@ def mp_asymptote_convergence(b, eta, r_grid, dps=DPS):
 
 
 def _gap_dps(r2):
-    """:data:`DPS` plus the ``-log10(r2)`` digits that ``pi <= 1 - e^{-2 r2}``
-    and the sweep's gap lose to cancellation."""
+    """:data:`DPS` plus the digits the sweep's gap loses to cancellation:
+    ``-log10(r2)`` at small ``r2``, as ``pi <= 1 - e^{-2 r2}``, and
+    ``r2/ln 10`` at large ``r2``, as the gap is at most ``2 d4_wz
+    sqrt(delta) <= 2 d4_wz e^{-r2}``."""
     r2 = mpmath.mpf(r2)
-    return DPS + (int(-mpmath.log10(r2)) if 0 < r2 < 1 else 0)
+    return DPS + int(-mpmath.log10(r2) if 0 < r2 < 1 else r2 / mpmath.log(10))
 
 
 def mp_wz_md_sweep(var, rates, d3_values):

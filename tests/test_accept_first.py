@@ -365,3 +365,72 @@ def test_a_target_one_ulp_below_its_floor_reaches_the_floor_test():
         source, rates.r1, rates.r4,
         DistortionTuple(math.nextafter(d1s, 0.0), 2.0, 1.2, 0.5)))
     assert calls["_require_floors"] == 1
+
+
+# ---------------------------------------------------------------------------
+# No public input reaches a guard that the closed forms make unreachable
+# ---------------------------------------------------------------------------
+
+def test_no_public_input_reaches_a_deleted_guard(monkeypatch):
+    # The penalty denominator of dr_bound, converse_witness, rd_bound's
+    # excess term and certification's bound is positive, rd_bound's excess
+    # term sees z < 1, pi needs no clamp at 0, and the degenerate adjustment
+    # always has an excess to shrink: over the seeded draws above, at
+    # variances from 5e-324 to 1e300, whatever each call returns or refuses.
+    # The checks record what they see: _outcome would catch an assertion.
+    seen, broken = Counter(), []
+    penalty, pi_delta, excess_term, adjust = (
+        regions._penalty, regions._pi_delta, regions._excess_term, channel._adjust)
+
+    def checked_penalty(xp, a, b, delta):
+        den = penalty(xp, a, b, delta)
+        if xp is regions._MATH:
+            seen["penalty"] += 1
+            if not den > 0.0:
+                broken.append(("penalty", a, b, delta, den))
+        return den
+
+    def checked_pi_delta(a, b, s):
+        seen["pi"] += 1
+        if not (1.0 - a) * (1.0 - b) >= 0.0:
+            broken.append(("pi", a, b))
+        return pi_delta(a, b, s)
+
+    def checked_excess_term(a, b, z):
+        seen["excess"] += 1
+        if not z < 1.0:
+            broken.append(("excess", a, b, z))
+        return excess_term(a, b, z)
+
+    def checked_adjust(rates, d1s, d2, d3):
+        seen["adjust"] += 1
+        e2, e3 = math.exp(-2.0 * rates.r2), math.exp(-2.0 * rates.r3)
+        c2, c3 = -math.expm1(-2.0 * rates.r2), -math.expm1(-2.0 * rates.r3)
+        span = (channel._over_floor(d1s, d2, e2, c2) + channel._over_floor(d1s, d3, e3, c3))
+        if not span > 0.0:
+            broken.append(("adjust", rates, d1s, d2, d3))
+        return adjust(rates, d1s, d2, d3)
+
+    monkeypatch.setattr(regions, "_penalty", checked_penalty)
+    monkeypatch.setattr(regions, "_pi_delta", checked_pi_delta)
+    monkeypatch.setattr(regions, "_excess_term", checked_excess_term)
+    monkeypatch.setattr(channel, "_adjust", checked_adjust)
+    u = UNCONSTRAINED
+    for seed in (33, 34):
+        for rng, source, rates, d1s, f2, f3 in _instances(seed):
+            d2, d3 = _pick(rng, _around(f2)), _pick(rng, _around(f3))
+            # The side targets up to d1_star, where the witness is defined.
+            if rng.random() < 0.5:
+                d2, d3 = (_pick(rng, [f, d1s, 0.5 * (f + d1s), math.sqrt(f) * math.sqrt(d1s)])
+                          for f in (f2, f3))
+            bound = _outcome(regions.dr_bound, source, rates, u, d2, d3)
+            _outcome(regions.converse_witness, source, rates, u, d2, d3)
+            _outcome(channel.certify_achievability, source, rates, d2, d3)
+            d4 = _pick(rng, [0.5 * d1s, d1s * math.exp(-2.0 * (rates.r2 + rates.r3)), d1s])
+            if bound[0] is None:
+                d4_bound = bound[1].d4_bound
+                d4 = _pick(rng, [d4, d4_bound, math.nextafter(d4_bound, 0.0)])
+            _outcome(regions.rd_bound, source, rates.r1, rates.r4,
+                     SimpleNamespace(d1=u, d2=d2, d3=d3, d4=d4))
+    assert not broken, broken[:5]
+    assert min(seen.values()) > 0 and len(seen) == 4, seen

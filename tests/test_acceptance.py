@@ -40,7 +40,6 @@ from gaussrd import (
     fixed_channel_loss,
     maximize_t_numeric,
     mc_estimate_mse,
-    md_region_slice,
     mdcr_compare,
     random_pmf,
     rd_bound,
@@ -126,11 +125,11 @@ def test_criterion_04_binning_alternative_meets_plain_coding_at_the_ends():
     """Sweep rates (1, 0.5, 1, 0.5): equality at both ends, a real gap inside."""
     source = GaussianSource(variance=1.0)
     rates = RateTuple(1.0, 0.5, 1.0, 0.5)
-    lo, hi = math.exp(-4.0), math.exp(-2.0)
+    lo, hi, d2s = math.exp(-4.0), math.exp(-2.0), math.exp(-3.0)
     end_resid = 0.0
     for d3 in (lo, hi):
         wz = wz_region(source, rates, d3)
-        md = md_region_slice(source, rates, d3)
+        md = dr_bound(source, rates, UNCONSTRAINED, d2s, d3).d4_bound
         end_resid = max(end_resid, abs(wz - md) / md)
     rows = wz_md_sweep(source, rates, points=201)
     mid_gap = rows[100].gap  # midpoint of the odd-length sweep

@@ -26,7 +26,6 @@ from gaussrd import (
     dr_bound,
     fixed_channel_loss,
     high_rate_asymptote,
-    md_region_slice,
     mdcr_compare,
     wz_md_sweep,
     wz_region,
@@ -44,13 +43,20 @@ SWEEP_RATES = RateTuple(1.0, 0.5, 1.0, 0.5)
 # Binning alternative for the second user
 # ---------------------------------------------------------------------------
 
+def _plain_slice(source, rates, d3):
+    """The plain two-description slice by the general bound: dr_bound at
+    ``d2* = var exp(-2 (r1+r2))`` and ``d3``."""
+    d2s = source.variance * math.exp(-2.0 * (rates.r1 + rates.r2))
+    return dr_bound(source, rates, UNCONSTRAINED, d2s, d3).d4_bound
+
+
 def test_wz_matches_plain_coding_at_both_sweep_ends():
     source = GaussianSource(variance=1.0)
     lo = math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r3))
     hi = math.exp(-2.0 * SWEEP_RATES.r1)
     for d3 in (lo, hi):
         wz = wz_region(source, SWEEP_RATES, d3)
-        md = md_region_slice(source, SWEEP_RATES, d3)
+        md = _plain_slice(source, SWEEP_RATES, d3)
         assert abs(wz - md) <= 1e-9 * max(wz, md)
 
 
@@ -59,8 +65,7 @@ def test_wz_strictly_worse_between_the_ends():
     lo = math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r3))
     hi = math.exp(-2.0 * SWEEP_RATES.r1)
     mid = 0.5 * (lo + hi)
-    gap = wz_region(source, SWEEP_RATES, mid) - md_region_slice(
-        source, SWEEP_RATES, mid)
+    gap = wz_region(source, SWEEP_RATES, mid) - _plain_slice(source, SWEEP_RATES, mid)
     assert gap > 1e-6
 
 
@@ -120,17 +125,30 @@ def test_wz_region_matches_a_50_digit_evaluation(variance, r1):
     assert min(row.gap for row in rows[1:-1]) > 0.0
 
 
+#: Twice the worst relative error of the sweep's d4_md measured in units of
+#: eps (1 + r3 + r4): 2.61, over 25,200 rows of 9-point sweeps at variances
+#: 10^U[-100, 100] and rates up to 1e-6, 0.01, 0.1, 1, 2, 5, 20 or 40 nats.
+D4_MD_MODEL = 2.0 * 2.61
+
+
+def _assert_md_within_its_models(rates, row, md, kappa):
+    """d4_md within dr_bound's rounding model 4 eps (1 + r1+r2+r3+r4)
+    sqrt(ab/delta) and within its own, D4_MD_MODEL eps (1 + r3 + r4)."""
+    err = abs(row.d4_md - md)
+    assert err <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md, (rates, row)
+    assert err <= D4_MD_MODEL * EPS * (1.0 + rates.r3 + rates.r4) * md, (rates, row)
+
+
 def _assert_sweep_matches_the_oracle(var, rates, rows):
-    # d4_wz within 16 eps, d4_md within dr_bound's rounding model
-    # 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta), and the gap within its own
-    # model 2 eps (ab/delta + b/(1 - b) + 1 + r3 + r4) relative, plus one
-    # subnormal spacing; 0 where the exact gap is 0.
+    # d4_wz within 16 eps, d4_md within both of its models, and the gap
+    # within its own model 2 eps (ab/delta + b/(1 - b) + 1 + r3 + r4)
+    # relative, plus one subnormal spacing; 0 where the exact gap is 0.
     exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), [row.d3 for row in rows])
     d2s = _d2_star(var, rates)
     for row, (wz, md, gap) in zip(rows, exact):
         kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
         assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
-        assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
+        _assert_md_within_its_models(rates, row, md, kappa)
         model = oracle.mp_gap_conditioning(var, rates.as_tuple(), row.d3)
         if model == math.inf:
             assert row.gap == 0.0
@@ -198,14 +216,26 @@ def test_wz_md_sweep_gap_meets_its_own_relative_model(crowd):
         _assert_sweep_matches_the_oracle(var, rates, wz_md_sweep(GaussianSource(var), rates, 9))
 
 
+def _assert_md_is_the_plain_slice(source, rates, rows):
+    """Each row's d4_md is dr_bound's bound at (d2*, d3) within the sum of
+    their models: dr_bound's 4 eps (1 + r1+r2+r3+r4) sqrt(ab/delta) and
+    d4_md's D4_MD_MODEL eps (1 + r3 + r4)."""
+    d2s = _d2_star(source.variance, rates)
+    for row in rows:
+        plain = _plain_slice(source, rates, row.d3)
+        kappa = oracle.mp_floor_conditioning(source.variance, rates.as_tuple(), d2s, row.d3)
+        model = (4.0 * (1.0 + sum(rates.as_tuple())) * kappa
+                 + D4_MD_MODEL * (1.0 + rates.r3 + rates.r4))
+        assert abs(row.d4_md - plain) <= model * EPS * plain, (rates, row, plain)
+
+
 def test_wz_md_sweep_of_two_points_is_its_two_ends():
     source = GaussianSource(1.0)
     lo, hi = source.variance * math.exp(-4.0), source.variance * math.exp(-2.0)
     rows = wz_md_sweep(source, SWEEP_RATES, 2)
     assert [row.d3 for row in rows] == [lo, hi]
     assert [row.gap for row in rows] == [0.0, 0.0]
-    assert [row.d4_md for row in rows] == [md_region_slice(source, SWEEP_RATES, d3)
-                                           for d3 in (lo, hi)]
+    _assert_md_is_the_plain_slice(source, SWEEP_RATES, rows)
 
 
 def test_wz_md_sweep_spaces_its_rows_where_span_i_overflows():
@@ -234,24 +264,28 @@ def test_wz_md_sweep_keeps_dr_bound_s_model_past_a_subnormal_first_layer_factor(
     d2s = _d2_star(var, rates)
     for row, (wz, md, _) in zip(rows, exact):
         kappa = oracle.mp_floor_conditioning(var, rates.as_tuple(), d2s, row.d3)
-        assert abs(row.d4_md - md) <= 4.0 * EPS * (1.0 + sum(rates.as_tuple())) * kappa * md
+        _assert_md_within_its_models(rates, row, md, kappa)
         assert abs(row.d4_wz - wz) <= 16.0 * EPS * wz
     assert [row.gap for row in rows][::2] == [0.0, 0.0]
 
 
 def test_wz_region_matches_the_oracle_where_the_plain_slice_is_refused():
-    # At variance 1e308, r1 = 0.1 and r2 = 360 the channel's s1 is past the
-    # top of the double range and the plain slice's a = exp(-720) is
-    # subnormal, so the sweep is refused; the binning bound alone is not.
-    var, rates = 1e308, RateTuple(0.1, 360.0, 1.0, 0.5)
-    source = GaussianSource(var)
-    with pytest.raises(InvalidRegimeInput, match="below the normal double range"):
-        wz_md_sweep(source, rates, 3)
-    lo, hi = var * math.exp(-2.2), var * math.exp(-0.2)
-    targets = [lo, 0.5 * (lo + hi), hi]
-    exact = oracle.mp_wz_md_sweep(var, rates.as_tuple(), targets)
-    for d3, (wz, _, _) in zip(targets, exact):
-        assert abs(wz_region(source, rates, d3) - wz) <= 16.0 * EPS * wz
+    # At variance 1e308, r1 = 0.1 and r2 = 360 or 370 the channel's s1 is
+    # past the top of the double range and dr_bound refuses the plain slice,
+    # whose a = exp(-2 r2) is subnormal.  The sweep takes a = exp(-2 r2) as
+    # it is, which costs its bounds no digits, and forms sqrt(delta) as
+    # exp(-r2) sqrt(b - exp(-2 r3)), so its gap, about exp(-r2) d4_wz, keeps
+    # its model too (as a subnormal product it kept 1e-11 relative at r2 =
+    # 360 and none near 372).  r2 = 300 is the same sweep with a normal a.
+    var, source = 1e308, GaussianSource(1e308)
+    for r2 in (300.0, 360.0, 370.0):
+        rates = RateTuple(0.1, r2, 1.0, 0.5)
+        rows = wz_md_sweep(source, rates, 9)
+        _assert_sweep_matches_the_oracle(var, rates, rows)
+        assert rows[0].gap == rows[-1].gap == 0.0
+        assert min(row.gap for row in rows[1:-1]) > 0.0
+        for row in rows:
+            assert wz_region(source, rates, row.d3) == row.d4_wz
 
 
 @pytest.mark.parametrize("field", ["r1", "r2"])
@@ -280,19 +314,17 @@ def test_wz_md_sweep_validates_point_count():
 
 
 def test_md_slice_specialization_holds_across_the_range():
-    # The slice is dr_bound's bound at d2* over the whole feasible range,
-    # both exact endpoints included; its closed forms of pi and delta are
-    # checked symbolically in test_oracle.
-    source = GaussianSource(variance=1.0)
+    # The sweep's d4_md is dr_bound's bound at d2* over the whole feasible
+    # range, both ends included, within their models; its closed forms of pi
+    # and delta are checked symbolically in test_oracle.  Variances
+    # 10^U[-100, 100], rates U[0, 5].
     rng = make_rng(401)
-    lo = math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r3))
-    hi = math.exp(-2.0 * SWEEP_RATES.r1)
-    values = [lo, hi] + list(rng.uniform(lo, hi, size=50))
-    d2s = math.exp(-2.0 * (SWEEP_RATES.r1 + SWEEP_RATES.r2))
-    for d3 in values:
-        bound = md_region_slice(source, SWEEP_RATES, float(d3))
-        assert bound == dr_bound(source, SWEEP_RATES, UNCONSTRAINED, d2s, float(d3)).d4_bound
-        assert bound > 0.0
+    for _ in range(6):
+        source = GaussianSource(10.0 ** rng.uniform(-100.0, 100.0))
+        rates = RateTuple(*rng.uniform(0.0, 5.0, size=4))
+        rows = wz_md_sweep(source, rates, 17)
+        assert min(row.d4_md for row in rows) > 0.0
+        _assert_md_is_the_plain_slice(source, rates, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +635,11 @@ def test_asymptote_convergence_validates_grid():
     (lambda: wz_md_sweep(GaussianSource(1.0), RateTuple(400.0, 0.5, 1.0, 0.5), 3),
      "first-layer floor d1* = var exp(-2 r1) = 0.0 underflows at r1 = 400.0; "
      "the second user's targets cannot be swept"),
-    # d1* = exp(-600) is normal, the floor exp(-800) is not.
-    (lambda: wz_md_sweep(GaussianSource(1.0), RateTuple(300.0, 0.5, 100.0, 0.5), 3),
-     "second-user floor var exp(-2 (r1+r3)) = 0.0 underflows at r1 + r3 = 400.0; "
-     "the second user's targets cannot be swept"),
+    # d1* = exp(-600) is normal, the floor exp(-710) is subnormal.
+    (lambda: wz_md_sweep(GaussianSource(1.0), RateTuple(300.0, 0.5, 55.0, 0.5), 3),
+     "second-user floor var exp(-2 (r1+r3)) = 4.47628622567513e-309 is below the "
+     "normal double range at r1 + r3 = 355.0; the second user's targets cannot "
+     "be swept"),
     (lambda: wz_region(GaussianSource(1.0), RateTuple(0.0, 400.0, 400.0, 0.0), 1e-320),
      "1 - pi = exp(-2 r2) + (1 - exp(-2 r2)) b = 1e-320 is below the normal "
      "double range (r2=400.0, b=1e-320)"),

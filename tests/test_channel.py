@@ -363,19 +363,6 @@ def test_certification_meets_the_bound_where_an_adjusted_target_nears_d1_star(
     assert record.achieved.d4 == pytest.approx(record.bound.d4_bound, rel=1e-14)
 
 
-def test_degenerate_adjust_names_targets_without_excess():
-    # d1_star = 6e-313 is subnormal: the floors keep no digits, and the
-    # excess over them rounds to 0 (a bare ZeroDivisionError before).
-    # Certification refuses the point earlier, for its subnormal bound, so
-    # only a direct call reaches this guard.
-    source = GaussianSource(2.27674076911379e-298)
-    rates = RateTuple(16.76382027343233, 12.932615815208477, 0.0, 0.0)
-    d2, d3 = 5e-324, 6.25812601136e-313
-    d1s = dr_bound(source, rates, UNCONSTRAINED, d2, d3).d1_star
-    with pytest.raises(InvalidRegimeInput, match="no excess"):
-        channel_module._adjust(rates, d1s, d2, d3)
-
-
 @pytest.mark.parametrize("variance, rates, d2, d3", [
     # d4_bound = var exp(-2 (r1+r2+r3+r4)) / den underflows to 0: no channel
     # meets it (InvalidChannel on a zero sigma4_sq before).

@@ -257,14 +257,16 @@ def test_scalar_path_modules_import_numpy_only_in_the_scan(name):
 #: numerator lies below the normal range, to dr_bound instead of replaying
 #: its raises and its quotient; the channel snaps rho where regions._delta
 #: snaps delta; the rd kernel leaves the first-layer floor to the scan's
-#: margins; and the mdcr ratio is that of the penalty denominators at every
-#: rate, with no underflow test.
+#: margins; the mdcr ratio is that of the penalty denominators at every
+#: rate, with no underflow test; and the binning sweep derives each row once
+#: by its row form, from targets it placed on or above their floors itself.
 DECIDED_ELSEWHERE = {
-    ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_penalty_den",
-                                      "_exp_quotient"},
+    ("regions", "equivalence_scan"): {"_side_ratios", "_pi_delta", "_exp_quotient"},
     ("channel", "_channel"): {"FEASIBILITY_RTOL"},
     ("regions", "_rd_block"): {"_require_floors", "_margin", "_checked_d1_star"},
     ("analysis", "mdcr_compare"): {"float_info"},
+    ("analysis", "wz_md_sweep"): {"dr_bound", "wz_region", "_checked_d1_star"},
+    ("analysis", "_slice"): {"dr_bound", "wz_region", "_checked_d1_star"},
 }
 
 #: The per-call scalar path clamps by comparison, ``y if y < x else x`` for
@@ -276,7 +278,7 @@ CLAMP_BY_COMPARISON = {
     ("regions", "_excess_term"), ("regions", "rd_bound"), ("model", "_exp_quotient"),
     ("regions", "maximize_t_numeric"), ("regions", "converse_witness"),
     ("channel", "_channel"), ("channel", "_adjust"), ("channel", "certify_achievability"),
-    ("analysis", "wz_region"), ("analysis", "md_region_slice"),
+    ("analysis", "wz_region"), ("analysis", "_slice"),
     ("analysis", "asymptote_convergence"),
 }
 
@@ -289,16 +291,16 @@ MODEL_TESTS = {
 }
 
 
-#: The functions that form a Gaussian floor ``var exp(-2 r)``, for a floor test
-#: or certification's closed-form ``d4``, and how many they form: each goes
-#: through model._distortion_floor, so that a subnormal ``exp(-2 r)`` costs no
-#: digits and every floor test agrees.
+#: The functions that form a Gaussian floor ``var exp(-2 r)``, for a floor test,
+#: certification's closed-form ``d4`` or the binning sweep's two bounds, and
+#: how many they form: each goes through model._distortion_floor, so that a
+#: subnormal ``exp(-2 r)`` costs no digits and every floor test agrees.
 FLOOR_FORMS = {
     ("model", "_checked_d1_star"): 1,
     ("regions", "rd_bound"): 1,
     ("regions", "equivalence_scan"): 1,
-    ("analysis", "md_region_slice"): 1,
     ("analysis", "wz_md_sweep"): 2,
+    ("analysis", "_slice"): 2,
     ("analysis", "fixed_channel_loss"): 1,
     ("channel", "certify_achievability"): 1,
 }

@@ -297,7 +297,7 @@ def test_rearrangements_equal_their_textbook_forms():
     # P = sqrt(pi), D = sqrt(delta), W = sqrt((a-z)(b-z)), m = 1 - z > 0.
     P, D, W, m = sympy.symbols("P D W m", positive=True)
 
-    def kernel(a, b, sqrt_pi, sqrt_delta):  # regions._penalty_den
+    def kernel(a, b, sqrt_pi, sqrt_delta):  # regions._penalty
         return (((a + b - a * b) / (1 + sqrt_pi) + sqrt_delta)
                 * (1 + sqrt_pi - sqrt_delta))
 
@@ -314,16 +314,19 @@ def test_rearrangements_equal_their_textbook_forms():
     excess_den = kernel(ap, bp, P / m, W / m).subs(b, 1 - P ** 2 / (1 - a))
     assert zero(excess_den * m ** 2 - (m ** 2 - (P - W) ** 2))
 
-    # The two-description slice of analysis.md_region_slice: at d2* =
+    # The two-description slice of analysis._slice: at d2* =
     # var e^{-2 (r1+r2)}, a = e^{-2 r2}, so pi = (1 - e2)(1 - b) and
     # delta = ab - e^{-2 (r2+r3)} = e2 (b - e3), with e2 = e^{-2 r2} and
-    # e3 = e^{-2 r3}.
+    # e3 = e^{-2 r3}; where e2 is subnormal, sqrt(delta) is formed as
+    # e^{-r2} sqrt(b - e3).
     var, r1, r2, r3 = sympy.symbols("var r1 r2 r3", positive=True)
     a_slice = var * sympy.exp(-2 * (r1 + r2)) / (var * sympy.exp(-2 * r1))
     e2, e3 = sympy.exp(-2 * r2), sympy.exp(-2 * r3)
     assert zero(a_slice - e2)
     assert zero((1 - a_slice) * (1 - b) - (1 - e2) * (1 - b))
     assert zero(a_slice * b - sympy.exp(-2 * (r2 + r3)) - e2 * (b - e3))
+    excess = sympy.symbols("x", positive=True)  # b - e3 where it is kept
+    assert zero(sympy.exp(-r2) * sympy.sqrt(excess) - sympy.sqrt(e2 * excess))
     # analysis.wz_md_sweep's gap: with N the shared numerator, d4_wz =
     # N/(1 - pi) and d4_md = N/(1 - g^2), g = sqrt(pi) - sqrt(delta), their
     # difference is d4_wz sqrt(delta) (2 sqrt(pi) - sqrt(delta))/(1 - g^2);

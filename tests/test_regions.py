@@ -13,7 +13,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gaussrd import (
     DistortionTuple,
@@ -1258,13 +1258,23 @@ def test_excess_args_are_the_same_on_doubles_and_arrays(rows):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: regions._pi_delta(0.5, 0.5, 0.3), NegativeDelta,
      "delta=-0.04999999999999999 is negative beyond rounding; inputs are inconsistent"),
-    (lambda: regions._penalty_den(2.0, 2.0, 0.0), InvalidRegimeInput,
-     "penalty denominator 0.0 not positive (a=2.0, b=2.0, delta=0.0)"),
-], ids=["negative-delta", "penalty-denominator"])
+], ids=["negative-delta"])
 def test_region_guards_raise_their_message(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+def test_dr_bound_reaches_negative_delta_at_subnormal_floors():
+    # d1* = 5.5e-307 is normal, but d2 and d3 sit on their subnormal floors
+    # 1.9e-317 and 1.7e-320, which keep about 7 and 4 digits: a b falls
+    # short of exp(-2 (r2+r3)) by far more than rounding of normal doubles
+    # allows.  This is the public route to NegativeDelta.
+    rates = RateTuple(12.474541605345038, 12.039250517603325,
+                      15.553633828232293, 9.63575981133824)
+    with pytest.raises(NegativeDelta, match="negative beyond rounding"):
+        dr_bound(GaussianSource(3.7363363890468174e-296), rates, UNCONSTRAINED,
+                 1.9056216e-317, 1.688e-320)
 
 
 # ---------------------------------------------------------------------------
@@ -1313,9 +1323,16 @@ def test_side_ratios_clamp_as_builtin_min(d1_star, d2, d3):
             == [_word(min(d2, d1_star) / d1_star), _word(min(d3, d1_star) / d1_star)])
 
 
+#: A side ratio as _side_ratios returns it, subnormals and both ends included.
+SIDE_RATIO = st.one_of(st.sampled_from([0.0, 5e-324, sys.float_info.min, 1.0]),
+                       st.floats(0.0, 1.0, allow_subnormal=True))
+
+
 @CLAMPS
-@given(ANY_DOUBLE, ANY_DOUBLE, ANY_DOUBLE)
+@given(SIDE_RATIO, SIDE_RATIO, SIDE_RATIO)
 def test_pi_clamps_as_builtin_max(a, b, s):
+    # Its callers pass a, b <= 1 from _side_ratios and s = exp(-2 (r2+r3)),
+    # where (1 - a)(1 - b) is already +0.0 or more: pi takes no clamp.
     try:
         pi = regions._pi_delta(a, b, s)[0]
     except (InvalidRegimeInput, NegativeDelta):
@@ -1330,16 +1347,34 @@ def test_delta_clamps_as_builtin_max(ab, s):
             == _outcome(regions._delta, _BUILTIN, ab, s))
 
 
-@CLAMPS
-@given(ANY_DOUBLE, ANY_DOUBLE, ANY_DOUBLE)
-def test_excess_term_clamps_as_builtin_max(a, b, z):
-    def builtin(a, b, z):
-        if z >= 1.0:
-            return 0.0
-        den = regions._penalty_den(*regions._excess_args(_BUILTIN, a, b, z))
-        return max(-0.5 * math.log(den), 0.0)
+@st.composite
+def _excess_point(draw):
+    """``(a, b, z)`` as rd_bound passes them to _excess_term: positive side
+    ratios at most 1 and ``z`` in the excess regime, between the low and the
+    harmonic thresholds, drawn across that span and near both of its ends."""
+    a, b = draw(SIDE_RATIO.filter(bool)), draw(SIDE_RATIO.filter(bool))
+    ab = a * b
+    low, harm = ab - (1.0 - a) * (1.0 - b), ab / (a + b - ab)
+    low = 0.0 if 0.0 > low else low
+    z = draw(st.one_of(st.floats(0.0, 1.0).map(lambda t: low + t * (harm - low)),
+                       NEAR.map(lambda k: harm * (1.0 - 2.0 * BOUNDARY_RTOL + k * 1e-12)),
+                       NEAR.map(lambda k: low * (1.0 + 2.0 * BOUNDARY_RTOL + k * 1e-12))))
+    slack, low_band = regions._rd_branches(regions._MATH, a, b, z)
+    assume(not (slack or low_band))
+    return a, b, z
 
-    assert _outcome(regions._excess_term, a, b, z) == _outcome(builtin, a, b, z)
+
+@CLAMPS
+@given(_excess_point())
+def test_excess_term_clamps_as_builtin_max(point):
+    # In the excess regime z lies below the harmonic threshold, at most
+    # min(a, b) <= 1, so a - z and b - z are positive and so is the penalty
+    # denominator: the term takes neither a z >= 1 branch nor a refusal.
+    a, b, z = point
+    den = regions._penalty(_BUILTIN, *regions._excess_args(_BUILTIN, a, b, z))
+    assert z < 1.0 and den > 0.0, (a, b, z, den)
+    assert (_outcome(regions._excess_term, a, b, z)
+            == [_word(max(-0.5 * math.log(den), 0.0))])
 
 
 @CLAMPS
